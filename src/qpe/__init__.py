@@ -14,6 +14,7 @@ from .exceptions import (
     InputFormatError,
     InvalidState,
     NegativeEigenvalue,
+    NonFiniteInput,
     NonHermitianInput,
     NonpositiveScalar,
     NotAChain,
@@ -22,7 +23,6 @@ from .exceptions import (
     NotConverged,
     PreconditionViolated,
     QpeError,
-    SearchBudgetExhausted,
     SupportViolation,
     ZeroEvidence,
     ZeroProbability,

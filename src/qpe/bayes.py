@@ -25,14 +25,14 @@ from .exceptions import (
     ZeroEvidence,
     ZeroProbability,
 )
-from .linalg import matrix_power, operator_norm
+from .linalg import hermitian_part, matrix_power, operator_norm
 from .orders import as_probability_vector, classical_pe_leq, qpe_leq
 from .states import (
     DensityMatrix,
     Effect,
+    sandwich,
     subspace_intersects,
     top_eigenspace,
-    top_eigenvalue,
 )
 
 
@@ -110,7 +110,9 @@ def reconstruct_effect(rho: DensityMatrix, sigma: DensityMatrix,
 
     Closed form (rho/rho+)^-1/2 (sigma/sigma+) (rho/rho+)^-1/2 with the
     generalized inverse vanishing off rho's support, rescaled to unit
-    operator norm. Requires rho below sigma in the positive-evidence order.
+    operator norm; the rescaling absorbs rho+ and sigma+, so this is the
+    sandwich rho^-1/2 sigma rho^-1/2 over its norm. Requires rho below sigma
+    in the positive-evidence order.
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatch("state dimensions differ")
@@ -118,13 +120,9 @@ def reconstruct_effect(rho: DensityMatrix, sigma: DensityMatrix,
     if not verdict.holds:
         raise NotBelow(f"prior is not below target ({verdict.relation}, "
                        f"slack {verdict.slack:.3e})")
-    inv_half = matrix_power(rho.matrix / top_eigenvalue(rho), -0.5, cfg)
-    raw = inv_half @ (sigma.matrix / top_eigenvalue(sigma)) @ inv_half
-    raw = (raw + raw.conj().T) / 2.0
-    norm = operator_norm(raw)
-    if norm > 0:
-        raw = raw / norm
-    return Effect(raw, cfg)
+    middle = sandwich(rho, sigma, cfg)
+    norm = middle.norm
+    return Effect(middle.matrix / norm if norm > 0 else middle.matrix, cfg)
 
 
 def random_agreeing_effect(
@@ -171,11 +169,10 @@ def sequential_solve_effect(rho: DensityMatrix, sigma: DensityMatrix,
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatch("state dimensions differ")
-    inv_half = matrix_power(rho.matrix, -0.5, cfg)
+    inv_half = rho.inv_sqrt(cfg)
     mid = matrix_power(rho.sqrt @ sigma.matrix @ rho.sqrt, 0.5, cfg)
     X = inv_half @ mid @ inv_half
-    G = X @ X.conj().T
-    G = (G + G.conj().T) / 2.0
+    G = hermitian_part(X @ X.conj().T)
     norm = operator_norm(G)
     if norm <= 0:
         raise ZeroProbability("candidate effect vanished")

@@ -19,7 +19,7 @@ from .exceptions import (
     NonHermitianInput,
     NotCPTP,
 )
-from .linalg import MARGINAL, OrderVerdict, is_psd, partial_trace, partial_transpose
+from .linalg import MARGINAL, OrderVerdict, as_square_array, is_psd, partial_trace, partial_transpose
 from .orders import qpe_leq
 from .states import DensityMatrix, rank_of, top_eigenvalue
 from .divergence import DivergenceValue, max_divergence
@@ -29,6 +29,13 @@ COMPLETENESS_TOL = 1e-8
 
 def _vec(M: np.ndarray) -> np.ndarray:
     return np.asarray(M).reshape(-1)
+
+
+def _kraus_sandwich(ops, X: np.ndarray) -> np.ndarray:
+    out = np.zeros((ops[0].shape[0],) * 2, dtype=complex)
+    for K in ops:
+        out += K @ X @ K.conj().T
+    return out
 
 
 def to_choi(kraus, in_dim: int, out_dim: int) -> np.ndarray:
@@ -82,7 +89,7 @@ class Channel:
     def from_choi(cls, choi, in_dim: int, out_dim: int,
                   cfg: ToleranceConfig = DEFAULT_CONFIG) -> "Channel":
         """Recover a Kraus family from a normalized Choi matrix."""
-        J = np.asarray(choi, dtype=complex)
+        J = as_square_array(choi)
         n, k = in_dim, out_dim
         if J.shape != (n * k, n * k):
             raise DimensionMismatch(f"Choi matrix shape {J.shape} does not "
@@ -139,10 +146,7 @@ class Channel:
         if X.shape != (self.in_dim, self.in_dim):
             raise DimensionMismatch(f"input shape {X.shape} does not match "
                                     f"in_dim {self.in_dim}")
-        out = np.zeros((self.out_dim, self.out_dim), dtype=complex)
-        for K in self.kraus:
-            out += K @ X @ K.conj().T
-        return out
+        return _kraus_sandwich(self.kraus, X)
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         return DensityMatrix(self._apply_matrix(rho.matrix), self.cfg)
@@ -198,11 +202,8 @@ def extended_output(channel: Channel, rho: DensityMatrix, m: int,
         raise DimensionMismatch(f"input dim {rho.dim} is not "
                                 f"{m} x {channel.in_dim}")
     eye = np.eye(m)
-    out = np.zeros((m * channel.out_dim,) * 2, dtype=complex)
-    for K in channel.kraus:
-        lifted = np.kron(eye, K)
-        out += lifted @ rho.matrix @ lifted.conj().T
-    return DensityMatrix(out, cfg)
+    lifted = [np.kron(eye, K) for K in channel.kraus]
+    return DensityMatrix(_kraus_sandwich(lifted, rho.matrix), cfg)
 
 
 def maximally_entangled(n: int, cfg: ToleranceConfig = DEFAULT_CONFIG) -> DensityMatrix:
@@ -289,13 +290,6 @@ def _permute_both(X: np.ndarray, dst: np.ndarray) -> np.ndarray:
     inv = np.empty_like(dst)
     inv[dst] = np.arange(dst.size)
     return X[np.ix_(inv, inv)]
-
-
-def _kraus_sandwich(ops, X: np.ndarray) -> np.ndarray:
-    out = np.zeros((ops[0].shape[0],) * 2, dtype=complex)
-    for K in ops:
-        out += K @ X @ K.conj().T
-    return out
 
 
 def jamiolkowski_properties_check(

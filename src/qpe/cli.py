@@ -30,21 +30,7 @@ from .channels import (
 from .config import ToleranceConfig
 from .divergence import renyi_divergence, renyi_entropy
 from .domain import CERTIFIED_BELOW, NOT_BELOW, way_below_witness
-from .exceptions import (
-    BadAlpha,
-    BadParameter,
-    DegenerateDraw,
-    DimensionMismatch,
-    InputFormatError,
-    InvalidState,
-    NonHermitianInput,
-    NotBelow,
-    NotCPTP,
-    QpeError,
-    SupportViolation,
-    ZeroEvidence,
-    ZeroProbability,
-)
+from .exceptions import DegenerateDraw, NotBelow, QpeError
 from .linalg import HOLDS, MARGINAL
 from .oracle import counterexample_suite, partial_trace_counterexample
 from .orders import classical_pe_leq, lev_leq, majorizes, primed_leq, qpe_leq
@@ -56,24 +42,9 @@ from .serialization import (
     load_distribution,
     load_effect,
     load_state,
-    probvec_json,
     state_json,
 )
 from .states import random_state
-
-INVALID_INPUT_ERRORS = (
-    InputFormatError,
-    NonHermitianInput,
-    InvalidState,
-    DimensionMismatch,
-    BadParameter,
-    BadAlpha,
-    NotCPTP,
-    SupportViolation,
-    ZeroEvidence,
-    ZeroProbability,
-)
-
 
 def _alpha_arg(text: str) -> float:
     if text.lower() in ("inf", "infinity"):
@@ -439,9 +410,6 @@ def run(argv=None) -> int:
     except DegenerateDraw as exc:
         print(f"degenerate draw: {exc}", file=sys.stderr)
         return 3
-    except INVALID_INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except QpeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,9 +14,9 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .exceptions import BadAlpha, DimensionMismatch
-from .linalg import OrderVerdict, eig, matrix_power, operator_norm
+from .linalg import OrderVerdict, hermitian_part, operator_norm
 from .orders import as_probability_vector, qpe_leq
-from .states import DensityMatrix, Effect, kernel, matrix_of, top_eigenvalue
+from .states import DensityMatrix, Effect, kernel, matrix_of, sandwich, top_eigenvalue
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,7 @@ def max_divergence(sigma: DensityMatrix, rho: DensityMatrix,
         raise DimensionMismatch("state dimensions differ")
     if _support_escapes(sigma, rho, cfg):
         return DivergenceValue(np.inf, np.inf, cfg.log_base, support_violation=True)
-    inv_half = matrix_power(rho.matrix, -0.5, cfg)
-    sandwich = inv_half @ sigma.matrix @ inv_half
-    sandwich = (sandwich + sandwich.conj().T) / 2.0
-    return DivergenceValue(float(cfg.log(operator_norm(sandwich))),
+    return DivergenceValue(float(cfg.log(sandwich(rho, sigma, cfg).norm)),
                            np.inf, cfg.log_base)
 
 
@@ -79,9 +76,8 @@ def renyi_divergence(sigma: DensityMatrix, rho: DensityMatrix, alpha: float,
     if alpha == 1:
         return _umegaki(sigma, rho, cfg)
     exponent = (1.0 - alpha) / (2.0 * alpha)
-    half = matrix_power(rho.matrix, exponent, cfg)
-    inner = half @ sigma.matrix @ half
-    inner = (inner + inner.conj().T) / 2.0
+    half = rho.power(exponent, cfg)
+    inner = hermitian_part(half @ sigma.matrix @ half)
     w = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
     total = (w[w > 0] ** alpha).sum()
     if total <= 0:
@@ -92,10 +88,9 @@ def renyi_divergence(sigma: DensityMatrix, rho: DensityMatrix, alpha: float,
 
 
 def _umegaki(sigma, rho, cfg):
-    w_s, V_s = eig(sigma.matrix)
-    w_r, V_r = eig(rho.matrix)
-    w_s = np.clip(w_s, 0.0, None)
-    w_r = np.clip(w_r, 0.0, None)
+    w_s = np.clip(sigma.eigenvalues, 0.0, None)
+    w_r = np.clip(rho.eigenvalues, 0.0, None)
+    V_s, V_r = sigma.eigenvectors, rho.eigenvectors
     live = w_s > 0
     ent = (w_s[live] * cfg.log(w_s[live])).sum()
     # tr sigma log rho through the overlap matrix, restricted to rho's support
@@ -152,10 +147,8 @@ def povm_distinguishability_lower_bound(
         P = np.zeros((n, n), dtype=complex)
         P[i, i] = 1.0
         candidates.append(P)
-    inv_half = matrix_power(rho.matrix, -0.5, cfg)
-    sandwich = inv_half @ sigma.matrix @ inv_half
-    sandwich = (sandwich + sandwich.conj().T) / 2.0
-    _, vecs = eig(sandwich)
+    inv_half = rho.inv_sqrt(cfg)
+    vecs = sandwich(rho, sigma, cfg).eigenvectors
     for j in range(n):
         v = vecs[:, j]
         candidates.append(np.outer(v, v.conj()))

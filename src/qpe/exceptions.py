@@ -9,6 +9,10 @@ class DimensionMismatch(QpeError):
     """Operands have incompatible shapes or declared factor dimensions."""
 
 
+class NonFiniteInput(QpeError):
+    """A matrix has a NaN or infinite entry."""
+
+
 class NonHermitianInput(QpeError):
     """A matrix expected to be Hermitian deviates beyond tolerance."""
 
@@ -43,10 +47,6 @@ class SupportViolation(QpeError):
 
 class PreconditionViolated(QpeError):
     """A monotonicity check was called with an inadmissible configuration."""
-
-
-class SearchBudgetExhausted(QpeError):
-    """A randomized search ran out of trials (reported, rarely raised)."""
 
 
 class DegenerateDraw(QpeError):

@@ -15,6 +15,7 @@ from .exceptions import (
     BadParameter,
     DimensionMismatch,
     NegativeEigenvalue,
+    NonFiniteInput,
     NonHermitianInput,
 )
 
@@ -56,6 +57,8 @@ def as_square_array(A) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise NonFiniteInput("matrix has a NaN or infinite entry")
     return A
 
 
@@ -65,16 +68,21 @@ def hermitian_deviation(A) -> float:
     return float(np.abs(A - A.conj().T).max(initial=0.0))
 
 
+def hermitian_part(A: np.ndarray) -> np.ndarray:
+    """(A + A^dagger) / 2, which is exactly Hermitian in floating point."""
+    return (A + A.conj().T) / 2.0
+
+
 def assert_hermitian(A) -> np.ndarray:
     A = as_square_array(A)
-    dev = hermitian_deviation(A)
+    dev = float(np.abs(A - A.conj().T).max(initial=0.0))
     scale = max(1.0, float(np.abs(A).max(initial=0.0)))
     if dev > HERMITIAN_RTOL * scale:
         raise NonHermitianInput(
             f"matrix deviates from Hermitian by {dev:.3e} (scale {scale:.3e})"
         )
     # fold the (tiny) asymmetry away so downstream eigh sees clean input
-    return (A + A.conj().T) / 2.0
+    return hermitian_part(A)
 
 
 def eig(A):
@@ -109,23 +117,44 @@ def schatten_norm(A, p) -> float:
     return float(np.sum(mags**p) ** (1.0 / p))
 
 
-def is_psd(A, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
-    """Tri-state positive-semidefiniteness verdict.
+def psd_verdict(w, H, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
+    """Tri-state positive-semidefiniteness verdict from a descending spectrum.
 
-    holds    if lambda_min >= -psd_slack * max(1, ||A||)
-    fails    if lambda_min < -10 * psd_slack * max(1, ||A||)
+    w is the spectrum of the Hermitian matrix H. H is only read to find the
+    witness of a fails verdict; a caller that raises on fails may pass None.
+
+    holds    if lambda_min >= -psd_slack * max(1, ||H||)
+    fails    if lambda_min < -10 * psd_slack * max(1, ||H||)
     marginal in between
     """
-    H = assert_hermitian(A)
-    w = np.linalg.eigvalsh(H)
-    lam_min = float(w[0])
+    lam_min = float(w[-1])
     scale = max(1.0, float(np.abs(w).max(initial=0.0)))
     if lam_min >= -cfg.psd_slack * scale:
         return OrderVerdict(HOLDS, lam_min)
     if lam_min < -10.0 * cfg.psd_slack * scale:
-        _, V = np.linalg.eigh(H)
-        return OrderVerdict(FAILS, lam_min, witness=V[:, 0].copy())
+        witness = None if H is None else np.linalg.eigh(H)[1][:, 0].copy()
+        return OrderVerdict(FAILS, lam_min, witness=witness)
     return OrderVerdict(MARGINAL, lam_min)
+
+
+def is_psd(A, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
+    """Tri-state positive-semidefiniteness verdict on a Hermitian matrix (see psd_verdict)."""
+    H = assert_hermitian(A)
+    return psd_verdict(np.linalg.eigvalsh(H)[::-1], H, cfg)
+
+
+def spectral_power(w, V, p, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """V diag(w)^p V^dagger for a descending PSD spectrum (w, V).
+
+    Eigenvalues at or below rank_cutoff * lambda_max count as kernel and map
+    to zero for every p, so negative powers are generalized inverses.
+    """
+    lam_max = float(w[0]) if w.size else 0.0
+    cutoff = cfg.rank_cutoff * max(lam_max, 0.0)
+    live = w > cutoff
+    out = np.zeros_like(w)
+    out[live] = w[live] ** p
+    return (V * out) @ V.conj().T
 
 
 def matrix_power(A, p, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -136,20 +165,15 @@ def matrix_power(A, p, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
     (within the PSD slack) are clamped to zero; anything worse raises
     NegativeEigenvalue.
     """
-    verdict = is_psd(A, cfg)
+    H = assert_hermitian(A)
+    w, V = np.linalg.eigh(H)
+    w, V = w[::-1], V[:, ::-1]
+    verdict = psd_verdict(w, None, cfg)
     if verdict.fails:
         raise NegativeEigenvalue(
             f"matrix_power needs a PSD input (lambda_min = {verdict.slack:.3e})"
         )
-    w, V = eig(A)
-    lam_max = float(w[0]) if w.size else 0.0
-    cutoff = cfg.rank_cutoff * max(lam_max, 0.0)
-    out = np.zeros_like(w)
-    for i, lam in enumerate(w):
-        if lam > cutoff:
-            out[i] = lam**p
-        # lam <= cutoff: treated as kernel, stays 0 for every p
-    return (V * out) @ V.conj().T
+    return spectral_power(w, V, p, cfg)
 
 
 def tensor(A, B) -> np.ndarray:
@@ -198,7 +222,7 @@ def fidelity(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
     """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)), clamped to [0, 1]."""
     sq = matrix_power(rho, 0.5, cfg)
     inner = sq @ as_square_array(sigma) @ sq
-    w = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
+    w = np.linalg.eigvalsh(hermitian_part(inner))
     val = float(np.sqrt(np.clip(w, 0.0, None)).sum())
     return min(max(val, 0.0), 1.0)
 

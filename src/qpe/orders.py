@@ -12,10 +12,11 @@ import warnings
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
-from .exceptions import BadParameter, DimensionMismatch, InvalidState, NonpositiveScalar
-from .linalg import FAILS, HOLDS, MARGINAL, OrderVerdict, is_psd, schatten_norm
+from .exceptions import BadParameter, DimensionMismatch, InvalidState, NonFiniteInput, NonpositiveScalar
+from .linalg import FAILS, HOLDS, MARGINAL, OrderVerdict, is_psd, psd_verdict, schatten_norm
 from .states import (
     DensityMatrix,
+    as_operator,
     bottom_eigenspace_nonzero,
     kernel,
     matrix_of,
@@ -44,6 +45,8 @@ def as_probability_vector(x) -> np.ndarray:
     v = np.asarray(x, dtype=float).reshape(-1)
     if v.size == 0:
         raise InvalidState("empty probability vector")
+    if not np.isfinite(v).all():
+        raise NonFiniteInput("probability vector has a NaN or infinite entry")
     if v.min() < -1e-12:
         raise InvalidState(f"negative entry {v.min():.3e} in probability vector")
     v = np.clip(v, 0.0, None)
@@ -79,12 +82,13 @@ def classical_pe_leq(x, y, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdic
 
 def qpe_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
     """Positive-evidence order: sigma+ rho - rho+ sigma PSD."""
-    R = matrix_of(rho)
-    S = matrix_of(sigma)
+    r, s = as_operator(rho), as_operator(sigma)
+    R, S = r.matrix, s.matrix
     if R.shape != S.shape:
         raise DimensionMismatch(f"state shapes differ: {R.shape} vs {S.shape}")
-    M = top_eigenvalue(sigma) * R - top_eigenvalue(rho) * S
-    return is_psd(M, cfg)
+    # exactly Hermitian: both operands are, and the scalars are real
+    M = s.eigenvalues[0] * R - r.eigenvalues[0] * S
+    return psd_verdict(np.linalg.eigvalsh(M)[::-1], M, cfg)
 
 
 def lev_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:

@@ -174,9 +174,7 @@ def load_distribution(path: str, cfg: ToleranceConfig = DEFAULT_CONFIG,
                       off_diagonal_tol: float = 1e-10) -> np.ndarray:
     """Probability vector from either a probvec or a diagonal state."""
     obj = read_json(path)
-    if isinstance(obj, dict) and obj.get("kind") == "probvec":
-        return decode_probvec(obj)
-    if isinstance(obj, dict) and "probs" in obj:
+    if isinstance(obj, dict) and (obj.get("kind") == "probvec" or "probs" in obj):
         return decode_probvec(obj)
     rho = decode_state(obj, cfg)
     off = rho.matrix - np.diag(np.diag(rho.matrix))

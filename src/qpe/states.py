@@ -1,9 +1,9 @@
 """States, effects and their spectral structure.
 
-DensityMatrix and Effect validate their defining inequalities on construction
-and cache one eigendecomposition for everything downstream. Eigenspace
-extraction clusters eigenvalues that sit within cluster_width of each other so
-near-degenerate spectra are treated as degenerate.
+DensityMatrix and Effect share one spectral base: the eigvalsh run by
+validation is the cached spectrum, and one eigh on first use supplies the
+eigenvectors. Eigenspace extraction clusters eigenvalues that sit within
+cluster_width of each other so near-degenerate spectra count as degenerate.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .exceptions import BadParameter, DimensionMismatch, InvalidState
-from .linalg import assert_hermitian, eig, is_psd
+from .linalg import assert_hermitian, hermitian_part, psd_verdict, spectral_power
 
 TRACE_REJECT = 1e-6
 TRACE_WARN = 1e-9
@@ -33,7 +33,73 @@ class Eigenspace:
         return self.basis.shape[1]
 
 
-class DensityMatrix:
+class HermitianOperator:
+    """A frozen Hermitian matrix whose spectrum is computed once.
+
+    Takes an exactly Hermitian matrix (as returned by assert_hermitian) and
+    owns it. The descending eigenvalues come from one eigvalsh here; the
+    eigenvectors, sqrt, inv_sqrt and power from one eigh on first use.
+    """
+
+    def __init__(self, H: np.ndarray):
+        w = np.linalg.eigvalsh(H)[::-1]
+        w.setflags(write=False)
+        H.setflags(write=False)
+        self._matrix = H
+        self._eigenvalues = w
+        self._inv_sqrt: tuple[float, np.ndarray] | None = None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self._matrix
+
+    @property
+    def dim(self) -> int:
+        return self._matrix.shape[0]
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues in descending order."""
+        return self._eigenvalues
+
+    @property
+    def norm(self) -> float:
+        """Operator norm, the largest eigenvalue magnitude."""
+        w = self._eigenvalues
+        return max(float(w[0]), -float(w[-1]))
+
+    @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        w, V = np.linalg.eigh(self._matrix)
+        V = V[:, ::-1]
+        V.setflags(write=False)
+        return w[::-1], V
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """Unit eigenvectors as columns, matching eigenvalues."""
+        return self._eigh[1]
+
+    @cached_property
+    def sqrt(self) -> np.ndarray:
+        w, V = self._eigh
+        return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
+
+    def power(self, p, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
+        """Generalized power with matrix_power's rank_cutoff rule."""
+        return spectral_power(*self._eigh, p, cfg)
+
+    def inv_sqrt(self, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
+        """Generalized inverse square root, cached for the last rank_cutoff."""
+        if self._inv_sqrt is None or self._inv_sqrt[0] != cfg.rank_cutoff:
+            self._inv_sqrt = (cfg.rank_cutoff, self.power(-0.5, cfg))
+        return self._inv_sqrt[1]
+
+    def __repr__(self):
+        return f"{type(self).__name__}(dim={self.dim}, top={self._eigenvalues[0]:.6g})"
+
+
+class DensityMatrix(HermitianOperator):
     """Unit-trace PSD matrix with a cached spectrum.
 
     Inputs whose trace is off by less than 1e-6 are renormalized with a
@@ -52,42 +118,12 @@ class DensityMatrix:
                 stacklevel=2,
             )
             H = H / tr
-        verdict = is_psd(H, cfg)
+        super().__init__(H)
+        verdict = psd_verdict(self._eigenvalues, None, cfg)
         if verdict.fails:
             raise InvalidState(
                 f"not positive semidefinite (lambda_min = {verdict.slack:.3e})"
             )
-        H.setflags(write=False)
-        self._matrix = H
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._matrix
-
-    @property
-    def dim(self) -> int:
-        return self._matrix.shape[0]
-
-    @cached_property
-    def _spectrum(self):
-        return eig(self._matrix)
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues in descending order."""
-        return self._spectrum[0]
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        return self._spectrum[1]
-
-    @cached_property
-    def sqrt(self) -> np.ndarray:
-        w, V = self._spectrum
-        return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
-
-    def __repr__(self):
-        return f"DensityMatrix(dim={self.dim}, top={self.eigenvalues[0]:.6g})"
 
     @classmethod
     def maximally_mixed(cls, n: int, cfg: ToleranceConfig = DEFAULT_CONFIG):
@@ -107,51 +143,23 @@ class DensityMatrix:
         return cls(np.outer(v, v.conj()), cfg)
 
 
-class Effect:
+class Effect(HermitianOperator):
     """Measurement effect: Hermitian with 0 <= E <= I (within slack)."""
 
     def __init__(self, matrix, cfg: ToleranceConfig = DEFAULT_CONFIG):
-        H = assert_hermitian(matrix)
-        low = is_psd(H, cfg)
+        super().__init__(assert_hermitian(matrix))
+        w = self._eigenvalues
+        low = psd_verdict(w, None, cfg)
         if low.fails:
             raise InvalidState(
                 f"effect not PSD (lambda_min = {low.slack:.3e})"
             )
-        high = is_psd(np.eye(H.shape[0]) - H, cfg)
+        # the spectrum of I - E is 1 - w, descending when reversed
+        high = psd_verdict(1.0 - w[::-1], None, cfg)
         if high.fails:
             raise InvalidState(
                 f"effect exceeds identity (slack = {high.slack:.3e})"
             )
-        H.setflags(write=False)
-        self._matrix = H
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._matrix
-
-    @property
-    def dim(self) -> int:
-        return self._matrix.shape[0]
-
-    @cached_property
-    def _spectrum(self):
-        return eig(self._matrix)
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self._spectrum[0]
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        return self._spectrum[1]
-
-    @cached_property
-    def sqrt(self) -> np.ndarray:
-        w, V = self._spectrum
-        return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
-
-    def __repr__(self):
-        return f"Effect(dim={self.dim}, top={self.eigenvalues[0]:.6g})"
 
     @classmethod
     def identity(cls, n: int):
@@ -162,20 +170,28 @@ class Effect:
         return cls(np.diag(np.asarray(values, dtype=float)), cfg)
 
 
-def _spectrum_of(x):
-    """Cached spectrum for DensityMatrix/Effect, fresh eigh for raw arrays."""
-    if isinstance(x, (DensityMatrix, Effect)):
-        return x.eigenvalues, x.eigenvectors
-    return eig(x)
+def as_operator(x) -> HermitianOperator:
+    """x itself if it is a state or effect, else a checked raw Hermitian matrix."""
+    if isinstance(x, HermitianOperator):
+        return x
+    return HermitianOperator(assert_hermitian(x))
 
 
 def matrix_of(x) -> np.ndarray:
-    return x.matrix if isinstance(x, (DensityMatrix, Effect)) else np.asarray(x, dtype=complex)
+    return x.matrix if isinstance(x, HermitianOperator) else np.asarray(x, dtype=complex)
 
 
 def top_eigenvalue(rho) -> float:
-    w, _ = _spectrum_of(rho)
-    return float(w[0])
+    return float(as_operator(rho).eigenvalues[0])
+
+
+def sandwich(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> HermitianOperator:
+    """rho^-1/2 sigma rho^-1/2, the generalized inverse vanishing off rho's support.
+
+    Reconstruction, the max-divergence and the measurement bound all read it.
+    """
+    X = rho.inv_sqrt(cfg)
+    return HermitianOperator(hermitian_part(X @ sigma.matrix @ X))
 
 
 def _cluster_cut(w_desc: np.ndarray, start: int, width: float) -> int:
@@ -188,39 +204,44 @@ def _cluster_cut(w_desc: np.ndarray, start: int, width: float) -> int:
 
 def top_eigenspace(rho, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Eigenspace:
     """Eigenspace of the top eigenvalue cluster."""
-    w, V = _spectrum_of(rho)
+    op = as_operator(rho)
+    w = op.eigenvalues
     width = cfg.cluster_width * max(abs(float(w[0])), 1e-300)
     stop = _cluster_cut(w, 0, width)
-    return Eigenspace(V[:, :stop].copy(), float(w[0]))
+    return Eigenspace(op.eigenvectors[:, :stop].copy(), float(w[0]))
+
+
+def _kernel_mask(w: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+    return w <= cfg.rank_cutoff * max(abs(float(w[0])), 1e-300)
 
 
 def kernel(rho, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Eigenspace:
     """Eigenspace of eigenvalues below rank_cutoff * lambda_max."""
-    w, V = _spectrum_of(rho)
-    cutoff = cfg.rank_cutoff * max(abs(float(w[0])), 1e-300)
-    mask = w <= cutoff
-    return Eigenspace(V[:, mask].copy(), 0.0)
+    op = as_operator(rho)
+    mask = _kernel_mask(op.eigenvalues, cfg)
+    if not mask.any():
+        return Eigenspace(np.zeros((op.dim, 0), dtype=complex), 0.0)
+    return Eigenspace(op.eigenvectors[:, mask].copy(), 0.0)
 
 
 def rank_of(rho, cfg: ToleranceConfig = DEFAULT_CONFIG) -> int:
-    w, _ = _spectrum_of(rho)
-    cutoff = cfg.rank_cutoff * max(abs(float(w[0])), 1e-300)
-    return int(np.count_nonzero(w > cutoff))
+    return int(np.count_nonzero(~_kernel_mask(as_operator(rho).eigenvalues, cfg)))
 
 
 def bottom_eigenspace_nonzero(rho, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Eigenspace:
     """Eigenspace of the least nonzero eigenvalue cluster."""
-    w, V = _spectrum_of(rho)
-    cutoff = cfg.rank_cutoff * max(abs(float(w[0])), 1e-300)
-    nz = np.flatnonzero(w > cutoff)
+    op = as_operator(rho)
+    w = op.eigenvalues
+    in_kernel = _kernel_mask(w, cfg)
+    nz = np.flatnonzero(~in_kernel)
     if nz.size == 0:
         raise InvalidState("matrix has no nonzero eigenvalues")
     last = nz[-1]
     width = cfg.cluster_width * max(abs(float(w[0])), 1e-300)
     start = last
-    while start > 0 and w[start - 1] - w[start] <= width and w[start - 1] > cutoff:
+    while start > 0 and w[start - 1] - w[start] <= width and not in_kernel[start - 1]:
         start -= 1
-    return Eigenspace(V[:, start : last + 1].copy(), float(w[last]))
+    return Eigenspace(op.eigenvectors[:, start : last + 1].copy(), float(w[last]))
 
 
 def min_entropy(rho, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:

@@ -97,6 +97,20 @@ class TestExitCodes:
         assert code == 2
         assert "bad.json" in err
 
+    @pytest.mark.parametrize("entries", [
+        [[float("nan"), 0.0], [0.0, 1.0]],
+        [[0.5, float("nan")], [0.0, 0.5]],
+        [[0.5, 0.0], [0.0, float("inf")]],
+    ])
+    @pytest.mark.parametrize("command", [("order", "check"), ("divergence",)])
+    def test_non_finite_cell_exits_two(self, capsys, tmp_path, entries, command):
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps({"kind": "state", "dims": [2], "entries": entries}))
+        code, out, err = run_cli(capsys, *command, str(bad), fx("state_diag_64.json"))
+        assert code == 2
+        assert out == ""
+        assert "NaN or infinite" in err
+
 
 class TestOrderOutput:
     def test_text_reports_relation_and_slack(self, capsys):

@@ -22,6 +22,7 @@ from qpe.linalg import (
     partial_transpose,
     random_unitary,
     schatten_norm,
+    spectral_power,
     tensor,
 )
 
@@ -148,6 +149,18 @@ class TestMatrixPower:
         A = G @ G.T
         R = matrix_power(A, 0.5, cfg)
         assert_allclose(R @ R, A, atol=1e-9)
+
+    @pytest.mark.parametrize("p", [0.5, -0.5, -0.25, 2.0])
+    def test_spectral_power_matches_scalar_loop(self, cfg, rng, p):
+        # reference: the per-eigenvalue loop; vectorized pow may differ by ulps
+        w = np.concatenate([np.sort(rng.random(50))[::-1], [1e-14, 0.0, -1e-12]])
+        cutoff = cfg.rank_cutoff * w[0]
+        want = np.zeros_like(w)
+        for i, lam in enumerate(w):
+            if lam > cutoff:
+                want[i] = lam**p
+        got = np.diag(spectral_power(w, np.eye(w.size), p, cfg)).real
+        assert_allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0)
 
     def test_rejects_indefinite_input(self, cfg):
         with pytest.raises(NegativeEigenvalue):

@@ -1,0 +1,163 @@
+"""States compute their spectrum once, and the cached routes match raw arrays.
+
+The eigensolve counts are pinned by wrapping numpy's Hermitian eigensolvers.
+The differential tests recompute every quantity that reads a state's cached
+spectrum (sandwich, generalized powers, kernel) from the raw matrices
+through matrix_power, which solves afresh on each call.
+"""
+from __future__ import annotations
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+
+from qpe import (
+    DensityMatrix,
+    fls_update,
+    max_divergence,
+    order_divergence_gap,
+    povm_distinguishability_lower_bound,
+    qpe_leq,
+    random_agreeing_effect,
+    random_state,
+    reconstruct_effect,
+    renyi_divergence,
+)
+from qpe.linalg import matrix_power, random_unitary
+
+DIFF_RTOL = 1e-10
+
+
+def count_eigensolves(fn):
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh, \
+            mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        fn()
+    return eigh.call_count + eigvalsh.call_count
+
+
+@pytest.fixture
+def ordered_raw_pair():
+    """Raw matrices of a dim-4 pair with the first strictly below the second."""
+    R = random_state(4, rng=np.random.default_rng(11)).matrix.copy()
+    w, V = np.linalg.eigh(R)
+    v = V[:, -1]
+    S = 0.6 * R + 0.4 * np.outer(v, v.conj())
+    return R, S
+
+
+class TestEigensolveCounts:
+    def test_building_a_state_solves_once(self, ordered_raw_pair):
+        R, _ = ordered_raw_pair
+        assert count_eigensolves(lambda: DensityMatrix(R)) == 1
+
+    def test_order_on_built_states(self, ordered_raw_pair):
+        rho, sigma = (DensityMatrix(M) for M in ordered_raw_pair)
+        assert count_eigensolves(lambda: qpe_leq(rho, sigma)) == 1
+
+    def test_warm_max_divergence(self, ordered_raw_pair):
+        rho, sigma = (DensityMatrix(M) for M in ordered_raw_pair)
+        max_divergence(sigma, rho)
+        assert count_eigensolves(lambda: max_divergence(sigma, rho)) == 1
+
+    def test_warm_reconstruction_round_trip(self, ordered_raw_pair):
+        rho, sigma = (DensityMatrix(M) for M in ordered_raw_pair)
+
+        def round_trip():
+            return fls_update(rho, reconstruct_effect(rho, sigma))
+
+        round_trip()
+        assert count_eigensolves(round_trip) <= 4
+
+    def test_warm_order_divergence_gap(self, ordered_raw_pair):
+        rho, sigma = (DensityMatrix(M) for M in ordered_raw_pair)
+        order_divergence_gap(rho, sigma)
+        assert count_eigensolves(lambda: order_divergence_gap(rho, sigma)) <= 2
+
+
+def _top(M):
+    return float(np.linalg.eigvalsh(M)[-1])
+
+
+def _raw_sandwich(R, S, p=-0.5):
+    X = matrix_power(R, p)
+    M = X @ S @ X
+    return (M + M.conj().T) / 2.0
+
+
+def _raw_max_divergence(S, R):
+    return float(np.log(np.abs(np.linalg.eigvalsh(_raw_sandwich(R, S))).max()))
+
+
+def _raw_effect(R, S):
+    X = matrix_power(R / _top(R), -0.5)
+    M = X @ (S / _top(S)) @ X
+    M = (M + M.conj().T) / 2.0
+    return M / np.abs(np.linalg.eigvalsh(M)).max()
+
+
+def _raw_renyi(S, R, alpha):
+    w = np.clip(np.linalg.eigvalsh(_raw_sandwich(R, S, (1.0 - alpha) / (2.0 * alpha))), 0.0, None)
+    return float(np.log((w[w > 0] ** alpha).sum()) / (alpha - 1.0))
+
+
+def _near_degenerate(rng):
+    U = random_unitary(4, rng)
+    return DensityMatrix((U * np.array([0.4, 0.4 - 1e-11, 0.15, 0.05])) @ U.conj().T)
+
+
+PRIORS = {
+    "full_rank": lambda rng: random_state(4, rng=rng),
+    "rank_deficient": lambda rng: random_state(4, rank=2, rng=rng),
+    "near_degenerate": _near_degenerate,
+}
+
+
+@pytest.fixture(params=sorted(PRIORS))
+def state_pair(request):
+    """A prior and an agreeing update of it, so the target stays inside the
+    prior's support and every divergence is finite."""
+    rng = np.random.default_rng(2024)
+    rho = PRIORS[request.param](rng)
+    sigma = fls_update(rho, random_agreeing_effect(rho, rng))
+    # fresh objects: nothing cached before the route under test runs
+    return DensityMatrix(rho.matrix), DensityMatrix(sigma.matrix)
+
+
+class TestCachedRoutesMatchRawArrays:
+    def test_max_divergence(self, state_pair):
+        rho, sigma = state_pair
+        assert_allclose(max_divergence(sigma, rho).value,
+                        _raw_max_divergence(sigma.matrix, rho.matrix), rtol=DIFF_RTOL)
+
+    def test_reconstruct_effect(self, state_pair):
+        rho, sigma = state_pair
+        want = _raw_effect(rho.matrix, sigma.matrix)
+        got = reconstruct_effect(rho, sigma).matrix
+        assert_allclose(got, want, rtol=0, atol=DIFF_RTOL * np.abs(want).max())
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    def test_renyi_divergence(self, state_pair, alpha):
+        rho, sigma = state_pair
+        assert_allclose(renyi_divergence(sigma, rho, alpha).value,
+                        _raw_renyi(sigma.matrix, rho.matrix, alpha), rtol=DIFF_RTOL)
+
+    def test_measurement_bound_attains_the_raw_divergence(self, state_pair):
+        rho, sigma = state_pair
+        assert_allclose(povm_distinguishability_lower_bound(sigma, rho, trials=8),
+                        _raw_max_divergence(sigma.matrix, rho.matrix), rtol=DIFF_RTOL)
+
+    def test_eigenvalues_match_lazy_eigh(self, state_pair):
+        for state in state_pair:
+            cached = state.eigenvalues.copy()
+            V = state.eigenvectors
+            assert_allclose(cached, np.linalg.eigh(state.matrix)[0][::-1], atol=1e-12)
+            rayleigh = np.einsum("ij,ik,kj->j", V.conj(), state.matrix, V).real
+            assert_allclose(cached, rayleigh, atol=1e-12)
+
+    def test_cached_spectrum_is_read_only(self, state_pair):
+        rho, _ = state_pair
+        for arr in (rho.eigenvalues, rho.eigenvectors):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0

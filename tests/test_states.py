@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qpe import DensityMatrix, Effect
+from qpe import DensityMatrix, Effect, qpe_leq
 from qpe.config import ToleranceConfig
 from qpe.exceptions import (
     BadParameter,
     DimensionMismatch,
     InvalidState,
+    NonFiniteInput,
     NonHermitianInput,
 )
+from qpe.orders import as_probability_vector
 from qpe.states import (
     bottom_eigenspace_nonzero,
     kernel,
@@ -59,6 +61,30 @@ class TestDensityMatrixValidation:
     def test_sqrt_squares_back(self, rng):
         rho = random_state(4, rng=rng)
         assert_allclose(rho.sqrt @ rho.sqrt, rho.matrix, atol=1e-10)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [
+        [[np.nan, 0.0], [0.0, 1.0]],
+        [[0.5, np.nan], [0.0, 0.5]],
+        [[0.5, 0.0], [0.0, np.inf]],
+        [[0.5, complex(0.0, np.nan)], [0.0, 0.5]],
+    ])
+    def test_states_and_effects_reject(self, bad):
+        with pytest.raises(NonFiniteInput):
+            DensityMatrix(bad)
+        with pytest.raises(NonFiniteInput):
+            Effect(bad)
+
+    def test_order_on_raw_nan_matrix_raises_instead_of_holding(self):
+        # a NaN diagonal cell used to read "holds" with slack 0.0 against
+        # the maximally mixed state
+        with pytest.raises(NonFiniteInput):
+            qpe_leq(np.array([[np.nan, 0.0], [0.0, 1.0]]), DensityMatrix.maximally_mixed(2))
+
+    def test_probability_vector_rejects(self):
+        with pytest.raises(NonFiniteInput):
+            as_probability_vector([np.nan, 1.0])
 
 
 class TestEffectValidation:
