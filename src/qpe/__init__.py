@@ -114,6 +114,7 @@ from .oracle import (
     CounterexampleReport,
     PartialTraceReport,
     ProbeResult,
+    channel_order_oracle,
     counterexample_suite,
     diagonal_order_oracle,
     partial_trace_counterexample,

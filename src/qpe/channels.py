@@ -3,9 +3,9 @@
 A channel is carried around as both a Kraus family and the state it maps the
 maximally entangled input to (its normalized Choi matrix). The two
 representations are interconvertible, and the positive-evidence order on
-channels is the order on those states; an equivalent formulation through
-complete positivity of a rescaled difference map is kept as an independent
-cross-check.
+channels is the order on those states. An equivalent formulation through
+complete positivity of a rescaled difference map lives in `oracle` as an
+independent cross-check.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from .exceptions import (
     NonHermitianInput,
     NotCPTP,
 )
-from .linalg import MARGINAL, OrderVerdict, as_square_array, is_psd, partial_trace, partial_transpose
+from .linalg import OrderVerdict, assert_hermitian, partial_trace, partial_transpose
 from .orders import qpe_leq
 from .states import DensityMatrix, rank_of, top_eigenvalue
 from .divergence import DivergenceValue, max_divergence
@@ -75,7 +75,14 @@ class Channel:
         self.out_dim = k
         self.cfg = cfg
         self.kraus = ops
-        raw = to_choi(ops, n, k) if _choi is None else _choi
+        raw = to_choi(ops, n, k)
+        # the order reads the Choi state and its oracle the Kraus action, so
+        # a given Choi matrix must be the one the Kraus family builds
+        if _choi is not None:
+            mismatch = float(np.abs(raw - _choi).max())
+            if mismatch > COMPLETENESS_TOL:
+                raise NotCPTP(f"Kraus family misses the Choi matrix by {mismatch:.3e}")
+            raw = _choi
         try:
             self.choi = DensityMatrix(raw, cfg)
         except (InvalidState, NonHermitianInput) as exc:
@@ -89,12 +96,11 @@ class Channel:
     def from_choi(cls, choi, in_dim: int, out_dim: int,
                   cfg: ToleranceConfig = DEFAULT_CONFIG) -> "Channel":
         """Recover a Kraus family from a normalized Choi matrix."""
-        J = as_square_array(choi)
+        J = assert_hermitian(choi)
         n, k = in_dim, out_dim
         if J.shape != (n * k, n * k):
             raise DimensionMismatch(f"Choi matrix shape {J.shape} does not "
                                     f"match dims ({n}, {k})")
-        J = (J + J.conj().T) / 2.0
         w, V = np.linalg.eigh(J)
         if w.min() < -COMPLETENESS_TOL * max(w.max(), 1.0):
             raise NotCPTP(f"Choi matrix has eigenvalue {w.min():.3e}")
@@ -214,33 +220,14 @@ def maximally_entangled(n: int, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Densit
 
 def channel_qpe_leq(phi: Channel, psi: Channel,
                     cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
-    """Positive-evidence order on channels through their Choi states.
+    """Positive-evidence order on channels: the order on their Choi states.
 
-    A second route decides the same question as complete positivity of the
-    rescaled difference map, assembled from matrix-unit images under the
-    Kraus action. Disagreement between the routes downgrades the verdict to
-    marginal rather than trusting either side.
+    `oracle.channel_order_oracle` decides the same question from the Kraus
+    action alone, for tests and cross-checks.
     """
     if (phi.in_dim, phi.out_dim) != (psi.in_dim, psi.out_dim):
         raise DimensionMismatch("channels have different dims")
-    primary = qpe_leq(phi.choi, psi.choi, cfg)
-    n, k = phi.in_dim, phi.out_dim
-    phi_top = top_eigenvalue(phi.choi)
-    psi_top = top_eigenvalue(psi.choi)
-    scale = n * phi_top * psi_top
-    block = np.zeros((n * k, n * k), dtype=complex)
-    unit = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            unit[i, j] = 1.0
-            diff = psi_top * phi._apply_matrix(unit) \
-                - phi_top * psi._apply_matrix(unit)
-            block[i * k:(i + 1) * k, j * k:(j + 1) * k] = diff / scale
-            unit[i, j] = 0.0
-    secondary = is_psd(block, cfg)
-    if primary.holds != secondary.holds and not (primary.marginal or secondary.marginal):
-        return OrderVerdict(MARGINAL, primary.slack, primary.witness)
-    return primary
+    return qpe_leq(phi.choi, psi.choi, cfg)
 
 
 def channel_max_divergence(psi: Channel, phi: Channel,

@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes are uniform across subcommands: 0 for a holding relation or a
-successful computation, 1 for a failing relation, 2 for invalid input, and
-3 for marginal, unknown, or not-found outcomes. The default positivity
+successful computation, 1 for a failing relation, 2 for invalid input,
+3 for marginal, unknown, or not-found outcomes, and 4 for an internal error
+(an exception that is not a QpeError). The default positivity
 tolerance can be preset through the QPE_DEFAULT_TOL environment variable;
 an explicit --tol always wins.
 """
@@ -404,6 +405,10 @@ def run(argv=None) -> int:
     try:
         cfg = _config(args)
         code, payload, lines = args.handler(args, cfg)
+        if args.format == "json":
+            text = json.dumps(payload, indent=2, default=_jsonable)
+        else:
+            text = "\n".join(lines)
     except NotBelow as exc:
         print(f"not below: {exc}", file=sys.stderr)
         return 1
@@ -413,10 +418,10 @@ def run(argv=None) -> int:
     except QpeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, default=_jsonable))
-    else:
-        print("\n".join(lines))
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
+    print(text)
     return code
 
 

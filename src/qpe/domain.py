@@ -91,11 +91,11 @@ def way_below_witness(rho: DensityMatrix, sigma: DensityMatrix,
     bottom = np.eye(n) / n
     gap = bottom - sigma.matrix
     denom = float(np.vdot(gap, gap).real)
-    if denom <= 1e-24:
+    if denom <= cfg.rank_cutoff ** 2:
         # sigma is the maximally mixed state; everything full-rank below it
         # is a mixture with t = 1
         resid = float(np.abs(rho.matrix - bottom).max())
-        if resid <= 1e-9:
+        if resid <= cfg.psd_slack:
             return WayBelowWitness(CERTIFIED_BELOW, "mixture-with-bottom",
                                    t=1.0, residual=resid)
         return WayBelowWitness(UNKNOWN, "bottom-target", residual=resid)
@@ -103,7 +103,7 @@ def way_below_witness(rho: DensityMatrix, sigma: DensityMatrix,
     if 0.0 < t <= 1.0:
         recon = (1.0 - t) * sigma.matrix + t * bottom
         resid = float(np.abs(recon - rho.matrix).max())
-        if resid <= 1e-9:
+        if resid <= cfg.psd_slack:
             note = ""
             if t < 1.0:
                 note = f"equals the oversized mixture with weight {1.0 / (1.0 - t):.6g}"

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the main code paths: positivity is
 probed by Rayleigh quotients instead of an eigensolver, the diagonal order
-by elementwise division instead of cross-multiplication, and entropies by
-the direct sum formula. A disagreement between these routes and the main
+by elementwise division instead of cross-multiplication, the channel order
+from the Kraus action instead of the Choi states, and entropies by the
+direct sum formula. A disagreement between these routes and the main
 library is a bug in one of them, never a tolerance artifact to be absorbed.
 """
 from __future__ import annotations
@@ -12,11 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channels import Channel
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .exceptions import DegenerateDraw, DimensionMismatch
-from .linalg import FAILS, HOLDS, MARGINAL, OrderVerdict
+from .linalg import FAILS, HOLDS, MARGINAL, OrderVerdict, is_psd
 from .orders import majorizes, qpe_leq
-from .states import DensityMatrix
+from .states import DensityMatrix, top_eigenvalue
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,34 @@ def diagonal_order_oracle(x, y, slack: float = 1e-9) -> OrderVerdict:
     if margin < -10.0 * slack:
         return OrderVerdict(FAILS, float(margin))
     return OrderVerdict(MARGINAL, float(margin))
+
+
+def channel_order_oracle(phi: Channel, psi: Channel,
+                         cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
+    """Channel order as complete positivity of a rescaled difference map.
+
+    Assembles the Choi block of (psi+ phi - phi+ psi) / (n phi+ psi+) from
+    the images of the n^2 matrix units under each Kraus action, where phi+
+    and psi+ are the top Choi eigenvalues, and tests it for positivity. The
+    block equals the library's Choi-state order matrix divided by
+    phi+ psi+, so the slack carries that factor.
+    """
+    if (phi.in_dim, phi.out_dim) != (psi.in_dim, psi.out_dim):
+        raise DimensionMismatch("channels have different dims")
+    n, k = phi.in_dim, phi.out_dim
+    phi_top = top_eigenvalue(phi.choi)
+    psi_top = top_eigenvalue(psi.choi)
+    scale = n * phi_top * psi_top
+    block = np.zeros((n * k, n * k), dtype=complex)
+    unit = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            unit[i, j] = 1.0
+            diff = psi_top * phi._apply_matrix(unit) \
+                - phi_top * psi._apply_matrix(unit)
+            block[i * k:(i + 1) * k, j * k:(j + 1) * k] = diff / scale
+            unit[i, j] = 0.0
+    return is_psd(block, cfg)
 
 
 def shannon_entropy(p, base: str = "natural") -> float:

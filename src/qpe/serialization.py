@@ -19,11 +19,20 @@ from .orders import as_probability_vector
 from .states import DensityMatrix, Effect
 
 
+def _is_number(x) -> bool:
+    """A JSON number; true/false parse to bool, which Python counts as int."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_dim(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x > 0
+
+
 def _decode_cell(cell):
-    if isinstance(cell, (int, float)):
+    if _is_number(cell):
         return complex(cell)
     if (isinstance(cell, (list, tuple)) and len(cell) == 2
-            and all(isinstance(c, (int, float)) for c in cell)):
+            and all(_is_number(c) for c in cell)):
         return complex(cell[0], cell[1])
     raise InputFormatError(f"matrix cell must be a number or [re, im], got {cell!r}")
 
@@ -66,7 +75,7 @@ def _check_kind(obj, expected: str):
 def _square_dim(obj) -> int:
     dims = obj.get("dims")
     if not (isinstance(dims, list) and dims
-            and all(isinstance(d, int) and d > 0 for d in dims)):
+            and all(_is_dim(d) for d in dims)):
         raise InputFormatError("dims must be a list of positive integers")
     if len(dims) == 1:
         return dims[0]
@@ -92,7 +101,7 @@ def decode_probvec(obj) -> np.ndarray:
     n = _square_dim(obj)
     probs = obj.get("probs")
     if not (isinstance(probs, list) and len(probs) == n
-            and all(isinstance(p, (int, float)) for p in probs)):
+            and all(_is_number(p) for p in probs)):
         raise InputFormatError("probs must be a list of numbers matching dims")
     return as_probability_vector(np.array(probs, dtype=float))
 
@@ -101,7 +110,7 @@ def decode_channel(obj, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Channel:
     _check_kind(obj, "channel")
     n = obj.get("in_dim")
     k = obj.get("out_dim")
-    if not (isinstance(n, int) and n > 0 and isinstance(k, int) and k > 0):
+    if not (_is_dim(n) and _is_dim(k)):
         raise InputFormatError("in_dim and out_dim must be positive integers")
     rep = obj.get("repr", "choi")
     data = obj.get("data")

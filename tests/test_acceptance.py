@@ -39,6 +39,7 @@ from qpe.exceptions import NotBelow
 from qpe.oracle import (
     ENTROPY_UP_THE_ORDER,
     ORDER_NOT_MAJORIZATION,
+    channel_order_oracle,
     partial_trace_counterexample,
     shannon_entropy,
 )
@@ -325,10 +326,14 @@ def test_criterion_09_channel_suite(rng):
     bottom = Channel.depolarizing(2, 1.0)
     bottom_choi = float(np.abs(bottom.choi.matrix - np.eye(4) / 4).max())
     below = 0
+    oracle_agrees = 0
     for i in range(100):
         phi = Channel.random(2, 2, 1 + i % 4, rng)
-        if channel_qpe_leq(bottom, phi, CFG).holds:
+        verdict = channel_qpe_leq(bottom, phi, CFG)
+        if verdict.holds:
             below += 1
+        if channel_order_oracle(bottom, phi, CFG).relation == verdict.relation:
+            oracle_agrees += 1
     worst_route = 0.0
     m = maximally_entangled(2)
     for i in range(100):
@@ -351,11 +356,12 @@ def test_criterion_09_channel_suite(rng):
         worst_residual = max(worst_residual, max(check.values()))
     elapsed = perf_counter() - start
     ok = (identity_exact and bottom_choi <= 1e-12 and below == 100
-          and worst_route <= 1e-8 and worst_residual <= 1e-8
+          and oracle_agrees == 100 and worst_route <= 1e-8 and worst_residual <= 1e-8
           and elapsed < 120.0)
     _report(9, ok,
             f"identity Choi exact, bottom Choi off by {bottom_choi:.1e}, "
-            f"bottom below 100/100 channels, divergence routes agree to "
+            f"bottom below 100/100 channels, matrix-unit oracle agrees on "
+            f"{oracle_agrees}/100, divergence routes agree to "
             f"{worst_route:.1e}, structural residuals <= {worst_residual:.1e};"
             f" {elapsed:.1f} s")
 

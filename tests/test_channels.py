@@ -20,7 +20,7 @@ from qpe.channels import (
     to_choi,
 )
 from qpe.divergence import max_divergence
-from qpe.exceptions import BadParameter, DimensionMismatch, NotCPTP
+from qpe.exceptions import BadParameter, DimensionMismatch, NonHermitianInput, NotCPTP
 from qpe.orders import qpe_leq
 from qpe.states import random_state
 
@@ -67,6 +67,18 @@ class TestChannelValidation:
     def test_bad_marginal_rejected(self):
         with pytest.raises(NotCPTP):
             Channel.from_choi(np.diag([0.5, 0.5, 0.0, 0.0]), 2, 2)
+
+    def test_non_hermitian_choi_rejected(self):
+        J = Channel.depolarizing(2, 0.5).choi.matrix.copy()
+        # the Hermitian part (0.1 in both cells) would be a valid channel
+        J[0, 1] = 0.2
+        with pytest.raises(NonHermitianInput):
+            Channel.from_choi(J, 2, 2)
+
+    def test_kraus_family_must_reproduce_a_given_choi(self):
+        other = Channel.depolarizing(2, 0.5).choi.matrix
+        with pytest.raises(NotCPTP, match="misses the Choi matrix"):
+            Channel([np.eye(2)], _choi=other)
 
     def test_random_channel_needs_room_for_an_isometry(self, rng):
         with pytest.raises(BadParameter):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import qpe.cli
 from qpe.cli import run
 from qpe.oracle import shannon_entropy
 
@@ -110,6 +111,41 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "NaN or infinite" in err
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "state", "dims": [2], "entries": [[True, False], [False, False]]},
+        {"kind": "probvec", "dims": [2], "probs": [True, False]},
+    ])
+    def test_boolean_cell_exits_two(self, capsys, tmp_path, doc):
+        bad = tmp_path / "bool.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "order", "check", "--relation", "classical",
+                                 str(bad), fx("probvec_532.json"))
+        assert code == 2
+        assert out == ""
+        assert "must be" in err
+
+    def test_non_hermitian_choi_exits_two(self, capsys, tmp_path):
+        doc = json.loads(Path(fx("channel_dep_half_choi.json")).read_text())
+        doc["data"][0][1] = 0.2
+        bad = tmp_path / "skew_choi.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "channel", "order", str(bad),
+                                 fx("channel_identity2_kraus.json"))
+        assert code == 2
+        assert out == ""
+        assert "Hermitian" in err
+
+    def test_crash_exits_four_not_one(self, capsys, monkeypatch):
+        def crash(args, cfg):
+            raise RuntimeError("handler bug")
+
+        monkeypatch.setattr(qpe.cli, "_cmd_order_check", crash)
+        code, out, err = run_cli(capsys, "order", "check", fx("state_diag_64.json"),
+                                 fx("state_diag_82.json"))
+        assert code == 4
+        assert out == ""
+        assert "internal error: RuntimeError: handler bug" in err
 
 
 class TestOrderOutput:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qpe import DensityMatrix
+from qpe import DensityMatrix, ToleranceConfig
 from qpe.domain import (
     CERTIFIED_BELOW,
     NOT_BELOW,
@@ -91,6 +91,24 @@ class TestWayBelowWitness:
         bot = DensityMatrix.maximally_mixed(3)
         wit = way_below_witness(bot, bot)
         assert wit.verdict == CERTIFIED_BELOW
+        assert wit.t == 1.0
+
+    def test_mixture_residual_band_reads_psd_slack(self):
+        upper = DensityMatrix.from_diag([0.5, 0.3, 0.2])
+        # depolarized by 0.3, then moved 1e-7 off the mixture line
+        lower = DensityMatrix(0.7 * upper.matrix + 0.1 * np.eye(3)
+                              + 1e-7 * np.diag([0.0, 1.0, -1.0]))
+        assert way_below_witness(lower, upper).rule == "no-rule"
+        wide = way_below_witness(lower, upper, ToleranceConfig(psd_slack=1e-6))
+        assert wide.certified
+        assert_allclose(wide.t, 0.3, atol=1e-6)
+
+    def test_bottom_target_band_reads_rank_cutoff(self):
+        near_bottom = DensityMatrix(np.eye(3) / 3 + 1e-11 * np.diag([1.0, -1.0, 0.0]))
+        assert way_below_witness(near_bottom, near_bottom).rule == "no-rule"
+        coarse = ToleranceConfig(rank_cutoff=1e-10)
+        wit = way_below_witness(near_bottom, near_bottom, coarse)
+        assert wit.certified
         assert wit.t == 1.0
 
     def test_interpolants_of_certified_approximants_stay_certified(self, rng):

@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qpe.channels import Channel, channel_mix, channel_qpe_leq
 from qpe.exceptions import DimensionMismatch
 from qpe.oracle import (
     ENTROPY_UP_THE_ORDER,
     ORDER_NOT_MAJORIZATION,
+    channel_order_oracle,
     counterexample_suite,
     diagonal_order_oracle,
     partial_trace_counterexample,
     psd_probe,
     shannon_entropy,
 )
-from qpe.orders import classical_pe_leq
+from qpe.orders import classical_pe_leq, qpe_leq
 
 ENTROPY_LOWER = 1.2683991415464448
 ENTROPY_UPPER = 1.2794222271544065
@@ -67,6 +69,71 @@ class TestDiagonalOracle:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             diagonal_order_oracle([0.5, 0.5], [1.0])
+
+
+CHANNEL_SHAPES = [(2, 2), (2, 3), (3, 2), (4, 4)]
+CHAIN_WEIGHTS = (0.0, 0.3, 0.7)
+
+
+def depolarized_chain(phi: Channel) -> list[Channel]:
+    """phi mixed toward the completely depolarizing channel, highest first."""
+    n, k = phi.in_dim, phi.out_dim
+    bottom = Channel.from_choi(np.eye(n * k) / (n * k), n, k)
+    return [channel_mix(phi, bottom, t) for t in CHAIN_WEIGHTS]
+
+
+def channel_pairs(rng, n: int, k: int, from_choi: bool):
+    """Ordered pairs down two depolarized chains, and pairs across them."""
+    chains = []
+    for _ in range(2):
+        chain = depolarized_chain(Channel.random(n, k, 2, rng))
+        if from_choi:
+            chain = [Channel.from_choi(c.choi.matrix, n, k) for c in chain]
+        chains.append(chain)
+    ordered = [(lo, hi) for chain in chains
+               for i, lo in enumerate(chain) for hi in chain[:i + 1]]
+    incomparable = [(a, b) for a in chains[0] for b in chains[1]]
+    incomparable += [(b, a) for a, b in incomparable]
+    return ordered, incomparable
+
+
+class TestChannelOrderOracle:
+    @pytest.mark.parametrize("n,k", CHANNEL_SHAPES)
+    @pytest.mark.parametrize("from_choi", [False, True])
+    def test_agrees_with_library_on_decisive_verdicts(self, rng, n, k, from_choi):
+        ordered, incomparable = channel_pairs(rng, n, k, from_choi)
+        assert all(channel_qpe_leq(lo, hi).holds for lo, hi in ordered)
+        assert all(channel_qpe_leq(a, b).fails for a, b in incomparable)
+        for phi, psi in ordered + incomparable:
+            assert channel_order_oracle(phi, psi).relation == channel_qpe_leq(phi, psi).relation
+
+    @pytest.mark.parametrize("n,k", CHANNEL_SHAPES)
+    def test_slack_is_the_choi_slack_over_the_tops(self, rng, n, k):
+        phi = Channel.random(n, k, 2, rng)
+        psi = Channel.random(n, k, 3, rng)
+        tops = phi.choi.eigenvalues[0] * psi.choi.eigenvalues[0]
+        assert_allclose(channel_order_oracle(phi, psi).slack,
+                        channel_qpe_leq(phi, psi).slack / tops, atol=1e-12)
+
+    def test_dims_must_match(self, rng):
+        with pytest.raises(DimensionMismatch):
+            channel_order_oracle(Channel.random(2, 2, 2, rng),
+                                 Channel.random(2, 3, 2, rng))
+
+
+class TestChannelOrderIsTheChoiOrder:
+    @pytest.mark.parametrize("n,k", CHANNEL_SHAPES)
+    def test_verdict_equals_qpe_leq_on_choi_states(self, rng, n, k):
+        ordered, incomparable = channel_pairs(rng, n, k, from_choi=False)
+        for phi, psi in ordered + incomparable:
+            got = channel_qpe_leq(phi, psi)
+            want = qpe_leq(phi.choi, psi.choi)
+            assert got.relation == want.relation
+            assert got.slack == want.slack
+            assert (got.witness is None) == (want.witness is None)
+            if got.witness is not None:
+                assert np.array_equal(got.witness, want.witness)
+            assert (got.witness is not None) == got.fails
 
 
 class TestShannonEntropy:

@@ -50,6 +50,15 @@ class TestMatrixCells:
         with pytest.raises(InputFormatError):
             decode_matrix([["one", 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("entries", [
+        [[True, False], [False, False]],
+        [[1.0, 0.0], [0.0, False]],
+        [[[1.0, True], 0.0], [0.0, 0.0]],
+    ])
+    def test_boolean_cell_rejected(self, entries):
+        with pytest.raises(InputFormatError):
+            decode_matrix(entries)
+
     def test_ragged_rows_rejected(self):
         with pytest.raises(InputFormatError):
             decode_matrix([[1.0, 0.0], [0.0]])
@@ -88,6 +97,12 @@ class TestStateAndEffectDocuments:
         with pytest.raises(InputFormatError):
             decode_state(obj)
 
+    def test_boolean_dims_rejected(self):
+        obj = state_json(DensityMatrix.maximally_mixed(1))
+        obj["dims"] = [True]
+        with pytest.raises(InputFormatError):
+            decode_state(obj)
+
 
 class TestProbvecDocuments:
     def test_round_trip(self):
@@ -97,6 +112,11 @@ class TestProbvecDocuments:
     def test_probs_length_must_match_dims(self):
         with pytest.raises(InputFormatError):
             decode_probvec({"kind": "probvec", "dims": [3], "probs": [1.0]})
+
+    def test_boolean_probability_rejected(self):
+        doc = json.loads('{"kind": "probvec", "dims": [2], "probs": [true, false]}')
+        with pytest.raises(InputFormatError):
+            decode_probvec(doc)
 
 
 class TestChannelDocuments:
@@ -124,6 +144,11 @@ class TestChannelDocuments:
     def test_missing_dims_rejected(self):
         with pytest.raises(InputFormatError):
             decode_channel({"kind": "channel", "repr": "choi", "data": [[1.0]]})
+
+    def test_boolean_dims_rejected(self):
+        doc = {"kind": "channel", "in_dim": True, "out_dim": 1, "repr": "choi", "data": [[1.0]]}
+        with pytest.raises(InputFormatError):
+            decode_channel(doc)
 
 
 class TestFileLoading:

@@ -14,7 +14,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qpe import (
+    Channel,
     DensityMatrix,
+    channel_qpe_leq,
     fls_update,
     max_divergence,
     order_divergence_gap,
@@ -74,6 +76,27 @@ class TestEigensolveCounts:
         rho, sigma = (DensityMatrix(M) for M in ordered_raw_pair)
         order_divergence_gap(rho, sigma)
         assert count_eigensolves(lambda: order_divergence_gap(rho, sigma)) <= 2
+
+
+class TestChannelOrderSolves:
+    """channel_qpe_leq is one qpe_leq on the cached Choi states."""
+
+    @pytest.mark.parametrize("ordered,solves", [(True, 1), (False, 2)])
+    def test_one_order_decision_per_query(self, ordered, solves):
+        rng = np.random.default_rng(5)
+        phi = Channel.random(3, 2, 2, rng)
+        if ordered:
+            depolarized = 0.6 * phi.choi.matrix + 0.4 * np.eye(6) / 6
+            lower, upper = Channel.from_choi(depolarized, 3, 2), phi
+        else:
+            lower, upper = phi, Channel.random(3, 2, 2, rng)
+        with mock.patch("qpe.channels.qpe_leq", wraps=qpe_leq) as order, \
+                mock.patch.object(Channel, "_apply_matrix") as kraus_action:
+            # a fails verdict adds the witness eigh
+            assert count_eigensolves(lambda: channel_qpe_leq(lower, upper)) == solves
+        assert order.call_count == 1
+        assert kraus_action.call_count == 0
+        assert channel_qpe_leq(lower, upper).holds == ordered
 
 
 def _top(M):
