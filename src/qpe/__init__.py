@@ -90,7 +90,6 @@ from .domain import (
     CERTIFIED_BELOW,
     NOT_BELOW,
     UNKNOWN,
-    DepolarizingMap,
     WayBelowWitness,
     depolarize,
     directed_supremum,

@@ -89,10 +89,6 @@ class Channel:
             raise NotCPTP(f"Choi matrix is not a state: {exc}") from exc
 
     @classmethod
-    def from_kraus(cls, kraus, cfg: ToleranceConfig = DEFAULT_CONFIG) -> "Channel":
-        return cls(kraus, cfg=cfg)
-
-    @classmethod
     def from_choi(cls, choi, in_dim: int, out_dim: int,
                   cfg: ToleranceConfig = DEFAULT_CONFIG) -> "Channel":
         """Recover a Kraus family from a normalized Choi matrix."""
@@ -306,7 +302,7 @@ def jamiolkowski_properties_check(
     n, k = phi1.in_dim, phi1.out_dim
     J1 = phi1.choi.matrix
     out: dict[str, float] = {}
-    out["cp_psd"] = float(max(0.0, -np.linalg.eigvalsh(J1).min()))
+    out["cp_psd"] = float(max(0.0, -phi1.choi.eigenvalues[-1]))
     out["tp_trace"] = float(abs(np.trace(J1).real - 1.0))
     marginal = partial_trace(J1, (n, k), 2)
     out["tp_partial"] = float(np.abs(marginal - np.eye(n) / n).max())

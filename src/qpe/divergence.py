@@ -16,7 +16,7 @@ from .config import DEFAULT_CONFIG, ToleranceConfig
 from .exceptions import BadAlpha, DimensionMismatch
 from .linalg import OrderVerdict, hermitian_part, operator_norm
 from .orders import as_probability_vector, qpe_leq
-from .states import DensityMatrix, Effect, kernel, matrix_of, sandwich, top_eigenvalue
+from .states import DensityMatrix, Effect, kernel, sandwich, top_eigenvalue
 
 
 @dataclass(frozen=True)
@@ -199,4 +199,4 @@ def effect_probability(state: DensityMatrix, effect: Effect) -> float:
     """Born probability tr(E rho)."""
     if state.dim != effect.dim:
         raise DimensionMismatch("state and effect dimensions differ")
-    return float(np.trace(matrix_of(effect) @ state.matrix).real)
+    return float(np.trace(effect.matrix @ state.matrix).real)

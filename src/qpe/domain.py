@@ -34,21 +34,6 @@ def depolarize(rho: DensityMatrix, t: float,
 
 
 @dataclass(frozen=True)
-class DepolarizingMap:
-    """The map rho -> (1 - t) rho + t I/n as a reusable callable."""
-
-    t: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.t <= 1.0:
-            raise BadParameter(f"mixing parameter {self.t} outside [0, 1]")
-
-    def __call__(self, rho: DensityMatrix,
-                 cfg: ToleranceConfig = DEFAULT_CONFIG) -> DensityMatrix:
-        return depolarize(rho, self.t, cfg)
-
-
-@dataclass(frozen=True)
 class WayBelowWitness:
     """Result of a way-below check: a certificate, a refutation, or neither."""
 

@@ -1,12 +1,18 @@
 """Hermitian matrix calculus: spectra, PSD verdicts, powers, tensor algebra.
 
-Everything here operates on plain complex ndarrays. Eigenvalues are always
+HermitianOperator is the one route from a matrix to its spectrum: it takes
+a validated matrix, solves it once and caches the result, and the package's
+states and effects are HermitianOperators. The checks, norms, powers,
+fidelity and partial trace and transpose accept a complex ndarray or a
+HermitianOperator; the norms and is_psd read an operator's cached
+spectrum, and matrix_power and fidelity solve afresh. Eigenvalues are always
 reported in descending order. Positivity checks return a tri-state verdict
 instead of a boolean so callers can surface numerically marginal cases.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,18 +60,14 @@ class OrderVerdict:
 
 
 def as_square_array(A) -> np.ndarray:
+    if isinstance(A, HermitianOperator):
+        return A.matrix
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise NonFiniteInput("matrix has a NaN or infinite entry")
     return A
-
-
-def hermitian_deviation(A) -> float:
-    """Largest entrywise deviation from A = A^dagger."""
-    A = as_square_array(A)
-    return float(np.abs(A - A.conj().T).max(initial=0.0))
 
 
 def hermitian_part(A: np.ndarray) -> np.ndarray:
@@ -83,38 +85,6 @@ def assert_hermitian(A) -> np.ndarray:
         )
     # fold the (tiny) asymmetry away so downstream eigh sees clean input
     return hermitian_part(A)
-
-
-def eig(A):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
-
-    Returns (values, vectors) with vectors[:, i] the unit eigenvector for
-    values[i].
-    """
-    H = assert_hermitian(A)
-    w, V = np.linalg.eigh(H)
-    return w[::-1].copy(), V[:, ::-1].copy()
-
-
-def eigvals(A) -> np.ndarray:
-    H = assert_hermitian(A)
-    return np.linalg.eigvalsh(H)[::-1].copy()
-
-
-def operator_norm(A) -> float:
-    """Largest eigenvalue magnitude of a Hermitian matrix."""
-    w = eigvals(A)
-    return float(np.abs(w).max(initial=0.0))
-
-
-def schatten_norm(A, p) -> float:
-    """Schatten p-norm via the eigenvalue magnitudes, p in [1, inf]."""
-    if p != np.inf and p < 1:
-        raise BadParameter(f"Schatten norm needs p >= 1, got {p}")
-    mags = np.abs(eigvals(A))
-    if p == np.inf:
-        return float(mags.max(initial=0.0))
-    return float(np.sum(mags**p) ** (1.0 / p))
 
 
 def psd_verdict(w, H, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
@@ -137,12 +107,6 @@ def psd_verdict(w, H, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
     return OrderVerdict(MARGINAL, lam_min)
 
 
-def is_psd(A, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
-    """Tri-state positive-semidefiniteness verdict on a Hermitian matrix (see psd_verdict)."""
-    H = assert_hermitian(A)
-    return psd_verdict(np.linalg.eigvalsh(H)[::-1], H, cfg)
-
-
 def spectral_power(w, V, p, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
     """V diag(w)^p V^dagger for a descending PSD spectrum (w, V).
 
@@ -155,6 +119,100 @@ def spectral_power(w, V, p, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray
     out = np.zeros_like(w)
     out[live] = w[live] ** p
     return (V * out) @ V.conj().T
+
+
+class HermitianOperator:
+    """A frozen Hermitian matrix whose spectrum is computed once.
+
+    Takes an exactly Hermitian matrix (as returned by assert_hermitian) and
+    owns it. The descending eigenvalues come from one eigvalsh here; the
+    eigenvectors, sqrt, inv_sqrt and power from one eigh on first use.
+    """
+
+    def __init__(self, H: np.ndarray):
+        w = np.linalg.eigvalsh(H)[::-1]
+        w.setflags(write=False)
+        H.setflags(write=False)
+        self._matrix = H
+        self._eigenvalues = w
+        self._inv_sqrt: tuple[float, np.ndarray] | None = None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self._matrix
+
+    @property
+    def dim(self) -> int:
+        return self._matrix.shape[0]
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues in descending order."""
+        return self._eigenvalues
+
+    @property
+    def norm(self) -> float:
+        """Operator norm, the largest eigenvalue magnitude."""
+        w = self._eigenvalues
+        return max(float(w[0]), -float(w[-1]))
+
+    @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        w, V = np.linalg.eigh(self._matrix)
+        V = V[:, ::-1]
+        V.setflags(write=False)
+        return w[::-1], V
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """Unit eigenvectors as columns, matching eigenvalues."""
+        return self._eigh[1]
+
+    @cached_property
+    def sqrt(self) -> np.ndarray:
+        w, V = self._eigh
+        return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
+
+    def power(self, p, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
+        """Generalized power with matrix_power's rank_cutoff rule."""
+        return spectral_power(*self._eigh, p, cfg)
+
+    def inv_sqrt(self, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
+        """Generalized inverse square root, cached for the last rank_cutoff."""
+        if self._inv_sqrt is None or self._inv_sqrt[0] != cfg.rank_cutoff:
+            self._inv_sqrt = (cfg.rank_cutoff, self.power(-0.5, cfg))
+        return self._inv_sqrt[1]
+
+    def __repr__(self):
+        return f"{type(self).__name__}(dim={self.dim}, top={self._eigenvalues[0]:.6g})"
+
+
+def as_operator(x) -> HermitianOperator:
+    """x itself if it is a state or effect, else a checked raw Hermitian matrix."""
+    if isinstance(x, HermitianOperator):
+        return x
+    return HermitianOperator(assert_hermitian(x))
+
+
+def operator_norm(A) -> float:
+    """Largest eigenvalue magnitude of a Hermitian matrix (0 for an empty one)."""
+    return float(np.abs(as_operator(A).eigenvalues).max(initial=0.0))
+
+
+def schatten_norm(A, p) -> float:
+    """Schatten p-norm via the eigenvalue magnitudes, p in [1, inf]."""
+    if p != np.inf and p < 1:
+        raise BadParameter(f"Schatten norm needs p >= 1, got {p}")
+    mags = np.abs(as_operator(A).eigenvalues)
+    if p == np.inf:
+        return float(mags.max(initial=0.0))
+    return float(np.sum(mags**p) ** (1.0 / p))
+
+
+def is_psd(A, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
+    """Tri-state positive-semidefiniteness verdict on a Hermitian matrix (see psd_verdict)."""
+    op = as_operator(A)
+    return psd_verdict(op.eigenvalues, op.matrix, cfg)
 
 
 def matrix_power(A, p, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:

@@ -13,16 +13,17 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .exceptions import BadParameter, DimensionMismatch, InvalidState, NonFiniteInput, NonpositiveScalar
-from .linalg import FAILS, HOLDS, MARGINAL, OrderVerdict, is_psd, psd_verdict, schatten_norm
-from .states import (
-    DensityMatrix,
+from .linalg import (
+    FAILS,
+    HOLDS,
+    HermitianOperator,
+    OrderVerdict,
     as_operator,
-    bottom_eigenspace_nonzero,
-    kernel,
-    matrix_of,
-    subspace_intersects,
-    top_eigenvalue,
+    hermitian_part,
+    psd_verdict,
+    schatten_norm,
 )
+from .states import DensityMatrix, bottom_eigenspace_nonzero, kernel, subspace_intersects
 
 __all__ = [
     "OrderVerdict",
@@ -70,25 +71,40 @@ def classical_pe_leq(x, y, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdic
     if xv.size != yv.size:
         raise DimensionMismatch("probability vectors differ in length")
     margins = xv * yv.max() - yv * xv.max()
-    slack = float(margins.min())
-    if slack >= -cfg.psd_slack:
-        return OrderVerdict(HOLDS, slack)
-    if slack < -10.0 * cfg.psd_slack:
+    # every margin lies in [-1, 1], so the band's scale max(1, ||.||) is 1
+    verdict = psd_verdict(np.sort(margins)[::-1], None, cfg)
+    if verdict.fails:
         witness = np.zeros(xv.size)
         witness[int(margins.argmin())] = 1.0
-        return OrderVerdict(FAILS, slack, witness=witness)
-    return OrderVerdict(MARGINAL, slack)
+        return OrderVerdict(FAILS, verdict.slack, witness=witness)
+    return verdict
+
+
+def _operands(rho, sigma):
+    """Both operands as HermitianOperators of one shape."""
+    r, s = as_operator(rho), as_operator(sigma)
+    if r.matrix.shape != s.matrix.shape:
+        raise DimensionMismatch(
+            f"state shapes differ: {r.matrix.shape} vs {s.matrix.shape}"
+        )
+    return r, s
+
+
+def _order_verdict(M: np.ndarray, cfg: ToleranceConfig) -> OrderVerdict:
+    """psd_verdict on a one-shot order matrix, solved here and not cached.
+
+    M is a real combination of the operands' folded matrices, so it is
+    Hermitian and needs no check. lev, primed and f-renormalized pass
+    hermitian_part(M): the fold can flip the sign of a zero entry, which
+    LAPACK reads, and it keeps their verdicts bit-identical to is_psd's.
+    """
+    return psd_verdict(np.linalg.eigvalsh(M)[::-1], M, cfg)
 
 
 def qpe_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
     """Positive-evidence order: sigma+ rho - rho+ sigma PSD."""
-    r, s = as_operator(rho), as_operator(sigma)
-    R, S = r.matrix, s.matrix
-    if R.shape != S.shape:
-        raise DimensionMismatch(f"state shapes differ: {R.shape} vs {S.shape}")
-    # exactly Hermitian: both operands are, and the scalars are real
-    M = s.eigenvalues[0] * R - r.eigenvalues[0] * S
-    return psd_verdict(np.linalg.eigvalsh(M)[::-1], M, cfg)
+    r, s = _operands(rho, sigma)
+    return _order_verdict(s.eigenvalues[0] * r.matrix - r.eigenvalues[0] * s.matrix, cfg)
 
 
 def lev_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
@@ -98,25 +114,22 @@ def lev_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
     or a strictly larger kernel on sigma that absorbs part of rho's bottom
     eigenspace. The second route is structural, so its slack is 0.
     """
-    R = matrix_of(rho)
-    S = matrix_of(sigma)
-    if R.shape != S.shape:
-        raise DimensionMismatch(f"state shapes differ: {R.shape} vs {S.shape}")
-    ker_r = kernel(rho, cfg)
-    ker_s = kernel(sigma, cfg)
+    r, s = _operands(rho, sigma)
+    ker_r = kernel(r, cfg)
+    ker_s = kernel(s, cfg)
 
     if ker_r.dim == ker_s.dim:
         same = ker_r.dim == 0 or subspace_equal(ker_r.basis, ker_s.basis)
         if same:
-            r_min = bottom_eigenspace_nonzero(rho, cfg).eigenvalue
-            s_min = bottom_eigenspace_nonzero(sigma, cfg).eigenvalue
-            return is_psd(r_min * S - s_min * R, cfg)
+            r_min = bottom_eigenspace_nonzero(r, cfg).eigenvalue
+            s_min = bottom_eigenspace_nonzero(s, cfg).eigenvalue
+            return _order_verdict(hermitian_part(r_min * s.matrix - s_min * r.matrix), cfg)
         return OrderVerdict(FAILS, -1.0)
 
     if ker_s.dim > ker_r.dim:
         contained = ker_r.dim == 0 or _contained_in(ker_r.basis, ker_s.basis)
         if contained and subspace_intersects(
-            bottom_eigenspace_nonzero(rho, cfg), ker_s, cfg
+            bottom_eigenspace_nonzero(r, cfg), ker_s, cfg
         ):
             return OrderVerdict(HOLDS, 0.0)
     return OrderVerdict(FAILS, -1.0)
@@ -138,16 +151,12 @@ def _contained_in(A: np.ndarray, B: np.ndarray, atol: float = 1e-8) -> bool:
 
 def primed_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
     """Relaxed order: sigma - rho <= (sigma+ - rho+) I."""
-    R = matrix_of(rho)
-    S = matrix_of(sigma)
-    if R.shape != S.shape:
-        raise DimensionMismatch(f"state shapes differ: {R.shape} vs {S.shape}")
-    gap = top_eigenvalue(sigma) - top_eigenvalue(rho)
-    M = gap * np.eye(R.shape[0]) - (S - R)
-    return is_psd(M, cfg)
+    r, s = _operands(rho, sigma)
+    gap = float(s.eigenvalues[0]) - float(r.eigenvalues[0])
+    return _order_verdict(hermitian_part(gap * np.eye(r.dim) - (s.matrix - r.matrix)), cfg)
 
 
-def _renorm_scalar(f, X) -> float:
+def _renorm_scalar(f, X: HermitianOperator) -> float:
     """Evaluate a renormalization functional from the small catalog."""
     if f == "op_norm":
         val = schatten_norm(X, np.inf)
@@ -165,12 +174,9 @@ def _renorm_scalar(f, X) -> float:
 
 def f_renormalized_leq(rho, sigma, f, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
     """Order induced by an alternative rescaling: f(sigma) rho - f(rho) sigma PSD."""
-    R = matrix_of(rho)
-    S = matrix_of(sigma)
-    if R.shape != S.shape:
-        raise DimensionMismatch(f"state shapes differ: {R.shape} vs {S.shape}")
-    M = _renorm_scalar(f, S) * R - _renorm_scalar(f, R) * S
-    return is_psd(M, cfg)
+    r, s = _operands(rho, sigma)
+    M = _renorm_scalar(f, s) * r.matrix - _renorm_scalar(f, r) * s.matrix
+    return _order_verdict(hermitian_part(M), cfg)
 
 
 def majorizes(x, y, atol: float = 1e-12) -> bool:

@@ -1,6 +1,6 @@
 """States, effects and their spectral structure.
 
-DensityMatrix and Effect share one spectral base: the eigvalsh run by
+DensityMatrix and Effect are linalg.HermitianOperators: the eigvalsh run by
 validation is the cached spectrum, and one eigh on first use supplies the
 eigenvectors. Eigenspace extraction clusters eigenvalues that sit within
 cluster_width of each other so near-degenerate spectra count as degenerate.
@@ -9,13 +9,18 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .exceptions import BadParameter, DimensionMismatch, InvalidState
-from .linalg import assert_hermitian, hermitian_part, psd_verdict, spectral_power
+from .linalg import (
+    HermitianOperator,
+    as_operator,
+    assert_hermitian,
+    hermitian_part,
+    psd_verdict,
+)
 
 TRACE_REJECT = 1e-6
 TRACE_WARN = 1e-9
@@ -31,72 +36,6 @@ class Eigenspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
-
-
-class HermitianOperator:
-    """A frozen Hermitian matrix whose spectrum is computed once.
-
-    Takes an exactly Hermitian matrix (as returned by assert_hermitian) and
-    owns it. The descending eigenvalues come from one eigvalsh here; the
-    eigenvectors, sqrt, inv_sqrt and power from one eigh on first use.
-    """
-
-    def __init__(self, H: np.ndarray):
-        w = np.linalg.eigvalsh(H)[::-1]
-        w.setflags(write=False)
-        H.setflags(write=False)
-        self._matrix = H
-        self._eigenvalues = w
-        self._inv_sqrt: tuple[float, np.ndarray] | None = None
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._matrix
-
-    @property
-    def dim(self) -> int:
-        return self._matrix.shape[0]
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues in descending order."""
-        return self._eigenvalues
-
-    @property
-    def norm(self) -> float:
-        """Operator norm, the largest eigenvalue magnitude."""
-        w = self._eigenvalues
-        return max(float(w[0]), -float(w[-1]))
-
-    @cached_property
-    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        w, V = np.linalg.eigh(self._matrix)
-        V = V[:, ::-1]
-        V.setflags(write=False)
-        return w[::-1], V
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        """Unit eigenvectors as columns, matching eigenvalues."""
-        return self._eigh[1]
-
-    @cached_property
-    def sqrt(self) -> np.ndarray:
-        w, V = self._eigh
-        return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
-
-    def power(self, p, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
-        """Generalized power with matrix_power's rank_cutoff rule."""
-        return spectral_power(*self._eigh, p, cfg)
-
-    def inv_sqrt(self, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
-        """Generalized inverse square root, cached for the last rank_cutoff."""
-        if self._inv_sqrt is None or self._inv_sqrt[0] != cfg.rank_cutoff:
-            self._inv_sqrt = (cfg.rank_cutoff, self.power(-0.5, cfg))
-        return self._inv_sqrt[1]
-
-    def __repr__(self):
-        return f"{type(self).__name__}(dim={self.dim}, top={self._eigenvalues[0]:.6g})"
 
 
 class DensityMatrix(HermitianOperator):
@@ -168,17 +107,6 @@ class Effect(HermitianOperator):
     @classmethod
     def from_diag(cls, values, cfg: ToleranceConfig = DEFAULT_CONFIG):
         return cls(np.diag(np.asarray(values, dtype=float)), cfg)
-
-
-def as_operator(x) -> HermitianOperator:
-    """x itself if it is a state or effect, else a checked raw Hermitian matrix."""
-    if isinstance(x, HermitianOperator):
-        return x
-    return HermitianOperator(assert_hermitian(x))
-
-
-def matrix_of(x) -> np.ndarray:
-    return x.matrix if isinstance(x, HermitianOperator) else np.asarray(x, dtype=complex)
 
 
 def top_eigenvalue(rho) -> float:

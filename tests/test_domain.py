@@ -9,7 +9,6 @@ from qpe.domain import (
     CERTIFIED_BELOW,
     NOT_BELOW,
     UNKNOWN,
-    DepolarizingMap,
     depolarize,
     directed_supremum,
     mixing_monotone_check,
@@ -30,17 +29,10 @@ class TestDepolarize:
         assert_allclose(depolarize(rho, 0.0).matrix, rho.matrix)
         assert_allclose(depolarize(rho, 1.0).matrix, np.eye(3) / 3)
 
-    def test_callable_form_matches(self, rng):
-        rho = random_state(3, rng=rng)
-        assert_allclose(DepolarizingMap(0.4)(rho).matrix,
-                        depolarize(rho, 0.4).matrix)
-
     def test_parameter_validated(self, rng):
         rho = random_state(2, rng=rng)
         with pytest.raises(BadParameter):
             depolarize(rho, 1.5)
-        with pytest.raises(BadParameter):
-            DepolarizingMap(-0.1)
 
 
 class TestWayBelowWitness:

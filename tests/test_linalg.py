@@ -11,10 +11,9 @@ from qpe.exceptions import (
     NonHermitianInput,
 )
 from qpe.linalg import (
+    as_operator,
     assert_hermitian,
-    eig,
     fidelity,
-    hermitian_deviation,
     is_psd,
     matrix_power,
     operator_norm,
@@ -25,6 +24,7 @@ from qpe.linalg import (
     spectral_power,
     tensor,
 )
+from qpe.states import Effect, random_state
 
 FIDELITY_DIAG_PAIR = 0.97566303550217
 
@@ -68,7 +68,7 @@ class TestHermitianGuard:
         A = random_hermitian(4, rng)
         noisy = A + 1e-12 * rng.standard_normal((4, 4))
         out = assert_hermitian(noisy)
-        assert hermitian_deviation(out) == 0.0
+        assert np.abs(out - out.conj().T).max() == 0.0
 
     def test_rejects_genuinely_nonhermitian(self):
         with pytest.raises(NonHermitianInput):
@@ -78,7 +78,8 @@ class TestHermitianGuard:
 class TestEig:
     def test_descending_with_matching_vectors(self, rng):
         A = random_hermitian(5, rng)
-        w, V = eig(A)
+        op = as_operator(A)
+        w, V = op.eigenvalues, op.eigenvectors
         assert np.all(np.diff(w) <= 1e-12)
         assert_allclose(A @ V, V * w, atol=1e-10)
         assert_allclose(V.conj().T @ V, np.eye(5), atol=1e-10)
@@ -219,3 +220,32 @@ class TestRandomUnitary:
     def test_unitarity(self, rng):
         U = random_unitary(4, rng)
         assert_allclose(U.conj().T @ U, np.eye(4), atol=1e-12)
+
+
+def _bipartite_state():
+    return random_state(4, rng=np.random.default_rng(8))
+
+
+def _bipartite_effect():
+    return Effect(_bipartite_state().matrix / 0.9)
+
+
+# every helper that takes a square matrix, applied to one operand
+SQUARE_MATRIX_HELPERS = {
+    "operator_norm": operator_norm,
+    "schatten_norm": lambda A: schatten_norm(A, 1.5),
+    "is_psd": is_psd,
+    "matrix_power": lambda A: matrix_power(A, -0.5),
+    "fidelity": lambda A: fidelity(A, A),
+    "partial_trace": lambda A: partial_trace(A, (2, 2), 1),
+    "partial_transpose": lambda A: partial_transpose(A, (2, 2), 2),
+}
+
+
+class TestHelpersAcceptOperators:
+    @pytest.mark.parametrize("make", [_bipartite_state, _bipartite_effect])
+    @pytest.mark.parametrize("name", sorted(SQUARE_MATRIX_HELPERS))
+    def test_operator_equals_its_matrix(self, make, name):
+        helper = SQUARE_MATRIX_HELPERS[name]
+        op = make()
+        np.testing.assert_array_equal(helper(op), helper(op.matrix.copy()))

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from qpe import DensityMatrix
 from qpe.exceptions import BadParameter, DimensionMismatch, InvalidState
-from qpe.linalg import random_unitary
+from qpe.linalg import is_psd, random_unitary
 from qpe.orders import (
     as_probability_vector,
     classical_pe_leq,
@@ -17,7 +17,13 @@ from qpe.orders import (
     primed_leq,
     qpe_leq,
 )
-from qpe.states import kernel, random_state, subspace_intersects, top_eigenspace
+from qpe.states import (
+    bottom_eigenspace_nonzero,
+    kernel,
+    random_state,
+    subspace_intersects,
+    top_eigenspace,
+)
 
 # Bayes update of (0.5, 0.3, 0.2) by evidence (1, 0.5, 0.5).
 POSTERIOR_ABOVE = np.array([2 / 3, 1 / 5, 2 / 15])
@@ -223,6 +229,64 @@ class TestRenormalizedOrders:
         rho = random_state(2, rng=rng)
         with pytest.raises(BadParameter):
             f_renormalized_leq(rho, rho, "trace")
+
+
+def _near_pair():
+    """A state and a traceless nudge of it that keeps its (1, 0) entry.
+
+    In the direction where the gap of tops is negative, primed_leq's
+    gap * I term writes -0.0 where the two matrices agree.
+    """
+    R = random_state(3, rng=np.random.default_rng(0)).matrix
+    E = np.array([[1.0, 0.0, 0.5 + 0.5j],
+                  [0.0, -2.0, -0.5 + 0.25j],
+                  [0.5 - 0.5j, -0.5 - 0.25j, 1.0]])
+    return DensityMatrix(R), DensityMatrix(R + 1e-3 * E)
+
+
+def _signed_zero_pair():
+    """Two states whose (1, 0) entries are -0 and +0."""
+
+    def state(diag, zero):
+        M = np.diag(diag).astype(complex)
+        M[0, 1], M[1, 0] = complex(zero, 0.0), complex(zero, zero)
+        M[0, 2], M[2, 0] = 0.03 - 0.02j, 0.03 + 0.02j
+        M[1, 2] = M[2, 1] = 0.02
+        return DensityMatrix(M)
+
+    return state([0.5, 0.3, 0.2], -0.0), state([0.45, 0.35, 0.2], 0.0)
+
+
+# each predicate with the matrix it decides, for is_psd to decide as well
+ORDER_MATRICES = {
+    "lev": (lev_leq, lambda r, s: bottom_eigenspace_nonzero(r).eigenvalue * s.matrix
+            - bottom_eigenspace_nonzero(s).eigenvalue * r.matrix),
+    "primed": (primed_leq, lambda r, s: (s.eigenvalues[0] - r.eigenvalues[0]) * np.eye(r.dim)
+               - (s.matrix - r.matrix)),
+    "op_norm": (lambda r, s: f_renormalized_leq(r, s, "op_norm"),
+                lambda r, s: s.norm * r.matrix - r.norm * s.matrix),
+}
+
+
+class TestOrderMatrixRoute:
+    """The predicates decide on their order matrix exactly as is_psd does.
+
+    Signed zeros in the matrix reach LAPACK, so the route must fold the
+    matrix as is_psd does for the results to agree bit for bit.
+    """
+
+    @pytest.mark.parametrize("pair", [_near_pair, _signed_zero_pair])
+    @pytest.mark.parametrize("name", sorted(ORDER_MATRICES))
+    def test_bit_identical_to_is_psd(self, pair, name):
+        predicate, order_matrix = ORDER_MATRICES[name]
+        a, b = pair()
+        for r, s in ((a, b), (b, a)):
+            got, want = predicate(r, s), is_psd(order_matrix(r, s))
+            assert (got.relation, got.slack) == (want.relation, want.slack)
+            if want.witness is None:
+                assert got.witness is None
+            else:
+                assert got.witness.tobytes() == want.witness.tobytes()
 
 
 class TestMajorization:

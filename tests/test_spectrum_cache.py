@@ -7,6 +7,8 @@ through matrix_power, which solves afresh on each call.
 """
 from __future__ import annotations
 
+import sys
+from contextlib import ExitStack
 from unittest import mock
 
 import numpy as np
@@ -17,17 +19,24 @@ from qpe import (
     Channel,
     DensityMatrix,
     channel_qpe_leq,
+    f_renormalized_leq,
     fls_update,
+    is_psd,
+    jamiolkowski_properties_check,
+    lev_leq,
     max_divergence,
+    operator_norm,
     order_divergence_gap,
     povm_distinguishability_lower_bound,
+    primed_leq,
     qpe_leq,
     random_agreeing_effect,
     random_state,
     reconstruct_effect,
     renyi_divergence,
+    schatten_norm,
 )
-from qpe.linalg import matrix_power, random_unitary
+from qpe.linalg import assert_hermitian, matrix_power, random_unitary
 
 DIFF_RTOL = 1e-10
 
@@ -37,6 +46,17 @@ def count_eigensolves(fn):
             mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
         fn()
     return eigh.call_count + eigvalsh.call_count
+
+
+def count_hermitian_checks(fn):
+    """Calls of assert_hermitian under every name a qpe module binds it to."""
+    check = mock.Mock(wraps=assert_hermitian)
+    with ExitStack() as stack:
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("qpe.") and getattr(mod, "assert_hermitian", None) is assert_hermitian:
+                stack.enter_context(mock.patch.object(mod, "assert_hermitian", check))
+        fn()
+    return check.call_count
 
 
 @pytest.fixture
@@ -76,6 +96,42 @@ class TestEigensolveCounts:
         rho, sigma = (DensityMatrix(M) for M in ordered_raw_pair)
         order_divergence_gap(rho, sigma)
         assert count_eigensolves(lambda: order_divergence_gap(rho, sigma)) <= 2
+
+
+class TestMatrixPredicatesReadTheCache:
+    """Every matrix order and the norm and PSD helpers reuse a built state's
+    validation and spectrum; only the one-shot order matrix is solved."""
+
+    def test_op_norm_renormalized_order(self, ordered_raw_pair):
+        rho, sigma = (DensityMatrix(M) for M in ordered_raw_pair)
+
+        def call():
+            return f_renormalized_leq(rho, sigma, "op_norm")
+
+        assert count_eigensolves(call) == 1
+        assert count_hermitian_checks(call) == 0
+
+    @pytest.mark.parametrize("predicate", [primed_leq, lev_leq])
+    def test_no_hermitian_check_on_built_states(self, ordered_raw_pair, predicate):
+        rho, sigma = (DensityMatrix(M) for M in ordered_raw_pair)
+        assert count_hermitian_checks(lambda: predicate(rho, sigma)) == 0
+
+    @pytest.mark.parametrize("helper", [
+        operator_norm,
+        lambda op: schatten_norm(op, 2),
+        is_psd,
+    ])
+    def test_norm_and_psd_helpers_on_a_warm_state(self, ordered_raw_pair, helper):
+        rho = DensityMatrix(ordered_raw_pair[0])
+        assert count_eigensolves(lambda: helper(rho)) == 0
+
+    def test_jamiolkowski_check_reads_the_choi_spectrum(self):
+        rng = np.random.default_rng(3)
+        phi1, phi2, mix_with = (Channel.random(2, 3, 2, rng) for _ in range(3))
+        xi_pre, xi_post = Channel.random(2, 2, 2, rng), Channel.random(3, 2, 2, rng)
+        # five channel constructions, the Kraus recovery and nothing else
+        assert count_eigensolves(lambda: jamiolkowski_properties_check(
+            phi1, phi2, xi_pre, xi_post, mix_with)) == 6
 
 
 class TestChannelOrderSolves:
