@@ -111,8 +111,9 @@ def reconstruct_effect(rho: DensityMatrix, sigma: DensityMatrix,
     Closed form (rho/rho+)^-1/2 (sigma/sigma+) (rho/rho+)^-1/2 with the
     generalized inverse vanishing off rho's support, rescaled to unit
     operator norm; the rescaling absorbs rho+ and sigma+, so this is the
-    sandwich rho^-1/2 sigma rho^-1/2 over its norm. Requires rho below sigma
-    in the positive-evidence order.
+    sandwich rho^-1/2 sigma rho^-1/2 over its norm, and its spectrum is the
+    sandwich's over the same norm. Requires rho below sigma in the
+    positive-evidence order.
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatch("state dimensions differ")
@@ -122,7 +123,11 @@ def reconstruct_effect(rho: DensityMatrix, sigma: DensityMatrix,
                        f"slack {verdict.slack:.3e})")
     middle = sandwich(rho, sigma, cfg)
     norm = middle.norm
-    return Effect(middle.matrix / norm if norm > 0 else middle.matrix, cfg)
+    if not norm > 0:
+        return Effect._on_spectrum(middle.matrix, middle.eigenvalues, cfg)
+    # the fold settles the sign of the zero entries the division can flip
+    return Effect._on_spectrum(hermitian_part(middle.matrix / norm),
+                               middle.eigenvalues / norm, cfg)
 
 
 def random_agreeing_effect(

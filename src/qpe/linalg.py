@@ -5,12 +5,15 @@ a validated matrix, solves it once and caches the result, and the package's
 states and effects are HermitianOperators. The checks, norms, powers,
 fidelity and partial trace and transpose accept a complex ndarray or a
 HermitianOperator; the norms and is_psd read an operator's cached
-spectrum, and matrix_power and fidelity solve afresh. Eigenvalues are always
-reported in descending order. Positivity checks return a tri-state verdict
-instead of a boolean so callers can surface numerically marginal cases.
+spectrum, and matrix_power and fidelity solve afresh. An operator also
+keeps a one-slot memo for its last partner, which the order verdict and the
+sandwich read. Eigenvalues are always reported in descending order.
+Positivity checks return a tri-state verdict instead of a boolean so
+callers can surface numerically marginal cases.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -127,15 +130,22 @@ class HermitianOperator:
     Takes an exactly Hermitian matrix (as returned by assert_hermitian) and
     owns it. The descending eigenvalues come from one eigvalsh here; the
     eigenvectors, sqrt, inv_sqrt and power from one eigh on first use.
+
+    Each operator also remembers what was computed against its last partner
+    (see _remember), so a pair asked twice is decided once.
     """
 
     def __init__(self, H: np.ndarray):
-        w = np.linalg.eigvalsh(H)[::-1]
+        self._own(H, np.linalg.eigvalsh(H)[::-1])
+
+    def _own(self, H: np.ndarray, w: np.ndarray) -> None:
+        """Take H with its known descending spectrum w; both become read-only."""
         w.setflags(write=False)
         H.setflags(write=False)
         self._matrix = H
         self._eigenvalues = w
         self._inv_sqrt: tuple[float, np.ndarray] | None = None
+        self._partner: tuple[weakref.ref, dict] | None = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -182,6 +192,27 @@ class HermitianOperator:
         if self._inv_sqrt is None or self._inv_sqrt[0] != cfg.rank_cutoff:
             self._inv_sqrt = (cfg.rank_cutoff, self.power(-0.5, cfg))
         return self._inv_sqrt[1]
+
+    def _remember(self, partner: HermitianOperator, key, compute):
+        """compute(), remembered under key for the last partner only.
+
+        The partner is held by weakref and matched by identity, so an
+        equal-valued copy does not read this pair's entries and a chain of
+        comparisons does not keep old states alive. key must name every
+        input of compute other than the pair itself (the cfg fields it reads),
+        and compute must not return None.
+        """
+        slot = self._partner
+        if slot is None or slot[0]() is not partner:
+            slot = self._partner = (weakref.ref(partner), {})
+        value = slot[1].get(key)
+        if value is None:
+            value = slot[1][key] = compute()
+        return value
+
+    def __getstate__(self):
+        # a copy or pickle starts with no partner: a weakref cannot be pickled
+        return {**self.__dict__, "_partner": None}
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim}, top={self._eigenvalues[0]:.6g})"
@@ -235,7 +266,10 @@ def matrix_power(A, p, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
 
 
 def tensor(A, B) -> np.ndarray:
-    return np.kron(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))
+    """Kronecker product of two matrices (not necessarily square), states or effects."""
+    A, B = (x.matrix if isinstance(x, HermitianOperator) else np.asarray(x, dtype=complex)
+            for x in (A, B))
+    return np.kron(A, B)
 
 
 def _check_bipartite(A, dims):

@@ -102,9 +102,21 @@ def _order_verdict(M: np.ndarray, cfg: ToleranceConfig) -> OrderVerdict:
 
 
 def qpe_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
-    """Positive-evidence order: sigma+ rho - rho+ sigma PSD."""
+    """Positive-evidence order: sigma+ rho - rho+ sigma PSD.
+
+    The verdict is remembered on rho for its last sigma and psd_slack (the
+    one cfg field it reads), so it is shared between calls and its witness
+    is read-only.
+    """
     r, s = _operands(rho, sigma)
-    return _order_verdict(s.eigenvalues[0] * r.matrix - r.eigenvalues[0] * s.matrix, cfg)
+
+    def decide():
+        verdict = _order_verdict(s.eigenvalues[0] * r.matrix - r.eigenvalues[0] * s.matrix, cfg)
+        if verdict.witness is not None:
+            verdict.witness.setflags(write=False)
+        return verdict
+
+    return r._remember(s, ("qpe_leq", cfg.psd_slack), decide)
 
 
 def lev_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:

@@ -87,6 +87,19 @@ class Effect(HermitianOperator):
 
     def __init__(self, matrix, cfg: ToleranceConfig = DEFAULT_CONFIG):
         super().__init__(assert_hermitian(matrix))
+        self._check_bounds(cfg)
+
+    @classmethod
+    def _on_spectrum(cls, H: np.ndarray, w: np.ndarray,
+                     cfg: ToleranceConfig = DEFAULT_CONFIG) -> Effect:
+        """An effect on an exactly Hermitian H whose descending spectrum w is
+        already known: no Hermitian check and no solve, the bounds still checked."""
+        effect = cls.__new__(cls)
+        effect._own(H, w)
+        effect._check_bounds(cfg)
+        return effect
+
+    def _check_bounds(self, cfg: ToleranceConfig) -> None:
         w = self._eigenvalues
         low = psd_verdict(w, None, cfg)
         if low.fails:
@@ -117,9 +130,13 @@ def sandwich(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> HermitianOper
     """rho^-1/2 sigma rho^-1/2, the generalized inverse vanishing off rho's support.
 
     Reconstruction, the max-divergence and the measurement bound all read it.
+    It is remembered on rho for its last sigma and rank_cutoff.
     """
-    X = rho.inv_sqrt(cfg)
-    return HermitianOperator(hermitian_part(X @ sigma.matrix @ X))
+    def build():
+        X = rho.inv_sqrt(cfg)
+        return HermitianOperator(hermitian_part(X @ sigma.matrix @ X))
+
+    return rho._remember(sigma, ("sandwich", cfg.rank_cutoff), build)
 
 
 def _cluster_cut(w_desc: np.ndarray, start: int, width: float) -> int:

@@ -249,3 +249,15 @@ class TestHelpersAcceptOperators:
         helper = SQUARE_MATRIX_HELPERS[name]
         op = make()
         np.testing.assert_array_equal(helper(op), helper(op.matrix.copy()))
+
+    @pytest.mark.parametrize("left", [_bipartite_state, _bipartite_effect])
+    @pytest.mark.parametrize("right", [_bipartite_state, _bipartite_effect])
+    def test_tensor_of_operators_is_kron_of_matrices(self, left, right):
+        a, b = left(), right()
+        np.testing.assert_array_equal(tensor(a, b), np.kron(a.matrix, b.matrix))
+
+    def test_tensor_keeps_non_square_factors(self, rng):
+        state = _bipartite_state()
+        v = rng.standard_normal((3, 1))
+        np.testing.assert_array_equal(tensor(state, v), np.kron(state.matrix, v))
+        np.testing.assert_array_equal(tensor(v, state), np.kron(v, state.matrix))

@@ -1,13 +1,19 @@
 """States compute their spectrum once, and the cached routes match raw arrays.
 
 The eigensolve counts are pinned by wrapping numpy's Hermitian eigensolvers.
+The partner-memo tests check that a remembered order verdict, sandwich,
+divergence or reconstructed effect is the cold result bit for bit.
 The differential tests recompute every quantity that reads a state's cached
 spectrum (sandwich, generalized powers, kernel) from the raw matrices
 through matrix_power, which solves afresh on each call.
 """
 from __future__ import annotations
 
+import copy
+import gc
+import pickle
 import sys
+import weakref
 from contextlib import ExitStack
 from unittest import mock
 
@@ -18,6 +24,9 @@ from numpy.testing import assert_allclose
 from qpe import (
     Channel,
     DensityMatrix,
+    Effect,
+    InvalidState,
+    NotBelow,
     channel_qpe_leq,
     f_renormalized_leq,
     fls_update,
@@ -35,8 +44,16 @@ from qpe import (
     reconstruct_effect,
     renyi_divergence,
     schatten_norm,
+    ToleranceConfig,
 )
-from qpe.linalg import assert_hermitian, matrix_power, random_unitary
+from qpe.linalg import (
+    HermitianOperator,
+    OrderVerdict,
+    assert_hermitian,
+    matrix_power,
+    random_unitary,
+)
+from qpe.states import sandwich
 
 DIFF_RTOL = 1e-10
 
@@ -69,6 +86,32 @@ def ordered_raw_pair():
     return R, S
 
 
+@pytest.fixture
+def incomparable_raw_pair():
+    """Raw matrices of a dim-4 pair with the first not below the second."""
+    rng = np.random.default_rng(12)
+    while True:
+        a, b = random_state(4, rng=rng), random_state(4, rng=rng)
+        if qpe_leq(a, b).slack < -1e-3:
+            return a.matrix.copy(), b.matrix.copy()
+
+
+@pytest.fixture
+def rank_deficient_raw_pair():
+    """A rank-2 prior and an agreeing update of it, so the pair is ordered."""
+    rng = np.random.default_rng(13)
+    rho = random_state(4, rank=2, rng=rng)
+    sigma = fls_update(rho, random_agreeing_effect(rho, rng))
+    return rho.matrix.copy(), sigma.matrix.copy()
+
+
+@pytest.fixture
+def near_equal_raw_pair():
+    rng = np.random.default_rng(14)
+    a, b = random_state(4, rng=rng), random_state(4, rng=rng)
+    return a.matrix.copy(), a.matrix + 1e-13 * (b.matrix - a.matrix)
+
+
 class TestEigensolveCounts:
     def test_building_a_state_solves_once(self, ordered_raw_pair):
         R, _ = ordered_raw_pair
@@ -81,7 +124,8 @@ class TestEigensolveCounts:
     def test_warm_max_divergence(self, ordered_raw_pair):
         rho, sigma = (DensityMatrix(M) for M in ordered_raw_pair)
         max_divergence(sigma, rho)
-        assert count_eigensolves(lambda: max_divergence(sigma, rho)) == 1
+        # the sandwich is remembered on rho
+        assert count_eigensolves(lambda: max_divergence(sigma, rho)) == 0
 
     def test_warm_reconstruction_round_trip(self, ordered_raw_pair):
         rho, sigma = (DensityMatrix(M) for M in ordered_raw_pair)
@@ -90,12 +134,32 @@ class TestEigensolveCounts:
             return fls_update(rho, reconstruct_effect(rho, sigma))
 
         round_trip()
-        assert count_eigensolves(round_trip) <= 4
+        # only the posterior's validation; the effect reads the sandwich spectrum
+        assert count_eigensolves(round_trip) == 1
 
     def test_warm_order_divergence_gap(self, ordered_raw_pair):
         rho, sigma = (DensityMatrix(M) for M in ordered_raw_pair)
         order_divergence_gap(rho, sigma)
-        assert count_eigensolves(lambda: order_divergence_gap(rho, sigma)) <= 2
+        assert count_eigensolves(lambda: order_divergence_gap(rho, sigma)) == 0
+
+    @pytest.mark.parametrize("ordered", [True, False])
+    def test_cold_pairs_op(self, ordered_raw_pair, incomparable_raw_pair, ordered):
+        """The benchmark's pairs op: two builds, the gap, then the round trip
+        (ordered) or the NotBelow refusal (incomparable)."""
+        R, S = ordered_raw_pair if ordered else incomparable_raw_pair
+
+        def op():
+            rho, sigma = DensityMatrix(R), DensityMatrix(S)
+            order_divergence_gap(rho, sigma)
+            if ordered:
+                fls_update(rho, reconstruct_effect(rho, sigma))
+            else:
+                with pytest.raises(NotBelow):
+                    reconstruct_effect(rho, sigma)
+
+        # builds 2, inv_sqrt's eigh 1, sandwich 1, order matrix 1, and then
+        # the posterior (ordered) or the fails witness (incomparable) 1
+        assert count_eigensolves(op) == 6
 
 
 class TestMatrixPredicatesReadTheCache:
@@ -216,6 +280,18 @@ class TestCachedRoutesMatchRawArrays:
         got = reconstruct_effect(rho, sigma).matrix
         assert_allclose(got, want, rtol=0, atol=DIFF_RTOL * np.abs(want).max())
 
+    def test_reconstructed_effect_spectrum(self, state_pair):
+        # the effect takes the sandwich spectrum over its norm instead of solving
+        effect = reconstruct_effect(*state_pair)
+        assert_allclose(effect.eigenvalues, np.linalg.eigvalsh(effect.matrix)[::-1],
+                        rtol=0, atol=1e-13)
+        assert effect.eigenvalues[0] == 1.0
+
+    @pytest.mark.parametrize("w", [[1.5, 0.5], [0.5, -0.5]])
+    def test_effect_on_a_known_spectrum_keeps_its_bounds(self, w):
+        with pytest.raises(InvalidState):
+            Effect._on_spectrum(np.diag(w).astype(complex), np.array(w))
+
     @pytest.mark.parametrize("alpha", [0.5, 2.0])
     def test_renyi_divergence(self, state_pair, alpha):
         rho, sigma = state_pair
@@ -240,3 +316,134 @@ class TestCachedRoutesMatchRawArrays:
         for arr in (rho.eigenvalues, rho.eigenvectors):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+MEMO_PAIRS = ["ordered_raw_pair", "incomparable_raw_pair",
+              "rank_deficient_raw_pair", "near_equal_raw_pair"]
+
+
+def _bits(x):
+    """Everything a pair query returns, as bytes, so equality is bit for bit."""
+    if isinstance(x, OrderVerdict):
+        return (x.relation, np.float64(x.slack).tobytes(),
+                None if x.witness is None else x.witness.tobytes())
+    if isinstance(x, tuple):
+        return tuple(_bits(v) for v in x)
+    if isinstance(x, HermitianOperator):
+        return x.matrix.tobytes()
+    if hasattr(x, "value"):
+        return np.float64(x.value).tobytes()
+    return np.float64(x).tobytes()
+
+
+def _round_trip(rho, sigma):
+    try:
+        effect = reconstruct_effect(rho, sigma)
+    except NotBelow:
+        return "NotBelow"
+    return _bits(effect), _bits(fls_update(rho, effect))
+
+
+PAIR_QUERIES = {
+    "qpe_leq": lambda rho, sigma: _bits(qpe_leq(rho, sigma)),
+    "max_divergence": lambda rho, sigma: _bits(max_divergence(sigma, rho)),
+    "order_divergence_gap": lambda rho, sigma: _bits(order_divergence_gap(rho, sigma)),
+    "round_trip": _round_trip,
+}
+
+
+class TestPartnerMemo:
+    """A state remembers its order verdict and sandwich for its last partner;
+    a memo hit is the cold result, bit for bit."""
+
+    @pytest.mark.parametrize("pair", MEMO_PAIRS)
+    def test_hits_equal_cold_calls(self, request, pair):
+        R, S = request.getfixturevalue(pair)
+        rho, sigma = DensityMatrix(R), DensityMatrix(S)
+        for _ in range(2):
+            for name, query in PAIR_QUERIES.items():
+                cold = query(DensityMatrix(R), DensityMatrix(S))
+                assert query(rho, sigma) == cold, name
+
+    def test_memoized_verdict_is_shared(self, incomparable_raw_pair):
+        rho, sigma = (DensityMatrix(M) for M in incomparable_raw_pair)
+        first = qpe_leq(rho, sigma)
+        assert count_eigensolves(lambda: qpe_leq(rho, sigma)) == 0
+        assert qpe_leq(rho, sigma) is first
+
+    def test_other_psd_slack_recomputes(self, incomparable_raw_pair):
+        R, S = incomparable_raw_pair
+        rho, sigma = DensityMatrix(R), DensityMatrix(S)
+        loose = ToleranceConfig(psd_slack=1.0)
+        assert qpe_leq(rho, sigma).fails
+        assert count_eigensolves(lambda: qpe_leq(rho, sigma, loose)) == 1
+        assert qpe_leq(rho, sigma, loose).holds
+        assert _bits(qpe_leq(rho, sigma, loose)) == _bits(
+            qpe_leq(DensityMatrix(R), DensityMatrix(S), loose))
+        assert qpe_leq(rho, sigma).fails
+
+    def test_other_rank_cutoff_rebuilds_the_sandwich(self):
+        rng = np.random.default_rng(4)
+        U = random_unitary(4, rng)
+        R = (U * np.array([0.6, 0.3, 0.1 - 1e-11, 1e-11])) @ U.conj().T
+        S = random_state(4, rng=rng).matrix.copy()
+        rho, sigma = DensityMatrix(R), DensityMatrix(S)
+        coarse = ToleranceConfig(rank_cutoff=1e-10)
+        fine = sandwich(rho, sigma).norm
+        assert count_eigensolves(lambda: sandwich(rho, sigma, coarse)) == 1
+        qpe_leq(rho, sigma)
+        # the verdict reads psd_slack only, so another rank_cutoff reuses it
+        assert count_eigensolves(lambda: qpe_leq(rho, sigma, coarse)) == 0
+        assert _bits(qpe_leq(rho, sigma, coarse)) == _bits(
+            qpe_leq(DensityMatrix(R), DensityMatrix(S), coarse))
+        # the coarse cutoff drops rho's 1e-11 eigenvalue from the inverse
+        assert sandwich(rho, sigma, coarse).norm < 1e-3 * fine
+        cold = sandwich(DensityMatrix(R), DensityMatrix(S), coarse)
+        assert sandwich(rho, sigma, coarse).matrix.tobytes() == cold.matrix.tobytes()
+        assert sandwich(rho, sigma).norm == fine
+
+    def test_equal_valued_partner_is_a_miss(self, ordered_raw_pair):
+        R, S = ordered_raw_pair
+        rho, sigma, twin = DensityMatrix(R), DensityMatrix(S), DensityMatrix(S)
+        first = qpe_leq(rho, sigma)
+        max_divergence(sigma, rho)
+        # one order matrix; the sandwich (inv_sqrt is rho's own and cached)
+        assert count_eigensolves(lambda: qpe_leq(rho, twin)) == 1
+        assert count_eigensolves(lambda: max_divergence(twin, rho)) == 1
+        assert qpe_leq(rho, twin) is not first
+        assert _bits(qpe_leq(rho, twin)) == _bits(first)
+
+    def test_memoized_witness_is_read_only(self, incomparable_raw_pair):
+        rho, sigma = (DensityMatrix(M) for M in incomparable_raw_pair)
+        for verdict in (qpe_leq(rho, sigma), qpe_leq(rho, sigma)):
+            assert verdict.fails
+            with pytest.raises(ValueError):
+                verdict.witness[0] = 0.0
+
+    @pytest.mark.parametrize("duplicate", [
+        lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy, copy.copy])
+    def test_compared_state_pickles_and_copies(self, incomparable_raw_pair, duplicate):
+        rho, sigma = (DensityMatrix(M) for M in incomparable_raw_pair)
+        verdict = qpe_leq(rho, sigma)
+        max_divergence(sigma, rho)
+        twin = duplicate(rho)
+        assert twin.matrix.tobytes() == rho.matrix.tobytes()
+        assert _bits(qpe_leq(twin, sigma)) == _bits(verdict)
+
+    def test_compared_chain_stays_collectable(self):
+        rng = np.random.default_rng(9)
+        chain = [random_state(3, rng=rng)]
+        for _ in range(49):
+            chain.append(fls_update(chain[-1], random_agreeing_effect(chain[-1], rng)))
+        # newest to oldest, so each state's memo names an older partner
+        for newer, older in zip(chain[:0:-1], chain[-2::-1]):
+            qpe_leq(newer, older)
+            order_divergence_gap(newer, older)
+            qpe_leq(older, newer)
+            reconstruct_effect(older, newer)
+        newest = chain[-1]
+        refs = [weakref.ref(state) for state in chain[:-1]]
+        del chain, newer, older
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 49
+        assert qpe_leq(newest, newest).holds
