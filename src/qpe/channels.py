@@ -1,13 +1,15 @@
-"""Quantum channels, their state representation, and the induced order.
+"""Quantum channels, their Choi states, and the induced order.
 
-A channel is carried around as both a Kraus family and the state it maps the
-maximally entangled input to (its normalized Choi matrix). The two
-representations are interconvertible, and the positive-evidence order on
-channels is the order on those states. An equivalent formulation through
-complete positivity of a rescaled difference map lives in `oracle` as an
-independent cross-check.
+A channel is the state it maps the maximally entangled input to (its
+normalized Choi matrix), validated and solved once. The order on channels is
+the order on those states; the Kraus family, kept from a Kraus input or
+recovered from the Choi eigenvectors on first use, serves the action and
+`oracle`, which decides the order independently through complete
+positivity of a rescaled difference map.
 """
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -27,10 +29,6 @@ from .divergence import DivergenceValue, max_divergence
 COMPLETENESS_TOL = 1e-8
 
 
-def _vec(M: np.ndarray) -> np.ndarray:
-    return np.asarray(M).reshape(-1)
-
-
 def _kraus_sandwich(ops, X: np.ndarray) -> np.ndarray:
     out = np.zeros((ops[0].shape[0],) * 2, dtype=complex)
     for K in ops:
@@ -43,7 +41,7 @@ def to_choi(kraus, in_dim: int, out_dim: int) -> np.ndarray:
     n, k = in_dim, out_dim
     J = np.zeros((n * k, n * k), dtype=complex)
     for K in kraus:
-        w = _vec(np.asarray(K, dtype=complex).T)
+        w = np.asarray(K, dtype=complex).T.reshape(-1)
         if w.size != n * k:
             raise DimensionMismatch("Kraus operator shape does not match dims")
         J += np.outer(w, w.conj())
@@ -51,12 +49,11 @@ def to_choi(kraus, in_dim: int, out_dim: int) -> np.ndarray:
 
 
 class Channel:
-    """A completely positive trace-preserving map between density matrices."""
+    """A completely positive trace-preserving map, held as its Choi state `choi`."""
 
     def __init__(self, kraus, in_dim: int | None = None,
                  out_dim: int | None = None,
-                 cfg: ToleranceConfig = DEFAULT_CONFIG,
-                 _choi: np.ndarray | None = None):
+                 cfg: ToleranceConfig = DEFAULT_CONFIG):
         ops = [np.asarray(K, dtype=complex) for K in kraus]
         if not ops:
             raise NotCPTP("empty Kraus family")
@@ -71,41 +68,48 @@ class Channel:
         defect = float(np.abs(total - np.eye(n)).max())
         if defect > COMPLETENESS_TOL:
             raise NotCPTP(f"Kraus completeness defect {defect:.3e}")
-        self.in_dim = n
-        self.out_dim = k
-        self.cfg = cfg
+        # shadows the cached recovery below
         self.kraus = ops
-        raw = to_choi(ops, n, k)
-        # the order reads the Choi state and its oracle the Kraus action, so
-        # a given Choi matrix must be the one the Kraus family builds
-        if _choi is not None:
-            mismatch = float(np.abs(raw - _choi).max())
-            if mismatch > COMPLETENESS_TOL:
-                raise NotCPTP(f"Kraus family misses the Choi matrix by {mismatch:.3e}")
-            raw = _choi
+        self._hold(DensityMatrix, to_choi(ops, n, k), n, k, cfg)
+
+    def _hold(self, build, J: np.ndarray, n: int, k: int, cfg: ToleranceConfig):
+        """Store the dims, cfg and the Choi state build(J, cfg)."""
         try:
-            self.choi = DensityMatrix(raw, cfg)
+            self.choi = build(J, cfg)
         except (InvalidState, NonHermitianInput) as exc:
             raise NotCPTP(f"Choi matrix is not a state: {exc}") from exc
+        self.in_dim, self.out_dim, self.cfg = n, k, cfg
 
     @classmethod
     def from_choi(cls, choi, in_dim: int, out_dim: int,
                   cfg: ToleranceConfig = DEFAULT_CONFIG) -> "Channel":
-        """Recover a Kraus family from a normalized Choi matrix."""
+        """The channel whose normalized Choi matrix is `choi`. Positivity and the
+        trace, taken before renormalizing, are held to COMPLETENESS_TOL, not cfg."""
         J = assert_hermitian(choi)
         n, k = in_dim, out_dim
         if J.shape != (n * k, n * k):
             raise DimensionMismatch(f"Choi matrix shape {J.shape} does not "
                                     f"match dims ({n}, {k})")
-        w, V = np.linalg.eigh(J)
-        if w.min() < -COMPLETENESS_TOL * max(w.max(), 1.0):
-            raise NotCPTP(f"Choi matrix has eigenvalue {w.min():.3e}")
-        keep = w > cfg.rank_cutoff * max(w.max(), 1e-300)
-        kraus = [
-            np.sqrt(n * mu) * V[:, a].reshape(n, k).T
-            for a, mu in enumerate(w) if keep[a]
-        ]
-        return cls(kraus, n, k, cfg, _choi=J)
+        # n Tr_out J is the completeness sum of any Kraus family of J
+        marginal = partial_trace(J, (n, k), 2)
+        defect = n * float(np.abs(marginal - np.eye(n) / n).max())
+        if defect > COMPLETENESS_TOL:
+            raise NotCPTP(f"Kraus completeness defect {defect:.3e}")
+        channel = cls.__new__(cls)
+        channel._hold(DensityMatrix._on_hermitian, J, n, k, cfg)
+        w = channel.choi.eigenvalues
+        if w[-1] < -COMPLETENESS_TOL * max(w[0], 1.0):
+            raise NotCPTP(f"Choi matrix has eigenvalue {w[-1]:.3e}")
+        return channel
+
+    @cached_property
+    def kraus(self) -> list[np.ndarray]:
+        """sqrt(n mu) times each Choi eigenvector above rank_cutoff, as k x n, ascending."""
+        n, k = self.in_dim, self.out_dim
+        w, V = self.choi._eigh
+        cut = self.cfg.rank_cutoff * max(w[0], 1e-300)
+        return [np.sqrt(n * mu) * v.reshape(n, k).T
+                for mu, v in zip(w[::-1], V.T[::-1]) if mu > cut]
 
     @classmethod
     def identity(cls, n: int, cfg: ToleranceConfig = DEFAULT_CONFIG) -> "Channel":
@@ -210,7 +214,7 @@ def extended_output(channel: Channel, rho: DensityMatrix, m: int,
 
 def maximally_entangled(n: int, cfg: ToleranceConfig = DEFAULT_CONFIG) -> DensityMatrix:
     """The rank-one state on n x n with vector sum_i |ii> / sqrt(n)."""
-    v = _vec(np.eye(n)) / np.sqrt(n)
+    v = np.eye(n).reshape(-1) / np.sqrt(n)
     return DensityMatrix.pure(v, cfg)
 
 
@@ -256,25 +260,6 @@ def entanglement_fidelity(channel: Channel,
     return value, DensityMatrix.pure(w, cfg)
 
 
-def _factor_swap_perm(n1: int, k1: int, n2: int, k2: int) -> np.ndarray:
-    """Index map from (n1 k1)(n2 k2) ordering to (n1 n2)(k1 k2) ordering."""
-    dst = np.empty(n1 * k1 * n2 * k2, dtype=int)
-    src = 0
-    for i1 in range(n1):
-        for j1 in range(k1):
-            for i2 in range(n2):
-                for j2 in range(k2):
-                    dst[src] = ((i1 * n2 + i2) * k1 + j1) * k2 + j2
-                    src += 1
-    return dst
-
-
-def _permute_both(X: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    inv = np.empty_like(dst)
-    inv[dst] = np.arange(dst.size)
-    return X[np.ix_(inv, inv)]
-
-
 def jamiolkowski_properties_check(
     phi1: Channel,
     phi2: Channel,
@@ -310,8 +295,9 @@ def jamiolkowski_properties_check(
     out["rank_match"] = float(abs(rank_of(phi1.choi, cfg) - len(rebuilt.kraus)))
 
     big = channel_tensor(phi1, phi2, cfg).choi.matrix
-    dst = _factor_swap_perm(n, k, phi2.in_dim, phi2.out_dim)
-    glued = _permute_both(np.kron(J1, phi2.choi.matrix), dst)
+    # reorder the factors of J1 x J2 from (n1 k1)(n2 k2) to (n1 n2)(k1 k2)
+    glued = np.kron(J1, phi2.choi.matrix).reshape((n, k, phi2.in_dim, phi2.out_dim) * 2)
+    glued = glued.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(big.shape)
     out["tensor_permute"] = float(np.abs(big - glued).max())
 
     mixed = channel_mix(phi1, mix_with, t, cfg).choi.matrix

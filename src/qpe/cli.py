@@ -31,7 +31,7 @@ from .channels import (
 from .config import ToleranceConfig
 from .divergence import renyi_divergence, renyi_entropy
 from .domain import CERTIFIED_BELOW, NOT_BELOW, way_below_witness
-from .exceptions import DegenerateDraw, NotBelow, QpeError
+from .exceptions import BadParameter, DegenerateDraw, NotBelow, QpeError
 from .linalg import HOLDS, MARGINAL
 from .oracle import counterexample_suite, partial_trace_counterexample
 from .orders import classical_pe_leq, lev_leq, majorizes, primed_leq, qpe_leq
@@ -76,7 +76,11 @@ def _common_flags() -> argparse.ArgumentParser:
 def _config(args: argparse.Namespace) -> ToleranceConfig:
     tol = args.tol
     if tol is None:
-        tol = float(os.environ.get("QPE_DEFAULT_TOL", 1e-9))
+        preset = os.environ.get("QPE_DEFAULT_TOL", "1e-9")
+        try:
+            tol = float(preset)
+        except ValueError as exc:
+            raise BadParameter(f"QPE_DEFAULT_TOL is not a number: {preset!r}") from exc
     return ToleranceConfig(
         psd_slack=tol,
         cluster_width=args.cluster,

@@ -30,8 +30,9 @@ class ToleranceConfig:
     log_base: str = "natural"
 
     def __post_init__(self):
-        if self.psd_slack < 0 or self.cluster_width < 0 or self.rank_cutoff < 0:
-            raise BadParameter("tolerances must be nonnegative")
+        tolerances = (self.psd_slack, self.cluster_width, self.rank_cutoff)
+        if not all(0 <= x < math.inf for x in tolerances):
+            raise BadParameter(f"tolerances must be finite and nonnegative, got {tolerances}")
         if self.cluster_width < self.rank_cutoff:
             raise BadParameter(
                 "cluster_width must be at least rank_cutoff "

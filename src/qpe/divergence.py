@@ -16,7 +16,7 @@ from .config import DEFAULT_CONFIG, ToleranceConfig
 from .exceptions import BadAlpha, DimensionMismatch
 from .linalg import OrderVerdict, hermitian_part, operator_norm
 from .orders import as_probability_vector, qpe_leq
-from .states import DensityMatrix, Effect, kernel, sandwich, top_eigenvalue
+from .states import DensityMatrix, Effect, kernel, rank_of, sandwich, top_eigenvalue
 
 
 @dataclass(frozen=True)
@@ -101,12 +101,15 @@ def _umegaki(sigma, rho, cfg):
 
 
 def _support_escapes(sigma, rho, cfg) -> bool:
-    ker = kernel(rho, cfg)
-    if ker.dim == 0:
+    if rank_of(rho, cfg) == rho.dim:
         return False
-    K = ker.basis
-    mass = float(operator_norm(K.conj().T @ sigma.matrix @ K))
-    return mass > cfg.rank_cutoff * max(top_eigenvalue(sigma), 1e-300)
+
+    def escapes():
+        K = kernel(rho, cfg).basis
+        mass = float(operator_norm(K.conj().T @ sigma.matrix @ K))
+        return mass > cfg.rank_cutoff * max(top_eigenvalue(sigma), 1e-300)
+
+    return rho._remember(sigma, ("support_escapes", cfg.rank_cutoff), escapes)
 
 
 def classical_max_divergence(x, y, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize
 
-from qpe import DensityMatrix
+from qpe import DensityMatrix, ToleranceConfig
 from qpe.channels import (
     Channel,
     channel_compose,
@@ -75,10 +75,39 @@ class TestChannelValidation:
         with pytest.raises(NonHermitianInput):
             Channel.from_choi(J, 2, 2)
 
-    def test_kraus_family_must_reproduce_a_given_choi(self):
-        other = Channel.depolarizing(2, 0.5).choi.matrix
-        with pytest.raises(NotCPTP, match="misses the Choi matrix"):
-            Channel([np.eye(2)], _choi=other)
+    def test_choi_trace_within_tolerance_is_renormalized(self):
+        J = (1 + 5e-9) * Channel.depolarizing(2, 0.5).choi.matrix
+        with pytest.warns(UserWarning, match="renormalizing"):
+            phi = Channel.from_choi(J, 2, 2)
+        assert_allclose(np.trace(phi.choi.matrix).real, 1.0, rtol=0, atol=1e-15)
+
+    def test_choi_trace_beyond_tolerance_rejected(self):
+        J = (1 + 1e-7) * Channel.depolarizing(2, 0.5).choi.matrix
+        with pytest.raises(NotCPTP):
+            Channel.from_choi(J, 2, 2)
+
+    @pytest.mark.parametrize("psd_slack", [1e-9, 1e-3])
+    def test_negative_choi_eigenvalue_rejected_whatever_the_slack(self, psd_slack):
+        # trace preserving, with three Choi eigenvalues t / 4 = -1e-5
+        t = -4e-5
+        J = (1 - t) * IDENTITY_CHOI_2 + t * np.eye(4) / 4
+        with pytest.raises(NotCPTP):
+            Channel.from_choi(J, 2, 2, ToleranceConfig(psd_slack=psd_slack))
+
+    def test_negative_choi_eigenvalues_within_tolerance_accepted(self):
+        # trace preserving, with three Choi eigenvalues -5e-9 that the Kraus
+        # recovery drops; the trace is checked on the input, not on that family
+        t = -2e-8
+        phi = Channel.from_choi((1 - t) * IDENTITY_CHOI_2 + t * np.eye(4) / 4, 2, 2)
+        assert len(phi.kraus) == 1
+
+    def test_recovered_kraus_family_reproduces_the_choi(self, rng):
+        for n, k, rank in [(2, 2, 1), (2, 3, 2), (3, 2, 3), (4, 4, 2)]:
+            J = Channel.random(n, k, rank, rng).choi.matrix
+            phi = Channel.from_choi(J, n, k)
+            assert len(phi.kraus) == rank
+            assert_allclose(to_choi(phi.kraus, n, k), phi.choi.matrix,
+                            rtol=0, atol=1e-12)
 
     def test_random_channel_needs_room_for_an_isometry(self, rng):
         with pytest.raises(BadParameter):

@@ -182,6 +182,26 @@ class TestToleranceConfiguration:
                              fx("probvec_marginal.json"))
         assert code == 1
 
+    def test_malformed_environment_default_is_invalid_input(self, capsys, monkeypatch):
+        monkeypatch.setenv("QPE_DEFAULT_TOL", "abc")
+        code, out, err = run_cli(capsys, "order", "check",
+                                 fx("state_onm_upper.json"),
+                                 fx("state_onm_lower.json"))
+        assert (code, out) == (2, "")
+        assert "QPE_DEFAULT_TOL" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("order", "check", "--tol", "inf"),
+        ("order", "check", "--tol", "nan"),
+        ("divergence", "--rank-cutoff", "nan", "--cluster", "nan"),
+    ])
+    def test_non_finite_tolerance_is_invalid_input(self, capsys, argv):
+        # the upper state is not below the lower one (slack -0.23)
+        code, out, err = run_cli(capsys, *argv, fx("state_onm_upper.json"),
+                                 fx("state_onm_lower.json"))
+        assert (code, out) == (2, "")
+        assert "finite" in err
+
 
 class TestDivergenceAndEntropy:
     def test_max_divergence_value(self, capsys):

@@ -26,8 +26,6 @@ ALLOWED = {
     ("linalg", "fidelity"),
     # the one-shot inner matrix, kept so printed values stay bit-identical
     ("divergence", "renyi_divergence"),
-    # Kraus recovery from a Choi matrix
-    ("channels", "Channel.from_choi"),
 }
 
 

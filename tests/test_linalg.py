@@ -45,6 +45,12 @@ class TestToleranceConfig:
         with pytest.raises(BadParameter):
             ToleranceConfig(psd_slack=-1e-9)
 
+    @pytest.mark.parametrize("field", ["psd_slack", "cluster_width", "rank_cutoff"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_tolerances(self, field, value):
+        with pytest.raises(BadParameter, match="finite"):
+            ToleranceConfig(**{field: value})
+
     def test_rejects_cluster_below_rank_cutoff(self):
         with pytest.raises(BadParameter):
             ToleranceConfig(cluster_width=1e-13, rank_cutoff=1e-12)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import json
 import pickle
 import sys
 import weakref
@@ -53,6 +54,7 @@ from qpe.linalg import (
     matrix_power,
     random_unitary,
 )
+from qpe.serialization import channel_json, load_channel
 from qpe.states import sandwich
 
 DIFF_RTOL = 1e-10
@@ -121,10 +123,11 @@ class TestEigensolveCounts:
         rho, sigma = (DensityMatrix(M) for M in ordered_raw_pair)
         assert count_eigensolves(lambda: qpe_leq(rho, sigma)) == 1
 
-    def test_warm_max_divergence(self, ordered_raw_pair):
-        rho, sigma = (DensityMatrix(M) for M in ordered_raw_pair)
+    @pytest.mark.parametrize("pair", ["ordered_raw_pair", "rank_deficient_raw_pair"])
+    def test_warm_max_divergence(self, request, pair):
+        rho, sigma = (DensityMatrix(M) for M in request.getfixturevalue(pair))
         max_divergence(sigma, rho)
-        # the sandwich is remembered on rho
+        # the sandwich and the support check are remembered on rho
         assert count_eigensolves(lambda: max_divergence(sigma, rho)) == 0
 
     def test_warm_reconstruction_round_trip(self, ordered_raw_pair):
@@ -137,8 +140,9 @@ class TestEigensolveCounts:
         # only the posterior's validation; the effect reads the sandwich spectrum
         assert count_eigensolves(round_trip) == 1
 
-    def test_warm_order_divergence_gap(self, ordered_raw_pair):
-        rho, sigma = (DensityMatrix(M) for M in ordered_raw_pair)
+    @pytest.mark.parametrize("pair", ["ordered_raw_pair", "rank_deficient_raw_pair"])
+    def test_warm_order_divergence_gap(self, request, pair):
+        rho, sigma = (DensityMatrix(M) for M in request.getfixturevalue(pair))
         order_divergence_gap(rho, sigma)
         assert count_eigensolves(lambda: order_divergence_gap(rho, sigma)) == 0
 
@@ -193,7 +197,7 @@ class TestMatrixPredicatesReadTheCache:
         rng = np.random.default_rng(3)
         phi1, phi2, mix_with = (Channel.random(2, 3, 2, rng) for _ in range(3))
         xi_pre, xi_post = Channel.random(2, 2, 2, rng), Channel.random(3, 2, 2, rng)
-        # five channel constructions, the Kraus recovery and nothing else
+        # four constructions, then from_choi plus the lazy Kraus recovery
         assert count_eigensolves(lambda: jamiolkowski_properties_check(
             phi1, phi2, xi_pre, xi_post, mix_with)) == 6
 
@@ -217,6 +221,34 @@ class TestChannelOrderSolves:
         assert order.call_count == 1
         assert kraus_action.call_count == 0
         assert channel_qpe_leq(lower, upper).holds == ordered
+
+
+class TestChoiChannelSolves:
+    """A channel built from a Choi matrix solves its Choi state once and
+    recovers its Kraus family with one more eigh, on the first read only."""
+
+    def test_from_choi_solves_once_and_recovers_kraus_lazily(self):
+        J = Channel.random(3, 2, 2, np.random.default_rng(6)).choi.matrix
+        assert count_eigensolves(lambda: Channel.from_choi(J, 3, 2)) == 1
+        phi = Channel.from_choi(J, 3, 2)
+        assert count_eigensolves(lambda: phi.kraus) == 1
+        assert count_eigensolves(lambda: phi.kraus) == 0
+
+    def test_order_of_two_loaded_choi_documents(self, tmp_path):
+        upper = Channel.random(3, 2, 2, np.random.default_rng(7))
+        lower = Channel.from_choi(0.6 * upper.choi.matrix + 0.4 * np.eye(6) / 6, 3, 2)
+        paths = []
+        for name, phi in (("lower", lower), ("upper", upper)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(channel_json(phi)))
+            paths.append(str(path))
+
+        def op():
+            return channel_qpe_leq(*(load_channel(path) for path in paths))
+
+        # two loads, one order matrix
+        assert count_eigensolves(op) == 3
+        assert op().holds
 
 
 def _top(M):
