@@ -29,6 +29,10 @@ from .divergence import DivergenceValue, max_divergence
 COMPLETENESS_TOL = 1e-8
 
 
+def _vec(M: np.ndarray) -> np.ndarray:
+    return np.asarray(M).reshape(-1)
+
+
 def _kraus_sandwich(ops, X: np.ndarray) -> np.ndarray:
     out = np.zeros((ops[0].shape[0],) * 2, dtype=complex)
     for K in ops:
@@ -41,11 +45,18 @@ def to_choi(kraus, in_dim: int, out_dim: int) -> np.ndarray:
     n, k = in_dim, out_dim
     J = np.zeros((n * k, n * k), dtype=complex)
     for K in kraus:
-        w = np.asarray(K, dtype=complex).T.reshape(-1)
+        w = _vec(np.asarray(K, dtype=complex).T)
         if w.size != n * k:
             raise DimensionMismatch("Kraus operator shape does not match dims")
         J += np.outer(w, w.conj())
     return J / n
+
+
+def _check_complete(ops, n: int) -> None:
+    total = sum(K.conj().T @ K for K in ops)
+    defect = float(np.abs(total - np.eye(n)).max())
+    if defect > COMPLETENESS_TOL:
+        raise NotCPTP(f"Kraus completeness defect {defect:.3e}")
 
 
 class Channel:
@@ -64,18 +75,15 @@ class Channel:
             raise DimensionMismatch(f"declared in_dim {in_dim}, operators say {n}")
         if out_dim is not None and out_dim != k:
             raise DimensionMismatch(f"declared out_dim {out_dim}, operators say {k}")
-        total = sum(K.conj().T @ K for K in ops)
-        defect = float(np.abs(total - np.eye(n)).max())
-        if defect > COMPLETENESS_TOL:
-            raise NotCPTP(f"Kraus completeness defect {defect:.3e}")
+        _check_complete(ops, n)
         # shadows the cached recovery below
         self.kraus = ops
-        self._hold(DensityMatrix, to_choi(ops, n, k), n, k, cfg)
+        self._hold(to_choi(ops, n, k), n, k, cfg)
 
-    def _hold(self, build, J: np.ndarray, n: int, k: int, cfg: ToleranceConfig):
-        """Store the dims, cfg and the Choi state build(J, cfg)."""
+    def _hold(self, J: np.ndarray, n: int, k: int, cfg: ToleranceConfig):
+        """Store the dims, cfg and the Choi state of J."""
         try:
-            self.choi = build(J, cfg)
+            self.choi = DensityMatrix(J, cfg)
         except (InvalidState, NonHermitianInput) as exc:
             raise NotCPTP(f"Choi matrix is not a state: {exc}") from exc
         self.in_dim, self.out_dim, self.cfg = n, k, cfg
@@ -83,8 +91,9 @@ class Channel:
     @classmethod
     def from_choi(cls, choi, in_dim: int, out_dim: int,
                   cfg: ToleranceConfig = DEFAULT_CONFIG) -> "Channel":
-        """The channel whose normalized Choi matrix is `choi`. Positivity and the
-        trace, taken before renormalizing, are held to COMPLETENESS_TOL, not cfg."""
+        """The channel whose normalized Choi matrix is `choi`. Positivity, the
+        trace (taken before renormalizing) and the completeness of the Kraus
+        family that `kraus` recovers are held to COMPLETENESS_TOL, not cfg."""
         J = assert_hermitian(choi)
         n, k = in_dim, out_dim
         if J.shape != (n * k, n * k):
@@ -96,10 +105,16 @@ class Channel:
         if defect > COMPLETENESS_TOL:
             raise NotCPTP(f"Kraus completeness defect {defect:.3e}")
         channel = cls.__new__(cls)
-        channel._hold(DensityMatrix._on_hermitian, J, n, k, cfg)
+        channel._hold(J, n, k, cfg)
         w = channel.choi.eigenvalues
         if w[-1] < -COMPLETENESS_TOL * max(w[0], 1.0):
             raise NotCPTP(f"Choi matrix has eigenvalue {w[-1]:.3e}")
+        # the recovery drops the eigenvalues at or below rank_cutoff, which
+        # moves its completeness sum by at most n times their weight; past
+        # that bound, recover the family and measure it
+        dropped = n * float(np.abs(w[w <= cfg.rank_cutoff * max(w[0], 1e-300)]).sum())
+        if defect + dropped > COMPLETENESS_TOL:
+            _check_complete(channel.kraus, n)
         return channel
 
     @cached_property
@@ -214,7 +229,7 @@ def extended_output(channel: Channel, rho: DensityMatrix, m: int,
 
 def maximally_entangled(n: int, cfg: ToleranceConfig = DEFAULT_CONFIG) -> DensityMatrix:
     """The rank-one state on n x n with vector sum_i |ii> / sqrt(n)."""
-    v = np.eye(n).reshape(-1) / np.sqrt(n)
+    v = _vec(np.eye(n)) / np.sqrt(n)
     return DensityMatrix.pure(v, cfg)
 
 
@@ -260,6 +275,25 @@ def entanglement_fidelity(channel: Channel,
     return value, DensityMatrix.pure(w, cfg)
 
 
+def _factor_swap_perm(n1: int, k1: int, n2: int, k2: int) -> np.ndarray:
+    """Index map from (n1 k1)(n2 k2) ordering to (n1 n2)(k1 k2) ordering."""
+    dst = np.empty(n1 * k1 * n2 * k2, dtype=int)
+    src = 0
+    for i1 in range(n1):
+        for j1 in range(k1):
+            for i2 in range(n2):
+                for j2 in range(k2):
+                    dst[src] = ((i1 * n2 + i2) * k1 + j1) * k2 + j2
+                    src += 1
+    return dst
+
+
+def _permute_both(X: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    inv = np.empty_like(dst)
+    inv[dst] = np.arange(dst.size)
+    return X[np.ix_(inv, inv)]
+
+
 def jamiolkowski_properties_check(
     phi1: Channel,
     phi2: Channel,
@@ -295,9 +329,8 @@ def jamiolkowski_properties_check(
     out["rank_match"] = float(abs(rank_of(phi1.choi, cfg) - len(rebuilt.kraus)))
 
     big = channel_tensor(phi1, phi2, cfg).choi.matrix
-    # reorder the factors of J1 x J2 from (n1 k1)(n2 k2) to (n1 n2)(k1 k2)
-    glued = np.kron(J1, phi2.choi.matrix).reshape((n, k, phi2.in_dim, phi2.out_dim) * 2)
-    glued = glued.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(big.shape)
+    dst = _factor_swap_perm(n, k, phi2.in_dim, phi2.out_dim)
+    glued = _permute_both(np.kron(J1, phi2.choi.matrix), dst)
     out["tensor_permute"] = float(np.abs(big - glued).max())
 
     mixed = channel_mix(phi1, mix_with, t, cfg).choi.matrix

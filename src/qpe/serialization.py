@@ -171,6 +171,10 @@ def load_effect(path: str, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Effect:
     return decode_effect(read_json(path), cfg)
 
 
+def load_probvec(path: str) -> np.ndarray:
+    return decode_probvec(read_json(path))
+
+
 def load_channel(path: str, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Channel:
     return decode_channel(read_json(path), cfg)
 

@@ -47,23 +47,14 @@ class DensityMatrix(HermitianOperator):
     """
 
     def __init__(self, matrix, cfg: ToleranceConfig = DEFAULT_CONFIG):
-        self._settle(assert_hermitian(matrix), cfg)
-
-    @classmethod
-    def _on_hermitian(cls, H: np.ndarray, cfg: ToleranceConfig) -> DensityMatrix:
-        """A state on H as assert_hermitian returns it: no second Hermitian check."""
-        state = cls.__new__(cls)
-        state._settle(H, cfg)
-        return state
-
-    def _settle(self, H: np.ndarray, cfg: ToleranceConfig) -> None:
+        H = assert_hermitian(matrix)
         tr = float(np.trace(H).real)
         if abs(tr - 1.0) >= TRACE_REJECT:
             raise InvalidState(f"trace {tr} is not 1 within {TRACE_REJECT}")
         if abs(tr - 1.0) > TRACE_WARN:
             warnings.warn(
                 f"renormalizing state with trace off by {tr - 1.0:.2e}",
-                stacklevel=3,
+                stacklevel=2,
             )
             H = H / tr
         super().__init__(H)

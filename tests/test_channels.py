@@ -7,6 +7,7 @@ from scipy.optimize import minimize
 
 from qpe import DensityMatrix, ToleranceConfig
 from qpe.channels import (
+    COMPLETENESS_TOL,
     Channel,
     channel_compose,
     channel_max_divergence,
@@ -94,12 +95,31 @@ class TestChannelValidation:
         with pytest.raises(NotCPTP):
             Channel.from_choi(J, 2, 2, ToleranceConfig(psd_slack=psd_slack))
 
-    def test_negative_choi_eigenvalues_within_tolerance_accepted(self):
-        # trace preserving, with three Choi eigenvalues -5e-9 that the Kraus
-        # recovery drops; the trace is checked on the input, not on that family
+    def test_dropped_negative_choi_eigenvalues_must_keep_completeness(self):
+        # trace preserving, with three Choi eigenvalues -5e-9: each passes the
+        # eigenvalue check, but the Kraus family without them misses
+        # completeness by 1.5e-8
         t = -2e-8
+        J = (1 - t) * IDENTITY_CHOI_2 + t * np.eye(4) / 4
+        with pytest.raises(NotCPTP, match="completeness"):
+            Channel.from_choi(J, 2, 2)
+
+    def test_dropped_negative_choi_eigenvalues_that_keep_completeness_accepted(self):
+        # three Choi eigenvalues -2e-9: past the n * weight bound (1.2e-8), but
+        # the recovered family misses completeness by 6e-9 only
+        t = -8e-9
         phi = Channel.from_choi((1 - t) * IDENTITY_CHOI_2 + t * np.eye(4) / 4, 2, 2)
         assert len(phi.kraus) == 1
+        total = sum(K.conj().T @ K for K in phi.kraus)
+        assert_allclose(total, np.eye(2), rtol=0, atol=COMPLETENESS_TOL)
+
+    def test_weight_below_a_large_rank_cutoff_must_keep_completeness(self):
+        J = Channel.depolarizing(2, 1e-6).choi.matrix
+        assert len(Channel.from_choi(J, 2, 2).kraus) == 4
+        cfg = ToleranceConfig(cluster_width=1e-6, rank_cutoff=1e-6)
+        # the three eigenvalues 2.5e-7 fall below the cutoff
+        with pytest.raises(NotCPTP, match="completeness"):
+            Channel.from_choi(J, 2, 2, cfg)
 
     def test_recovered_kraus_family_reproduces_the_choi(self, rng):
         for n, k, rank in [(2, 2, 1), (2, 3, 2), (3, 2, 3), (4, 4, 2)]:
@@ -108,6 +128,8 @@ class TestChannelValidation:
             assert len(phi.kraus) == rank
             assert_allclose(to_choi(phi.kraus, n, k), phi.choi.matrix,
                             rtol=0, atol=1e-12)
+            total = sum(K.conj().T @ K for K in phi.kraus)
+            assert_allclose(total, np.eye(n), rtol=0, atol=1e-12)
 
     def test_random_channel_needs_room_for_an_isometry(self, rng):
         with pytest.raises(BadParameter):

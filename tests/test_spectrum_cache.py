@@ -234,6 +234,15 @@ class TestChoiChannelSolves:
         assert count_eigensolves(lambda: phi.kraus) == 1
         assert count_eigensolves(lambda: phi.kraus) == 0
 
+    def test_completeness_past_the_dropped_weight_bound_recovers_kraus_early(self):
+        # three Choi eigenvalues -2e-9: 2 * 6e-9 is past COMPLETENESS_TOL, so
+        # from_choi measures the recovered family, which the channel keeps
+        t = -8e-9
+        J = (1 - t) * Channel.identity(2).choi.matrix + t * np.eye(4) / 4
+        assert count_eigensolves(lambda: Channel.from_choi(J, 2, 2)) == 2
+        phi = Channel.from_choi(J, 2, 2)
+        assert count_eigensolves(lambda: phi.kraus) == 0
+
     def test_order_of_two_loaded_choi_documents(self, tmp_path):
         upper = Channel.random(3, 2, 2, np.random.default_rng(7))
         lower = Channel.from_choi(0.6 * upper.choi.matrix + 0.4 * np.eye(6) / 6, 3, 2)
