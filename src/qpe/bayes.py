@@ -85,7 +85,7 @@ def fls_update(rho: DensityMatrix, effect: Effect,
         raise DimensionMismatch("state and effect dimensions differ")
     sq = rho.sqrt
     out = sq @ effect.matrix @ sq
-    prob = float(np.trace(out).real)
+    prob = float(out.trace().real)
     if prob <= cfg.rank_cutoff:
         raise ZeroProbability(f"tr(E rho) = {prob:.3e}")
     return DensityMatrix(out / prob, cfg)
@@ -98,7 +98,7 @@ def sequential_update(rho: DensityMatrix, effect: Effect,
         raise DimensionMismatch("state and effect dimensions differ")
     sq = effect.sqrt
     out = sq @ rho.matrix @ sq
-    prob = float(np.trace(out).real)
+    prob = float(out.trace().real)
     if prob <= cfg.rank_cutoff:
         raise ZeroProbability(f"tr(E rho) = {prob:.3e}")
     return DensityMatrix(out / prob, cfg)
@@ -295,7 +295,7 @@ def sequential_transitivity_demo(
 def _random_full_rank(dim, rng, cfg):
     G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     raw = G @ G.conj().T + 0.05 * np.eye(dim)
-    return DensityMatrix(raw / np.trace(raw).real, cfg)
+    return DensityMatrix(raw / raw.trace().real, cfg)
 
 
 def _draw_step_effect(state, rng, cfg):

@@ -186,7 +186,7 @@ class Channel:
 
     def __repr__(self):
         return (f"Channel(in_dim={self.in_dim}, out_dim={self.out_dim}, "
-                f"kraus_rank={len(self.kraus)})")
+                f"choi_rank={rank_of(self.choi, self.cfg)})")
 
 
 def channel_compose(after: Channel, before: Channel,
@@ -322,7 +322,7 @@ def jamiolkowski_properties_check(
     J1 = phi1.choi.matrix
     out: dict[str, float] = {}
     out["cp_psd"] = float(max(0.0, -phi1.choi.eigenvalues[-1]))
-    out["tp_trace"] = float(abs(np.trace(J1).real - 1.0))
+    out["tp_trace"] = float(abs(J1.trace().real - 1.0))
     marginal = partial_trace(J1, (n, k), 2)
     out["tp_partial"] = float(np.abs(marginal - np.eye(n) / n).max())
     rebuilt = Channel.from_choi(J1, n, k, cfg)

@@ -16,7 +16,7 @@ from .config import DEFAULT_CONFIG, ToleranceConfig
 from .exceptions import BadAlpha, DimensionMismatch
 from .linalg import OrderVerdict, hermitian_part, operator_norm
 from .orders import as_probability_vector, qpe_leq
-from .states import DensityMatrix, Effect, kernel, rank_of, sandwich, top_eigenvalue
+from .states import DensityMatrix, Effect, kernel, kernel_cutoff, sandwich, top_eigenvalue
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ def renyi_entropy(rho: DensityMatrix, alpha: float,
     """Renyi entropy of order alpha; alpha = 1 is von Neumann, inf is min-entropy."""
     if not alpha > 0:
         raise BadAlpha(f"order must be positive, got {alpha}")
-    lam = np.clip(rho.eigenvalues, 0.0, None)
+    lam = np.maximum(rho.eigenvalues, 0.0)
     if np.isinf(alpha):
         return float(-cfg.log(lam.max()))
     if alpha == 1:
@@ -78,7 +78,7 @@ def renyi_divergence(sigma: DensityMatrix, rho: DensityMatrix, alpha: float,
     exponent = (1.0 - alpha) / (2.0 * alpha)
     half = rho.power(exponent, cfg)
     inner = hermitian_part(half @ sigma.matrix @ half)
-    w = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
+    w = np.maximum(np.linalg.eigvalsh(inner), 0.0)
     total = (w[w > 0] ** alpha).sum()
     if total <= 0:
         # disjoint supports with alpha < 1
@@ -88,8 +88,8 @@ def renyi_divergence(sigma: DensityMatrix, rho: DensityMatrix, alpha: float,
 
 
 def _umegaki(sigma, rho, cfg):
-    w_s = np.clip(sigma.eigenvalues, 0.0, None)
-    w_r = np.clip(rho.eigenvalues, 0.0, None)
+    w_s = np.maximum(sigma.eigenvalues, 0.0)
+    w_r = np.maximum(rho.eigenvalues, 0.0)
     V_s, V_r = sigma.eigenvectors, rho.eigenvectors
     live = w_s > 0
     ent = (w_s[live] * cfg.log(w_s[live])).sum()
@@ -101,7 +101,8 @@ def _umegaki(sigma, rho, cfg):
 
 
 def _support_escapes(sigma, rho, cfg) -> bool:
-    if rank_of(rho, cfg) == rho.dim:
+    w = rho.eigenvalues
+    if w[-1] > kernel_cutoff(w, cfg):  # full rank
         return False
 
     def escapes():
@@ -171,8 +172,8 @@ def povm_distinguishability_lower_bound(
     best = -np.inf
     tol = cfg.rank_cutoff
     for M in candidates:
-        p_rho = float(np.trace(rho.matrix @ M).real)
-        p_sig = float(np.trace(sigma.matrix @ M).real)
+        p_rho = float((rho.matrix @ M).trace().real)
+        p_sig = float((sigma.matrix @ M).trace().real)
         if p_rho <= tol:
             if p_sig > max(10 * tol, 1e-10):
                 return np.inf
@@ -202,4 +203,4 @@ def effect_probability(state: DensityMatrix, effect: Effect) -> float:
     """Born probability tr(E rho)."""
     if state.dim != effect.dim:
         raise DimensionMismatch("state and effect dimensions differ")
-    return float(np.trace(effect.matrix @ state.matrix).real)
+    return float((effect.matrix @ state.matrix).trace().real)

@@ -16,7 +16,7 @@ from .config import DEFAULT_CONFIG, ToleranceConfig
 from .exceptions import BadParameter, DimensionMismatch, NotAChain, NotConverged, PreconditionViolated
 from .linalg import operator_norm
 from .orders import qpe_leq
-from .states import DensityMatrix, kernel
+from .states import DensityMatrix, rank_of
 
 CERTIFIED_BELOW = "certified_below"
 NOT_BELOW = "not_below"
@@ -61,7 +61,7 @@ def way_below_witness(rho: DensityMatrix, sigma: DensityMatrix,
     if rho.dim != sigma.dim:
         raise DimensionMismatch("state dimensions differ")
     n = rho.dim
-    if kernel(rho, cfg).dim > 0:
+    if rank_of(rho, cfg) < n:
         return WayBelowWitness(
             NOT_BELOW, "kernel-obstruction",
             note="a state with nontrivial kernel approximates nothing from below",

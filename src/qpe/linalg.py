@@ -13,6 +13,7 @@ callers can surface numerically marginal cases.
 """
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -62,12 +63,17 @@ class OrderVerdict:
         return self.relation == MARGINAL
 
 
-def as_square_array(A) -> np.ndarray:
+def _square(A) -> np.ndarray:
     if isinstance(A, HermitianOperator):
         return A.matrix
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
+    return A
+
+
+def as_square_array(A) -> np.ndarray:
+    A = _square(A)
     if not np.isfinite(A).all():
         raise NonFiniteInput("matrix has a NaN or infinite entry")
     return A
@@ -79,29 +85,35 @@ def hermitian_part(A: np.ndarray) -> np.ndarray:
 
 
 def assert_hermitian(A) -> np.ndarray:
-    A = as_square_array(A)
-    dev = float(np.abs(A - A.conj().T).max(initial=0.0))
-    scale = max(1.0, float(np.abs(A).max(initial=0.0)))
+    A = _square(A)
+    top = float(np.abs(A).max(initial=0.0))
+    if not math.isfinite(top):
+        as_square_array(A)  # raises on a NaN or inf entry, not on an overflowing modulus
+    adjoint = A.conj().T
+    dev = float(np.abs(A - adjoint).max(initial=0.0))
+    scale = max(1.0, top)
     if dev > HERMITIAN_RTOL * scale:
         raise NonHermitianInput(
             f"matrix deviates from Hermitian by {dev:.3e} (scale {scale:.3e})"
         )
     # fold the (tiny) asymmetry away so downstream eigh sees clean input
-    return hermitian_part(A)
+    return (A + adjoint) / 2.0  # hermitian_part(A)
 
 
 def psd_verdict(w, H, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
     """Tri-state positive-semidefiniteness verdict from a descending spectrum.
 
-    w is the spectrum of the Hermitian matrix H. H is only read to find the
-    witness of a fails verdict; a caller that raises on fails may pass None.
+    w is the spectrum of the Hermitian matrix H, and it must be in descending
+    order: ||H|| is read off its two ends as max(w[0], -w[-1]). H is only
+    read to find the witness of a fails verdict; a caller that raises on
+    fails may pass None.
 
     holds    if lambda_min >= -psd_slack * max(1, ||H||)
     fails    if lambda_min < -10 * psd_slack * max(1, ||H||)
     marginal in between
     """
     lam_min = float(w[-1])
-    scale = max(1.0, float(np.abs(w).max(initial=0.0)))
+    scale = max(1.0, float(w[0]), -lam_min)
     if lam_min >= -cfg.psd_slack * scale:
         return OrderVerdict(HOLDS, lam_min)
     if lam_min < -10.0 * cfg.psd_slack * scale:
@@ -181,7 +193,7 @@ class HermitianOperator:
     @cached_property
     def sqrt(self) -> np.ndarray:
         w, V = self._eigh
-        return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
+        return (V * np.sqrt(np.maximum(w, 0.0))) @ V.conj().T
 
     def power(self, p, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
         """Generalized power with matrix_power's rank_cutoff rule."""
@@ -315,7 +327,7 @@ def fidelity(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
     sq = matrix_power(rho, 0.5, cfg)
     inner = sq @ as_square_array(sigma) @ sq
     w = np.linalg.eigvalsh(hermitian_part(inner))
-    val = float(np.sqrt(np.clip(w, 0.0, None)).sum())
+    val = float(np.sqrt(np.maximum(w, 0.0)).sum())
     return min(max(val, 0.0), 1.0)
 
 

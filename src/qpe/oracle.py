@@ -149,7 +149,7 @@ def partial_trace_counterexample(n: int = 2, t: float = 0.5, seed: int = 9,
     comp = Q[:, 1:]
     H = rng.standard_normal((n * n - 1,) * 2) + 1j * rng.standard_normal((n * n - 1,) * 2)
     body = H @ H.conj().T
-    A = comp @ (body / np.trace(body).real) @ comp.conj().T
+    A = comp @ (body / body.trace().real) @ comp.conj().T
     rho_raw = t * P + (1.0 - t) * A
     rho = DensityMatrix(rho_raw, cfg)
     target = DensityMatrix(P, cfg)

@@ -50,7 +50,7 @@ def as_probability_vector(x) -> np.ndarray:
         raise NonFiniteInput("probability vector has a NaN or infinite entry")
     if v.min() < -1e-12:
         raise InvalidState(f"negative entry {v.min():.3e} in probability vector")
-    v = np.clip(v, 0.0, None)
+    v = np.maximum(v, 0.0)
     total = v.sum()
     if abs(total - 1.0) >= 1e-6:
         raise InvalidState(f"probability vector sums to {total}")
@@ -204,4 +204,4 @@ def majorizes(x, y, atol: float = 1e-12) -> bool:
 
 def eigenvalue_shadow(rho: DensityMatrix) -> np.ndarray:
     """Descending spectrum of a state, as a probability vector."""
-    return np.clip(rho.eigenvalues, 0.0, None)
+    return np.maximum(rho.eigenvalues, 0.0)

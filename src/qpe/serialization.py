@@ -30,11 +30,17 @@ def _is_dim(x) -> bool:
 
 def _decode_cell(cell):
     if _is_number(cell):
-        return complex(cell)
-    if (isinstance(cell, (list, tuple)) and len(cell) == 2
+        parts = (cell,)
+    elif (isinstance(cell, (list, tuple)) and len(cell) == 2
             and all(_is_number(c) for c in cell)):
-        return complex(cell[0], cell[1])
-    raise InputFormatError(f"matrix cell must be a number or [re, im], got {cell!r}")
+        parts = cell
+    else:
+        raise InputFormatError(f"matrix cell must be a number or [re, im], got {cell!r}")
+    try:
+        return complex(*parts)
+    except OverflowError as exc:
+        # a JSON integer past the float range
+        raise InputFormatError(f"matrix cell out of float range: {exc}") from exc
 
 
 def decode_matrix(entries, shape=None) -> np.ndarray:
@@ -103,7 +109,11 @@ def decode_probvec(obj) -> np.ndarray:
     if not (isinstance(probs, list) and len(probs) == n
             and all(_is_number(p) for p in probs)):
         raise InputFormatError("probs must be a list of numbers matching dims")
-    return as_probability_vector(np.array(probs, dtype=float))
+    try:
+        v = np.array(probs, dtype=float)
+    except OverflowError as exc:
+        raise InputFormatError(f"probs entry out of float range: {exc}") from exc
+    return as_probability_vector(v)
 
 
 def decode_channel(obj, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Channel:
@@ -157,9 +167,8 @@ def read_json(path: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"{path}: {exc}") from exc
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # ValueError: malformed JSON, or an integer past the digit limit
         raise InputFormatError(f"{path}: {exc}") from exc
 
 

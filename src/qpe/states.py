@@ -48,7 +48,7 @@ class DensityMatrix(HermitianOperator):
 
     def __init__(self, matrix, cfg: ToleranceConfig = DEFAULT_CONFIG):
         H = assert_hermitian(matrix)
-        tr = float(np.trace(H).real)
+        tr = float(H.trace().real)
         if abs(tr - 1.0) >= TRACE_REJECT:
             raise InvalidState(f"trace {tr} is not 1 within {TRACE_REJECT}")
         if abs(tr - 1.0) > TRACE_WARN:
@@ -156,28 +156,31 @@ def top_eigenspace(rho, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Eigenspace:
     return Eigenspace(op.eigenvectors[:, :stop].copy(), float(w[0]))
 
 
-def _kernel_mask(w: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
-    return w <= cfg.rank_cutoff * max(abs(float(w[0])), 1e-300)
+def kernel_cutoff(w: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
+    """Eigenvalues of the descending spectrum w at or below this are kernel."""
+    return cfg.rank_cutoff * max(abs(float(w[0])), 1e-300)
 
 
 def kernel(rho, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Eigenspace:
     """Eigenspace of eigenvalues below rank_cutoff * lambda_max."""
     op = as_operator(rho)
-    mask = _kernel_mask(op.eigenvalues, cfg)
+    w = op.eigenvalues
+    mask = w <= kernel_cutoff(w, cfg)
     if not mask.any():
         return Eigenspace(np.zeros((op.dim, 0), dtype=complex), 0.0)
     return Eigenspace(op.eigenvectors[:, mask].copy(), 0.0)
 
 
 def rank_of(rho, cfg: ToleranceConfig = DEFAULT_CONFIG) -> int:
-    return int(np.count_nonzero(~_kernel_mask(as_operator(rho).eigenvalues, cfg)))
+    w = as_operator(rho).eigenvalues
+    return int(np.count_nonzero(w > kernel_cutoff(w, cfg)))
 
 
 def bottom_eigenspace_nonzero(rho, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Eigenspace:
     """Eigenspace of the least nonzero eigenvalue cluster."""
     op = as_operator(rho)
     w = op.eigenvalues
-    in_kernel = _kernel_mask(w, cfg)
+    in_kernel = w <= kernel_cutoff(w, cfg)
     nz = np.flatnonzero(~in_kernel)
     if nz.size == 0:
         raise InvalidState("matrix has no nonzero eigenvalues")
@@ -229,4 +232,4 @@ def random_state(
         raise BadParameter(f"need 1 <= rank <= dim, got rank={rank}, dim={dim}")
     G = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     raw = G @ G.conj().T
-    return DensityMatrix(raw / np.trace(raw).real, cfg)
+    return DensityMatrix(raw / raw.trace().real, cfg)

@@ -125,6 +125,44 @@ class TestExitCodes:
         assert out == ""
         assert "must be" in err
 
+    @pytest.mark.parametrize("doc,relation,upper", [
+        ({"kind": "state", "dims": [2], "entries": [[10**400, 0], [0, 0]]},
+         "qpe", "state_diag_64.json"),
+        ({"kind": "state", "dims": [2], "entries": [[0.5, [0, -10**400]], [0, 0.5]]},
+         "qpe", "state_diag_64.json"),
+        ({"kind": "state", "dims": [2], "entries": [[10**400, 0], [0, 0]]},
+         "classical", "probvec_532.json"),
+        ({"kind": "probvec", "dims": [2], "probs": [10**400, 0]},
+         "classical", "probvec_532.json"),
+    ])
+    def test_oversized_integer_exits_two(self, capsys, tmp_path, doc, relation, upper):
+        bad = tmp_path / "big.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "order", "check", "--relation", relation,
+                                 str(bad), fx(upper))
+        assert code == 2
+        assert out == ""
+        assert "out of float range" in err
+
+    def test_oversized_kraus_cell_exits_two(self, capsys, tmp_path):
+        doc = {"kind": "channel", "in_dim": 2, "out_dim": 2, "repr": "kraus",
+               "data": [[[10**400, 0], [0, 1]]]}
+        bad = tmp_path / "big_kraus.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "channel", "order", str(bad),
+                                 fx("channel_identity2_kraus.json"))
+        assert code == 2
+        assert out == ""
+        assert "out of float range" in err
+
+    def test_integer_past_the_digit_limit_exits_two(self, capsys, tmp_path):
+        bad = tmp_path / "digits.json"
+        bad.write_text('{"kind": "state", "dims": [1], "entries": [[1' + "0" * 5000 + "]]}")
+        code, out, err = run_cli(capsys, "order", "check", str(bad), fx("state_diag_64.json"))
+        assert code == 2
+        assert out == ""
+        assert "digits.json" in err
+
     def test_non_hermitian_choi_exits_two(self, capsys, tmp_path):
         doc = json.loads(Path(fx("channel_dep_half_choi.json")).read_text())
         doc["data"][0][1] = 0.2

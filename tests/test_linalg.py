@@ -11,20 +11,26 @@ from qpe.exceptions import (
     NonHermitianInput,
 )
 from qpe.linalg import (
+    FAILS,
+    HOLDS,
+    MARGINAL,
     as_operator,
     assert_hermitian,
     fidelity,
+    hermitian_part,
     is_psd,
     matrix_power,
     operator_norm,
     partial_trace,
     partial_transpose,
+    psd_verdict,
     random_unitary,
     schatten_norm,
     spectral_power,
     tensor,
 )
-from qpe.states import Effect, random_state
+from qpe.orders import eigenvalue_shadow
+from qpe.states import DensityMatrix, Effect, kernel, kernel_cutoff, rank_of, random_state
 
 FIDELITY_DIAG_PAIR = 0.97566303550217
 
@@ -135,6 +141,88 @@ class TestPsdVerdict:
     def test_slack_is_least_eigenvalue(self, cfg):
         v = is_psd(np.diag([0.5, -0.125]), cfg)
         assert_allclose(v.slack, -0.125)
+
+
+def _descending_spectra(rng):
+    """Descending spectra of length 1-6 with signed zeros, tiny and huge
+    entries, all-negative and all-positive ones."""
+    spectra = [np.array([x]) for x in (0.0, -0.0, 0.5, -0.5, 2.0, -3.0, 1e-300)]
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        w = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 4)
+        w[rng.random(n) < 0.2] = 0.0
+        w[rng.random(n) < 0.2] = -0.0
+        if rng.random() < 0.2:
+            w = -np.abs(w)
+        spectra.append(np.sort(w)[::-1])
+    return spectra
+
+
+def _band_verdict(w, cfg):
+    """psd_verdict's band with the scale taken by a pass over |w|."""
+    lam_min = float(w[-1])
+    scale = max(1.0, float(np.abs(w).max(initial=0.0)))
+    if lam_min >= -cfg.psd_slack * scale:
+        return HOLDS
+    if lam_min < -10.0 * cfg.psd_slack * scale:
+        return FAILS
+    return MARGINAL
+
+
+class TestReadOffValuesMatchFullPasses:
+    """The per-call checks read values already at hand (the ends of a
+    descending spectrum, the entry modulus max, the adjoint once); each
+    must equal the full numpy pass it replaced, bit for bit."""
+
+    def test_psd_scale_is_the_magnitude_max(self, rng):
+        for w in _descending_spectra(rng):
+            ends = max(1.0, float(w[0]), -float(w[-1]))
+            assert ends == max(1.0, float(np.abs(w).max(initial=0.0))), w
+
+    @pytest.mark.parametrize("psd_slack", [1e-9, 1e-3, 0.05, 0.3])
+    def test_psd_verdict_matches_the_full_pass_band(self, rng, psd_slack):
+        cfg = ToleranceConfig(psd_slack=psd_slack)
+        spectra = _descending_spectra(rng)
+        # put lambda_min on and beside both band edges
+        for top in (0.5, 1.0, 3.0, 1e3):
+            for k in (1.0, 10.0):
+                edge = -k * psd_slack * max(1.0, top)
+                for lam in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, -np.inf)):
+                    spectra.append(np.array([top, 0.0, lam]))
+        for w in spectra:
+            verdict = psd_verdict(w, None, cfg)
+            assert verdict.relation == _band_verdict(w, cfg), w
+            assert np.float64(verdict.slack).tobytes() == np.float64(w[-1]).tobytes()
+
+    def test_maximum_is_clip_on_signed_zeros_and_tiny_negatives(self, rng):
+        w = np.array([0.7, 1e-300, 0.0, -0.0, -5e-324, -1e-17, -0.25])
+        assert np.maximum(w, 0.0).tobytes() == np.clip(w, 0.0, None).tobytes()
+        for w in _descending_spectra(rng):
+            assert np.maximum(w, 0.0).tobytes() == np.clip(w, 0.0, None).tobytes()
+
+    @pytest.mark.parametrize("diag", [[0.6, 0.4, 0.0, -0.0], [1.0, -1e-17, 0.0, -1e-300]])
+    def test_sqrt_and_shadow_match_clip(self, diag):
+        U = random_unitary(4, np.random.default_rng(8))
+        op = as_operator(hermitian_part((U * np.array(diag)) @ U.conj().T))
+        w, V = op._eigh
+        assert op.sqrt.tobytes() == ((V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T).tobytes()
+        rho = DensityMatrix.from_diag(np.abs(diag) / np.abs(diag).sum())
+        assert eigenvalue_shadow(rho).tobytes() == np.clip(rho.eigenvalues, 0.0, None).tobytes()
+
+    def test_hermitian_fold_is_hermitian_part(self, rng):
+        for n in (1, 2, 3, 5):
+            A = random_hermitian(n, rng) + 1e-12 * rng.standard_normal((n, n))
+            assert assert_hermitian(A).tobytes() == hermitian_part(A).tobytes()
+
+    def test_full_rank_read_off_the_last_eigenvalue(self, rng):
+        for n in (2, 3, 4, 5):
+            for rank in range(1, n + 1):
+                U = random_unitary(n, rng)
+                w = np.sort(rng.uniform(0.1, 1.0, n))[::-1]
+                w[rank:] = rng.choice([0.0, 1e-13, 1e-11], n - rank)
+                rho = DensityMatrix(hermitian_part((U * (w / w.sum())) @ U.conj().T))
+                full = rho.eigenvalues[-1] > kernel_cutoff(rho.eigenvalues)
+                assert full == (rank_of(rho) == n) == (kernel(rho).dim == 0)
 
 
 class TestMatrixPower:

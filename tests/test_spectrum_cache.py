@@ -46,6 +46,7 @@ from qpe import (
     renyi_divergence,
     schatten_norm,
     ToleranceConfig,
+    way_below_witness,
 )
 from qpe.linalg import (
     HermitianOperator,
@@ -146,6 +147,12 @@ class TestEigensolveCounts:
         order_divergence_gap(rho, sigma)
         assert count_eigensolves(lambda: order_divergence_gap(rho, sigma)) == 0
 
+    def test_kernel_obstruction_reads_the_cached_spectrum(self, rank_deficient_raw_pair):
+        rho, sigma = (DensityMatrix(M) for M in rank_deficient_raw_pair)
+        # cold: rho's eigenvectors were never asked for
+        assert count_eigensolves(lambda: way_below_witness(rho, sigma)) == 0
+        assert way_below_witness(rho, sigma).rule == "kernel-obstruction"
+
     @pytest.mark.parametrize("ordered", [True, False])
     def test_cold_pairs_op(self, ordered_raw_pair, incomparable_raw_pair, ordered):
         """The benchmark's pairs op: two builds, the gap, then the round trip
@@ -233,6 +240,13 @@ class TestChoiChannelSolves:
         phi = Channel.from_choi(J, 3, 2)
         assert count_eigensolves(lambda: phi.kraus) == 1
         assert count_eigensolves(lambda: phi.kraus) == 0
+
+    def test_repr_reads_the_choi_spectrum(self):
+        J = Channel.random(3, 2, 2, np.random.default_rng(6)).choi.matrix
+        phi = Channel.from_choi(J, 3, 2)
+        assert count_eigensolves(lambda: repr(phi)) == 0
+        assert repr(phi) == "Channel(in_dim=3, out_dim=2, choi_rank=2)"
+        assert len(phi.kraus) == 2
 
     def test_completeness_past_the_dropped_weight_bound_recovers_kraus_early(self):
         # three Choi eigenvalues -2e-9: 2 * 6e-9 is past COMPLETENESS_TOL, so

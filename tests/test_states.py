@@ -76,6 +76,22 @@ class TestNonFiniteInput:
         with pytest.raises(NonFiniteInput):
             Effect(bad)
 
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf, complex(np.inf, np.nan)])
+    def test_non_finite_cell_is_non_finite_input(self, cell):
+        bad = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
+        bad[1, 1] = cell
+        assert not np.isfinite(bad).all()
+        with pytest.raises(NonFiniteInput):
+            DensityMatrix(bad)
+
+    def test_finite_cell_with_overflowing_modulus_is_invalid_state(self):
+        # every entry is finite, so this is no NonFiniteInput, though |entry|
+        # overflows to inf; the trace check rejects it
+        bad = np.array([[complex(1.5e308, 1.5e308), 0.0], [0.0, 0.5]])
+        assert np.isfinite(bad).all() and np.abs(bad).max() == np.inf
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidState):
+            DensityMatrix(bad)
+
     def test_order_on_raw_nan_matrix_raises_instead_of_holding(self):
         # a NaN diagonal cell used to read "holds" with slack 0.0 against
         # the maximally mixed state
