@@ -21,6 +21,7 @@ from .exceptions import (
     NotBelow,
     NotCPTP,
     NotConverged,
+    OverflowingInput,
     PreconditionViolated,
     QpeError,
     SupportViolation,

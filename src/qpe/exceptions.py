@@ -25,6 +25,11 @@ class InvalidState(QpeError):
     """Density matrix or probability vector fails its defining invariants."""
 
 
+class OverflowingInput(InvalidState):
+    """A matrix has finite entries too large to compute with: an entry's
+    modulus or the Hermitian fold (A + A^H) / 2 overflows."""
+
+
 class NonpositiveScalar(QpeError):
     """A renormalization functional returned a nonpositive value."""
 

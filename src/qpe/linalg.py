@@ -6,14 +6,15 @@ states and effects are HermitianOperators. The checks, norms, powers,
 fidelity and partial trace and transpose accept a complex ndarray or a
 HermitianOperator; the norms and is_psd read an operator's cached
 spectrum, and matrix_power and fidelity solve afresh. An operator also
-keeps a one-slot memo for its last partner, which the order verdict and the
-sandwich read. Eigenvalues are always reported in descending order.
+remembers what was computed against its recent partners (up to
+PARTNER_MEMO_SIZE, oldest dropped first), which the order verdict, the
+sandwich and the support test read. Eigenvalues are always reported in
+descending order.
 Positivity checks return a tri-state verdict instead of a boolean so
 callers can surface numerically marginal cases.
 """
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,6 +28,7 @@ from .exceptions import (
     NegativeEigenvalue,
     NonFiniteInput,
     NonHermitianInput,
+    OverflowingInput,
 )
 
 HOLDS = "holds"
@@ -35,6 +37,11 @@ MARGINAL = "marginal"
 
 # relative scale for accepting a matrix as Hermitian
 HERMITIAN_RTOL = 1e-9
+# largest entry modulus whose Hermitian fold (A + A^H) / 2 cannot overflow
+FOLD_LIMIT = float(np.finfo(float).max) / 2.0
+# partners an operator remembers; the oldest-inserted is dropped past this.
+# Bounds the memo to this many sandwiches per live operator (8 MB at dim 256).
+PARTNER_MEMO_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -87,8 +94,12 @@ def hermitian_part(A: np.ndarray) -> np.ndarray:
 def assert_hermitian(A) -> np.ndarray:
     A = _square(A)
     top = float(np.abs(A).max(initial=0.0))
-    if not math.isfinite(top):
-        as_square_array(A)  # raises on a NaN or inf entry, not on an overflowing modulus
+    if not top <= FOLD_LIMIT:  # also NaN
+        as_square_array(A)  # raises on a NaN or inf entry
+        raise OverflowingInput(
+            f"matrix entry modulus {top:.3e} exceeds {FOLD_LIMIT:.3e}, "
+            "past which the Hermitian fold overflows"
+        )
     adjoint = A.conj().T
     dev = float(np.abs(A - adjoint).max(initial=0.0))
     scale = max(1.0, top)
@@ -143,7 +154,8 @@ class HermitianOperator:
     owns it. The descending eigenvalues come from one eigvalsh here; the
     eigenvectors, sqrt, inv_sqrt and power from one eigh on first use.
 
-    Each operator also remembers what was computed against its last partner
+    Each operator also remembers what was computed against its recent
+    partners, up to PARTNER_MEMO_SIZE of them with the oldest dropped first
     (see _remember), so a pair asked twice is decided once.
     """
 
@@ -157,7 +169,7 @@ class HermitianOperator:
         self._matrix = H
         self._eigenvalues = w
         self._inv_sqrt: tuple[float, np.ndarray] | None = None
-        self._partner: tuple[weakref.ref, dict] | None = None
+        self._partners: dict[int, tuple[weakref.ref, dict]] = {}
 
     @property
     def matrix(self) -> np.ndarray:
@@ -206,25 +218,31 @@ class HermitianOperator:
         return self._inv_sqrt[1]
 
     def _remember(self, partner: HermitianOperator, key, compute):
-        """compute(), remembered under key for the last partner only.
+        """compute(), remembered under key for one of the recent partners.
 
-        The partner is held by weakref and matched by identity, so an
-        equal-valued copy does not read this pair's entries and a chain of
-        comparisons does not keep old states alive. key must name every
-        input of compute other than the pair itself (the cfg fields it reads),
-        and compute must not return None.
+        Up to PARTNER_MEMO_SIZE partners are remembered; a new one past that
+        drops the oldest-inserted. A partner is held by weakref and matched
+        by identity, so an equal-valued copy does not read this pair's
+        entries and a chain of comparisons does not keep old states alive.
+        key must name every input of compute other than the pair itself (the
+        cfg fields it reads), and compute must not return None.
         """
-        slot = self._partner
+        partners, ident = self._partners, id(partner)
+        slot = partners.get(ident)
         if slot is None or slot[0]() is not partner:
-            slot = self._partner = (weakref.ref(partner), {})
+            if slot is not None:
+                del partners[ident]  # a dead partner's reused id: drop its entries
+            elif len(partners) >= PARTNER_MEMO_SIZE:
+                del partners[next(iter(partners))]
+            slot = partners[ident] = (weakref.ref(partner), {})
         value = slot[1].get(key)
         if value is None:
             value = slot[1][key] = compute()
         return value
 
     def __getstate__(self):
-        # a copy or pickle starts with no partner: a weakref cannot be pickled
-        return {**self.__dict__, "_partner": None}
+        # a copy or pickle starts with no partners: a weakref cannot be pickled
+        return {**self.__dict__, "_partners": {}}
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim}, top={self._eigenvalues[0]:.6g})"

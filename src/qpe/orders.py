@@ -104,9 +104,9 @@ def _order_verdict(M: np.ndarray, cfg: ToleranceConfig) -> OrderVerdict:
 def qpe_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
     """Positive-evidence order: sigma+ rho - rho+ sigma PSD.
 
-    The verdict is remembered on rho for its last sigma and psd_slack (the
-    one cfg field it reads), so it is shared between calls and its witness
-    is read-only.
+    The verdict is remembered on rho for sigma (one of rho's recent partners)
+    and psd_slack (the one cfg field it reads), so it is shared between
+    calls and its witness is read-only.
     """
     r, s = _operands(rho, sigma)
 

@@ -130,7 +130,8 @@ def sandwich(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> HermitianOper
     """rho^-1/2 sigma rho^-1/2, the generalized inverse vanishing off rho's support.
 
     Reconstruction, the max-divergence and the measurement bound all read it.
-    It is remembered on rho for its last sigma and rank_cutoff.
+    It is remembered on rho for sigma (one of rho's recent partners) and
+    rank_cutoff.
     """
     def build():
         X = rho.inv_sqrt(cfg)

@@ -112,6 +112,30 @@ class TestExitCodes:
         assert out == ""
         assert "NaN or infinite" in err
 
+    @pytest.mark.parametrize("entries", [
+        [[0.5, [1.5e308, 1.5e308]], [[1.5e308, -1.5e308], 0.5]],
+        [[1.5e308, 0.0], [0.0, 0.5]],
+    ])
+    def test_overflowing_cell_exits_two(self, capsys, tmp_path, entries):
+        # finite cells whose modulus or Hermitian fold overflows: the state
+        # used to load with spectrum [nan, nan] and the order read marginal
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps({"kind": "state", "dims": [2], "entries": entries}))
+        for pair in ((str(bad), fx("state_diag_64.json")), (fx("state_diag_64.json"), str(bad))):
+            code, out, err = run_cli(capsys, "order", "check", *pair)
+            assert code == 2
+            assert out == ""
+            assert "Hermitian fold overflows" in err
+
+    def test_overflowing_effect_exits_two(self, capsys, tmp_path):
+        bad = tmp_path / "huge_effect.json"
+        bad.write_text(json.dumps({"kind": "effect", "dims": [2],
+                                   "entries": [[1.5e308, 0.0], [0.0, 0.5]]}))
+        code, out, err = run_cli(capsys, "bayes", "update", fx("state_diag_64.json"), str(bad))
+        assert code == 2
+        assert out == ""
+        assert "Hermitian fold overflows" in err
+
     @pytest.mark.parametrize("doc", [
         {"kind": "state", "dims": [2], "entries": [[True, False], [False, False]]},
         {"kind": "probvec", "dims": [2], "probs": [True, False]},

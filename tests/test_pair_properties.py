@@ -1,12 +1,14 @@
 """Property tests on state pairs at dims 2-5, drawn by hypothesis.
 
-A state remembers its order verdict and sandwich for its last partner, so
-the pair queries must give the cold results in any order of calls and
-either orientation. The order verdict and the order-divergence gap must
-not move under a unitary conjugation of both states. The gap is (to rounding)
-nonnegative and vanishes exactly when the order holds, and an ordered pair
-survives the reconstruct-then-update round trip, also on near-boundary
-pairs reached by evidence whose second eigenvalue is close to 1.
+A state remembers its order verdict and sandwich for its recent partners
+(up to 8, oldest dropped first), so the pair queries must give the cold
+results in any order of calls, either orientation and any mix of partners,
+also once a pool of more than 8 states makes old partners drop out. The
+order verdict and the order-divergence gap must not move under a unitary
+conjugation of both states. The gap is (to rounding) nonnegative and
+vanishes exactly when the order holds, and an ordered pair survives the
+reconstruct-then-update round trip, also on near-boundary pairs reached by
+evidence whose second eigenvalue is close to 1.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from qpe import (
     random_state,
     reconstruct_effect,
 )
-from qpe.linalg import random_unitary
+from qpe.linalg import PARTNER_MEMO_SIZE, random_unitary
 
 INVARIANCE_TOL = 1e-9
 # the gap is a difference of two logs of O(1) numbers: it sits at 0 to rounding
@@ -118,6 +120,40 @@ def test_any_interleaving_gives_the_cold_results(pair, sequence):
         order = slice(None, None, -1 if flipped else 1)
         cold = QUERIES[name](*(DensityMatrix(R), DensityMatrix(S))[order])
         assert QUERIES[name](*warm[order]) == cold, name
+
+
+@st.composite
+def pools(draw):
+    """Raw matrices of more than PARTNER_MEMO_SIZE states of one dim: random
+    ones, some rank-deficient, and agreeing updates of earlier members, so
+    the pool holds ordered and incomparable pairs."""
+    n = draw(st.integers(2, 5))
+    size = draw(st.integers(PARTNER_MEMO_SIZE + 1, PARTNER_MEMO_SIZE + 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = []
+    while len(pool) < size:
+        if pool and rng.random() < 0.5:
+            prior = pool[rng.integers(len(pool))]
+            pool.append(fls_update(prior, random_agreeing_effect(prior, rng)))
+        else:
+            pool.append(random_state(n, rank=int(rng.integers(1, n + 1)), rng=rng))
+    return [state.matrix.copy() for state in pool]
+
+
+@settings(PROPERTY_SETTINGS, max_examples=12)
+@given(raw=pools(), seed=st.integers(0, 2**32 - 1))
+def test_pool_queries_past_the_partner_cap_give_the_cold_results(raw, seed):
+    rng = np.random.default_rng(seed)
+    names = sorted(QUERIES)
+    pool = [DensityMatrix(M) for M in raw]
+    for _ in range(6 * PARTNER_MEMO_SIZE):
+        # the first operand is mostly state 0, which so meets more partners
+        # than it remembers and drops the oldest, and meets some of them again
+        i = 0 if rng.random() < 0.7 else int(rng.integers(len(raw)))
+        j = int(rng.integers(len(raw)))
+        name = names[rng.integers(len(names))]
+        cold = QUERIES[name](DensityMatrix(raw[i]), DensityMatrix(raw[j]))
+        assert QUERIES[name](pool[i], pool[j]) == cold, (name, i, j)
 
 
 @PROPERTY_SETTINGS

@@ -49,6 +49,7 @@ from qpe import (
     way_below_witness,
 )
 from qpe.linalg import (
+    PARTNER_MEMO_SIZE,
     HermitianOperator,
     OrderVerdict,
     assert_hermitian,
@@ -408,8 +409,9 @@ PAIR_QUERIES = {
 
 
 class TestPartnerMemo:
-    """A state remembers its order verdict and sandwich for its last partner;
-    a memo hit is the cold result, bit for bit."""
+    """A state remembers its order verdict and sandwich for its recent
+    partners (up to 8, oldest dropped first, so at most 8 sandwiches per
+    live state); a memo hit is the cold result, bit for bit."""
 
     @pytest.mark.parametrize("pair", MEMO_PAIRS)
     def test_hits_equal_cold_calls(self, request, pair):
@@ -482,6 +484,7 @@ class TestPartnerMemo:
         verdict = qpe_leq(rho, sigma)
         max_divergence(sigma, rho)
         twin = duplicate(rho)
+        assert len(rho._partners) == 1 and twin._partners == {}
         assert twin.matrix.tobytes() == rho.matrix.tobytes()
         assert _bits(qpe_leq(twin, sigma)) == _bits(verdict)
 
@@ -502,3 +505,78 @@ class TestPartnerMemo:
         gc.collect()
         assert [ref() for ref in refs] == [None] * 49
         assert qpe_leq(newest, newest).holds
+
+    @staticmethod
+    def _prior_and_partners(k, seed=21):
+        """A warm dim-4 prior and k agreeing updates of it, each above it."""
+        rng = np.random.default_rng(seed)
+        R = random_state(4, rng=rng).matrix.copy()
+        base = DensityMatrix(R)
+        partners = [fls_update(base, random_agreeing_effect(base, rng)) for _ in range(k)]
+        rho = DensityMatrix(R)
+        rho.inv_sqrt()  # rho's own solves, so each pair below costs only its own
+        return R, rho, partners
+
+    @staticmethod
+    def _queries(rho, sigma):
+        """The pair queries remembered on rho: the results and their solves."""
+        results = []
+
+        def run():
+            results.extend([qpe_leq(rho, sigma), max_divergence(sigma, rho),
+                            order_divergence_gap(rho, sigma), reconstruct_effect(rho, sigma)])
+
+        return count_eigensolves(run), results
+
+    @pytest.mark.parametrize("k", [2, PARTNER_MEMO_SIZE])
+    def test_round_robin_within_the_cap_is_solved_once(self, k):
+        _, rho, partners = self._prior_and_partners(k)
+        first = [self._queries(rho, sigma) for sigma in partners]
+        assert all(solves > 0 for solves, _ in first)
+        again = [self._queries(rho, sigma) for sigma in partners]
+        assert [solves for solves, _ in again] == [0] * k
+        for (_, cold), (_, warm) in zip(first, again):
+            assert warm[0] is cold[0]
+            assert [_bits(x) for x in warm] == [_bits(x) for x in cold]
+
+    def test_partner_past_the_cap_drops_the_oldest(self):
+        R, rho, partners = self._prior_and_partners(PARTNER_MEMO_SIZE + 2)
+        *partners, newcomer = partners
+        first = [self._queries(rho, sigma) for sigma in partners]
+        cold_solves = [solves for solves, _ in first]
+        assert len(rho._partners) == PARTNER_MEMO_SIZE and min(cold_solves) > 0
+
+        def solves(sigma):
+            return self._queries(rho, sigma)[0]
+
+        assert solves(partners[-1]) == 0
+        solves_back, results = self._queries(rho, partners[0])
+        assert solves_back == cold_solves[0]
+        assert results[0] is not first[0][1][0]
+        fresh = self._queries(DensityMatrix(R), DensityMatrix(partners[0].matrix.copy()))[1]
+        assert [_bits(x) for x in results] == [_bits(x) for x in fresh]
+        # taking the oldest back in dropped the next oldest, and nothing else
+        assert solves(partners[1]) == cold_solves[1]
+        assert [solves(sigma) for sigma in partners[3:]] == [0] * (PARTNER_MEMO_SIZE - 2)
+        # a hit does not make a partner younger: partners[3], read just now,
+        # is still the oldest inserted and goes when the newcomer comes in
+        solves(newcomer)
+        assert solves(partners[0]) == 0
+        assert solves(partners[3]) == cold_solves[3]
+
+    def test_long_lived_prior_keeps_no_transient_partner(self):
+        rng = np.random.default_rng(22)
+        prior = random_state(3, rng=rng)
+        refs = []
+        for _ in range(1000):
+            transient = random_state(3, rng=rng)
+            # a dead partner's id is soon reused, and must not read its entries
+            cold = qpe_leq(DensityMatrix(prior.matrix.copy()), transient)
+            assert _bits(qpe_leq(prior, transient)) == _bits(cold)
+            max_divergence(transient, prior)
+            assert len(prior._partners) <= PARTNER_MEMO_SIZE
+            refs.append(weakref.ref(transient))
+        del transient
+        gc.collect()
+        assert len(prior._partners) == PARTNER_MEMO_SIZE
+        assert [ref() for ref in refs] == [None] * 1000

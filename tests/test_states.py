@@ -12,7 +12,9 @@ from qpe.exceptions import (
     InvalidState,
     NonFiniteInput,
     NonHermitianInput,
+    OverflowingInput,
 )
+from qpe.linalg import FOLD_LIMIT, assert_hermitian
 from qpe.orders import as_probability_vector
 from qpe.states import (
     bottom_eigenspace_nonzero,
@@ -24,6 +26,9 @@ from qpe.states import (
     top_eigenspace,
     top_eigenvalue,
 )
+
+# finite, but its modulus is past the float range
+OVERFLOW_CELL = 1.5e308 * (1 + 1j)
 
 
 class TestDensityMatrixValidation:
@@ -91,6 +96,23 @@ class TestNonFiniteInput:
         assert np.isfinite(bad).all() and np.abs(bad).max() == np.inf
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidState):
             DensityMatrix(bad)
+
+    @pytest.mark.parametrize("build", [
+        lambda: DensityMatrix([[0.5, OVERFLOW_CELL], [np.conj(OVERFLOW_CELL), 0.5]]),
+        lambda: Effect(np.diag([1.5e308, 0.5])),
+        lambda: qpe_leq(np.diag([1.5e308, 0.5]), DensityMatrix.maximally_mixed(2)),
+    ])
+    def test_entries_whose_fold_overflows_are_rejected(self, build):
+        # used to build with spectrum [nan, nan], and the order read marginal
+        with pytest.raises(OverflowingInput, match="Hermitian fold overflows"):
+            build()
+
+    def test_entries_below_the_fold_limit_reach_the_state_checks(self):
+        cell = 0.5 * FOLD_LIMIT
+        with pytest.raises(InvalidState) as info:
+            DensityMatrix([[0.5, cell], [cell, 0.5]])
+        assert type(info.value) is InvalidState
+        assert assert_hermitian(np.diag([FOLD_LIMIT, 0.5]))[0, 0] == FOLD_LIMIT
 
     def test_order_on_raw_nan_matrix_raises_instead_of_holding(self):
         # a NaN diagonal cell used to read "holds" with slack 0.0 against
