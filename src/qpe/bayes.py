@@ -19,6 +19,7 @@ from .config import DEFAULT_CONFIG, ToleranceConfig
 from .exceptions import (
     BadParameter,
     DimensionMismatch,
+    NonFiniteInput,
     NotBelow,
     PreconditionViolated,
     SupportViolation,
@@ -42,6 +43,8 @@ def classical_update(x, p) -> np.ndarray:
     pv = np.asarray(p, dtype=float).reshape(-1)
     if pv.size != xv.size:
         raise DimensionMismatch("prior and evidence differ in length")
+    if not np.isfinite(pv).all():
+        raise NonFiniteInput("evidence vector has a NaN or infinite entry")
     if pv.min() < -1e-12 or pv.max() > 1.0 + 1e-12:
         raise BadParameter("evidence entries must lie in [0, 1]")
     pv = np.clip(pv, 0.0, 1.0)

@@ -47,14 +47,22 @@ def max_divergence(sigma: DensityMatrix, rho: DensityMatrix,
                    cfg: ToleranceConfig = DEFAULT_CONFIG) -> DivergenceValue:
     """D_inf(sigma || rho) = log || rho^-1/2 sigma rho^-1/2 ||.
 
-    Infinite when sigma has weight outside rho's support.
+    Infinite when sigma has weight outside rho's support. The value is
+    remembered on rho for sigma (one of rho's recent partners) and
+    rank_cutoff and log_base (the cfg fields it reads), so a pair asked
+    again gets the same object back; channel_max_divergence and
+    renyi_divergence at alpha = inf come through here and share it.
     """
     if sigma.dim != rho.dim:
         raise DimensionMismatch("state dimensions differ")
-    if _support_escapes(sigma, rho, cfg):
-        return DivergenceValue(np.inf, np.inf, cfg.log_base, support_violation=True)
-    return DivergenceValue(float(cfg.log(sandwich(rho, sigma, cfg).norm)),
-                           np.inf, cfg.log_base)
+
+    def compute():
+        if _support_escapes(sigma, rho, cfg):
+            return DivergenceValue(np.inf, np.inf, cfg.log_base, support_violation=True)
+        return DivergenceValue(float(cfg.log(sandwich(rho, sigma, cfg).norm)),
+                               np.inf, cfg.log_base)
+
+    return rho._remember(sigma, ("max_divergence", cfg.rank_cutoff, cfg.log_base), compute)
 
 
 def renyi_divergence(sigma: DensityMatrix, rho: DensityMatrix, alpha: float,

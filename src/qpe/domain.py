@@ -57,9 +57,19 @@ def way_below_witness(rho: DensityMatrix, sigma: DensityMatrix,
     recognizing rho as a strict mixture of sigma with the maximally mixed
     state. A semi-decision: unknown means no route applied, not that the
     relation fails.
+
+    The witness is remembered on rho for sigma (one of rho's recent
+    partners) and psd_slack and rank_cutoff (the cfg fields it reads), so
+    a pair asked again gets the same object back.
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatch("state dimensions differ")
+    return rho._remember(sigma, ("way_below", cfg.psd_slack, cfg.rank_cutoff),
+                         lambda: _way_below(rho, sigma, cfg))
+
+
+def _way_below(rho: DensityMatrix, sigma: DensityMatrix,
+               cfg: ToleranceConfig) -> WayBelowWitness:
     n = rho.dim
     if rank_of(rho, cfg) < n:
         return WayBelowWitness(

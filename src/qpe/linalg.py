@@ -7,9 +7,11 @@ fidelity and partial trace and transpose accept a complex ndarray or a
 HermitianOperator; the norms and is_psd read an operator's cached
 spectrum, and matrix_power and fidelity solve afresh. An operator also
 remembers what was computed against its recent partners (up to
-PARTNER_MEMO_SIZE, oldest dropped first), which the order verdict, the
-sandwich and the support test read. Eigenvalues are always reported in
-descending order.
+PARTNER_MEMO_SIZE, oldest dropped first): the order verdict (keyed on
+psd_slack), the sandwich and the support test (rank_cutoff), the
+max-divergence (rank_cutoff, log_base) and the way-below witness
+(psd_slack, rank_cutoff). Eigenvalues are always reported in descending
+order.
 Positivity checks return a tri-state verdict instead of a boolean so
 callers can surface numerically marginal cases.
 """
@@ -224,8 +226,19 @@ class HermitianOperator:
         drops the oldest-inserted. A partner is held by weakref and matched
         by identity, so an equal-valued copy does not read this pair's
         entries and a chain of comparisons does not keep old states alive.
-        key must name every input of compute other than the pair itself (the
-        cfg fields it reads), and compute must not return None.
+        key is a tuple: a tag naming the query, then every input of compute
+        other than the pair itself (the cfg fields it reads); compute must
+        not return None. The entries, by tag, with the cfg fields keyed:
+
+            qpe_leq          psd_slack                 orders.qpe_leq
+            sandwich         rank_cutoff               states.sandwich
+            support_escapes  rank_cutoff               divergence._support_escapes
+            max_divergence   rank_cutoff, log_base     divergence.max_divergence
+            way_below        psd_slack, rank_cutoff    domain.way_below_witness
+
+        The last two nest: each one's compute asks entries listed above it
+        for the same pair, and those calls find the slot it opened, so they
+        cannot drop it.
         """
         partners, ident = self._partners, id(partner)
         slot = partners.get(ident)

@@ -18,6 +18,7 @@ from qpe.bayes import (
 )
 from qpe.exceptions import (
     BadParameter,
+    NonFiniteInput,
     NotBelow,
     PreconditionViolated,
     SupportViolation,
@@ -45,6 +46,12 @@ class TestClassicalUpdate:
     def test_rejects_evidence_outside_unit_interval(self):
         with pytest.raises(BadParameter):
             classical_update(PRIOR, [1.2, 0.5, 0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_evidence(self, bad):
+        # NaN passes both range comparisons and would give a NaN posterior
+        with pytest.raises(NonFiniteInput):
+            classical_update([0.5, 0.5], [bad, 1.0])
 
     def test_zero_overlap_evidence(self):
         with pytest.raises(ZeroEvidence):

@@ -1,16 +1,19 @@
 """Property tests on state pairs at dims 2-5, drawn by hypothesis.
 
-A state remembers its order verdict and sandwich for its recent partners
-(up to 8, oldest dropped first), so the pair queries must give the cold
-results in any order of calls, either orientation and any mix of partners,
-also once a pool of more than 8 states makes old partners drop out. The
-order verdict and the order-divergence gap must not move under a unitary
-conjugation of both states. The gap is (to rounding) nonnegative and
-vanishes exactly when the order holds, and an ordered pair survives the
-reconstruct-then-update round trip, also on near-boundary pairs reached by
-evidence whose second eigenvalue is close to 1.
+A state remembers its order verdict, sandwich, max-divergence and way-below
+witness for its recent partners (up to 8, oldest dropped first), so the
+pair queries must give the cold results in any order of calls, either
+orientation and any mix of partners, also once a pool of more than 8
+states makes old partners drop out. The order verdict and the
+order-divergence gap must not move under a unitary conjugation of both
+states. The gap is (to rounding) nonnegative and vanishes exactly when the
+order holds, and an ordered pair survives the reconstruct-then-update round
+trip, also on near-boundary pairs reached by evidence whose second
+eigenvalue is close to 1.
 """
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from qpe import (
     random_agreeing_effect,
     random_state,
     reconstruct_effect,
+    way_below_witness,
 )
 from qpe.linalg import PARTNER_MEMO_SIZE, random_unitary
 
@@ -95,6 +99,12 @@ def _round_trip(rho, sigma):
         return type(exc).__name__
 
 
+def _fields(result):
+    """Every field of a divergence or way-below witness, floats as bytes."""
+    return tuple(np.float64(v).tobytes() if isinstance(v, float) else v
+                 for v in dataclasses.astuple(result))
+
+
 def _gap(rho, sigma):
     gap, verdict = order_divergence_gap(rho, sigma)
     return np.float64(gap).tobytes(), _bits(verdict)
@@ -102,9 +112,10 @@ def _gap(rho, sigma):
 
 QUERIES = {
     "qpe_leq": lambda rho, sigma: _bits(qpe_leq(rho, sigma)),
-    "max_divergence": lambda rho, sigma: np.float64(max_divergence(sigma, rho).value).tobytes(),
+    "max_divergence": lambda rho, sigma: _fields(max_divergence(sigma, rho)),
     "order_divergence_gap": _gap,
     "reconstruct_effect": _round_trip,
+    "way_below_witness": lambda rho, sigma: _fields(way_below_witness(rho, sigma)),
 }
 
 calls = st.lists(st.tuples(st.sampled_from(sorted(QUERIES)), st.booleans()),

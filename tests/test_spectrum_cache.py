@@ -2,7 +2,9 @@
 
 The eigensolve counts are pinned by wrapping numpy's Hermitian eigensolvers.
 The partner-memo tests check that a remembered order verdict, sandwich,
-divergence or reconstructed effect is the cold result bit for bit.
+divergence, way-below witness or reconstructed effect is the cold result
+bit for bit, also when the pair is asked again under a ToleranceConfig
+with one field moved.
 The differential tests recompute every quantity that reads a state's cached
 spectrum (sandwich, generalized powers, kernel) from the raw matrices
 through matrix_power, which solves afresh on each call.
@@ -10,6 +12,7 @@ through matrix_power, which solves afresh on each call.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import gc
 import json
 import pickle
@@ -28,6 +31,7 @@ from qpe import (
     Effect,
     InvalidState,
     NotBelow,
+    channel_max_divergence,
     channel_qpe_leq,
     f_renormalized_leq,
     fls_update,
@@ -48,6 +52,9 @@ from qpe import (
     ToleranceConfig,
     way_below_witness,
 )
+from qpe.config import DEFAULT_CONFIG
+from qpe.divergence import _support_escapes
+from qpe.domain import CERTIFIED_BELOW, NOT_BELOW, UNKNOWN, depolarize
 from qpe.linalg import (
     PARTNER_MEMO_SIZE,
     HermitianOperator,
@@ -387,8 +394,10 @@ def _bits(x):
         return tuple(_bits(v) for v in x)
     if isinstance(x, HermitianOperator):
         return x.matrix.tobytes()
-    if hasattr(x, "value"):
-        return np.float64(x.value).tobytes()
+    if dataclasses.is_dataclass(x):
+        # a divergence or a way-below witness: every field, floats as bytes
+        return tuple(np.float64(v).tobytes() if isinstance(v, float) else v
+                     for v in dataclasses.astuple(x))
     return np.float64(x).tobytes()
 
 
@@ -409,9 +418,10 @@ PAIR_QUERIES = {
 
 
 class TestPartnerMemo:
-    """A state remembers its order verdict and sandwich for its recent
-    partners (up to 8, oldest dropped first, so at most 8 sandwiches per
-    live state); a memo hit is the cold result, bit for bit."""
+    """A state remembers its order verdict, sandwich, support test,
+    max-divergence and way-below witness for its recent partners (up to 8,
+    oldest dropped first, so at most 8 sandwiches per live state); a memo
+    hit is the cold result, bit for bit."""
 
     @pytest.mark.parametrize("pair", MEMO_PAIRS)
     def test_hits_equal_cold_calls(self, request, pair):
@@ -427,6 +437,24 @@ class TestPartnerMemo:
         first = qpe_leq(rho, sigma)
         assert count_eigensolves(lambda: qpe_leq(rho, sigma)) == 0
         assert qpe_leq(rho, sigma) is first
+
+    def test_warm_divergences_and_witness_are_the_cold_objects(self):
+        rng = np.random.default_rng(8)
+        sigma = random_state(3, rng=rng)
+        rho = depolarize(sigma, 0.4)
+        phi = Channel.random(2, 2, 2, rng)
+        psi = Channel.from_choi(0.6 * phi.choi.matrix + 0.4 * np.eye(4) / 4, 2, 2)
+        queries = [lambda: max_divergence(sigma, rho),
+                   lambda: renyi_divergence(sigma, rho, np.inf),
+                   lambda: way_below_witness(rho, sigma),
+                   lambda: channel_max_divergence(phi, psi)]
+        cold = [query() for query in queries]
+        # alpha = inf is the max-divergence and shares its entry
+        assert cold[1] is cold[0]
+        assert cold[2].certified and np.isfinite(cold[3].value)
+        for query, first in zip(queries, cold):
+            assert count_eigensolves(query) == 0
+            assert query() is first
 
     def test_other_psd_slack_recomputes(self, incomparable_raw_pair):
         R, S = incomparable_raw_pair
@@ -506,6 +534,10 @@ class TestPartnerMemo:
         assert [ref() for ref in refs] == [None] * 49
         assert qpe_leq(newest, newest).holds
 
+    # the _queries results a hit returns as the same object: the verdict,
+    # the max-divergence and the way-below witness
+    SHARED = (0, 1, 4)
+
     @staticmethod
     def _prior_and_partners(k, seed=21):
         """A warm dim-4 prior and k agreeing updates of it, each above it."""
@@ -519,12 +551,14 @@ class TestPartnerMemo:
 
     @staticmethod
     def _queries(rho, sigma):
-        """The pair queries remembered on rho: the results and their solves."""
+        """The pair queries remembered on rho: the results and their solves.
+        Results 0, 1 and 4 are remembered whole (see SHARED)."""
         results = []
 
         def run():
             results.extend([qpe_leq(rho, sigma), max_divergence(sigma, rho),
-                            order_divergence_gap(rho, sigma), reconstruct_effect(rho, sigma)])
+                            order_divergence_gap(rho, sigma), reconstruct_effect(rho, sigma),
+                            way_below_witness(rho, sigma)])
 
         return count_eigensolves(run), results
 
@@ -536,7 +570,7 @@ class TestPartnerMemo:
         again = [self._queries(rho, sigma) for sigma in partners]
         assert [solves for solves, _ in again] == [0] * k
         for (_, cold), (_, warm) in zip(first, again):
-            assert warm[0] is cold[0]
+            assert all(warm[i] is cold[i] for i in self.SHARED)
             assert [_bits(x) for x in warm] == [_bits(x) for x in cold]
 
     def test_partner_past_the_cap_drops_the_oldest(self):
@@ -552,7 +586,8 @@ class TestPartnerMemo:
         assert solves(partners[-1]) == 0
         solves_back, results = self._queries(rho, partners[0])
         assert solves_back == cold_solves[0]
-        assert results[0] is not first[0][1][0]
+        # the oldest partner's entries were dropped and are rebuilt
+        assert not any(results[i] is first[0][1][i] for i in self.SHARED)
         fresh = self._queries(DensityMatrix(R), DensityMatrix(partners[0].matrix.copy()))[1]
         assert [_bits(x) for x in results] == [_bits(x) for x in fresh]
         # taking the oldest back in dropped the next oldest, and nothing else
@@ -580,3 +615,86 @@ class TestPartnerMemo:
         gc.collect()
         assert len(prior._partners) == PARTNER_MEMO_SIZE
         assert [ref() for ref in refs] == [None] * 1000
+
+
+# the five remembered entries, each called as (rho, sigma, cfg) with the
+# entry remembered on rho for sigma
+REMEMBERED = {
+    "qpe_leq": qpe_leq,
+    "sandwich": sandwich,
+    "support_escapes": lambda rho, sigma, cfg: _support_escapes(sigma, rho, cfg),
+    "max_divergence": lambda rho, sigma, cfg: max_divergence(sigma, rho, cfg),
+    "way_below": way_below_witness,
+}
+# the ToleranceConfig fields each entry reads, which its key must name
+READS = {
+    "qpe_leq": {"psd_slack"},
+    "sandwich": {"rank_cutoff"},
+    "support_escapes": {"rank_cutoff"},
+    "max_divergence": {"rank_cutoff", "log_base"},
+    "way_below": {"psd_slack", "rank_cutoff"},
+}
+# each field moved on its own, far enough to change an entry that reads it
+ONE_FIELD_MOVED = {
+    "psd_slack": ToleranceConfig(psd_slack=0.5),
+    "cluster_width": ToleranceConfig(cluster_width=0.5),
+    "rank_cutoff": ToleranceConfig(rank_cutoff=1e-9),
+    "log_base": ToleranceConfig(log_base="two"),
+}
+
+
+@pytest.fixture(scope="module")
+def key_pairs():
+    """Raw dim-4 (prior, partner) matrices: way-below certified, not_below
+    and unknown pairs, and priors of full rank, of rank 3, and with an
+    eigenvalue at 1e-10, which counts as kernel only at rank_cutoff 1e-9."""
+    rng = np.random.default_rng(31)
+    U = random_unitary(4, rng)
+
+    def on_u(w):
+        return (U * np.array(w)) @ U.conj().T
+
+    top = random_state(4, rng=rng).matrix.copy()
+    while True:
+        a, b = random_state(4, rng=rng), random_state(4, rng=rng)
+        if qpe_leq(a, b).slack < -1e-3:
+            break
+    v = np.linalg.eigh(top)[1][:, -1]
+    return {
+        "mixture_with_bottom": (0.6 * top + 0.1 * np.eye(4), top),
+        "incomparable": (a.matrix.copy(), b.matrix.copy()),
+        "ordered": (top, 0.6 * top + 0.4 * np.outer(v, v.conj())),
+        "near_kernel": (on_u([0.6, 0.3, 0.1 - 1e-10, 1e-10]), b.matrix.copy()),
+        # the partner lives on the prior's 1e-10 direction, not on its kernel
+        "rank_deficient": (on_u([0.6, 0.4 - 1e-10, 1e-10, 0.0]), on_u([0.3, 0.3, 0.4, 0.0])),
+    }
+
+
+class TestMemoKeys:
+    """A warm pair asked under a ToleranceConfig with one field moved gives
+    the cold result under that cfg: every remembered entry keys on each field
+    it reads. A key that left a field out would hand back the entry computed
+    under the default cfg, which differs from the cold result on some pair."""
+
+    def test_pairs_span_the_way_below_verdicts_and_prior_ranks(self, key_pairs):
+        witnesses = [way_below_witness(DensityMatrix(R), DensityMatrix(S))
+                     for R, S in key_pairs.values()]
+        assert {w.verdict for w in witnesses} == {CERTIFIED_BELOW, NOT_BELOW, UNKNOWN}
+        # a kernel obstruction needs a rank-deficient prior, an order violation a full-rank one
+        assert {w.rule for w in witnesses} >= {"kernel-obstruction", "order-violation"}
+
+    @pytest.mark.parametrize("field", sorted(ONE_FIELD_MOVED))
+    @pytest.mark.parametrize("entry", sorted(REMEMBERED))
+    def test_warm_entry_under_a_moved_field_is_the_cold_result(self, key_pairs, entry, field):
+        query, cfg = REMEMBERED[entry], ONE_FIELD_MOVED[field]
+        moved = []
+        for name, (R, S) in key_pairs.items():
+            rho, sigma = DensityMatrix(R), DensityMatrix(S)
+            warm = {e: _bits(q(rho, sigma, DEFAULT_CONFIG)) for e, q in REMEMBERED.items()}
+            cold = _bits(query(DensityMatrix(R), DensityMatrix(S), cfg))
+            assert _bits(query(rho, sigma, cfg)) == cold, name
+            if cold != warm[entry]:
+                moved.append(name)
+        # the moved field changes the entry on some pair exactly when the
+        # entry reads it, so the assertion above can fail for a short key
+        assert bool(moved) == (field in READS[entry]), moved
