@@ -27,7 +27,7 @@ from .exceptions import (
     ZeroProbability,
 )
 from .linalg import hermitian_part, matrix_power, operator_norm
-from .orders import as_probability_vector, classical_pe_leq, qpe_leq
+from .orders import _probability_pair, as_probability_vector, classical_pe_leq, qpe_leq
 from .states import (
     DensityMatrix,
     Effect,
@@ -61,8 +61,7 @@ def classical_solve_evidence(x, y, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.
     Normalized so the maximum (attained where y peaks, which the order forces
     onto a peak of x) is exactly 1.
     """
-    xv = as_probability_vector(x)
-    yv = as_probability_vector(y)
+    xv, yv = _probability_pair(x, y)
     verdict = classical_pe_leq(xv, yv, cfg)
     if not verdict.holds:
         raise NotBelow(f"prior is not below target ({verdict.relation})")
@@ -81,30 +80,28 @@ def classical_solve_evidence(x, y, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.
     return p
 
 
-def fls_update(rho: DensityMatrix, effect: Effect,
-               cfg: ToleranceConfig = DEFAULT_CONFIG) -> DensityMatrix:
-    """State-sandwich update rho^1/2 E rho^1/2 / tr(E rho)."""
-    if rho.dim != effect.dim:
+def _conditioned(outer, inner, cfg: ToleranceConfig) -> DensityMatrix:
+    """outer^1/2 inner outer^1/2 / tr(E rho), the state and effect either way round."""
+    if outer.dim != inner.dim:
         raise DimensionMismatch("state and effect dimensions differ")
-    sq = rho.sqrt
-    out = sq @ effect.matrix @ sq
+    sq = outer.sqrt
+    out = sq @ inner.matrix @ sq
     prob = float(out.trace().real)
     if prob <= cfg.rank_cutoff:
         raise ZeroProbability(f"tr(E rho) = {prob:.3e}")
     return DensityMatrix(out / prob, cfg)
+
+
+def fls_update(rho: DensityMatrix, effect: Effect,
+               cfg: ToleranceConfig = DEFAULT_CONFIG) -> DensityMatrix:
+    """State-sandwich update rho^1/2 E rho^1/2 / tr(E rho)."""
+    return _conditioned(rho, effect, cfg)
 
 
 def sequential_update(rho: DensityMatrix, effect: Effect,
                       cfg: ToleranceConfig = DEFAULT_CONFIG) -> DensityMatrix:
     """Effect-sandwich update E^1/2 rho E^1/2 / tr(E rho)."""
-    if rho.dim != effect.dim:
-        raise DimensionMismatch("state and effect dimensions differ")
-    sq = effect.sqrt
-    out = sq @ rho.matrix @ sq
-    prob = float(out.trace().real)
-    if prob <= cfg.rank_cutoff:
-        raise ZeroProbability(f"tr(E rho) = {prob:.3e}")
-    return DensityMatrix(out / prob, cfg)
+    return _conditioned(effect, rho, cfg)
 
 
 def reconstruct_effect(rho: DensityMatrix, sigma: DensityMatrix,

@@ -21,7 +21,7 @@ from .exceptions import (
     NonHermitianInput,
     NotCPTP,
 )
-from .linalg import OrderVerdict, assert_hermitian, partial_trace, partial_transpose
+from .linalg import OrderVerdict, assert_hermitian, kernel_cutoff, partial_trace, partial_transpose
 from .orders import qpe_leq
 from .states import DensityMatrix, rank_of, top_eigenvalue
 from .divergence import DivergenceValue, max_divergence
@@ -69,6 +69,8 @@ class Channel:
         if not ops:
             raise NotCPTP("empty Kraus family")
         k, n = ops[0].shape
+        if k == 0 or n == 0:
+            raise DimensionMismatch(f"Kraus operators of shape {(k, n)} act on no space")
         if any(K.shape != (k, n) for K in ops):
             raise DimensionMismatch("Kraus operators have mixed shapes")
         if in_dim is not None and in_dim != n:
@@ -112,17 +114,17 @@ class Channel:
         # the recovery drops the eigenvalues at or below rank_cutoff, which
         # moves its completeness sum by at most n times their weight; past
         # that bound, recover the family and measure it
-        dropped = n * float(np.abs(w[w <= cfg.rank_cutoff * max(w[0], 1e-300)]).sum())
+        dropped = n * float(np.abs(w[w <= kernel_cutoff(w, cfg)]).sum())
         if defect + dropped > COMPLETENESS_TOL:
             _check_complete(channel.kraus, n)
         return channel
 
     @cached_property
     def kraus(self) -> list[np.ndarray]:
-        """sqrt(n mu) times each Choi eigenvector above rank_cutoff, as k x n, ascending."""
+        """sqrt(n mu) times each Choi eigenvector above kernel_cutoff, as k x n, ascending."""
         n, k = self.in_dim, self.out_dim
         w, V = self.choi._eigh
-        cut = self.cfg.rank_cutoff * max(w[0], 1e-300)
+        cut = kernel_cutoff(w, self.cfg)
         return [np.sqrt(n * mu) * v.reshape(n, k).T
                 for mu, v in zip(w[::-1], V.T[::-1]) if mu > cut]
 
@@ -148,6 +150,8 @@ class Channel:
     def random(cls, in_dim: int, out_dim: int, kraus_rank: int,
                rng=None, cfg: ToleranceConfig = DEFAULT_CONFIG) -> "Channel":
         """Haar-style random channel from an isometry into out x rank."""
+        if in_dim < 1 or out_dim < 1:
+            raise BadParameter(f"channel dims must be positive, got {in_dim} -> {out_dim}")
         if kraus_rank < 1:
             raise BadParameter("kraus_rank must be at least 1")
         if out_dim * kraus_rank < in_dim:
@@ -275,25 +279,6 @@ def entanglement_fidelity(channel: Channel,
     return value, DensityMatrix.pure(w, cfg)
 
 
-def _factor_swap_perm(n1: int, k1: int, n2: int, k2: int) -> np.ndarray:
-    """Index map from (n1 k1)(n2 k2) ordering to (n1 n2)(k1 k2) ordering."""
-    dst = np.empty(n1 * k1 * n2 * k2, dtype=int)
-    src = 0
-    for i1 in range(n1):
-        for j1 in range(k1):
-            for i2 in range(n2):
-                for j2 in range(k2):
-                    dst[src] = ((i1 * n2 + i2) * k1 + j1) * k2 + j2
-                    src += 1
-    return dst
-
-
-def _permute_both(X: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    inv = np.empty_like(dst)
-    inv[dst] = np.arange(dst.size)
-    return X[np.ix_(inv, inv)]
-
-
 def jamiolkowski_properties_check(
     phi1: Channel,
     phi2: Channel,
@@ -329,8 +314,10 @@ def jamiolkowski_properties_check(
     out["rank_match"] = float(abs(rank_of(phi1.choi, cfg) - len(rebuilt.kraus)))
 
     big = channel_tensor(phi1, phi2, cfg).choi.matrix
-    dst = _factor_swap_perm(n, k, phi2.in_dim, phi2.out_dim)
-    glued = _permute_both(np.kron(J1, phi2.choi.matrix), dst)
+    # kron orders both indices as (n1 k1)(n2 k2); the tensor channel's Choi
+    # matrix as (n1 n2)(k1 k2)
+    glued = np.kron(J1, phi2.choi.matrix).reshape((n, k, phi2.in_dim, phi2.out_dim) * 2)
+    glued = glued.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(big.shape)
     out["tensor_permute"] = float(np.abs(big - glued).max())
 
     mixed = channel_mix(phi1, mix_with, t, cfg).choi.matrix

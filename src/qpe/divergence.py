@@ -14,9 +14,9 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .exceptions import BadAlpha, DimensionMismatch
-from .linalg import OrderVerdict, hermitian_part, operator_norm
-from .orders import as_probability_vector, qpe_leq
-from .states import DensityMatrix, Effect, kernel, kernel_cutoff, sandwich, top_eigenvalue
+from .linalg import OrderVerdict, hermitian_part, kernel_cutoff, operator_norm
+from .orders import _probability_pair, qpe_leq
+from .states import DensityMatrix, Effect, kernel, sandwich, top_eigenvalue
 
 
 @dataclass(frozen=True)
@@ -112,21 +112,14 @@ def _support_escapes(sigma, rho, cfg) -> bool:
     w = rho.eigenvalues
     if w[-1] > kernel_cutoff(w, cfg):  # full rank
         return False
-
-    def escapes():
-        K = kernel(rho, cfg).basis
-        mass = float(operator_norm(K.conj().T @ sigma.matrix @ K))
-        return mass > cfg.rank_cutoff * max(top_eigenvalue(sigma), 1e-300)
-
-    return rho._remember(sigma, ("support_escapes", cfg.rank_cutoff), escapes)
+    K = kernel(rho, cfg).basis
+    mass = operator_norm(K.conj().T @ sigma.matrix @ K)
+    return mass > kernel_cutoff(sigma.eigenvalues, cfg)
 
 
 def classical_max_divergence(x, y, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
     """Max-divergence of probability vectors: log max_i x_i / y_i."""
-    xv = as_probability_vector(x)
-    yv = as_probability_vector(y)
-    if xv.size != yv.size:
-        raise DimensionMismatch("vectors differ in length")
+    xv, yv = _probability_pair(x, y)
     cutoff = cfg.rank_cutoff
     if np.any((xv > cutoff) & (yv <= cutoff)):
         return np.inf

@@ -5,13 +5,13 @@ a validated matrix, solves it once and caches the result, and the package's
 states and effects are HermitianOperators. The checks, norms, powers,
 fidelity and partial trace and transpose accept a complex ndarray or a
 HermitianOperator; the norms and is_psd read an operator's cached
-spectrum, and matrix_power and fidelity solve afresh. An operator also
+spectrum, matrix_power and fidelity solve afresh, and kernel_cutoff is the
+package's one rule for which eigenvalues count as zero. An operator also
 remembers what was computed against its recent partners (up to
 PARTNER_MEMO_SIZE, oldest dropped first): the order verdict (keyed on
-psd_slack), the sandwich and the support test (rank_cutoff), the
-max-divergence (rank_cutoff, log_base) and the way-below witness
-(psd_slack, rank_cutoff). Eigenvalues are always reported in descending
-order.
+psd_slack), the sandwich (rank_cutoff), the max-divergence (rank_cutoff,
+log_base) and the way-below witness (psd_slack, rank_cutoff). Eigenvalues
+are always reported in descending order.
 Positivity checks return a tri-state verdict instead of a boolean so
 callers can surface numerically marginal cases.
 """
@@ -135,15 +135,18 @@ def psd_verdict(w, H, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
     return OrderVerdict(MARGINAL, lam_min)
 
 
+def kernel_cutoff(w: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
+    """Eigenvalues of the descending spectrum w at or below this are kernel."""
+    return cfg.rank_cutoff * max(abs(float(w[0])), 1e-300)
+
+
 def spectral_power(w, V, p, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
     """V diag(w)^p V^dagger for a descending PSD spectrum (w, V).
 
-    Eigenvalues at or below rank_cutoff * lambda_max count as kernel and map
-    to zero for every p, so negative powers are generalized inverses.
+    Eigenvalues at or below kernel_cutoff(w) (none of an empty w) count as
+    kernel and map to zero for every p, so negative powers are generalized inverses.
     """
-    lam_max = float(w[0]) if w.size else 0.0
-    cutoff = cfg.rank_cutoff * max(lam_max, 0.0)
-    live = w > cutoff
+    live = w > (kernel_cutoff(w, cfg) if w.size else 0.0)
     out = np.zeros_like(w)
     out[live] = w[live] ** p
     return (V * out) @ V.conj().T
@@ -154,7 +157,8 @@ class HermitianOperator:
 
     Takes an exactly Hermitian matrix (as returned by assert_hermitian) and
     owns it. The descending eigenvalues come from one eigvalsh here; the
-    eigenvectors, sqrt, inv_sqrt and power from one eigh on first use.
+    eigenvectors and sqrt from one eigh on first use, from which power and
+    inv_sqrt are formed afresh on each call.
 
     Each operator also remembers what was computed against its recent
     partners, up to PARTNER_MEMO_SIZE of them with the oldest dropped first
@@ -170,7 +174,6 @@ class HermitianOperator:
         H.setflags(write=False)
         self._matrix = H
         self._eigenvalues = w
-        self._inv_sqrt: tuple[float, np.ndarray] | None = None
         self._partners: dict[int, tuple[weakref.ref, dict]] = {}
 
     @property
@@ -190,7 +193,7 @@ class HermitianOperator:
     def norm(self) -> float:
         """Operator norm, the largest eigenvalue magnitude."""
         w = self._eigenvalues
-        return max(float(w[0]), -float(w[-1]))
+        return max(abs(float(w[0])), abs(float(w[-1])))
 
     @cached_property
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
@@ -214,10 +217,8 @@ class HermitianOperator:
         return spectral_power(*self._eigh, p, cfg)
 
     def inv_sqrt(self, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
-        """Generalized inverse square root, cached for the last rank_cutoff."""
-        if self._inv_sqrt is None or self._inv_sqrt[0] != cfg.rank_cutoff:
-            self._inv_sqrt = (cfg.rank_cutoff, self.power(-0.5, cfg))
-        return self._inv_sqrt[1]
+        """Generalized inverse square root."""
+        return self.power(-0.5, cfg)
 
     def _remember(self, partner: HermitianOperator, key, compute):
         """compute(), remembered under key for one of the recent partners.
@@ -232,13 +233,12 @@ class HermitianOperator:
 
             qpe_leq          psd_slack                 orders.qpe_leq
             sandwich         rank_cutoff               states.sandwich
-            support_escapes  rank_cutoff               divergence._support_escapes
             max_divergence   rank_cutoff, log_base     divergence.max_divergence
             way_below        psd_slack, rank_cutoff    domain.way_below_witness
 
-        The last two nest: each one's compute asks entries listed above it
-        for the same pair, and those calls find the slot it opened, so they
-        cannot drop it.
+        The last two nest: max_divergence asks for the sandwich and way_below
+        for the verdict of the same pair, and those calls find the slot the
+        outer one opened, so they cannot drop it.
         """
         partners, ident = self._partners, id(partner)
         slot = partners.get(ident)
@@ -270,16 +270,17 @@ def as_operator(x) -> HermitianOperator:
 
 def operator_norm(A) -> float:
     """Largest eigenvalue magnitude of a Hermitian matrix (0 for an empty one)."""
-    return float(np.abs(as_operator(A).eigenvalues).max(initial=0.0))
+    op = as_operator(A)
+    return op.norm if op.dim else 0.0
 
 
 def schatten_norm(A, p) -> float:
     """Schatten p-norm via the eigenvalue magnitudes, p in [1, inf]."""
-    if p != np.inf and p < 1:
+    if not p >= 1:  # also NaN
         raise BadParameter(f"Schatten norm needs p >= 1, got {p}")
-    mags = np.abs(as_operator(A).eigenvalues)
     if p == np.inf:
-        return float(mags.max(initial=0.0))
+        return operator_norm(A)
+    mags = np.abs(as_operator(A).eigenvalues)
     return float(np.sum(mags**p) ** (1.0 / p))
 
 
@@ -292,8 +293,8 @@ def is_psd(A, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
 def matrix_power(A, p, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Spectral power A^p of a PSD matrix.
 
-    Negative powers are generalized inverses: eigenvalues below
-    rank_cutoff * lambda_max map to zero. Slightly negative eigenvalues
+    Negative powers are generalized inverses: eigenvalues at or below
+    kernel_cutoff map to zero. Slightly negative eigenvalues
     (within the PSD slack) are clamped to zero; anything worse raises
     NegativeEigenvalue.
     """

@@ -15,7 +15,7 @@ import numpy as np
 
 from .channels import Channel
 from .config import DEFAULT_CONFIG, ToleranceConfig
-from .exceptions import DegenerateDraw, DimensionMismatch
+from .exceptions import BadParameter, DegenerateDraw, DimensionMismatch
 from .linalg import FAILS, HOLDS, MARGINAL, OrderVerdict, is_psd
 from .orders import majorizes, qpe_leq
 from .states import DensityMatrix, top_eigenvalue
@@ -140,6 +140,8 @@ def partial_trace_counterexample(n: int = 2, t: float = 0.5, seed: int = 9,
     state whose marginal moves away from the bottom witnesses that the
     partial trace is not monotone.
     """
+    if n < 2:
+        raise BadParameter(f"the partial-trace instance needs subsystem dimension >= 2, got {n}")
     rng = np.random.default_rng(seed)
     m = np.eye(n).reshape(-1) / np.sqrt(n)
     P = np.outer(m, m.conj())

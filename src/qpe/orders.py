@@ -36,6 +36,9 @@ __all__ = [
     "majorizes",
 ]
 
+# largest entrywise projector gap at which two subspaces still coincide
+SUBSPACE_ATOL = 1e-8
+
 
 def as_probability_vector(x) -> np.ndarray:
     """Validate and normalize a probability vector.
@@ -60,16 +63,21 @@ def as_probability_vector(x) -> np.ndarray:
     return v / total
 
 
+def _probability_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Both vectors through as_probability_vector, checked to be of one length."""
+    xv, yv = as_probability_vector(x), as_probability_vector(y)
+    if xv.size != yv.size:
+        raise DimensionMismatch("probability vectors differ in length")
+    return xv, yv
+
+
 def classical_pe_leq(x, y, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
     """x below y iff y_i / y+ <= x_i / x+ for every component.
 
     Computed as the cross-multiplied margin min_i (x_i y+ - y_i x+), which
     doubles as the verdict slack.
     """
-    xv = as_probability_vector(x)
-    yv = as_probability_vector(y)
-    if xv.size != yv.size:
-        raise DimensionMismatch("probability vectors differ in length")
+    xv, yv = _probability_pair(x, y)
     margins = xv * yv.max() - yv * xv.max()
     # every margin lies in [-1, 1], so the band's scale max(1, ||.||) is 1
     verdict = psd_verdict(np.sort(margins)[::-1], None, cfg)
@@ -147,18 +155,18 @@ def lev_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
     return OrderVerdict(FAILS, -1.0)
 
 
-def subspace_equal(A: np.ndarray, B: np.ndarray, atol: float = 1e-8) -> bool:
+def subspace_equal(A: np.ndarray, B: np.ndarray) -> bool:
     if A.shape[1] != B.shape[1]:
         return False
     PA = A @ A.conj().T
     PB = B @ B.conj().T
-    return bool(np.abs(PA - PB).max(initial=0.0) <= atol)
+    return bool(np.abs(PA - PB).max(initial=0.0) <= SUBSPACE_ATOL)
 
 
-def _contained_in(A: np.ndarray, B: np.ndarray, atol: float = 1e-8) -> bool:
+def _contained_in(A: np.ndarray, B: np.ndarray) -> bool:
     """Whether span(A) is a subspace of span(B)."""
     PB = B @ B.conj().T
-    return bool(np.abs(PB @ A - A).max(initial=0.0) <= atol)
+    return bool(np.abs(PB @ A - A).max(initial=0.0) <= SUBSPACE_ATOL)
 
 
 def primed_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
@@ -193,10 +201,7 @@ def f_renormalized_leq(rho, sigma, f, cfg: ToleranceConfig = DEFAULT_CONFIG) -> 
 
 def majorizes(x, y, atol: float = 1e-12) -> bool:
     """Whether x majorizes y: descending prefix sums of x dominate y's."""
-    xv = as_probability_vector(x)
-    yv = as_probability_vector(y)
-    if xv.size != yv.size:
-        raise DimensionMismatch("probability vectors differ in length")
+    xv, yv = _probability_pair(x, y)
     cx = np.cumsum(np.sort(xv)[::-1])
     cy = np.cumsum(np.sort(yv)[::-1])
     return bool(np.all(cx >= cy - atol))

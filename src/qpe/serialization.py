@@ -18,6 +18,9 @@ from .exceptions import InputFormatError
 from .orders import as_probability_vector
 from .states import DensityMatrix, Effect
 
+# largest off-diagonal entry of a state read as a probability vector
+OFF_DIAGONAL_TOL = 1e-10
+
 
 def _is_number(x) -> bool:
     """A JSON number; true/false parse to bool, which Python counts as int."""
@@ -180,23 +183,18 @@ def load_effect(path: str, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Effect:
     return decode_effect(read_json(path), cfg)
 
 
-def load_probvec(path: str) -> np.ndarray:
-    return decode_probvec(read_json(path))
-
-
 def load_channel(path: str, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Channel:
     return decode_channel(read_json(path), cfg)
 
 
-def load_distribution(path: str, cfg: ToleranceConfig = DEFAULT_CONFIG,
-                      off_diagonal_tol: float = 1e-10) -> np.ndarray:
+def load_distribution(path: str, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Probability vector from either a probvec or a diagonal state."""
     obj = read_json(path)
     if isinstance(obj, dict) and (obj.get("kind") == "probvec" or "probs" in obj):
         return decode_probvec(obj)
     rho = decode_state(obj, cfg)
     off = rho.matrix - np.diag(np.diag(rho.matrix))
-    if np.abs(off).max() > off_diagonal_tol:
+    if np.abs(off).max() > OFF_DIAGONAL_TOL:
         raise InputFormatError("classical relations need a probability vector "
                                "or a diagonal state")
     return as_probability_vector(np.diag(rho.matrix).real)

@@ -19,6 +19,7 @@ from .linalg import (
     as_operator,
     assert_hermitian,
     hermitian_part,
+    kernel_cutoff,
     psd_verdict,
 )
 
@@ -157,13 +158,8 @@ def top_eigenspace(rho, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Eigenspace:
     return Eigenspace(op.eigenvectors[:, :stop].copy(), float(w[0]))
 
 
-def kernel_cutoff(w: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
-    """Eigenvalues of the descending spectrum w at or below this are kernel."""
-    return cfg.rank_cutoff * max(abs(float(w[0])), 1e-300)
-
-
 def kernel(rho, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Eigenspace:
-    """Eigenspace of eigenvalues below rank_cutoff * lambda_max."""
+    """Eigenspace of the eigenvalues at or below kernel_cutoff."""
     op = as_operator(rho)
     w = op.eigenvalues
     mask = w <= kernel_cutoff(w, cfg)

@@ -58,6 +58,11 @@ class TestChannelValidation:
         with pytest.raises(DimensionMismatch):
             Channel([np.eye(2), np.eye(3)])
 
+    @pytest.mark.parametrize("shape", [(2, 0), (0, 2), (0, 0)])
+    def test_zero_dimension_kraus_rejected(self, shape):
+        with pytest.raises(DimensionMismatch):
+            Channel([np.zeros(shape)])
+
     def test_nonpositive_choi_rejected(self):
         J = IDENTITY_CHOI_2.copy()
         J[1, 1] = 0.2
@@ -134,6 +139,11 @@ class TestChannelValidation:
     def test_random_channel_needs_room_for_an_isometry(self, rng):
         with pytest.raises(BadParameter):
             Channel.random(4, 1, 2, rng)
+
+    @pytest.mark.parametrize("dims", [(0, 2), (2, 0), (-1, 2)])
+    def test_random_channel_needs_positive_dims(self, rng, dims):
+        with pytest.raises(BadParameter):
+            Channel.random(*dims, 1, rng)
 
 
 class TestRepresentationAgreement:

@@ -381,6 +381,22 @@ class TestChannelCommands:
         assert payload["optimal_input"] is not None
 
 
+class TestInvalidArguments:
+    @pytest.mark.parametrize("argv", [
+        ("demo", "partial-trace", "--dim", "0"),
+        ("demo", "partial-trace", "--dim", "-1"),
+        ("demo", "partial-trace", "--dim", "1"),
+        ("demo", "counterexamples", "--dim", "0"),
+        ("random", "channel", "--in-dim", "0", "--out-dim", "2"),
+        ("random", "channel", "--in-dim", "-1", "--out-dim", "2"),
+        ("random", "channel", "--in-dim", "2", "--out-dim", "0"),
+    ])
+    def test_bad_dimension_is_invalid_input(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
+
 class TestDemoCommands:
     def test_counterexamples_payload(self, capsys):
         code, payload = run_json(capsys, "demo", "counterexamples")

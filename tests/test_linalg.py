@@ -119,6 +119,18 @@ class TestNorms:
         with pytest.raises(BadParameter):
             schatten_norm(np.eye(2), 0.5)
 
+    def test_schatten_rejects_nan_order(self):
+        with pytest.raises(BadParameter):
+            schatten_norm(np.eye(2), np.nan)
+
+    def test_norms_of_the_empty_matrix_are_zero(self):
+        empty = np.zeros((0, 0))
+        assert operator_norm(empty) == 0.0
+        assert schatten_norm(empty, np.inf) == 0.0
+
+    def test_operator_norm_of_the_zero_matrix_is_positive_zero(self):
+        assert np.copysign(1.0, operator_norm(np.zeros((3, 3)))) == 1.0
+
 
 class TestPsdVerdict:
     def test_psd_holds(self, cfg, rng):
@@ -260,6 +272,11 @@ class TestMatrixPower:
     def test_rejects_indefinite_input(self, cfg):
         with pytest.raises(NegativeEigenvalue):
             matrix_power(np.diag([1.0, -0.5]), 0.5, cfg)
+
+    @pytest.mark.parametrize("p", [0.5, -0.5])
+    def test_power_of_the_empty_matrix_is_empty(self, cfg, p):
+        out = as_operator(np.zeros((0, 0))).power(p, cfg)
+        assert out.shape == (0, 0) and out.dtype == complex
 
 
 class TestBipartite:

@@ -1,6 +1,6 @@
 """Pins the shape of every partner-memo key in src/qpe.
 
-HermitianOperator._remember keeps one table per operator for five kinds of
+HermitianOperator._remember keeps one table per operator for four kinds of
 pair result. Each call site's key must be a tuple literal whose first
 element is a string tag no other site uses, followed only by
 cfg.<field> for real ToleranceConfig fields: a reused tag would hand one
@@ -56,7 +56,7 @@ def test_memo_keys_are_tagged_tuples_of_cfg_fields():
     found = []
     for path in sorted(SRC.glob("*.py")):
         found += _keys(path.read_text(), path.stem)
-    assert len(found) == 5
+    assert len(found) == 4
     assert _problems(found) == []
 
 

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qpe.channels import Channel, channel_mix, channel_qpe_leq
-from qpe.exceptions import DimensionMismatch
+from qpe.exceptions import BadParameter, DimensionMismatch
 from qpe.oracle import (
     ENTROPY_UP_THE_ORDER,
     ORDER_NOT_MAJORIZATION,
@@ -160,6 +160,11 @@ class TestPartialTraceCounterexample:
         assert report.order_verdict.slack >= -1e-12
         assert report.marginal_deviation > 0.01
         assert_allclose(np.trace(report.marginal_rho).real, 1.0, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_needs_a_bipartite_space(self, n):
+        with pytest.raises(BadParameter):
+            partial_trace_counterexample(n=n)
 
     def test_target_marginal_is_the_bottom(self):
         report = partial_trace_counterexample(n=2, seed=0)

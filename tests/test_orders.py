@@ -5,6 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qpe import DensityMatrix
+from qpe.bayes import classical_solve_evidence
+from qpe.divergence import classical_max_divergence
 from qpe.exceptions import BadParameter, DimensionMismatch, InvalidState
 from qpe.linalg import is_psd, random_unitary
 from qpe.orders import (
@@ -71,6 +73,12 @@ class TestClassicalOrder:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             classical_pe_leq([0.5, 0.5], [0.5, 0.3, 0.2])
+
+    @pytest.mark.parametrize("relation", [
+        majorizes, classical_max_divergence, classical_solve_evidence])
+    def test_every_classical_relation_checks_the_lengths(self, relation):
+        with pytest.raises(DimensionMismatch, match="probability vectors differ in length"):
+            relation([0.5, 0.5], [0.5, 0.3, 0.2])
 
 
 class TestQpeOrderLaws:
@@ -229,6 +237,11 @@ class TestRenormalizedOrders:
         rho = random_state(2, rng=rng)
         with pytest.raises(BadParameter):
             f_renormalized_leq(rho, rho, "trace")
+
+    def test_nan_schatten_order_rejected(self, rng):
+        rho = random_state(2, rng=rng)
+        with pytest.raises(BadParameter):
+            f_renormalized_leq(rho, rho, ("schatten", np.nan, 1))
 
 
 def _near_pair():

@@ -53,7 +53,6 @@ from qpe import (
     way_below_witness,
 )
 from qpe.config import DEFAULT_CONFIG
-from qpe.divergence import _support_escapes
 from qpe.domain import CERTIFIED_BELOW, NOT_BELOW, UNKNOWN, depolarize
 from qpe.linalg import (
     PARTNER_MEMO_SIZE,
@@ -418,8 +417,8 @@ PAIR_QUERIES = {
 
 
 class TestPartnerMemo:
-    """A state remembers its order verdict, sandwich, support test,
-    max-divergence and way-below witness for its recent partners (up to 8,
+    """A state remembers its order verdict, sandwich, max-divergence and
+    way-below witness for its recent partners (up to 8,
     oldest dropped first, so at most 8 sandwiches per live state); a memo
     hit is the cold result, bit for bit."""
 
@@ -617,12 +616,11 @@ class TestPartnerMemo:
         assert [ref() for ref in refs] == [None] * 1000
 
 
-# the five remembered entries, each called as (rho, sigma, cfg) with the
+# the four remembered entries, each called as (rho, sigma, cfg) with the
 # entry remembered on rho for sigma
 REMEMBERED = {
     "qpe_leq": qpe_leq,
     "sandwich": sandwich,
-    "support_escapes": lambda rho, sigma, cfg: _support_escapes(sigma, rho, cfg),
     "max_divergence": lambda rho, sigma, cfg: max_divergence(sigma, rho, cfg),
     "way_below": way_below_witness,
 }
@@ -630,7 +628,6 @@ REMEMBERED = {
 READS = {
     "qpe_leq": {"psd_slack"},
     "sandwich": {"rank_cutoff"},
-    "support_escapes": {"rank_cutoff"},
     "max_divergence": {"rank_cutoff", "log_base"},
     "way_below": {"psd_slack", "rank_cutoff"},
 }
