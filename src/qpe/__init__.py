@@ -119,6 +119,7 @@ from .oracle import (
     diagonal_order_oracle,
     partial_trace_counterexample,
     psd_probe,
+    qpe_order_oracle,
     shannon_entropy,
 )
 

@@ -63,17 +63,15 @@ def classical_solve_evidence(x, y, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.
     """
     xv, yv = _probability_pair(x, y)
     verdict = classical_pe_leq(xv, yv, cfg)
-    if not verdict.holds:
-        raise NotBelow(f"prior is not below target ({verdict.relation})")
-    cutoff = cfg.rank_cutoff
-    bad = (xv <= cutoff) & (yv > cutoff)
-    if np.any(bad):
+    if verdict.slack == -np.inf:
         raise SupportViolation(
-            f"target has weight at index {int(np.flatnonzero(bad)[0])} "
+            f"target has weight at index {int(verdict.witness.argmax())} "
             "outside the prior's support"
         )
+    if not verdict.holds:
+        raise NotBelow(f"prior is not below target ({verdict.relation})")
     p = np.zeros_like(xv)
-    live = xv > cutoff
+    live = xv > cfg.rank_cutoff
     p[live] = (yv[live] / xv[live]) * (xv.max() / yv.max())
     p = np.clip(p, 0.0, 1.0)
     p[int(yv.argmax())] = 1.0
@@ -237,8 +235,11 @@ def sequential_transitivity_demo(
     equation, so failing the agreeing condition certifies that no single
     agreeing effect reproduces the chain. Dimension 2 provably always
     composes (a shared top eigenvector forces a common eigenbasis), so qubit
-    searches report NotFound.
+    searches report NotFound. A budget below 1 or a dim below 2 samples
+    nothing and is rejected with BadParameter.
     """
+    if budget < 1 or dim < 2:
+        raise BadParameter(f"need budget >= 1 and dim >= 2, got budget={budget}, dim={dim}")
     rng = np.random.default_rng(seed)
     best_overlap = 1.0
     for trial in range(budget):

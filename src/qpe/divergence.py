@@ -14,9 +14,9 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .exceptions import BadAlpha, DimensionMismatch
-from .linalg import OrderVerdict, hermitian_part, kernel_cutoff, operator_norm
+from .linalg import OrderVerdict, hermitian_part, operator_norm
 from .orders import _probability_pair, qpe_leq
-from .states import DensityMatrix, Effect, kernel, sandwich, top_eigenvalue
+from .states import DensityMatrix, Effect, escape_direction, kernel, sandwich, top_eigenvalue
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ def max_divergence(sigma: DensityMatrix, rho: DensityMatrix,
         raise DimensionMismatch("state dimensions differ")
 
     def compute():
-        if _support_escapes(sigma, rho, cfg):
+        if escape_direction(rho, sigma, cfg) is not None:
             return DivergenceValue(np.inf, np.inf, cfg.log_base, support_violation=True)
         return DivergenceValue(float(cfg.log(sandwich(rho, sigma, cfg).norm)),
                                np.inf, cfg.log_base)
@@ -78,7 +78,7 @@ def renyi_divergence(sigma: DensityMatrix, rho: DensityMatrix, alpha: float,
         raise DimensionMismatch("state dimensions differ")
     if np.isinf(alpha):
         return max_divergence(sigma, rho, cfg)
-    escapes = _support_escapes(sigma, rho, cfg)
+    escapes = escape_direction(rho, sigma, cfg) is not None
     if alpha >= 1 and escapes:
         return DivergenceValue(np.inf, alpha, cfg.log_base, support_violation=True)
     if alpha == 1:
@@ -106,15 +106,6 @@ def _umegaki(sigma, rho, cfg):
     log_r = np.where(w_r > 0, cfg.log(np.where(w_r > 0, w_r, 1.0)), 0.0)
     cross = (w_s[:, None] * overlap * log_r[None, :]).sum()
     return DivergenceValue(float(ent - cross), 1.0, cfg.log_base)
-
-
-def _support_escapes(sigma, rho, cfg) -> bool:
-    w = rho.eigenvalues
-    if w[-1] > kernel_cutoff(w, cfg):  # full rank
-        return False
-    K = kernel(rho, cfg).basis
-    mass = operator_norm(K.conj().T @ sigma.matrix @ K)
-    return mass > kernel_cutoff(sigma.eigenvalues, cfg)
 
 
 def classical_max_divergence(x, y, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
@@ -193,7 +184,11 @@ def order_divergence_gap(rho: DensityMatrix, sigma: DensityMatrix,
     Nonnegative up to rounding, and zero to rounding exactly when rho is
     below sigma. The value is not clamped: an ordered pair's gap can read
     slightly negative (down to -3.7e-14 over 20,000 sampled dim 2-5 pairs;
-    the property tests allow -1e-12).
+    the property tests allow -1e-12). Both halves read the one remembered
+    sandwich S: the gap is log(rho+ lambda_max(S) / sigma+) and the
+    verdict's slack is 1 - rho+ lambda_max(S) / sigma+, so they agree by
+    construction, except where qpe_leq's rounding fallback decides the
+    verdict; oracle.qpe_order_oracle is the independent check.
     """
     div = max_divergence(sigma, rho, cfg)
     ratio = float(cfg.log(top_eigenvalue(sigma)) - cfg.log(top_eigenvalue(rho)))

@@ -9,11 +9,12 @@ spectrum, matrix_power and fidelity solve afresh, and kernel_cutoff is the
 package's one rule for which eigenvalues count as zero. An operator also
 remembers what was computed against its recent partners (up to
 PARTNER_MEMO_SIZE, oldest dropped first): the order verdict (keyed on
-psd_slack), the sandwich (rank_cutoff), the max-divergence (rank_cutoff,
-log_base) and the way-below witness (psd_slack, rank_cutoff). Eigenvalues
-are always reported in descending order.
+psd_slack, rank_cutoff), the sandwich (rank_cutoff), the max-divergence
+(rank_cutoff, log_base) and the way-below witness (psd_slack,
+rank_cutoff). Eigenvalues are always reported in descending order.
 Positivity checks return a tri-state verdict instead of a boolean so
-callers can surface numerically marginal cases.
+callers can surface numerically marginal cases; relation_of is the one
+holds/marginal/fails band.
 """
 from __future__ import annotations
 
@@ -50,9 +51,11 @@ PARTNER_MEMO_SIZE = 8
 class OrderVerdict:
     """Tri-state outcome of a positivity or order test.
 
-    slack is the smallest eigenvalue of the tested matrix (or the analogous
-    componentwise margin for classical vectors). witness is a unit vector
-    certifying the violation and is present exactly when the relation fails.
+    slack is the smallest eigenvalue of the tested matrix, except for
+    qpe_leq and classical_pe_leq, whose slack is the dimensionless
+    1 - rho+ lambda_max(rho^-1/2 sigma rho^-1/2) / sigma+ (-inf when sigma
+    escapes rho's support). witness is a unit vector certifying the
+    violation and is present exactly when the relation fails.
     """
 
     relation: str
@@ -76,8 +79,8 @@ def _square(A) -> np.ndarray:
     if isinstance(A, HermitianOperator):
         return A.matrix
     A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.shape[0]:
+        raise DimensionMismatch(f"expected a nonempty square matrix, got shape {A.shape}")
     return A
 
 
@@ -113,26 +116,37 @@ def assert_hermitian(A) -> np.ndarray:
     return (A + adjoint) / 2.0  # hermitian_part(A)
 
 
+def relation_of(slack: float, top: float, cfg: ToleranceConfig = DEFAULT_CONFIG) -> str:
+    """The holds/marginal/fails band, for a least eigenvalue slack of a
+    matrix whose largest eigenvalue is top (so ||.|| is max(top, -slack)).
+
+    holds    if slack >= -psd_slack * max(1, ||.||)
+    fails    if slack < -10 * psd_slack * max(1, ||.||)
+    marginal in between
+
+    A scalar slack passes itself as top: its scale is max(1, |slack|).
+    """
+    scale = max(1.0, top, -slack)
+    if slack >= -cfg.psd_slack * scale:
+        return HOLDS
+    if slack < -10.0 * cfg.psd_slack * scale:
+        return FAILS
+    return MARGINAL
+
+
 def psd_verdict(w, H, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
     """Tri-state positive-semidefiniteness verdict from a descending spectrum.
 
     w is the spectrum of the Hermitian matrix H, and it must be in descending
-    order: ||H|| is read off its two ends as max(w[0], -w[-1]). H is only
-    read to find the witness of a fails verdict; a caller that raises on
-    fails may pass None.
-
-    holds    if lambda_min >= -psd_slack * max(1, ||H||)
-    fails    if lambda_min < -10 * psd_slack * max(1, ||H||)
-    marginal in between
+    order: the band (relation_of) reads its two ends. H is only read to find
+    the witness of a fails verdict; a caller that raises on fails may pass
+    None.
     """
     lam_min = float(w[-1])
-    scale = max(1.0, float(w[0]), -lam_min)
-    if lam_min >= -cfg.psd_slack * scale:
-        return OrderVerdict(HOLDS, lam_min)
-    if lam_min < -10.0 * cfg.psd_slack * scale:
-        witness = None if H is None else np.linalg.eigh(H)[1][:, 0].copy()
-        return OrderVerdict(FAILS, lam_min, witness=witness)
-    return OrderVerdict(MARGINAL, lam_min)
+    relation = relation_of(lam_min, float(w[0]), cfg)
+    if relation == FAILS and H is not None:
+        return OrderVerdict(FAILS, lam_min, witness=np.linalg.eigh(H)[1][:, 0].copy())
+    return OrderVerdict(relation, lam_min)
 
 
 def kernel_cutoff(w: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
@@ -140,16 +154,22 @@ def kernel_cutoff(w: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float
     return cfg.rank_cutoff * max(abs(float(w[0])), 1e-300)
 
 
-def spectral_power(w, V, p, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """V diag(w)^p V^dagger for a descending PSD spectrum (w, V).
-
-    Eigenvalues at or below kernel_cutoff(w) (none of an empty w) count as
-    kernel and map to zero for every p, so negative powers are generalized inverses.
-    """
-    live = w > (kernel_cutoff(w, cfg) if w.size else 0.0)
+def _spectral_factor(w, p, cfg: ToleranceConfig) -> np.ndarray:
+    """w^p for a descending PSD spectrum w, with the eigenvalues at or below
+    kernel_cutoff(w) mapped to zero for every p (generalized inverses)."""
+    cutoff = kernel_cutoff(w, cfg)
+    if w[-1] > cutoff:  # full rank: no mask to apply
+        return w ** p
+    live = w > cutoff
     out = np.zeros_like(w)
     out[live] = w[live] ** p
-    return (V * out) @ V.conj().T
+    return out
+
+
+def spectral_power(w, V, p, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """V diag(w)^p V^dagger for a descending PSD spectrum (w, V), with
+    _spectral_factor's kernel rule, so negative powers are generalized inverses."""
+    return (V * _spectral_factor(w, p, cfg)) @ V.conj().T
 
 
 class HermitianOperator:
@@ -198,7 +218,8 @@ class HermitianOperator:
     @cached_property
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
         w, V = np.linalg.eigh(self._matrix)
-        V = V[:, ::-1]
+        # contiguous, as a pickled copy's is, so products with V round alike
+        V = np.ascontiguousarray(V[:, ::-1])
         V.setflags(write=False)
         return w[::-1], V
 
@@ -220,6 +241,11 @@ class HermitianOperator:
         """Generalized inverse square root."""
         return self.power(-0.5, cfg)
 
+    def power_times(self, p, x: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
+        """power(p, cfg) @ x from the cached eigenbasis, without forming the power."""
+        w, V = self._eigh
+        return V @ (_spectral_factor(w, p, cfg) * (V.conj().T @ x))
+
     def _remember(self, partner: HermitianOperator, key, compute):
         """compute(), remembered under key for one of the recent partners.
 
@@ -231,14 +257,14 @@ class HermitianOperator:
         other than the pair itself (the cfg fields it reads); compute must
         not return None. The entries, by tag, with the cfg fields keyed:
 
-            qpe_leq          psd_slack                 orders.qpe_leq
+            qpe_leq          psd_slack, rank_cutoff    orders.qpe_leq
             sandwich         rank_cutoff               states.sandwich
             max_divergence   rank_cutoff, log_base     divergence.max_divergence
             way_below        psd_slack, rank_cutoff    domain.way_below_witness
 
-        The last two nest: max_divergence asks for the sandwich and way_below
-        for the verdict of the same pair, and those calls find the slot the
-        outer one opened, so they cannot drop it.
+        All but the sandwich nest: qpe_leq and max_divergence ask for the
+        sandwich and way_below for the verdict of the same pair, and those
+        calls find the slot the outer one opened, so they cannot drop it.
         """
         partners, ident = self._partners, id(partner)
         slot = partners.get(ident)
@@ -269,9 +295,8 @@ def as_operator(x) -> HermitianOperator:
 
 
 def operator_norm(A) -> float:
-    """Largest eigenvalue magnitude of a Hermitian matrix (0 for an empty one)."""
-    op = as_operator(A)
-    return op.norm if op.dim else 0.0
+    """Largest eigenvalue magnitude of a Hermitian matrix."""
+    return as_operator(A).norm
 
 
 def schatten_norm(A, p) -> float:

@@ -1,11 +1,12 @@
 """Independent verification routes and stored counterexamples.
 
 Everything here deliberately avoids the main code paths: positivity is
-probed by Rayleigh quotients instead of an eigensolver, the diagonal order
-by elementwise division instead of cross-multiplication, the channel order
-from the Kraus action instead of the Choi states, and entropies by the
-direct sum formula. A disagreement between these routes and the main
-library is a bug in one of them, never a tolerance artifact to be absorbed.
+probed by Rayleigh quotients instead of an eigensolver, the state order on
+its order matrix instead of the sandwich, the diagonal order by
+elementwise division, the channel order from the Kraus action instead of
+the Choi states, and entropies by the direct sum formula. A disagreement
+between these routes and the main library is a bug in one of them, never a
+tolerance artifact to be absorbed.
 """
 from __future__ import annotations
 
@@ -52,6 +53,20 @@ def psd_probe(A, trials: int = 200, seed: int = 0,
     return ProbeResult(worst < floor, worst, trials)
 
 
+def qpe_order_oracle(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
+    """State order as positivity of the order matrix sigma+ rho - rho+ sigma.
+
+    is_psd on the matrix itself, with no inverse of rho: the slack is its
+    least eigenvalue (absolute units, banded by max(1, ||.||)) and a fails
+    witness its bottom eigenvector. qpe_leq decides the same relation on the
+    sandwich; their verdicts may differ only where either is marginal, or
+    where the matrix's absolute band is wider than the sandwich's relative
+    one (a violation on a direction where rho is below about psd_slack).
+    """
+    r_top, s_top = top_eigenvalue(rho), top_eigenvalue(sigma)
+    return is_psd(s_top * rho.matrix - r_top * sigma.matrix, cfg)
+
+
 def diagonal_order_oracle(x, y, slack: float = 1e-9) -> OrderVerdict:
     """Order check on probability vectors by dividing out the peaks.
 
@@ -86,8 +101,8 @@ def channel_order_oracle(phi: Channel, psi: Channel,
     Assembles the Choi block of (psi+ phi - phi+ psi) / (n phi+ psi+) from
     the images of the n^2 matrix units under each Kraus action, where phi+
     and psi+ are the top Choi eigenvalues, and tests it for positivity. The
-    block equals the library's Choi-state order matrix divided by
-    phi+ psi+, so the slack carries that factor.
+    block equals qpe_order_oracle's order matrix on the Choi states divided
+    by phi+ psi+, so the slack carries that factor.
     """
     if (phi.in_dim, phi.out_dim) != (psi.in_dim, psi.out_dim):
         raise DimensionMismatch("channels have different dims")

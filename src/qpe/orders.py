@@ -1,9 +1,11 @@
 """Positive-evidence order predicates on probability vectors and states.
 
 The central relation compares states after rescaling by their top eigenvalue:
-rho is below sigma when sigma+ rho - rho+ sigma is PSD. Variants swap the
-rescaling functional (least nonzero eigenvalue, general norms) or relax the
-matrix inequality.
+rho is below sigma when sigma+ rho - rho+ sigma is PSD. It is decided by the
+max-divergence characterization, on the sandwich rho^-1/2 sigma rho^-1/2,
+with a dimensionless slack that no rescaling or tensoring with I/m moves.
+Variants swap the rescaling functional (least nonzero eigenvalue, general
+norms) or relax the matrix inequality; they decide on their order matrix.
 """
 from __future__ import annotations
 
@@ -16,14 +18,26 @@ from .exceptions import BadParameter, DimensionMismatch, InvalidState, NonFinite
 from .linalg import (
     FAILS,
     HOLDS,
+    MARGINAL,
     HermitianOperator,
     OrderVerdict,
     as_operator,
     hermitian_part,
+    kernel_cutoff,
     psd_verdict,
+    relation_of,
     schatten_norm,
 )
-from .states import DensityMatrix, bottom_eigenspace_nonzero, kernel, subspace_intersects
+from .states import (
+    DensityMatrix,
+    bottom_eigenspace_nonzero,
+    escape_direction,
+    heaviest_kernel_direction,
+    kernel,
+    rank_of,
+    sandwich,
+    subspace_intersects,
+)
 
 __all__ = [
     "OrderVerdict",
@@ -38,6 +52,12 @@ __all__ = [
 
 # largest entrywise projector gap at which two subspaces still coincide
 SUBSPACE_ATOL = 1e-8
+# rho^-1/2 amplifies the rounding in sigma by up to rho's condition number
+# kappa on its support: ordered pairs' sandwich slacks were measured down to
+# -0.37 eps kappa (dims 2-32, priors with eigenvalues down to kernel_cutoff).
+# qpe_leq decides a slack within this times kappa of zero on the order
+# matrix; the margin also keeps a fails witness's form clear of rounding.
+SANDWICH_ROUNDING = 64 * float(np.finfo(float).eps)
 
 
 def as_probability_vector(x) -> np.ndarray:
@@ -74,18 +94,29 @@ def _probability_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
 def classical_pe_leq(x, y, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
     """x below y iff y_i / y+ <= x_i / x+ for every component.
 
-    Computed as the cross-multiplied margin min_i (x_i y+ - y_i x+), which
-    doubles as the verdict slack.
+    qpe_leq on diagonal states, in its units: y must vanish where x does
+    (at x's kernel_cutoff, to y's), else the verdict fails with slack -inf;
+    otherwise the slack is 1 - x+ max_i (y_i / x_i) / y+ over x's support.
+    A fails witness is the unit vector of the component attaining it.
     """
     xv, yv = _probability_pair(x, y)
-    margins = xv * yv.max() - yv * xv.max()
-    # every margin lies in [-1, 1], so the band's scale max(1, ||.||) is 1
-    verdict = psd_verdict(np.sort(margins)[::-1], None, cfg)
-    if verdict.fails:
-        witness = np.zeros(xv.size)
-        witness[int(margins.argmin())] = 1.0
-        return OrderVerdict(FAILS, verdict.slack, witness=witness)
-    return verdict
+    x_top, y_top = float(xv.max()), float(yv.max())
+    live = xv > kernel_cutoff((x_top,), cfg)
+    escaped = np.where(live, 0.0, yv)
+    if escaped.max() > kernel_cutoff((y_top,), cfg):
+        return OrderVerdict(FAILS, -np.inf, witness=_unit(xv.size, int(escaped.argmax())))
+    ratios = np.divide(yv, xv, out=np.zeros_like(yv), where=live)
+    slack = 1.0 - x_top * float(ratios.max()) / y_top
+    relation = relation_of(slack, slack, cfg)
+    if relation == FAILS:
+        return OrderVerdict(FAILS, slack, witness=_unit(xv.size, int(ratios.argmax())))
+    return OrderVerdict(relation, slack)
+
+
+def _unit(n: int, i: int) -> np.ndarray:
+    out = np.zeros(n)
+    out[i] = 1.0
+    return out
 
 
 def _operands(rho, sigma):
@@ -101,10 +132,10 @@ def _operands(rho, sigma):
 def _order_verdict(M: np.ndarray, cfg: ToleranceConfig) -> OrderVerdict:
     """psd_verdict on a one-shot order matrix, solved here and not cached.
 
-    M is a real combination of the operands' folded matrices, so it is
-    Hermitian and needs no check. lev, primed and f-renormalized pass
-    hermitian_part(M): the fold can flip the sign of a zero entry, which
-    LAPACK reads, and it keeps their verdicts bit-identical to is_psd's.
+    M is lev's, primed's or f-renormalized's order matrix, or qpe_leq's
+    fallback. The first three pass hermitian_part(M): the fold can flip the
+    sign of a zero entry, which LAPACK reads, and it keeps their verdicts
+    bit-identical to is_psd's.
     """
     return psd_verdict(np.linalg.eigvalsh(M)[::-1], M, cfg)
 
@@ -112,19 +143,54 @@ def _order_verdict(M: np.ndarray, cfg: ToleranceConfig) -> OrderVerdict:
 def qpe_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
     """Positive-evidence order: sigma+ rho - rho+ sigma PSD.
 
+    Decided by the max-divergence characterization: rho is below sigma iff
+    sigma lives on rho's support and rho+ lambda_max(S) <= sigma+ for the
+    sandwich S = rho^-1/2 sigma rho^-1/2 (states.sandwich, which the
+    max-divergence reads too). The slack is 1 - rho+ lambda_max(S) / sigma+,
+    dimensionless: 1 - exp(gap) for order_divergence_gap's natural-log gap,
+    and unmoved by tensoring both states with I/m. It is -inf when sigma
+    escapes rho's support. A fails witness u has u* (sigma+ rho - rho+ sigma) u < 0:
+    the kernel direction sigma escapes along, or rho^-1/2 applied to S's
+    top eigenvector.
+
+    The single exception: a slack that does not hold but lies within
+    SANDWICH_ROUNDING * kappa of zero, kappa being rho's condition number
+    on its support, is rounding that rho^-1/2 amplified. Such a pair is
+    decided on rho/rho+ - sigma/sigma+ (norm at most 1, also unmoved by
+    tensoring with I/m), whose least eigenvalue is then the slack.
+
     The verdict is remembered on rho for sigma (one of rho's recent partners)
-    and psd_slack (the one cfg field it reads), so it is shared between
-    calls and its witness is read-only.
+    and psd_slack and rank_cutoff (the cfg fields it reads), so it is shared
+    between calls and its witness is read-only.
     """
     r, s = _operands(rho, sigma)
 
     def decide():
-        verdict = _order_verdict(s.eigenvalues[0] * r.matrix - r.eigenvalues[0] * s.matrix, cfg)
+        verdict = _sandwich_verdict(r, s, cfg)
         if verdict.witness is not None:
             verdict.witness.setflags(write=False)
         return verdict
 
-    return r._remember(s, ("qpe_leq", cfg.psd_slack), decide)
+    return r._remember(s, ("qpe_leq", cfg.psd_slack, cfg.rank_cutoff), decide)
+
+
+def _sandwich_verdict(r: HermitianOperator, s: HermitianOperator,
+                      cfg: ToleranceConfig) -> OrderVerdict:
+    escape = escape_direction(r, s, cfg)
+    if escape is not None:
+        return OrderVerdict(FAILS, -np.inf, witness=escape)
+    S = sandwich(r, s, cfg)
+    r_top, s_top = float(r.eigenvalues[0]), float(s.eigenvalues[0])
+    slack = 1.0 - r_top * float(S.eigenvalues[0]) / s_top
+    relation = relation_of(slack, slack, cfg)
+    if relation == HOLDS:
+        return OrderVerdict(HOLDS, slack)
+    if -slack <= SANDWICH_ROUNDING * r_top / float(r.eigenvalues[rank_of(r, cfg) - 1]):
+        return _order_verdict(r.matrix / r_top - s.matrix / s_top, cfg)
+    if relation == MARGINAL:
+        return OrderVerdict(MARGINAL, slack)
+    witness = r.power_times(-0.5, S.eigenvectors[:, 0], cfg)
+    return OrderVerdict(FAILS, slack, witness=witness / np.linalg.norm(witness))
 
 
 def lev_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
@@ -133,26 +199,34 @@ def lev_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
     Two ways to be below: equal kernels with rho- sigma - sigma- rho PSD,
     or a strictly larger kernel on sigma that absorbs part of rho's bottom
     eigenspace. The second route is structural, so its slack is 0.
+    Kernels that do not nest that way fail structurally, with slack -inf
+    as for qpe_leq's support condition: the witness is a unit vector of one
+    state's kernel on which the other weighs most.
     """
     r, s = _operands(rho, sigma)
     ker_r = kernel(r, cfg)
     ker_s = kernel(s, cfg)
 
     if ker_r.dim == ker_s.dim:
-        same = ker_r.dim == 0 or subspace_equal(ker_r.basis, ker_s.basis)
-        if same:
+        if ker_r.dim == 0 or subspace_equal(ker_r.basis, ker_s.basis):
             r_min = bottom_eigenspace_nonzero(r, cfg).eigenvalue
             s_min = bottom_eigenspace_nonzero(s, cfg).eigenvalue
             return _order_verdict(hermitian_part(r_min * s.matrix - s_min * r.matrix), cfg)
-        return OrderVerdict(FAILS, -1.0)
+        return _kernel_mismatch(r, s, cfg)
+    if ker_s.dim < ker_r.dim or not (ker_r.dim == 0 or _contained_in(ker_r.basis, ker_s.basis)):
+        return _kernel_mismatch(r, s, cfg)
+    if subspace_intersects(bottom_eigenspace_nonzero(r, cfg), ker_s, cfg):
+        return OrderVerdict(HOLDS, 0.0)
+    # sigma's kernel grew past rho's, but not into rho's bottom eigenspace
+    return _kernel_mismatch(s, r, cfg)
 
-    if ker_s.dim > ker_r.dim:
-        contained = ker_r.dim == 0 or _contained_in(ker_r.basis, ker_s.basis)
-        if contained and subspace_intersects(
-            bottom_eigenspace_nonzero(r, cfg), ker_s, cfg
-        ):
-            return OrderVerdict(HOLDS, 0.0)
-    return OrderVerdict(FAILS, -1.0)
+
+def _kernel_mismatch(a: HermitianOperator, b: HermitianOperator,
+                     cfg: ToleranceConfig) -> OrderVerdict:
+    """lev_leq's structural fails: the witness is the unit vector of a's
+    (nonempty) kernel on which b weighs most."""
+    witness = heaviest_kernel_direction(a, b, cfg)[1]
+    return OrderVerdict(FAILS, -np.inf, witness=witness)
 
 
 def subspace_equal(A: np.ndarray, B: np.ndarray) -> bool:

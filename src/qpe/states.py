@@ -168,6 +168,36 @@ def kernel(rho, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Eigenspace:
     return Eigenspace(op.eigenvectors[:, mask].copy(), 0.0)
 
 
+def heaviest_kernel_direction(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG,
+                              ) -> tuple[float, np.ndarray] | None:
+    """(weight, u): the unit vector u of rho's kernel on which sigma weighs
+    most, and that weight u* sigma u; None when rho has full rank.
+
+    u is the top eigenvector of sigma compressed to rho's kernel, found by
+    the one eigh on that small block. Both are HermitianOperators.
+    """
+    w = rho.eigenvalues
+    if w[-1] > kernel_cutoff(w, cfg):  # full rank
+        return None
+    K = kernel(rho, cfg).basis
+    mass, Y = np.linalg.eigh(K.conj().T @ sigma.matrix @ K)
+    return float(mass[-1]), K @ Y[:, -1]
+
+
+def escape_direction(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray | None:
+    """A unit vector of rho's kernel on which sigma weighs more than its own
+    kernel_cutoff, or None when sigma lives on rho's support.
+
+    sigma escaping rho's support is what makes D_inf(sigma || rho) infinite
+    and rho not below sigma; the vector u is the witness of both, as
+    u* rho u vanishes while u* sigma u does not.
+    """
+    heaviest = heaviest_kernel_direction(rho, sigma, cfg)
+    if heaviest is None or heaviest[0] <= kernel_cutoff(sigma.eigenvalues, cfg):
+        return None
+    return heaviest[1]
+
+
 def rank_of(rho, cfg: ToleranceConfig = DEFAULT_CONFIG) -> int:
     w = as_operator(rho).eigenvalues
     return int(np.count_nonzero(w > kernel_cutoff(w, cfg)))

@@ -7,7 +7,7 @@ from qpe import (
     DensityMatrix,
     ToleranceConfig,
     fls_update,
-    qpe_leq,
+    qpe_order_oracle,
     random_agreeing_effect,
     random_state,
 )
@@ -46,13 +46,18 @@ def make_ordered_pair(rng):
 
 @pytest.fixture
 def make_incomparable_pair(rng):
-    """Factory for pairs failing the order in both directions by a clear margin."""
+    """Factory for pairs failing the order in both directions by a clear margin.
+
+    The margin is on the least eigenvalue of the order matrix (the oracle
+    route), so the draws do not depend on the predicate under test.
+    """
 
     def make(dim: int, min_gap: float = 1e-4) -> tuple[DensityMatrix, DensityMatrix]:
         while True:
             a = random_state(dim, rng=rng)
             b = random_state(dim, rng=rng)
-            if qpe_leq(a, b).slack < -min_gap and qpe_leq(b, a).slack < -min_gap:
+            if (qpe_order_oracle(a, b).slack < -min_gap
+                    and qpe_order_oracle(b, a).slack < -min_gap):
                 return a, b
 
     return make

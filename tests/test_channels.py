@@ -250,7 +250,11 @@ class TestChannelOrder:
         assert channel_qpe_leq(dephasing, ident).holds
         v = channel_qpe_leq(ident, dephasing)
         assert v.fails
-        assert_allclose(v.slack, -0.5, atol=1e-12)
+        # the dephasing Choi state escapes the identity's (pure) one along
+        # (|00> - |11>) / sqrt 2, where it weighs 1/2
+        assert v.slack == -np.inf
+        escape = np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2.0)
+        assert_allclose(abs(np.vdot(escape, v.witness)), 1.0, atol=1e-12)
 
     def test_distinct_unitaries_incomparable(self):
         ident = Channel.identity(2)

@@ -225,7 +225,8 @@ class TestOrderOutput:
         assert code == 1
         assert payload["relation"] == "qpe"
         assert payload["verdict"] == "fails"
-        assert_allclose(payload["slack"], -0.03, atol=1e-12)
+        # 1 - rho+ max_i(sigma_i / rho_i) / sigma+ = 1 - 0.5 * 1.5 / 0.6
+        assert_allclose(payload["slack"], -0.25, atol=1e-12)
 
 
 class TestToleranceConfiguration:
@@ -258,7 +259,7 @@ class TestToleranceConfiguration:
         ("divergence", "--rank-cutoff", "nan", "--cluster", "nan"),
     ])
     def test_non_finite_tolerance_is_invalid_input(self, capsys, argv):
-        # the upper state is not below the lower one (slack -0.23)
+        # the upper state is not below the lower one (slack -2.5)
         code, out, err = run_cli(capsys, *argv, fx("state_onm_upper.json"),
                                  fx("state_onm_lower.json"))
         assert (code, out) == (2, "")
@@ -428,6 +429,14 @@ class TestDemoCommands:
         assert code == 3
         assert not payload["found"]
         assert payload["message"].startswith("NotFound")
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--budget", "0"), ("--budget", "-1"), ("--dim", "1"), ("--dim", "0"), ("--dim", "-2")])
+    def test_transitivity_rejects_an_empty_search(self, capsys, flag, value):
+        # a search that samples nothing must not report NotFound (exit 3)
+        code, out, err = run_cli(capsys, "demo", "transitivity", flag, value)
+        assert (code, out) == (2, "")
+        assert "budget >= 1 and dim >= 2" in err
 
 
 class TestRandomCommands:

@@ -19,8 +19,12 @@ ALLOWED = {
     ("linalg", "HermitianOperator._eigh"),
     # the witness vector of a fails verdict
     ("linalg", "psd_verdict"),
-    # the one-shot order matrix of the four matrix predicates
+    # the one-shot order matrix of the three matrix predicates, and of
+    # qpe_leq's fallback when rho^-1/2 would amplify rounding into the band
     ("orders", "_order_verdict"),
+    # the partner compressed to rho's kernel: its top eigenvector is the
+    # direction a support escape runs along, and a fails witness
+    ("states", "heaviest_kernel_direction"),
     # solve afresh on every call: the tests' reference for the cached routes
     ("linalg", "matrix_power"),
     ("linalg", "fidelity"),

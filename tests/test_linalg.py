@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from qpe.config import ToleranceConfig
 from qpe.exceptions import (
     BadParameter,
+    DimensionMismatch,
     NegativeEigenvalue,
     NonHermitianInput,
 )
@@ -122,11 +123,6 @@ class TestNorms:
     def test_schatten_rejects_nan_order(self):
         with pytest.raises(BadParameter):
             schatten_norm(np.eye(2), np.nan)
-
-    def test_norms_of_the_empty_matrix_are_zero(self):
-        empty = np.zeros((0, 0))
-        assert operator_norm(empty) == 0.0
-        assert schatten_norm(empty, np.inf) == 0.0
 
     def test_operator_norm_of_the_zero_matrix_is_positive_zero(self):
         assert np.copysign(1.0, operator_norm(np.zeros((3, 3)))) == 1.0
@@ -273,10 +269,26 @@ class TestMatrixPower:
         with pytest.raises(NegativeEigenvalue):
             matrix_power(np.diag([1.0, -0.5]), 0.5, cfg)
 
-    @pytest.mark.parametrize("p", [0.5, -0.5])
-    def test_power_of_the_empty_matrix_is_empty(self, cfg, p):
-        out = as_operator(np.zeros((0, 0))).power(p, cfg)
-        assert out.shape == (0, 0) and out.dtype == complex
+
+# every helper that takes a raw matrix, and the operator norm of one built
+# from it, on a 0x0 input: no eigenvalue to report, so each rejects it
+EMPTY_INPUT = {
+    "is_psd": is_psd,
+    "rank_of": rank_of,
+    "kernel": kernel,
+    "HermitianOperator.norm": lambda A: as_operator(A).norm,
+    "operator_norm": operator_norm,
+    "schatten_norm": lambda A: schatten_norm(A, 2),
+    "schatten_norm_inf": lambda A: schatten_norm(A, np.inf),
+    "matrix_power": lambda A: matrix_power(A, -0.5),
+    "DensityMatrix": DensityMatrix,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_INPUT))
+def test_the_empty_matrix_is_rejected(name):
+    with pytest.raises(DimensionMismatch, match="nonempty square matrix"):
+        EMPTY_INPUT[name](np.zeros((0, 0)))
 
 
 class TestBipartite:

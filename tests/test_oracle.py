@@ -14,6 +14,7 @@ from qpe.oracle import (
     diagonal_order_oracle,
     partial_trace_counterexample,
     psd_probe,
+    qpe_order_oracle,
     shannon_entropy,
 )
 from qpe.orders import classical_pe_leq, qpe_leq
@@ -47,14 +48,17 @@ class TestDiagonalOracle:
             library = classical_pe_leq(x, y)
             assert mine.relation == library.relation
 
-    def test_division_and_cross_multiplication_margins_match_scale(self):
+    def test_division_margin_and_library_slack_match_scale(self):
         x = np.array([0.5, 0.3, 0.2])
         y = np.array([0.5, 0.4, 0.1])
         margin = diagonal_order_oracle(x, y).slack
-        # division route reports min(x_i/x_top - y_i/y_top); the library
-        # cross-multiplies, so its slack differs by exactly x_top * y_top
-        lib = classical_pe_leq(x, y).slack / (x.max() * y.max())
-        assert_allclose(margin, lib, atol=1e-12)
+        # division route reports min_i (x_i/x_top - y_i/y_top), here at i = 1;
+        # the library's slack 1 - x_top y_i / (y_top x_i) is that margin over
+        # x_i/x_top at the component its witness names
+        lib = classical_pe_leq(x, y)
+        i = int(lib.witness.argmax())
+        assert i == 1
+        assert_allclose(margin, lib.slack * x[i] / x.max(), atol=1e-12)
 
     def test_tied_peak_gives_exactly_zero_margin(self):
         x, y = ORDER_NOT_MAJORIZATION
@@ -113,7 +117,7 @@ class TestChannelOrderOracle:
         psi = Channel.random(n, k, 3, rng)
         tops = phi.choi.eigenvalues[0] * psi.choi.eigenvalues[0]
         assert_allclose(channel_order_oracle(phi, psi).slack,
-                        channel_qpe_leq(phi, psi).slack / tops, atol=1e-12)
+                        qpe_order_oracle(phi.choi, psi.choi).slack / tops, atol=1e-12)
 
     def test_dims_must_match(self, rng):
         with pytest.raises(DimensionMismatch):

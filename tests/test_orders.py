@@ -31,8 +31,9 @@ from qpe.states import (
 POSTERIOR_ABOVE = np.array([2 / 3, 1 / 5, 2 / 15])
 # Same prior under evidence (0.1, 1, 1): the peak moves, the order breaks.
 POSTERIOR_NOT_ABOVE = np.array([1 / 11, 6 / 11, 4 / 11])
-# Pushing the boundary by 3e-9 lands between the holds and fails thresholds.
-MARGINAL_UPPER = np.array([0.5, 0.3 + 3e-9, 0.2 - 3e-9])
+# Pushing the boundary by 1.5e-9 (5e-9 relative to 0.3) lands between the
+# holds and fails thresholds.
+MARGINAL_UPPER = np.array([0.5, 0.3 + 1.5e-9, 0.2 - 1.5e-9])
 
 PRIMED_NOT_QPE = (np.array([0.5, 0.3, 0.2]), np.array([0.6, 0.1, 0.3]))
 
@@ -73,6 +74,40 @@ class TestClassicalOrder:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             classical_pe_leq([0.5, 0.5], [0.5, 0.3, 0.2])
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_same_verdict_and_slack_as_the_diagonal_states(self, rng, n):
+        # random pairs, an ordered one (the peak raised) and a support escape
+        pairs = [(rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))) for _ in range(30)]
+        x = rng.dirichlet(np.ones(n))
+        y = x * np.where(np.arange(n) == x.argmax(), 1.5, 1.0)
+        pairs.append((x, y / y.sum()))
+        x = rng.dirichlet(np.ones(n))
+        x[x.argmin()] = 0.0
+        pairs.append((x / x.sum(), rng.dirichlet(np.ones(n))))
+        for x, y in pairs:
+            got = classical_pe_leq(x, y)
+            want = qpe_leq(DensityMatrix.from_diag(x), DensityMatrix.from_diag(y))
+            assert got.relation == want.relation
+            assert_allclose(got.slack, want.slack, rtol=1e-12, atol=1e-14)
+
+    def test_support_escape_fails_with_infinite_slack(self):
+        x, y = [0.7, 0.3, 0.0], [0.7, 0.3 - 1e-10, 1e-10]
+        v = classical_pe_leq(x, y)
+        assert v.fails and v.slack == -np.inf
+        assert v.witness.tolist() == [0.0, 0.0, 1.0]
+        w = qpe_leq(DensityMatrix.from_diag(x), DensityMatrix.from_diag(y))
+        assert w.fails and w.slack == -np.inf
+
+    @pytest.mark.parametrize("m", [1, 10, 100, 1000])
+    def test_tensoring_with_the_uniform_vector_moves_nothing(self, m):
+        uniform = np.full(m, 1.0 / m)
+        for x, y in ((POSTERIOR_NOT_ABOVE, [0.5, 0.3, 0.2]), ([0.5, 0.3, 0.2], MARGINAL_UPPER),
+                     ([0.5, 0.3, 0.2], POSTERIOR_ABOVE)):
+            base = classical_pe_leq(x, y)
+            lifted = classical_pe_leq(np.kron(x, uniform), np.kron(y, uniform))
+            assert lifted.relation == base.relation
+            assert_allclose(lifted.slack, base.slack, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("relation", [
         majorizes, classical_max_divergence, classical_solve_evidence])
@@ -198,6 +233,25 @@ class TestLeastEigenvalueOrder:
         sigma = DensityMatrix.from_diag([0.4, 0.3, 0.3])
         assert lev_leq(rho, sigma).fails
 
+    @pytest.mark.parametrize("lower,upper,kernel_of,axis", [
+        # sigma's kernel grew, but not into rho's bottom eigenspace
+        ([0.5, 0.3, 0.2], [5 / 8, 0.0, 3 / 8], "upper", 1),
+        # the kernel shrank
+        ([0.6, 0.4, 0.0], [0.4, 0.3, 0.3], "lower", 2),
+        # kernels of one dimension, in different places
+        ([0.6, 0.4, 0.0], [0.6, 0.0, 0.4], "lower", 2),
+    ])
+    def test_structural_fails_name_an_unshared_kernel_direction(self, rng, lower, upper,
+                                                               kernel_of, axis):
+        U = random_unitary(3, rng)
+        rho, sigma = (DensityMatrix((U * np.array(d)) @ U.conj().T) for d in (lower, upper))
+        v = lev_leq(rho, sigma)
+        assert v.fails and v.slack == -np.inf
+        # the witness spans the kernel direction, and the other state weighs on it
+        assert_allclose(abs(np.vdot(U[:, axis], v.witness)), 1.0, atol=1e-9)
+        other = rho if kernel_of == "upper" else sigma
+        assert float(np.vdot(v.witness, other.matrix @ v.witness).real) > 0.1
+
 
 class TestRelaxedOrder:
     def test_main_order_implies_relaxed(self, make_ordered_pair):
@@ -211,7 +265,8 @@ class TestRelaxedOrder:
         assert primed_leq(lower, upper).holds
         v = qpe_leq(lower, upper)
         assert v.fails
-        assert_allclose(v.slack, -0.03, atol=1e-12)
+        # 1 - rho+ max_i(sigma_i / rho_i) / sigma+ = 1 - 0.5 * 1.5 / 0.6
+        assert_allclose(v.slack, -0.25, atol=1e-12)
 
 
 class TestRenormalizedOrders:

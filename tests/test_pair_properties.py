@@ -6,7 +6,7 @@ pair queries must give the cold results in any order of calls, either
 orientation and any mix of partners, also once a pool of more than 8
 states makes old partners drop out. The order verdict and the
 order-divergence gap must not move under a unitary conjugation of both
-states. The gap is (to rounding) nonnegative and vanishes exactly when the
+states, nor the verdict and its slack under tensoring both with I/m. The gap is (to rounding) nonnegative and vanishes exactly when the
 order holds, and an ordered pair survives the reconstruct-then-update round
 trip, also on near-boundary pairs reached by evidence whose second
 eigenvalue is close to 1.
@@ -177,11 +177,25 @@ def test_order_and_gap_are_unitarily_invariant(pair, seed):
     gap, verdict = order_divergence_gap(rho, sigma)
     gap_u, verdict_u = order_divergence_gap(rho_u, sigma_u)
     assert verdict_u.relation == verdict.relation
-    assert abs(verdict_u.slack - verdict.slack) <= INVARIANCE_TOL
+    # a support escape reads -inf in both
+    assert verdict_u.slack == verdict.slack or abs(verdict_u.slack - verdict.slack) <= INVARIANCE_TOL
     if np.isinf(gap):
         assert gap_u == gap
     else:
         assert abs(gap_u - gap) <= INVARIANCE_TOL
+
+
+@settings(PROPERTY_SETTINGS, max_examples=6)
+@given(pair=raw_pairs(), data=st.data())
+def test_order_is_invariant_under_tensoring_with_the_uniform_state(pair, data):
+    R, S = pair
+    n = R.shape[0]
+    m = data.draw(st.integers(1, 1000 // n), label="m")
+    bottom = np.eye(m) / m
+    verdict = qpe_leq(DensityMatrix(R), DensityMatrix(S))
+    lifted = qpe_leq(DensityMatrix(np.kron(R, bottom)), DensityMatrix(np.kron(S, bottom)))
+    assert lifted.relation == verdict.relation
+    assert lifted.slack == verdict.slack or abs(lifted.slack - verdict.slack) <= INVARIANCE_TOL
 
 
 def _check_gap_and_round_trip(R, S):

@@ -44,6 +44,7 @@ from qpe import (
     povm_distinguishability_lower_bound,
     primed_leq,
     qpe_leq,
+    qpe_order_oracle,
     random_agreeing_effect,
     random_state,
     reconstruct_effect,
@@ -102,7 +103,7 @@ def incomparable_raw_pair():
     rng = np.random.default_rng(12)
     while True:
         a, b = random_state(4, rng=rng), random_state(4, rng=rng)
-        if qpe_leq(a, b).slack < -1e-3:
+        if qpe_order_oracle(a, b).slack < -1e-3:
             return a.matrix.copy(), b.matrix.copy()
 
 
@@ -129,7 +130,9 @@ class TestEigensolveCounts:
 
     def test_order_on_built_states(self, ordered_raw_pair):
         rho, sigma = (DensityMatrix(M) for M in ordered_raw_pair)
-        assert count_eigensolves(lambda: qpe_leq(rho, sigma)) == 1
+        # rho's eigh for inv_sqrt, then the sandwich, which stays remembered
+        assert count_eigensolves(lambda: qpe_leq(rho, sigma)) == 2
+        assert count_eigensolves(lambda: max_divergence(sigma, rho)) == 0
 
     @pytest.mark.parametrize("pair", ["ordered_raw_pair", "rank_deficient_raw_pair"])
     def test_warm_max_divergence(self, request, pair):
@@ -175,13 +178,14 @@ class TestEigensolveCounts:
                 with pytest.raises(NotBelow):
                     reconstruct_effect(rho, sigma)
 
-        # builds 2, inv_sqrt's eigh 1, sandwich 1, order matrix 1, and then
-        # the posterior (ordered) or the fails witness (incomparable) 1
-        assert count_eigensolves(op) == 6
+        # builds 2, inv_sqrt's eigh 1, sandwich 1, and then the posterior
+        # (ordered) or the sandwich's eigh for the fails witness (incomparable) 1;
+        # the verdict reads the sandwich the max-divergence built
+        assert count_eigensolves(op) == 5
 
 
 class TestMatrixPredicatesReadTheCache:
-    """Every matrix order and the norm and PSD helpers reuse a built state's
+    """The matrix orders and the norm and PSD helpers reuse a built state's
     validation and spectrum; only the one-shot order matrix is solved."""
 
     def test_op_norm_renormalized_order(self, ordered_raw_pair):
@@ -219,7 +223,7 @@ class TestMatrixPredicatesReadTheCache:
 class TestChannelOrderSolves:
     """channel_qpe_leq is one qpe_leq on the cached Choi states."""
 
-    @pytest.mark.parametrize("ordered,solves", [(True, 1), (False, 2)])
+    @pytest.mark.parametrize("ordered,solves", [(True, 2), (False, 2)])
     def test_one_order_decision_per_query(self, ordered, solves):
         rng = np.random.default_rng(5)
         phi = Channel.random(3, 2, 2, rng)
@@ -230,7 +234,9 @@ class TestChannelOrderSolves:
             lower, upper = phi, Channel.random(3, 2, 2, rng)
         with mock.patch("qpe.channels.qpe_leq", wraps=qpe_leq) as order, \
                 mock.patch.object(Channel, "_apply_matrix") as kraus_action:
-            # a fails verdict adds the witness eigh
+            # ordered: the full-rank lower Choi state's eigh and the sandwich;
+            # fails: the rank-2 lower state's eigh for its kernel, and the
+            # eigh of the upper state on that kernel, whose top vector is the witness
             assert count_eigensolves(lambda: channel_qpe_leq(lower, upper)) == solves
         assert order.call_count == 1
         assert kraus_action.call_count == 0
@@ -276,8 +282,8 @@ class TestChoiChannelSolves:
         def op():
             return channel_qpe_leq(*(load_channel(path) for path in paths))
 
-        # two loads, one order matrix
-        assert count_eigensolves(op) == 3
+        # two loads, the lower state's eigh and the sandwich
+        assert count_eigensolves(op) == 4
         assert op().holds
 
 
@@ -460,7 +466,8 @@ class TestPartnerMemo:
         rho, sigma = DensityMatrix(R), DensityMatrix(S)
         loose = ToleranceConfig(psd_slack=1.0)
         assert qpe_leq(rho, sigma).fails
-        assert count_eigensolves(lambda: qpe_leq(rho, sigma, loose)) == 1
+        # the sandwich is keyed on rank_cutoff only, so the new verdict reads it
+        assert count_eigensolves(lambda: qpe_leq(rho, sigma, loose)) == 0
         assert qpe_leq(rho, sigma, loose).holds
         assert _bits(qpe_leq(rho, sigma, loose)) == _bits(
             qpe_leq(DensityMatrix(R), DensityMatrix(S), loose))
@@ -475,11 +482,14 @@ class TestPartnerMemo:
         coarse = ToleranceConfig(rank_cutoff=1e-10)
         fine = sandwich(rho, sigma).norm
         assert count_eigensolves(lambda: sandwich(rho, sigma, coarse)) == 1
-        qpe_leq(rho, sigma)
-        # the verdict reads psd_slack only, so another rank_cutoff reuses it
-        assert count_eigensolves(lambda: qpe_leq(rho, sigma, coarse)) == 0
-        assert _bits(qpe_leq(rho, sigma, coarse)) == _bits(
-            qpe_leq(DensityMatrix(R), DensityMatrix(S), coarse))
+        default = qpe_leq(rho, sigma)
+        # the verdict reads rank_cutoff too: at the coarse cutoff rho's 1e-11
+        # direction is kernel, sigma escapes along it, and the witness is the
+        # top eigenvector of sigma on that kernel, one eigh
+        assert count_eigensolves(lambda: qpe_leq(rho, sigma, coarse)) == 1
+        escaped = qpe_leq(rho, sigma, coarse)
+        assert escaped.slack == -np.inf and np.isfinite(default.slack)
+        assert _bits(escaped) == _bits(qpe_leq(DensityMatrix(R), DensityMatrix(S), coarse))
         # the coarse cutoff drops rho's 1e-11 eigenvalue from the inverse
         assert sandwich(rho, sigma, coarse).norm < 1e-3 * fine
         cold = sandwich(DensityMatrix(R), DensityMatrix(S), coarse)
@@ -491,9 +501,10 @@ class TestPartnerMemo:
         rho, sigma, twin = DensityMatrix(R), DensityMatrix(S), DensityMatrix(S)
         first = qpe_leq(rho, sigma)
         max_divergence(sigma, rho)
-        # one order matrix; the sandwich (inv_sqrt is rho's own and cached)
+        # the twin's sandwich (inv_sqrt is rho's own and cached), which the
+        # max-divergence then reads
         assert count_eigensolves(lambda: qpe_leq(rho, twin)) == 1
-        assert count_eigensolves(lambda: max_divergence(twin, rho)) == 1
+        assert count_eigensolves(lambda: max_divergence(twin, rho)) == 0
         assert qpe_leq(rho, twin) is not first
         assert _bits(qpe_leq(rho, twin)) == _bits(first)
 
@@ -626,7 +637,7 @@ REMEMBERED = {
 }
 # the ToleranceConfig fields each entry reads, which its key must name
 READS = {
-    "qpe_leq": {"psd_slack"},
+    "qpe_leq": {"psd_slack", "rank_cutoff"},
     "sandwich": {"rank_cutoff"},
     "max_divergence": {"rank_cutoff", "log_base"},
     "way_below": {"psd_slack", "rank_cutoff"},
@@ -654,7 +665,7 @@ def key_pairs():
     top = random_state(4, rng=rng).matrix.copy()
     while True:
         a, b = random_state(4, rng=rng), random_state(4, rng=rng)
-        if qpe_leq(a, b).slack < -1e-3:
+        if qpe_order_oracle(a, b).slack < -1e-3:
             break
     v = np.linalg.eigh(top)[1][:, -1]
     return {
