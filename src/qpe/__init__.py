@@ -120,6 +120,7 @@ from .oracle import (
     partial_trace_counterexample,
     psd_probe,
     qpe_order_oracle,
+    random_effect_lower_bound,
     shannon_entropy,
 )
 

@@ -26,7 +26,7 @@ from .exceptions import (
     ZeroEvidence,
     ZeroProbability,
 )
-from .linalg import hermitian_part, matrix_power, operator_norm
+from .linalg import hermitian_part, kernel_cutoff, matrix_power, operator_norm
 from .orders import _probability_pair, as_probability_vector, classical_pe_leq, qpe_leq
 from .states import (
     DensityMatrix,
@@ -71,7 +71,7 @@ def classical_solve_evidence(x, y, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.
     if not verdict.holds:
         raise NotBelow(f"prior is not below target ({verdict.relation})")
     p = np.zeros_like(xv)
-    live = xv > cfg.rank_cutoff
+    live = xv > kernel_cutoff((xv.max(),), cfg)
     p[live] = (yv[live] / xv[live]) * (xv.max() / yv.max())
     p = np.clip(p, 0.0, 1.0)
     p[int(yv.argmax())] = 1.0

@@ -14,9 +14,9 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .exceptions import BadAlpha, DimensionMismatch
-from .linalg import OrderVerdict, hermitian_part, operator_norm
-from .orders import _probability_pair, qpe_leq
-from .states import DensityMatrix, Effect, escape_direction, kernel, sandwich, top_eigenvalue
+from .linalg import OrderVerdict, hermitian_part
+from .orders import _probability_pair, classical_pe_leq, qpe_leq
+from .states import DensityMatrix, Effect, attaining_direction, escape_direction, sandwich
 
 
 @dataclass(frozen=True)
@@ -109,71 +109,33 @@ def _umegaki(sigma, rho, cfg):
 
 
 def classical_max_divergence(x, y, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
-    """Max-divergence of probability vectors: log max_i x_i / y_i."""
+    """Max-divergence of probability vectors: log max_i x_i / y_i.
+
+    Read off classical_pe_leq(y, x), as the gap is off qpe_leq: its slack is
+    1 - y+ max_i (x_i / y_i) / x+ over y's support, and -inf (so the
+    divergence is infinite) when x escapes that support. So the support rule
+    is max_divergence's, and the two agree on diagonal states.
+    """
     xv, yv = _probability_pair(x, y)
-    cutoff = cfg.rank_cutoff
-    if np.any((xv > cutoff) & (yv <= cutoff)):
-        return np.inf
-    live = xv > cutoff
-    if not np.any(live):
-        return -np.inf
-    return float(cfg.log((xv[live] / yv[live]).max()))
+    return float(cfg.log((1.0 - classical_pe_leq(yv, xv, cfg).slack) * xv.max() / yv.max()))
 
 
-def povm_distinguishability_lower_bound(
-    sigma: DensityMatrix,
-    rho: DensityMatrix,
-    trials: int = 64,
-    seed: int = 0,
-    cfg: ToleranceConfig = DEFAULT_CONFIG,
-) -> float:
-    """Best log-ratio log tr(sigma M) / tr(rho M) over a measurement family.
+def povm_distinguishability_lower_bound(sigma: DensityMatrix, rho: DensityMatrix,
+                                        cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
+    """log tr(sigma P) / tr(rho P) for the one projector P that attains D_inf.
 
-    The family includes the warped projectors that attain the max-divergence
-    when supports align, so the bound is tight for full-rank rho; it is a
-    certified lower bound in general because every candidate is a bona fide
-    effect.
+    P projects onto states.attaining_direction, so the bound equals
+    D_inf(sigma || rho) to rounding; the Born probabilities are computed on
+    the two matrices, not read off the sandwich. Infinite when sigma escapes
+    rho's support, by max_divergence's rule. oracle.random_effect_lower_bound
+    is the independent check.
     """
     if sigma.dim != rho.dim:
         raise DimensionMismatch("state dimensions differ")
-    n = rho.dim
-    rng = np.random.default_rng(seed)
-    candidates: list[np.ndarray] = []
-    for i in range(n):
-        P = np.zeros((n, n), dtype=complex)
-        P[i, i] = 1.0
-        candidates.append(P)
-    inv_half = rho.inv_sqrt(cfg)
-    vecs = sandwich(rho, sigma, cfg).eigenvectors
-    for j in range(n):
-        v = vecs[:, j]
-        candidates.append(np.outer(v, v.conj()))
-        u = inv_half @ v
-        nu = np.linalg.norm(u)
-        if nu > 1e-12:
-            u = u / nu
-            candidates.append(np.outer(u, u.conj()))
-    ker = kernel(rho, cfg)
-    if ker.dim > 0:
-        K = ker.basis
-        candidates.append(K @ K.conj().T)
-    for _ in range(trials):
-        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        H = G @ G.conj().T
-        candidates.append(H / operator_norm(H))
-    best = -np.inf
-    tol = cfg.rank_cutoff
-    for M in candidates:
-        p_rho = float((rho.matrix @ M).trace().real)
-        p_sig = float((sigma.matrix @ M).trace().real)
-        if p_rho <= tol:
-            if p_sig > max(10 * tol, 1e-10):
-                return np.inf
-            continue
-        if p_sig <= 0:
-            continue
-        best = max(best, float(cfg.log(p_sig) - cfg.log(p_rho)))
-    return best
+    if escape_direction(rho, sigma, cfg) is not None:
+        return np.inf
+    u = attaining_direction(rho, sigma, cfg)
+    return float(cfg.log(np.vdot(u, sigma.matrix @ u).real / np.vdot(u, rho.matrix @ u).real))
 
 
 def order_divergence_gap(rho: DensityMatrix, sigma: DensityMatrix,
@@ -181,21 +143,18 @@ def order_divergence_gap(rho: DensityMatrix, sigma: DensityMatrix,
                          ) -> tuple[float, OrderVerdict]:
     """Gap D_inf(sigma || rho) - log(sigma+ / rho+), paired with the order verdict.
 
-    Nonnegative up to rounding, and zero to rounding exactly when rho is
-    below sigma. The value is not clamped: an ordered pair's gap can read
-    slightly negative (down to -3.7e-14 over 20,000 sampled dim 2-5 pairs;
-    the property tests allow -1e-12). Both halves read the one remembered
-    sandwich S: the gap is log(rho+ lambda_max(S) / sigma+) and the
-    verdict's slack is 1 - rho+ lambda_max(S) / sigma+, so they agree by
-    construction, except where qpe_leq's rounding fallback decides the
-    verdict; oracle.qpe_order_oracle is the independent check.
+    The gap is log(1 - slack) of qpe_leq's verdict, so the gap and the
+    verdict come from one number. On the sandwich route that is
+    log(rho+ lambda_max(S) / sigma+), the gap as defined, and inf when sigma
+    escapes rho's support. Where qpe_leq's rounding fallback decides, the
+    slack is the least eigenvalue of rho/rho+ - sigma/sigma+, never
+    positive, so the gap is nonnegative and at most log(1 + psd_slack) when
+    the verdict holds. The value is not clamped: an ordered pair's gap on
+    the sandwich route can read slightly negative (the property tests allow
+    -1e-12).
     """
-    div = max_divergence(sigma, rho, cfg)
-    ratio = float(cfg.log(top_eigenvalue(sigma)) - cfg.log(top_eigenvalue(rho)))
     verdict = qpe_leq(rho, sigma, cfg)
-    if np.isinf(div.value):
-        return np.inf, verdict
-    return div.value - ratio, verdict
+    return float(cfg.log(1.0 - verdict.slack)), verdict
 
 
 def effect_probability(state: DensityMatrix, effect: Effect) -> float:

@@ -4,9 +4,10 @@ Everything here deliberately avoids the main code paths: positivity is
 probed by Rayleigh quotients instead of an eigensolver, the state order on
 its order matrix instead of the sandwich, the diagonal order by
 elementwise division, the channel order from the Kraus action instead of
-the Choi states, and entropies by the direct sum formula. A disagreement
-between these routes and the main library is a bug in one of them, never a
-tolerance artifact to be absorbed.
+the Choi states, the max-divergence from below by random effects instead
+of its attaining projector, and entropies by the direct sum formula. A
+disagreement between these routes and the main library is a bug in one of
+them, never a tolerance artifact to be absorbed.
 """
 from __future__ import annotations
 
@@ -65,6 +66,28 @@ def qpe_order_oracle(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Order
     """
     r_top, s_top = top_eigenvalue(rho), top_eigenvalue(sigma)
     return is_psd(s_top * rho.matrix - r_top * sigma.matrix, cfg)
+
+
+def random_effect_lower_bound(sigma, rho, trials: int = 64, seed: int = 0) -> float:
+    """Best natural-log Born ratio log tr(sigma M) / tr(rho M) over random effects.
+
+    Each M is G G^dagger / tr(G G^dagger) for a complex Gaussian n x n G:
+    PSD with unit trace, so 0 <= M <= I, a bona fide effect. The ratio does
+    not depend on M's scale, so no eigensolve normalizes it. Every ratio is
+    a lower bound on D_inf(sigma || rho): sigma <= exp(D_inf) rho, so
+    tr(sigma M) <= exp(D_inf) tr(rho M) for every M >= 0. -inf when trials
+    is 0.
+    """
+    if sigma.dim != rho.dim:
+        raise DimensionMismatch("state dimensions differ")
+    n = rho.dim
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((trials, n, n)) + 1j * rng.standard_normal((trials, n, n))
+    M = G @ G.conj().transpose(0, 2, 1)
+    M /= np.trace(M, axis1=1, axis2=2).real[:, None, None]
+    p_sig = np.einsum("ij,tji->t", sigma.matrix, M).real
+    p_rho = np.einsum("ij,tji->t", rho.matrix, M).real
+    return float(np.log(p_sig / p_rho).max(initial=-np.inf))
 
 
 def diagonal_order_oracle(x, y, slack: float = 1e-9) -> OrderVerdict:

@@ -30,6 +30,7 @@ from .linalg import (
 )
 from .states import (
     DensityMatrix,
+    attaining_direction,
     bottom_eigenspace_nonzero,
     escape_direction,
     heaviest_kernel_direction,
@@ -150,8 +151,8 @@ def qpe_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
     dimensionless: 1 - exp(gap) for order_divergence_gap's natural-log gap,
     and unmoved by tensoring both states with I/m. It is -inf when sigma
     escapes rho's support. A fails witness u has u* (sigma+ rho - rho+ sigma) u < 0:
-    the kernel direction sigma escapes along, or rho^-1/2 applied to S's
-    top eigenvector.
+    the kernel direction sigma escapes along, or states.attaining_direction,
+    rho^-1/2 applied to S's top eigenvector.
 
     The single exception: a slack that does not hold but lies within
     SANDWICH_ROUNDING * kappa of zero, kappa being rho's condition number
@@ -189,8 +190,7 @@ def _sandwich_verdict(r: HermitianOperator, s: HermitianOperator,
         return _order_verdict(r.matrix / r_top - s.matrix / s_top, cfg)
     if relation == MARGINAL:
         return OrderVerdict(MARGINAL, slack)
-    witness = r.power_times(-0.5, S.eigenvectors[:, 0], cfg)
-    return OrderVerdict(FAILS, slack, witness=witness / np.linalg.norm(witness))
+    return OrderVerdict(FAILS, slack, witness=attaining_direction(r, s, cfg))
 
 
 def lev_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:

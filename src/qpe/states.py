@@ -130,15 +130,29 @@ def top_eigenvalue(rho) -> float:
 def sandwich(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> HermitianOperator:
     """rho^-1/2 sigma rho^-1/2, the generalized inverse vanishing off rho's support.
 
-    Reconstruction, the max-divergence and the measurement bound all read it.
-    It is remembered on rho for sigma (one of rho's recent partners) and
-    rank_cutoff.
+    Reconstruction, the order, the max-divergence and its attaining direction
+    all read it. It is remembered on rho for sigma (one of rho's recent
+    partners) and rank_cutoff.
     """
     def build():
         X = rho.inv_sqrt(cfg)
         return HermitianOperator(hermitian_part(X @ sigma.matrix @ X))
 
     return rho._remember(sigma, ("sandwich", cfg.rank_cutoff), build)
+
+
+def attaining_direction(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """The unit vector u proportional to rho^-1/2 v, v the top eigenvector of
+    the sandwich S.
+
+    When sigma lives on rho's support, u* sigma u / u* rho u = lambda_max(S):
+    the projector onto u is the one measurement that attains
+    D_inf(sigma || rho). It reads the remembered sandwich's eigenvectors and
+    rho's cached eigenbasis, and forms no power of rho. qpe_leq's fails
+    witness is this u.
+    """
+    u = rho.power_times(-0.5, sandwich(rho, sigma, cfg).eigenvectors[:, 0], cfg)
+    return u / np.linalg.norm(u)
 
 
 def _cluster_cut(w_desc: np.ndarray, start: int, width: float) -> int:

@@ -41,6 +41,7 @@ from qpe.oracle import (
     ORDER_NOT_MAJORIZATION,
     channel_order_oracle,
     partial_trace_counterexample,
+    random_effect_lower_bound,
     shannon_entropy,
 )
 from qpe.orders import majorizes, qpe_leq
@@ -369,17 +370,19 @@ def test_criterion_09_channel_suite(rng):
 def test_criterion_10_measurement_bound_attained(rng):
     worst_excess = -np.inf
     worst_gap = 0.0
+    start = perf_counter()
     for i in range(1000):
         dim = 2 + i % 3
         rho = random_state(dim, rng=rng)
         sigma = random_state(dim, rng=rng)
         d = max_divergence(sigma, rho, CFG).value
-        bound = povm_distinguishability_lower_bound(sigma, rho, trials=16,
-                                                    seed=i, cfg=CFG)
-        worst_excess = max(worst_excess, bound - d)
+        bound = povm_distinguishability_lower_bound(sigma, rho, CFG)
+        searched = random_effect_lower_bound(sigma, rho, trials=16, seed=i)
+        worst_excess = max(worst_excess, bound - d, searched - d)
         worst_gap = max(worst_gap, d - bound)
+    elapsed = perf_counter() - start
     ok = worst_excess <= 1e-9 and worst_gap <= 1e-8
     _report(10, ok,
-            f"single-measurement bound never exceeds the divergence "
-            f"(excess <= {worst_excess:.1e}) and attains it to "
-            f"{worst_gap:.1e} on 10^3 pairs")
+            f"single-measurement bound and 16 random effects never exceed "
+            f"the divergence (excess <= {worst_excess:.1e}), the bound "
+            f"attains it to {worst_gap:.1e} on 10^3 pairs; {elapsed:.1f} s")

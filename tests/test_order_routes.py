@@ -9,6 +9,8 @@ anywhere from just above the kernel cutoff up to 1e-3 rho+, and every fails
 witness u must give u* (sigma+ rho - rho+ sigma) u < 0, computed here in
 plain numpy. The slack does not move with the dimension or under tensoring
 both states with I/m, where the order matrix's least eigenvalue shrinks.
+The order-divergence gap reads the verdict's slack, so it agrees with the
+verdict also on near-kernel priors.
 """
 from __future__ import annotations
 
@@ -16,9 +18,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qpe import DensityMatrix, fls_update, qpe_leq, qpe_order_oracle, random_agreeing_effect
+from qpe import (
+    DensityMatrix,
+    fls_update,
+    order_divergence_gap,
+    qpe_leq,
+    qpe_order_oracle,
+    random_agreeing_effect,
+)
 from qpe.linalg import random_unitary
 from qpe.states import sandwich
+
+# the verdict band is 1e-9 wide; a holds verdict means a gap below this
+GAP_TOL = 1e-8
 
 
 def _order_matrix(rho, sigma):
@@ -92,6 +104,21 @@ def test_near_kernel_priors_agree_with_the_order_matrix(floor):
                 (kind, got.slack, want.slack)
             if got.fails:
                 assert _witness_form(got, rho, sigma) < 0.0
+
+
+def test_near_kernel_gap_agrees_with_the_verdict():
+    """The gap is log(1 - slack) of the verdict it is paired with, so the two
+    agree also where the rounding fallback decides: on agreeing updates of
+    priors at the kernel cutoff's edge, by evidence whose second eigenvalue
+    is near 1, a gap read off the sandwich alone reached 1.5e-5 on holding
+    pairs."""
+    rng = np.random.default_rng(5)
+    for trial in range(400):
+        rho = _near_kernel_prior(2 + trial % 4, 1.5e-12, rng)
+        sigma = fls_update(rho, random_agreeing_effect(rho, rng, low=1.0 - 1e-3, high=1.0))
+        gap, verdict = order_divergence_gap(rho, sigma)
+        assert verdict.holds, (trial, verdict.slack)
+        assert gap < GAP_TOL, (trial, gap)
 
 
 def test_an_ill_conditioned_state_is_below_itself():

@@ -9,7 +9,8 @@ order-divergence gap must not move under a unitary conjugation of both
 states, nor the verdict and its slack under tensoring both with I/m. The gap is (to rounding) nonnegative and vanishes exactly when the
 order holds, and an ordered pair survives the reconstruct-then-update round
 trip, also on near-boundary pairs reached by evidence whose second
-eigenvalue is close to 1.
+eigenvalue is close to 1. The measurement bound attains the max-divergence,
+and no random effect exceeds it.
 """
 from __future__ import annotations
 
@@ -28,8 +29,10 @@ from qpe import (
     fls_update,
     max_divergence,
     order_divergence_gap,
+    povm_distinguishability_lower_bound,
     qpe_leq,
     random_agreeing_effect,
+    random_effect_lower_bound,
     random_state,
     reconstruct_effect,
     way_below_witness,
@@ -43,6 +46,9 @@ GAP_FLOOR = -1e-12
 # the verdict band is 1e-9 wide; a holds verdict means a gap below this
 GAP_TOL = 1e-8
 ROUND_TRIP_TOL = 1e-8
+# the attaining projector's Born ratio and the sandwich norm both carry
+# rounding amplified by rho's condition number
+BOUND_TOL = 1e-8
 # derandomized so the suite is reproducible; the examples still span every kind
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                              database=None)
@@ -165,6 +171,37 @@ def test_pool_queries_past_the_partner_cap_give_the_cold_results(raw, seed):
         name = names[rng.integers(len(names))]
         cold = QUERIES[name](DensityMatrix(raw[i]), DensityMatrix(raw[j]))
         assert QUERIES[name](pool[i], pool[j]) == cold, (name, i, j)
+
+
+@st.composite
+def bound_pairs(draw):
+    """(sigma, rho) raw: a full-rank prior, a rank-deficient prior with sigma
+    inside its support, or one that sigma escapes."""
+    kind = draw(st.sampled_from(["full_rank", "inside_support", "escaping"]))
+    n = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "full_rank":
+        return random_state(n, rng=rng).matrix.copy(), random_state(n, rng=rng).matrix.copy()
+    rank = int(rng.integers(1, n))
+    rho = random_state(n, rank=rank, rng=rng)
+    if kind == "escaping":
+        return random_state(n, rng=rng).matrix.copy(), rho.matrix.copy()
+    K = rho.eigenvectors[:, :rank]
+    inner = random_state(rank, rng=rng).matrix
+    return K @ inner @ K.conj().T, rho.matrix.copy()
+
+
+@settings(PROPERTY_SETTINGS, max_examples=20)
+@given(pair=bound_pairs(), seed=st.integers(0, 2**32 - 1))
+def test_measurement_bound_attains_the_max_divergence(pair, seed):
+    sigma, rho = (DensityMatrix(M) for M in pair)
+    d = max_divergence(sigma, rho).value
+    bound = povm_distinguishability_lower_bound(sigma, rho)
+    if np.isinf(d):
+        assert bound == d
+    else:
+        assert abs(bound - d) <= BOUND_TOL, (bound, d)
+    assert random_effect_lower_bound(sigma, rho, trials=16, seed=seed) <= d + 1e-9
 
 
 @PROPERTY_SETTINGS

@@ -1,11 +1,16 @@
-"""Pins the one function in src/qpe that scales rank_cutoff into a cutoff.
+"""Pins the one function in src/qpe that scales rank_cutoff into a cutoff,
+and the few places that compare against it unscaled.
 
 Which eigenvalues count as zero decides the support condition of the order,
 the generalized inverse, the infinite max-divergence and the Kraus family
 recovered from a Choi state. linalg.kernel_cutoff is that rule; a product
-with rank_cutoff anywhere else would be a second copy of it. Uses of
-rank_cutoff as an absolute threshold (bayes, domain, the memo keys) do not
-multiply it and stay allowed.
+with rank_cutoff anywhere else would be a second copy of it, and a
+comparison against a bare rank_cutoff (directly, through a local name bound
+to it, or raised to a power) would be a second, absolute rule. The absolute
+thresholds that remain are not supports: bayes._conditioned's floor on a
+Born probability and domain._way_below's floor on a squared distance. The
+config's own check that cluster_width is at least rank_cutoff is the third
+allowed comparison. The memo keys read rank_cutoff without comparing it.
 """
 from __future__ import annotations
 
@@ -15,6 +20,11 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qpe"
 ALLOWED = {("linalg", "kernel_cutoff")}
+ALLOWED_COMPARISONS = {
+    ("bayes", "_conditioned"),
+    ("domain", "_way_below"),
+    ("config", "ToleranceConfig.__post_init__"),
+}
 
 
 class _Sites(ast.NodeVisitor):
@@ -51,10 +61,48 @@ class _Sites(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _sites(source: str, module: str) -> list[tuple[str, str]]:
-    visitor = _Sites(module)
-    visitor.visit(ast.parse(source))
-    return visitor.found
+class _Comparisons(_Sites):
+    """Collects (module, qualified function name) for each comparison with a
+    bare rank_cutoff: the attribute itself, a name assigned from it in the
+    same function, or either raised to a power."""
+
+    def __init__(self, module: str):
+        super().__init__(module)
+        self.aliases: list[set[str]] = [set()]
+
+    def _scoped(self, node):
+        self.aliases.append(set())
+        super()._scoped(node)
+        self.aliases.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _scoped
+
+    def _is_cutoff(self, node) -> bool:
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            return self._is_cutoff(node.left)
+        if isinstance(node, ast.Name):
+            return node.id in self.aliases[-1]
+        return _Sites._is_cutoff(node)
+
+    def visit_Assign(self, node):
+        if self._is_cutoff(node.value):
+            self.aliases[-1].update(t.id for t in node.targets if isinstance(t, ast.Name))
+        self.generic_visit(node)
+
+    def visit_Compare(self, node):
+        self._check((node.left, *node.comparators))
+        self.generic_visit(node)
+
+    def visit_BinOp(self, node):
+        self.generic_visit(node)
+
+    visit_AugAssign = visit_BinOp
+
+
+def _sites(source: str, module: str, visitor=_Sites) -> list[tuple[str, str]]:
+    found = visitor(module)
+    found.visit(ast.parse(source))
+    return found.found
 
 
 def test_rank_cutoff_is_scaled_only_in_kernel_cutoff():
@@ -75,3 +123,26 @@ def test_guard_sees_products_on_either_side():
         "        return w <= cfg.rank_cutoff, cfg.rank_cutoff ** 2\n"
     )
     assert _sites(source, "m") == [("m", "f"), ("m", "C.g"), ("m", "C.g")]
+
+
+def test_rank_cutoff_is_compared_bare_only_at_the_absolute_thresholds():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found.update(_sites(path.read_text(), path.stem, _Comparisons))
+    assert found == ALLOWED_COMPARISONS
+
+
+def test_comparison_guard_sees_aliases_and_powers():
+    # an absolute support rule in the form classical_max_divergence once had
+    source = (
+        "def classical_max_divergence(xv, yv, cfg):\n"
+        "    cutoff = cfg.rank_cutoff\n"
+        "    if np.any((xv > cutoff) & (yv <= cutoff)):\n"
+        "        return np.inf\n"
+        "    live = xv > cutoff\n"
+        "def g(d, cfg):\n"
+        "    return d <= cfg.rank_cutoff ** 2, d <= kernel_cutoff(d, cfg)\n"
+        "def h(cutoff, cfg):\n"
+        "    return cutoff < 1.0, (cfg.rank_cutoff,)\n"
+    )
+    assert _sites(source, "m", _Comparisons) == [("m", "classical_max_divergence")] * 3 + [("m", "g")]

@@ -368,7 +368,7 @@ class TestCachedRoutesMatchRawArrays:
 
     def test_measurement_bound_attains_the_raw_divergence(self, state_pair):
         rho, sigma = state_pair
-        assert_allclose(povm_distinguishability_lower_bound(sigma, rho, trials=8),
+        assert_allclose(povm_distinguishability_lower_bound(sigma, rho),
                         _raw_max_divergence(sigma.matrix, rho.matrix), rtol=DIFF_RTOL)
 
     def test_eigenvalues_match_lazy_eigh(self, state_pair):
