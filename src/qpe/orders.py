@@ -160,6 +160,9 @@ def qpe_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
     decided on rho/rho+ - sigma/sigma+ (norm at most 1, also unmoved by
     tensoring with I/m), whose least eigenvalue is then the slack.
 
+    A raw operand whose top eigenvalue is not positive has no rescaling and
+    raises NonpositiveScalar.
+
     The verdict is remembered on rho for sigma (one of rho's recent partners)
     and psd_slack and rank_cutoff (the cfg fields it reads), so it is shared
     between calls and its witness is read-only.
@@ -177,11 +180,13 @@ def qpe_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
 
 def _sandwich_verdict(r: HermitianOperator, s: HermitianOperator,
                       cfg: ToleranceConfig) -> OrderVerdict:
+    r_top, s_top = float(r.eigenvalues[0]), float(s.eigenvalues[0])
+    if not (r_top > 0.0 and s_top > 0.0):
+        raise NonpositiveScalar(f"qpe_leq rescales by the top eigenvalues, got {r_top}, {s_top}")
     escape = escape_direction(r, s, cfg)
     if escape is not None:
         return OrderVerdict(FAILS, -np.inf, witness=escape)
     S = sandwich(r, s, cfg)
-    r_top, s_top = float(r.eigenvalues[0]), float(s.eigenvalues[0])
     slack = 1.0 - r_top * float(S.eigenvalues[0]) / s_top
     relation = relation_of(slack, slack, cfg)
     if relation == HOLDS:

@@ -18,6 +18,7 @@ from .linalg import (
     HermitianOperator,
     as_operator,
     assert_hermitian,
+    extreme_eigenvector,
     hermitian_part,
     kernel_cutoff,
     psd_verdict,
@@ -147,11 +148,14 @@ def attaining_direction(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np
 
     When sigma lives on rho's support, u* sigma u / u* rho u = lambda_max(S):
     the projector onto u is the one measurement that attains
-    D_inf(sigma || rho). It reads the remembered sandwich's eigenvectors and
-    rho's cached eigenbasis, and forms no power of rho. qpe_leq's fails
-    witness is this u.
+    D_inf(sigma || rho). v is linalg.extreme_eigenvector of the remembered
+    sandwich at the lambda_max(S) its spectrum already holds: the
+    sandwich's cached eigenvectors at small dims, one shifted solve above.
+    u reads rho's cached eigenbasis and forms no power of rho. qpe_leq's
+    fails witness is this u.
     """
-    u = rho.power_times(-0.5, sandwich(rho, sigma, cfg).eigenvectors[:, 0], cfg)
+    S = sandwich(rho, sigma, cfg)
+    u = rho.power_times(-0.5, extreme_eigenvector(S, S.eigenvalues), cfg)
     return u / np.linalg.norm(u)
 
 

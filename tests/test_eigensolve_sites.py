@@ -1,8 +1,11 @@
-"""Pins the functions in src/qpe that may call a numpy eigensolver.
+"""Pins the functions in src/qpe that may call a numpy eigensolver or
+linear solver.
 
 A matrix reaches its spectrum through linalg.HermitianOperator, which solves
 once and caches the result. Each site below is allowed for the reason in its
-comment; a new eigensolve anywhere else in the package fails this test.
+comment; a new eigensolve anywhere else in the package fails this test. A
+linear solve or inverse is allowed only in linalg.extreme_eigenvector's
+inverse iteration.
 """
 from __future__ import annotations
 
@@ -12,13 +15,18 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qpe"
 EIGENSOLVERS = {"eigh", "eigvalsh", "eig", "eigvals"}
+LINEAR_SOLVERS = {"solve", "inv"}
 
 ALLOWED = {
-    # the cache: the spectrum validation reads, then the lazy eigenvectors
+    # the cache: the spectrum validation reads, then the lazy eigenvectors,
+    # which also give a sandwich's fails witness below
+    # linalg.SHIFTED_SOLVE_MIN_DIM
     ("linalg", "HermitianOperator.__init__"),
     ("linalg", "HermitianOperator._eigh"),
-    # the witness vector of a fails verdict
-    ("linalg", "psd_verdict"),
+    # the witness vector of a fails verdict on a one-shot matrix (psd_verdict
+    # on an order matrix) below linalg.SHIFTED_SOLVE_MIN_DIM, and on any
+    # matrix whose inverse iteration did not settle
+    ("linalg", "extreme_eigenvector"),
     # the one-shot order matrix of the three matrix predicates, and of
     # qpe_leq's fallback when rho^-1/2 would amplify rounding into the band
     ("orders", "_order_verdict"),
@@ -33,11 +41,17 @@ ALLOWED = {
 }
 
 
-class _Sites(ast.NodeVisitor):
-    """Collects (module, qualified function name) for each eigensolver use."""
+# the one witness primitive: inverse iteration at a known eigenvalue
+ALLOWED_LINEAR_SOLVES = {("linalg", "extreme_eigenvector")}
 
-    def __init__(self, module: str):
+
+class _Sites(ast.NodeVisitor):
+    """Collects (module, qualified function name) for each use of a name
+    in names."""
+
+    def __init__(self, module: str, names=EIGENSOLVERS):
         self.module = module
+        self.names = names
         self.scope: list[str] = []
         self.found: list[tuple[str, str]] = []
 
@@ -52,26 +66,34 @@ class _Sites(ast.NodeVisitor):
         self.found.append((self.module, ".".join(self.scope) or "<module>"))
 
     def visit_Attribute(self, node):
-        if node.attr in EIGENSOLVERS:
+        if node.attr in self.names:
             self._record()
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node):
-        if any(alias.name in EIGENSOLVERS for alias in node.names):
+        if any(alias.name in self.names for alias in node.names):
             self._record()
 
 
-def _sites(source: str, module: str) -> list[tuple[str, str]]:
-    visitor = _Sites(module)
+def _sites(source: str, module: str, names=EIGENSOLVERS) -> list[tuple[str, str]]:
+    visitor = _Sites(module, names)
     visitor.visit(ast.parse(source))
     return visitor.found
 
 
-def test_eigensolves_only_at_allowed_sites():
+def _package_sites(names) -> Counter:
     found = Counter()
     for path in sorted(SRC.glob("*.py")):
-        found.update(_sites(path.read_text(), path.stem))
-    assert found == Counter(ALLOWED)
+        found.update(_sites(path.read_text(), path.stem, names))
+    return found
+
+
+def test_eigensolves_only_at_allowed_sites():
+    assert _package_sites(EIGENSOLVERS) == Counter(ALLOWED)
+
+
+def test_linear_solves_only_in_the_witness_primitive():
+    assert _package_sites(LINEAR_SOLVERS) == Counter(ALLOWED_LINEAR_SOLVES)
 
 
 def test_guard_sees_calls_aliases_and_imports():
@@ -86,3 +108,16 @@ def test_guard_sees_calls_aliases_and_imports():
         "    return solve(x)\n"
     )
     assert _sites(source, "m") == [("m", "<module>"), ("m", "A.f"), ("m", "g")]
+
+
+def test_linear_solve_guard_sees_calls_aliases_and_imports():
+    source = (
+        "import numpy as np\n"
+        "from numpy.linalg import inv\n"
+        "def f(a, b):\n"
+        "    return np.linalg.solve(a, b)\n"
+        "def g(a):\n"
+        "    invert = np.linalg.inv\n"
+        "    return invert(a) @ a\n"
+    )
+    assert _sites(source, "m", LINEAR_SOLVERS) == [("m", "<module>"), ("m", "f"), ("m", "g")]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,8 +17,12 @@ from qpe.linalg import (
     FAILS,
     HOLDS,
     MARGINAL,
+    RAYLEIGH_TOL,
+    SHIFTED_SOLVE_MIN_DIM,
+    _start_vector,
     as_operator,
     assert_hermitian,
+    extreme_eigenvector,
     fidelity,
     hermitian_part,
     is_psd,
@@ -149,6 +155,54 @@ class TestPsdVerdict:
     def test_slack_is_least_eigenvalue(self, cfg):
         v = is_psd(np.diag([0.5, -0.125]), cfg)
         assert_allclose(v.slack, -0.125)
+
+
+class TestExtremeEigenvector:
+    """Below SHIFTED_SOLVE_MIN_DIM the vector is eigh's; from it on, one
+    shifted solve at the known eigenvalue, checked by its Rayleigh quotient."""
+
+    @staticmethod
+    def _calls(fn):
+        with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve, \
+                mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            out = fn()
+        return out, solve.call_count, eigh.call_count
+
+    @pytest.mark.parametrize("n", [2, 5, SHIFTED_SOLVE_MIN_DIM - 1])
+    @pytest.mark.parametrize("top", [True, False])
+    def test_below_the_crossover_it_is_eighs_vector(self, rng, n, top):
+        H = random_hermitian(n, rng)
+        w, V = np.linalg.eigh(H)
+        col = -1 if top else 0
+        assert np.array_equal(extreme_eigenvector(H, w[::-1], top), V[:, col])
+        op = as_operator(H)
+        assert np.array_equal(extreme_eigenvector(op, op.eigenvalues, top), V[:, col])
+
+    @pytest.mark.parametrize("n", [SHIFTED_SOLVE_MIN_DIM, 40])
+    @pytest.mark.parametrize("top", [True, False])
+    def test_above_it_one_solve_and_no_eigensolve(self, rng, n, top):
+        H = random_hermitian(n, rng)
+        w = np.linalg.eigvalsh(H)[::-1]
+        u, solves, eighs = self._calls(lambda: extreme_eigenvector(H, w, top))
+        assert (solves, eighs) == (1, 0)
+        lam = w[0] if top else w[-1]
+        assert abs(np.linalg.norm(u) - 1.0) <= 1e-14
+        assert abs(np.vdot(u, H @ u).real - lam) <= RAYLEIGH_TOL * np.abs(w).max()
+
+    def test_an_unsettled_iteration_falls_back_to_eigh(self, rng):
+        n = SHIFTED_SOLVE_MIN_DIM
+        b = _start_vector(n)
+        Q = random_unitary(n, rng)
+        # the least eigenvector is orthogonal to the start vector, so one
+        # solve leaves the Rayleigh quotient short
+        Q[:, 0] -= b * (b @ Q[:, 0]) / (b @ b)
+        Q = np.linalg.qr(Q)[0]
+        H = hermitian_part((Q * np.linspace(-1.0, 1.0, n)) @ Q.conj().T)
+        w = np.linalg.eigvalsh(H)[::-1]
+        with mock.patch("qpe.linalg.MAX_SOLVES", 1):
+            u, solves, eighs = self._calls(lambda: extreme_eigenvector(H, w, top=False))
+        assert (solves, eighs) == (1, 1)
+        assert np.array_equal(u, np.linalg.eigh(H)[1][:, 0])
 
 
 def _descending_spectra(rng):

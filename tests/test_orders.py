@@ -6,8 +6,8 @@ from numpy.testing import assert_allclose
 
 from qpe import DensityMatrix
 from qpe.bayes import classical_solve_evidence
-from qpe.divergence import classical_max_divergence
-from qpe.exceptions import BadParameter, DimensionMismatch, InvalidState
+from qpe.divergence import classical_max_divergence, order_divergence_gap
+from qpe.exceptions import BadParameter, DimensionMismatch, InvalidState, NonpositiveScalar
 from qpe.linalg import is_psd, random_unitary
 from qpe.orders import (
     as_probability_vector,
@@ -148,6 +148,18 @@ class TestQpeOrderLaws:
         rho = random_state(3, rng=rng)
         assert qpe_leq(rho, bot).fails
         assert qpe_leq(bot, bot).holds
+
+    @pytest.mark.parametrize("lower,upper", [
+        (np.eye(2) / 2, np.zeros((2, 2))),
+        (np.zeros((2, 2)), np.zeros((2, 2))),
+        (np.zeros((2, 2)), np.eye(2) / 2),
+        (-np.eye(2), np.eye(2) / 2),
+    ])
+    def test_an_operand_with_no_positive_top_eigenvalue_is_rejected(self, lower, upper):
+        # the order rescales by each top eigenvalue: none to rescale by
+        for call in (qpe_leq, order_divergence_gap):
+            with pytest.raises(NonpositiveScalar):
+                call(lower, upper)
 
     def test_unitary_invariance(self, rng, make_ordered_pair):
         rho, sigma = make_ordered_pair(3)

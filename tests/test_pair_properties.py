@@ -1,4 +1,6 @@
-"""Property tests on state pairs at dims 2-5, drawn by hypothesis.
+"""Property tests on state pairs at dims 2-5 (the witness and bound
+properties also at two dims on the solve side of the witness crossover),
+drawn by hypothesis.
 
 A state remembers its order verdict, sandwich, max-divergence and way-below
 witness for its recent partners (up to 8, oldest dropped first), so the
@@ -10,7 +12,11 @@ states, nor the verdict and its slack under tensoring both with I/m. The gap is 
 order holds, and an ordered pair survives the reconstruct-then-update round
 trip, also on near-boundary pairs reached by evidence whose second
 eigenvalue is close to 1. The measurement bound attains the max-divergence,
-and no random effect exceeds it.
+and no random effect exceeds it. Every fails witness certifies on its own
+order matrix, on both sides of linalg.SHIFTED_SOLVE_MIN_DIM (eigh below,
+inverse iteration from the dimension on), also where the eigenvector it
+needs is orthogonal to the iteration's start vector or sits in a cluster
+of relative width down to 1e-12.
 """
 from __future__ import annotations
 
@@ -26,10 +32,14 @@ from hypothesis import strategies as st
 from qpe import (
     DensityMatrix,
     QpeError,
+    f_renormalized_leq,
     fls_update,
+    is_psd,
+    lev_leq,
     max_divergence,
     order_divergence_gap,
     povm_distinguishability_lower_bound,
+    primed_leq,
     qpe_leq,
     random_agreeing_effect,
     random_effect_lower_bound,
@@ -37,7 +47,8 @@ from qpe import (
     reconstruct_effect,
     way_below_witness,
 )
-from qpe.linalg import PARTNER_MEMO_SIZE, random_unitary
+from qpe.linalg import PARTNER_MEMO_SIZE, SHIFTED_SOLVE_MIN_DIM, _start_vector, random_unitary
+from qpe.states import sandwich
 
 INVARIANCE_TOL = 1e-9
 # the gap is a difference of two logs of O(1) numbers: it sits at 0 to rounding
@@ -52,6 +63,9 @@ BOUND_TOL = 1e-8
 # derandomized so the suite is reproducible; the examples still span every kind
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                              database=None)
+# a witness is eigh's below the crossover and a shifted solve's from it on
+LARGE_DIMS = (SHIFTED_SOLVE_MIN_DIM, 2 * SHIFTED_SOLVE_MIN_DIM + 1)
+dims_across_the_crossover = st.one_of(st.integers(2, 5), st.sampled_from(LARGE_DIMS))
 
 
 def _pair(kind: str, n: int, rng: np.random.Generator):
@@ -178,7 +192,7 @@ def bound_pairs(draw):
     """(sigma, rho) raw: a full-rank prior, a rank-deficient prior with sigma
     inside its support, or one that sigma escapes."""
     kind = draw(st.sampled_from(["full_rank", "inside_support", "escaping"]))
-    n = draw(st.integers(2, 5))
+    n = draw(dims_across_the_crossover)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "full_rank":
         return random_state(n, rng=rng).matrix.copy(), random_state(n, rng=rng).matrix.copy()
@@ -191,7 +205,7 @@ def bound_pairs(draw):
     return K @ inner @ K.conj().T, rho.matrix.copy()
 
 
-@settings(PROPERTY_SETTINGS, max_examples=20)
+@settings(PROPERTY_SETTINGS, max_examples=30)
 @given(pair=bound_pairs(), seed=st.integers(0, 2**32 - 1))
 def test_measurement_bound_attains_the_max_divergence(pair, seed):
     sigma, rho = (DensityMatrix(M) for M in pair)
@@ -256,3 +270,108 @@ def test_gap_vanishes_iff_ordered_and_the_round_trip_returns_sigma(pair):
 @given(pair=near_boundary_pairs())
 def test_near_boundary_pair_is_ordered_with_zero_gap_and_round_trips(pair):
     assert _check_gap_and_round_trip(*pair).holds
+
+
+def _basis_off_the_start_vector(n: int, rng: np.random.Generator) -> np.ndarray:
+    """A unitary whose first two columns (the first, at n = 2) are
+    orthogonal to extreme_eigenvector's start vector."""
+    b = _start_vector(n).astype(complex)
+    U = random_unitary(n, rng)
+    k = min(2, n - 1)
+    U[:, :k] -= np.outer(b, b.conj() @ U[:, :k]) / np.vdot(b, b).real
+    return np.linalg.qr(U)[0]
+
+
+def _state_with_hard_ends(n: int, rng: np.random.Generator, orthogonal: bool,
+                          width: float) -> np.ndarray:
+    """A full-rank state whose least eigenvector (column 0 of its basis) and
+    top one (column 1) are orthogonal to the start vector if asked, and
+    whose bottom and top pairs of eigenvalues are width apart, relatively."""
+    Q = _basis_off_the_start_vector(n, rng) if orthogonal else random_unitary(n, rng)
+    w = np.sort(rng.uniform(0.2, 1.0, n))
+    w[-1], w[0] = 2.0, 0.1
+    if n > 2:
+        w[1], w[-2] = w[0] * (1.0 + width), w[-1] * (1.0 - width)
+    order = np.r_[0, n - 1, 1:n - 1]  # least, top, then the rest
+    M = (Q * (w[order] / w.sum())) @ Q.conj().T
+    return (M + M.conj().T) / 2.0
+
+
+def _rounding_fallback_pair(n: int, rng: np.random.Generator):
+    """rho with an eigenvalue at 1e-10 rho+ and sigma = (rho + t x x*) / (1 + t),
+    x orthogonal to rho's top and least eigenvectors and to the start vector.
+    The order matrix rho/rho+ - sigma/sigma+ is -t x x* / rho+, so the pair
+    fails; the sandwich slack lies within SANDWICH_ROUNDING kappa of zero,
+    so qpe_leq decides on that matrix."""
+    w = np.sort(rng.uniform(0.2, 1.0, n))[::-1]
+    w[0], w[-1] = 2.0, 2e-10
+    V = random_unitary(n, rng)
+    rho = (V * (w / w.sum())) @ V.conj().T
+    x = V[:, 1:-1] @ (rng.standard_normal(n - 2) + 1j * rng.standard_normal(n - 2))
+    b = V[:, 1:-1] @ (V[:, 1:-1].conj().T @ _start_vector(n))
+    if n > 4:  # room for x in the middle eigenspace and off the start vector
+        x -= b * np.vdot(b, x) / np.vdot(b, b)
+    x /= np.linalg.norm(x)
+    t = 1e-5 * float(np.linalg.eigvalsh(rho)[-1])
+    sigma = (rho + t * np.outer(x, x.conj())) / (1.0 + t)
+    return rho, (sigma + sigma.conj().T) / 2.0
+
+
+@st.composite
+def witness_pairs(draw):
+    """(kind, R, S) raw, R not below S for every kind but "random".
+
+    "hard": S = I/n above a state whose extreme eigenvectors avoid the start
+    vector or sit in a narrow cluster; qpe_leq's sandwich, the four order
+    matrices below and is_psd's all take their witness at those ends.
+    "fallback": _rounding_fallback_pair.
+    """
+    kind = draw(st.sampled_from(["random", "hard", "fallback"]))
+    n = draw(dims_across_the_crossover)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        return kind, random_state(n, rng=rng).matrix.copy(), random_state(n, rng=rng).matrix.copy()
+    if kind == "fallback":
+        return (kind, *_rounding_fallback_pair(max(n, 4), rng))
+    orthogonal = draw(st.booleans())
+    width = draw(st.sampled_from([0.3, 1e-6, 1e-9, 1e-12]))
+    return kind, _state_with_hard_ends(n, rng, orthogonal, width), np.eye(n) / n
+
+
+def _order_matrices(rho, sigma):
+    """Each predicate with the matrix its fails witness must certify on."""
+    r_top, s_top = float(rho.eigenvalues[0]), float(sigma.eigenvalues[0])
+    r_min, s_min = float(rho.eigenvalues[-1]), float(sigma.eigenvalues[-1])
+    qpe_matrix = s_top * rho.matrix - r_top * sigma.matrix
+    return {
+        "qpe_leq": (qpe_leq(rho, sigma), qpe_matrix),
+        # full-rank pairs: lev decides on its order matrix, not structurally
+        "lev_leq": (lev_leq(rho, sigma), r_min * sigma.matrix - s_min * rho.matrix),
+        "primed_leq": (primed_leq(rho, sigma),
+                       (s_top - r_top) * np.eye(rho.dim) - (sigma.matrix - rho.matrix)),
+        "f_renormalized_leq": (f_renormalized_leq(rho, sigma, "op_norm"),
+                               sigma.norm * rho.matrix - rho.norm * sigma.matrix),
+        "is_psd": (is_psd(qpe_matrix), qpe_matrix),
+    }
+
+
+@PROPERTY_SETTINGS
+@given(case=witness_pairs())
+def test_every_fails_witness_certifies_on_its_order_matrix(case):
+    kind, R, S = case
+    rho, sigma = DensityMatrix(R), DensityMatrix(S)
+    for orientation in ((rho, sigma), (sigma, rho)):
+        for name, (verdict, M) in _order_matrices(*orientation).items():
+            if not verdict.fails:
+                continue
+            u = verdict.witness
+            assert abs(np.linalg.norm(u) - 1.0) <= 1e-12, name
+            assert np.vdot(u, M @ u).real < 0.0, (name, verdict.slack)
+    verdict = qpe_leq(rho, sigma)
+    if kind != "random":
+        assert verdict.fails
+    if kind == "fallback":
+        # decided on the order matrix, not on the sandwich
+        sandwich_slack = 1.0 - float(rho.eigenvalues[0]) * float(
+            sandwich(rho, sigma).eigenvalues[0]) / float(sigma.eigenvalues[0])
+        assert verdict.slack != sandwich_slack

@@ -179,9 +179,37 @@ class TestEigensolveCounts:
                     reconstruct_effect(rho, sigma)
 
         # builds 2, inv_sqrt's eigh 1, sandwich 1, and then the posterior
-        # (ordered) or the sandwich's eigh for the fails witness (incomparable) 1;
+        # (ordered) or, at these dims below linalg.SHIFTED_SOLVE_MIN_DIM, the
+        # sandwich's eigh for the fails witness (incomparable) 1;
         # the verdict reads the sandwich the max-divergence built
         assert count_eigensolves(op) == 5
+
+    @pytest.mark.parametrize("ordered,solves", [(True, 5), (False, 4)])
+    def test_cold_pairs_op_above_the_witness_crossover(self, ordered, solves):
+        """pairs_large's op: the fails witness is one shifted solve at the
+        sandwich's known top eigenvalue, so an incomparable pair saves the
+        sandwich's eigh."""
+        rng = np.random.default_rng(15)
+        rho = random_state(64, rng=rng)
+        if ordered:
+            sigma = fls_update(rho, random_agreeing_effect(rho, rng))
+        else:
+            sigma = random_state(64, rng=rng)
+        R, S = rho.matrix.copy(), sigma.matrix.copy()
+
+        def op():
+            rho, sigma = DensityMatrix(R), DensityMatrix(S)
+            gap, verdict = order_divergence_gap(rho, sigma)
+            assert verdict.holds == ordered and (ordered or verdict.fails)
+            if ordered:
+                fls_update(rho, reconstruct_effect(rho, sigma))
+            else:
+                with pytest.raises(NotBelow):
+                    reconstruct_effect(rho, sigma)
+
+        with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
+            assert count_eigensolves(op) == solves
+        assert solve.call_count == (0 if ordered else 1)
 
 
 class TestMatrixPredicatesReadTheCache:
