@@ -26,7 +26,7 @@ from .exceptions import (
     ZeroEvidence,
     ZeroProbability,
 )
-from .linalg import hermitian_part, kernel_cutoff, matrix_power, operator_norm
+from .linalg import hermitian_part, kernel_cutoff, matrix_power, operator_norm, operator_pair
 from .orders import _probability_pair, as_probability_vector, classical_pe_leq, qpe_leq
 from .states import (
     DensityMatrix,
@@ -80,8 +80,7 @@ def classical_solve_evidence(x, y, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.
 
 def _conditioned(outer, inner, cfg: ToleranceConfig) -> DensityMatrix:
     """outer^1/2 inner outer^1/2 / tr(E rho), the state and effect either way round."""
-    if outer.dim != inner.dim:
-        raise DimensionMismatch("state and effect dimensions differ")
+    outer, inner = operator_pair(outer, inner)
     sq = outer.sqrt
     out = sq @ inner.matrix @ sq
     prob = float(out.trace().real)
@@ -113,8 +112,7 @@ def reconstruct_effect(rho: DensityMatrix, sigma: DensityMatrix,
     sandwich's over the same norm. Requires rho below sigma in the
     positive-evidence order.
     """
-    if rho.dim != sigma.dim:
-        raise DimensionMismatch("state dimensions differ")
+    rho, sigma = operator_pair(rho, sigma)
     verdict = qpe_leq(rho, sigma, cfg)
     if not verdict.holds:
         raise NotBelow(f"prior is not below target ({verdict.relation}, "
@@ -170,8 +168,7 @@ def sequential_solve_effect(rho: DensityMatrix, sigma: DensityMatrix,
     rescaled to unit norm. For full-rank rho this is the only effect (up to
     scale, which the update ignores) that can map rho onto sigma.
     """
-    if rho.dim != sigma.dim:
-        raise DimensionMismatch("state dimensions differ")
+    rho, sigma = operator_pair(rho, sigma)
     inv_half = rho.inv_sqrt(cfg)
     mid = matrix_power(rho.sqrt @ sigma.matrix @ rho.sqrt, 0.5, cfg)
     X = inv_half @ mid @ inv_half

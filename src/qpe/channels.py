@@ -21,7 +21,8 @@ from .exceptions import (
     NonHermitianInput,
     NotCPTP,
 )
-from .linalg import OrderVerdict, assert_hermitian, kernel_cutoff, partial_trace, partial_transpose
+from .linalg import (OrderVerdict, assert_hermitian, check_mixing_weight, kernel_cutoff,
+                     partial_trace, partial_transpose)
 from .orders import qpe_leq
 from .states import DensityMatrix, rank_of, top_eigenvalue
 from .divergence import DivergenceValue, max_divergence
@@ -140,8 +141,7 @@ class Channel:
     def depolarizing(cls, n: int, t: float,
                      cfg: ToleranceConfig = DEFAULT_CONFIG) -> "Channel":
         """Mixes the input with I/n: rho -> (1 - t) rho + t I/n."""
-        if not 0.0 <= t <= 1.0:
-            raise BadParameter(f"mixing parameter {t} outside [0, 1]")
+        check_mixing_weight(t)
         ident = to_choi([np.eye(n)], n, n)
         flat = np.eye(n * n) / (n * n)
         return cls.from_choi((1.0 - t) * ident + t * flat, n, n, cfg)
@@ -193,6 +193,12 @@ class Channel:
                 f"choi_rank={rank_of(self.choi, self.cfg)})")
 
 
+def _channel_pair(phi: Channel, psi: Channel) -> None:
+    """The gate of every function that takes two channels of one shape."""
+    if (phi.in_dim, phi.out_dim) != (psi.in_dim, psi.out_dim):
+        raise DimensionMismatch("channels have different dims")
+
+
 def channel_compose(after: Channel, before: Channel,
                     cfg: ToleranceConfig = DEFAULT_CONFIG) -> Channel:
     """The composite running `before` first."""
@@ -211,10 +217,8 @@ def channel_tensor(phi: Channel, psi: Channel,
 def channel_mix(phi: Channel, psi: Channel, t: float,
                 cfg: ToleranceConfig = DEFAULT_CONFIG) -> Channel:
     """Convex mixture (1 - t) phi + t psi."""
-    if not 0.0 <= t <= 1.0:
-        raise BadParameter(f"mixing parameter {t} outside [0, 1]")
-    if (phi.in_dim, phi.out_dim) != (psi.in_dim, psi.out_dim):
-        raise DimensionMismatch("channels have different dims")
+    check_mixing_weight(t)
+    _channel_pair(phi, psi)
     kraus = [np.sqrt(1.0 - t) * K for K in phi.kraus]
     kraus += [np.sqrt(t) * L for L in psi.kraus]
     return Channel(kraus, phi.in_dim, phi.out_dim, cfg)
@@ -244,8 +248,7 @@ def channel_qpe_leq(phi: Channel, psi: Channel,
     `oracle.channel_order_oracle` decides the same question from the Kraus
     action alone, for tests and cross-checks.
     """
-    if (phi.in_dim, phi.out_dim) != (psi.in_dim, psi.out_dim):
-        raise DimensionMismatch("channels have different dims")
+    _channel_pair(phi, psi)
     return qpe_leq(phi.choi, psi.choi, cfg)
 
 
@@ -256,8 +259,7 @@ def channel_max_divergence(psi: Channel, phi: Channel,
     The supremum over (ancilla-extended) inputs is attained at the maximally
     entangled state.
     """
-    if (phi.in_dim, phi.out_dim) != (psi.in_dim, psi.out_dim):
-        raise DimensionMismatch("channels have different dims")
+    _channel_pair(phi, psi)
     return max_divergence(psi.choi, phi.choi, cfg)
 
 
@@ -301,8 +303,7 @@ def jamiolkowski_properties_check(
     if xi_post.in_dim != phi1.out_dim:
         raise DimensionMismatch("post-composition channel does not match "
                                 "the output space")
-    if (mix_with.in_dim, mix_with.out_dim) != (phi1.in_dim, phi1.out_dim):
-        raise DimensionMismatch("mixing partner has different dims")
+    _channel_pair(mix_with, phi1)
     n, k = phi1.in_dim, phi1.out_dim
     J1 = phi1.choi.matrix
     out: dict[str, float] = {}

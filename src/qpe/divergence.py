@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
-from .exceptions import BadAlpha, DimensionMismatch
-from .linalg import OrderVerdict, hermitian_part
+from .exceptions import BadAlpha
+from .linalg import OrderVerdict, as_operator, hermitian_part, operator_pair
 from .orders import _probability_pair, classical_pe_leq, qpe_leq
 from .states import DensityMatrix, Effect, attaining_direction, escape_direction, sandwich
 
@@ -34,7 +34,7 @@ def renyi_entropy(rho: DensityMatrix, alpha: float,
     """Renyi entropy of order alpha; alpha = 1 is von Neumann, inf is min-entropy."""
     if not alpha > 0:
         raise BadAlpha(f"order must be positive, got {alpha}")
-    lam = np.maximum(rho.eigenvalues, 0.0)
+    lam = np.maximum(as_operator(rho).eigenvalues, 0.0)
     if np.isinf(alpha):
         return float(-cfg.log(lam.max()))
     if alpha == 1:
@@ -53,8 +53,7 @@ def max_divergence(sigma: DensityMatrix, rho: DensityMatrix,
     again gets the same object back; channel_max_divergence and
     renyi_divergence at alpha = inf come through here and share it.
     """
-    if sigma.dim != rho.dim:
-        raise DimensionMismatch("state dimensions differ")
+    sigma, rho = operator_pair(sigma, rho)
 
     def compute():
         if escape_direction(rho, sigma, cfg) is not None:
@@ -74,12 +73,10 @@ def renyi_divergence(sigma: DensityMatrix, rho: DensityMatrix, alpha: float,
     """
     if not alpha > 0:
         raise BadAlpha(f"order must be positive, got {alpha}")
-    if sigma.dim != rho.dim:
-        raise DimensionMismatch("state dimensions differ")
+    sigma, rho = operator_pair(sigma, rho)
     if np.isinf(alpha):
         return max_divergence(sigma, rho, cfg)
-    escapes = escape_direction(rho, sigma, cfg) is not None
-    if alpha >= 1 and escapes:
+    if alpha >= 1 and escape_direction(rho, sigma, cfg) is not None:
         return DivergenceValue(np.inf, alpha, cfg.log_base, support_violation=True)
     if alpha == 1:
         return _umegaki(sigma, rho, cfg)
@@ -130,8 +127,7 @@ def povm_distinguishability_lower_bound(sigma: DensityMatrix, rho: DensityMatrix
     rho's support, by max_divergence's rule. oracle.random_effect_lower_bound
     is the independent check.
     """
-    if sigma.dim != rho.dim:
-        raise DimensionMismatch("state dimensions differ")
+    sigma, rho = operator_pair(sigma, rho)
     if escape_direction(rho, sigma, cfg) is not None:
         return np.inf
     u = attaining_direction(rho, sigma, cfg)
@@ -159,6 +155,5 @@ def order_divergence_gap(rho: DensityMatrix, sigma: DensityMatrix,
 
 def effect_probability(state: DensityMatrix, effect: Effect) -> float:
     """Born probability tr(E rho)."""
-    if state.dim != effect.dim:
-        raise DimensionMismatch("state and effect dimensions differ")
+    state, effect = operator_pair(state, effect)
     return float((effect.matrix @ state.matrix).trace().real)

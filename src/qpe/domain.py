@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
-from .exceptions import BadParameter, DimensionMismatch, NotAChain, NotConverged, PreconditionViolated
-from .linalg import operator_norm
+from .exceptions import NotAChain, NotConverged, PreconditionViolated
+from .linalg import as_operator, check_mixing_weight, operator_norm, operator_pair
 from .orders import qpe_leq
 from .states import DensityMatrix, rank_of
 
@@ -26,8 +26,8 @@ UNKNOWN = "unknown"
 def depolarize(rho: DensityMatrix, t: float,
                cfg: ToleranceConfig = DEFAULT_CONFIG) -> DensityMatrix:
     """Mix toward the maximally mixed state: (1 - t) rho + t I/n."""
-    if not 0.0 <= t <= 1.0:
-        raise BadParameter(f"mixing parameter {t} outside [0, 1]")
+    check_mixing_weight(t)
+    rho = as_operator(rho)
     n = rho.dim
     out = (1.0 - t) * rho.matrix + (t / n) * np.eye(n)
     return DensityMatrix(out, cfg)
@@ -62,8 +62,7 @@ def way_below_witness(rho: DensityMatrix, sigma: DensityMatrix,
     partners) and psd_slack and rank_cutoff (the cfg fields it reads), so
     a pair asked again gets the same object back.
     """
-    if rho.dim != sigma.dim:
-        raise DimensionMismatch("state dimensions differ")
+    rho, sigma = operator_pair(rho, sigma)
     return rho._remember(sigma, ("way_below", cfg.psd_slack, cfg.rank_cutoff),
                          lambda: _way_below(rho, sigma, cfg))
 
@@ -132,8 +131,7 @@ def mixing_monotone_check(kappa: DensityMatrix, rho: DensityMatrix,
                           sigma: DensityMatrix, t: float,
                           cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
     """Whether mixing both sides of an ordered pair toward a lower state preserves order."""
-    if not 0.0 <= t <= 1.0:
-        raise BadParameter(f"mixing parameter {t} outside [0, 1]")
+    check_mixing_weight(t)
     if not qpe_leq(kappa, rho, cfg).holds:
         raise PreconditionViolated("mixing anchor is not below the lower state")
     if not qpe_leq(rho, sigma, cfg).holds:

@@ -5,8 +5,9 @@ a validated matrix, solves it once and caches the result, and the package's
 states and effects are HermitianOperators. The checks, norms, powers,
 fidelity and partial trace and transpose accept a complex ndarray or a
 HermitianOperator; the norms and is_psd read an operator's cached
-spectrum, matrix_power and fidelity solve afresh, and kernel_cutoff is the
-package's one rule for which eigenvalues count as zero. An operator also
+spectrum, matrix_power and fidelity solve afresh. kernel_cutoff is the
+package's one rule for which eigenvalues count as zero, and operator_pair
+the one gate of every function that takes two operators. An operator also
 remembers what was computed against its recent partners (up to
 PARTNER_MEMO_SIZE, oldest dropped first): the order verdict (keyed on
 psd_slack, rank_cutoff), the sandwich (rank_cutoff), the max-divergence
@@ -183,10 +184,10 @@ def extreme_eigenvector(A, w, top: bool = True) -> np.ndarray:
     inverse iteration at the known eigenvalue (Golub & Van Loan, Matrix
     Computations, 8.2): (A - mu I) x = b solved from _start_vector, with mu
     past that eigenvalue by SHIFT_PER_DIM * n * ||A||, so outside the
-    spectrum and the system definite. A start vector nearly orthogonal to the eigenvector shows as a
-    Rayleigh quotient short of the eigenvalue by more than RAYLEIGH_TOL *
-    ||A||; the next solve starts from x, up to MAX_SOLVES, and eigh decides
-    if the quotient still falls short.
+    spectrum and the system definite. A start vector nearly orthogonal to
+    the eigenvector shows as a Rayleigh quotient short of the eigenvalue by
+    more than RAYLEIGH_TOL * ||A||; the next solve starts from x, up to
+    MAX_SOLVES, and eigh decides if the quotient still falls short.
     """
     H = _square(A)
     n = H.shape[0]
@@ -353,6 +354,25 @@ def as_operator(x) -> HermitianOperator:
     return HermitianOperator(assert_hermitian(x))
 
 
+def operator_pair(a, b) -> tuple[HermitianOperator, HermitianOperator]:
+    """Both operands through as_operator, checked to be of one dimension: the
+    gate of every function that takes two operators."""
+    # as_operator inlined, so a pair of operators costs two isinstance checks
+    if not isinstance(a, HermitianOperator):
+        a = as_operator(a)
+    if not isinstance(b, HermitianOperator):
+        b = as_operator(b)
+    if len(a._matrix) != len(b._matrix):  # square: the length is the dim
+        raise DimensionMismatch(f"operand dimensions differ: {a.dim} vs {b.dim}")
+    return a, b
+
+
+def check_mixing_weight(t: float) -> None:
+    """Raise BadParameter unless t is a mixing weight in [0, 1] (NaN is not)."""
+    if not 0.0 <= t <= 1.0:
+        raise BadParameter(f"mixing parameter {t} outside [0, 1]")
+
+
 def operator_norm(A) -> float:
     """Largest eigenvalue magnitude of a Hermitian matrix."""
     return as_operator(A).norm
@@ -400,7 +420,8 @@ def tensor(A, B) -> np.ndarray:
     return np.kron(A, B)
 
 
-def _check_bipartite(A, dims):
+def _bipartite(A, dims, subsystem):
+    """A reshaped to (m, n, m, n), and m and n, with dims and subsystem checked."""
     A = as_square_array(A)
     if len(dims) != 2:
         raise DimensionMismatch(f"need two factor dimensions, got {dims}")
@@ -409,7 +430,9 @@ def _check_bipartite(A, dims):
         raise DimensionMismatch(
             f"factor dims {dims} incompatible with matrix of size {A.shape[0]}"
         )
-    return A, m, n
+    if subsystem not in (1, 2):
+        raise BadParameter(f"subsystem must be 1 or 2, got {subsystem}")
+    return A.reshape(m, n, m, n), m, n
 
 
 def partial_trace(A, dims, subsystem: int) -> np.ndarray:
@@ -418,30 +441,22 @@ def partial_trace(A, dims, subsystem: int) -> np.ndarray:
     dims = (m, n) declares the factorization; subsystem is 1 or 2 and names
     the factor that gets traced out.
     """
-    A, m, n = _check_bipartite(A, dims)
-    T = A.reshape(m, n, m, n)
-    if subsystem == 1:
-        return np.einsum("ijil->jl", T)
-    if subsystem == 2:
-        return np.einsum("ijkj->ik", T)
-    raise BadParameter(f"subsystem must be 1 or 2, got {subsystem}")
+    T, _, _ = _bipartite(A, dims, subsystem)
+    return np.einsum("ijil->jl" if subsystem == 1 else "ijkj->ik", T)
 
 
 def partial_transpose(A, dims, subsystem: int) -> np.ndarray:
     """Transpose one tensor factor in place."""
-    A, m, n = _check_bipartite(A, dims)
-    T = A.reshape(m, n, m, n)
-    if subsystem == 1:
-        return T.transpose(2, 1, 0, 3).reshape(m * n, m * n)
-    if subsystem == 2:
-        return T.transpose(0, 3, 2, 1).reshape(m * n, m * n)
-    raise BadParameter(f"subsystem must be 1 or 2, got {subsystem}")
+    T, m, n = _bipartite(A, dims, subsystem)
+    axes = (2, 1, 0, 3) if subsystem == 1 else (0, 3, 2, 1)
+    return T.transpose(axes).reshape(m * n, m * n)
 
 
 def fidelity(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
     """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)), clamped to [0, 1]."""
+    rho, sigma = operator_pair(rho, sigma)
     sq = matrix_power(rho, 0.5, cfg)
-    inner = sq @ as_square_array(sigma) @ sq
+    inner = sq @ sigma.matrix @ sq
     w = np.linalg.eigvalsh(hermitian_part(inner))
     val = float(np.sqrt(np.maximum(w, 0.0)).sum())
     return min(max(val, 0.0), 1.0)

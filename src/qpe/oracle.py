@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Channel
+from .channels import Channel, _channel_pair
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .exceptions import BadParameter, DegenerateDraw, DimensionMismatch
-from .linalg import FAILS, HOLDS, MARGINAL, OrderVerdict, is_psd
+from .linalg import FAILS, HOLDS, MARGINAL, OrderVerdict, is_psd, operator_pair
 from .orders import majorizes, qpe_leq
 from .states import DensityMatrix, top_eigenvalue
 
@@ -38,8 +38,10 @@ def psd_probe(A, trials: int = 200, seed: int = 0,
 
     Samples random unit vectors and the coordinate directions; finding
     v* A v below the noise floor certifies non-positivity, finding nothing
-    is inconclusive.
+    is inconclusive. A negative trials raises BadParameter.
     """
+    if trials < 0:
+        raise BadParameter(f"trials must be nonnegative, got {trials}")
     M = np.asarray(A, dtype=complex)
     n = M.shape[0]
     rng = np.random.default_rng(seed)
@@ -64,6 +66,7 @@ def qpe_order_oracle(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Order
     where the matrix's absolute band is wider than the sandwich's relative
     one (a violation on a direction where rho is below about psd_slack).
     """
+    rho, sigma = operator_pair(rho, sigma)
     r_top, s_top = top_eigenvalue(rho), top_eigenvalue(sigma)
     return is_psd(s_top * rho.matrix - r_top * sigma.matrix, cfg)
 
@@ -76,10 +79,11 @@ def random_effect_lower_bound(sigma, rho, trials: int = 64, seed: int = 0) -> fl
     not depend on M's scale, so no eigensolve normalizes it. Every ratio is
     a lower bound on D_inf(sigma || rho): sigma <= exp(D_inf) rho, so
     tr(sigma M) <= exp(D_inf) tr(rho M) for every M >= 0. -inf when trials
-    is 0.
+    is 0; a negative trials raises BadParameter.
     """
-    if sigma.dim != rho.dim:
-        raise DimensionMismatch("state dimensions differ")
+    if trials < 0:
+        raise BadParameter(f"trials must be nonnegative, got {trials}")
+    sigma, rho = operator_pair(sigma, rho)
     n = rho.dim
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((trials, n, n)) + 1j * rng.standard_normal((trials, n, n))
@@ -127,8 +131,7 @@ def channel_order_oracle(phi: Channel, psi: Channel,
     block equals qpe_order_oracle's order matrix on the Choi states divided
     by phi+ psi+, so the slack carries that factor.
     """
-    if (phi.in_dim, phi.out_dim) != (psi.in_dim, psi.out_dim):
-        raise DimensionMismatch("channels have different dims")
+    _channel_pair(phi, psi)
     n, k = phi.in_dim, phi.out_dim
     phi_top = top_eigenvalue(phi.choi)
     psi_top = top_eigenvalue(psi.choi)

@@ -24,6 +24,7 @@ from .linalg import (
     as_operator,
     hermitian_part,
     kernel_cutoff,
+    operator_pair,
     psd_verdict,
     relation_of,
     schatten_norm,
@@ -120,16 +121,6 @@ def _unit(n: int, i: int) -> np.ndarray:
     return out
 
 
-def _operands(rho, sigma):
-    """Both operands as HermitianOperators of one shape."""
-    r, s = as_operator(rho), as_operator(sigma)
-    if r.matrix.shape != s.matrix.shape:
-        raise DimensionMismatch(
-            f"state shapes differ: {r.matrix.shape} vs {s.matrix.shape}"
-        )
-    return r, s
-
-
 def _order_verdict(M: np.ndarray, cfg: ToleranceConfig) -> OrderVerdict:
     """psd_verdict on a one-shot order matrix, solved here and not cached.
 
@@ -167,7 +158,7 @@ def qpe_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
     and psd_slack and rank_cutoff (the cfg fields it reads), so it is shared
     between calls and its witness is read-only.
     """
-    r, s = _operands(rho, sigma)
+    r, s = operator_pair(rho, sigma)
 
     def decide():
         verdict = _sandwich_verdict(r, s, cfg)
@@ -208,7 +199,7 @@ def lev_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
     as for qpe_leq's support condition: the witness is a unit vector of one
     state's kernel on which the other weighs most.
     """
-    r, s = _operands(rho, sigma)
+    r, s = operator_pair(rho, sigma)
     ker_r = kernel(r, cfg)
     ker_s = kernel(s, cfg)
 
@@ -235,8 +226,7 @@ def _kernel_mismatch(a: HermitianOperator, b: HermitianOperator,
 
 
 def subspace_equal(A: np.ndarray, B: np.ndarray) -> bool:
-    if A.shape[1] != B.shape[1]:
-        return False
+    """Whether two bases of one number of columns span one subspace."""
     PA = A @ A.conj().T
     PB = B @ B.conj().T
     return bool(np.abs(PA - PB).max(initial=0.0) <= SUBSPACE_ATOL)
@@ -250,7 +240,7 @@ def _contained_in(A: np.ndarray, B: np.ndarray) -> bool:
 
 def primed_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
     """Relaxed order: sigma - rho <= (sigma+ - rho+) I."""
-    r, s = _operands(rho, sigma)
+    r, s = operator_pair(rho, sigma)
     gap = float(s.eigenvalues[0]) - float(r.eigenvalues[0])
     return _order_verdict(hermitian_part(gap * np.eye(r.dim) - (s.matrix - r.matrix)), cfg)
 
@@ -273,7 +263,7 @@ def _renorm_scalar(f, X: HermitianOperator) -> float:
 
 def f_renormalized_leq(rho, sigma, f, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
     """Order induced by an alternative rescaling: f(sigma) rho - f(rho) sigma PSD."""
-    r, s = _operands(rho, sigma)
+    r, s = operator_pair(rho, sigma)
     M = _renorm_scalar(f, s) * r.matrix - _renorm_scalar(f, r) * s.matrix
     return _order_verdict(hermitian_part(M), cfg)
 
@@ -288,4 +278,4 @@ def majorizes(x, y, atol: float = 1e-12) -> bool:
 
 def eigenvalue_shadow(rho: DensityMatrix) -> np.ndarray:
     """Descending spectrum of a state, as a probability vector."""
-    return np.maximum(rho.eigenvalues, 0.0)
+    return np.maximum(as_operator(rho).eigenvalues, 0.0)

@@ -22,6 +22,7 @@ from qpe.channels import (
 )
 from qpe.divergence import max_divergence
 from qpe.exceptions import BadParameter, DimensionMismatch, NonHermitianInput, NotCPTP
+from qpe.oracle import channel_order_oracle
 from qpe.orders import qpe_leq
 from qpe.states import random_state
 
@@ -230,6 +231,26 @@ class TestAlgebra:
             out = jamiolkowski_properties_check(phi1, phi2, xi_pre, xi_post,
                                                 mix_with, t=0.3)
             assert max(out.values()) < 1e-8
+
+
+# every function that takes two channels of one shape
+CHANNEL_PAIR_FUNCTIONS = {
+    "channel_qpe_leq": channel_qpe_leq,
+    "channel_max_divergence": channel_max_divergence,
+    "channel_mix": lambda phi, psi: channel_mix(phi, psi, 0.5),
+    "channel_order_oracle": channel_order_oracle,
+    "jamiolkowski_properties_check": lambda phi, psi: jamiolkowski_properties_check(
+        phi, phi, Channel.identity(phi.in_dim), Channel.identity(phi.out_dim), psi),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHANNEL_PAIR_FUNCTIONS))
+def test_channels_of_two_shapes_raise_dimension_mismatch(rng, name):
+    # 2 -> 3 and 3 -> 2 have Choi states of one dim, 6
+    wide, narrow = Channel.random(2, 3, 2, rng), Channel.random(3, 2, 2, rng)
+    for pair in ((wide, narrow), (narrow, wide)):
+        with pytest.raises(DimensionMismatch, match="channels have different dims"):
+            CHANNEL_PAIR_FUNCTIONS[name](*pair)
 
 
 class TestChannelOrder:

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qpe import DensityMatrix, ToleranceConfig
+from qpe.channels import Channel, channel_mix
 from qpe.domain import (
     CERTIFIED_BELOW,
     NOT_BELOW,
@@ -21,6 +22,21 @@ from qpe.states import random_state
 # Below the upper state in the plain order, but not any mixture of it with
 # the bottom, so no certification rule applies.
 ORDERED_NOT_MIXTURE = ([0.45, 0.33, 0.22], [0.5, 0.3, 0.2])
+
+
+MIXING_WEIGHT_CALLERS = {
+    "depolarize": lambda t: depolarize(random_state(2, rng=0), t),
+    "mixing_monotone_check": lambda t: mixing_monotone_check(*(DensityMatrix(np.eye(2) / 2),) * 3, t),
+    "Channel.depolarizing": lambda t: Channel.depolarizing(2, t),
+    "channel_mix": lambda t: channel_mix(Channel.identity(2), Channel.identity(2), t),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIXING_WEIGHT_CALLERS))
+@pytest.mark.parametrize("t", [-0.1, 1.5, float("nan")])
+def test_a_mixing_weight_outside_the_unit_interval_is_rejected(name, t):
+    with pytest.raises(BadParameter, match=r"mixing parameter .* outside \[0, 1\]"):
+        MIXING_WEIGHT_CALLERS[name](t)
 
 
 class TestDepolarize:

@@ -15,9 +15,11 @@ from qpe.oracle import (
     partial_trace_counterexample,
     psd_probe,
     qpe_order_oracle,
+    random_effect_lower_bound,
     shannon_entropy,
 )
 from qpe.orders import classical_pe_leq, qpe_leq
+from qpe.states import random_state
 
 ENTROPY_LOWER = 1.2683991415464448
 ENTROPY_UPPER = 1.2794222271544065
@@ -36,6 +38,14 @@ class TestPsdProbe:
 
     def test_coordinate_directions_checked_without_sampling(self):
         assert psd_probe(np.diag([1.0, -2.0]), trials=0).violated
+
+    def test_negative_trials_rejected(self, rng):
+        rho, sigma = random_state(2, rng=rng), random_state(2, rng=rng)
+        with pytest.raises(BadParameter, match="trials must be nonnegative"):
+            psd_probe(np.eye(2), trials=-3)
+        with pytest.raises(BadParameter, match="trials must be nonnegative"):
+            random_effect_lower_bound(sigma, rho, trials=-1)
+        assert random_effect_lower_bound(sigma, rho, trials=0) == -np.inf
 
 
 class TestDiagonalOracle:

@@ -1,0 +1,98 @@
+"""Pins the one place in src/qpe that checks two operators against each
+other, and the one that checks two channels.
+
+A function that takes two operators puts them through linalg.operator_pair,
+which converts a raw array with as_operator and raises one DimensionMismatch
+for a pair of two dimensions (it compares the lengths of the two matrices,
+which this pin does not read); a function that takes two channels of one
+shape calls channels._channel_pair. A comparison of one attribute (dim,
+shape, in_dim or out_dim) read off two different objects anywhere else would
+be a second copy of that rule. The comparisons that remain are not operand
+checks: lev_leq compares the dimensions of two kernels, which is part of the
+relation it decides, subspace_intersects checks that two subspace bases
+live in one space, and jamiolkowski_properties_check that a channel to be
+composed before another is square on its input space.
+"""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "qpe"
+DIMENSIONS = {"dim", "shape", "in_dim", "out_dim"}
+ALLOWED = {
+    ("channels", "_channel_pair"),
+    ("channels", "jamiolkowski_properties_check"),
+    ("orders", "lev_leq"),
+    ("states", "subspace_intersects"),
+}
+
+
+def _reads(node) -> list[tuple[str, tuple]] | None:
+    """(object, path) for each dimension read in node: x.dim, x.shape[0], or
+    a tuple of them; None when node is not made of such reads."""
+    if isinstance(node, ast.Tuple):
+        parts = [_reads(x) for x in node.elts]
+        if not parts or None in parts:
+            return None
+        return [read for part in parts for read in part]
+    index = ()
+    if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+        index, node = (node.slice.value,), node.value
+    if isinstance(node, ast.Attribute) and node.attr in DIMENSIONS:
+        return [(ast.dump(node.value), (node.attr, *index))]
+    return None
+
+
+class _Sites(ast.NodeVisitor):
+    """Collects (module, qualified function name) for each comparison of the
+    same dimension read off two different objects."""
+
+    def __init__(self, module: str):
+        self.module = module
+        self.scope: list[str] = []
+        self.found: list[tuple[str, str]] = []
+
+    def _scoped(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _scoped
+
+    def visit_Compare(self, node):
+        sides = [_reads(x) for x in (node.left, *node.comparators)]
+        for left, right in zip(sides, sides[1:]):
+            if (left and right and len(left) == len(right)
+                    and all(a[1] == b[1] and a[0] != b[0] for a, b in zip(left, right))):
+                self.found.append((self.module, ".".join(self.scope) or "<module>"))
+        self.generic_visit(node)
+
+
+def _sites(source: str, module: str) -> list[tuple[str, str]]:
+    found = _Sites(module)
+    found.visit(ast.parse(source))
+    return found.found
+
+
+def test_operand_pairs_are_compared_only_in_the_gates():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found.update(_sites(path.read_text(), path.stem))
+    assert found == ALLOWED
+
+
+def test_guard_sees_every_form_of_a_pair_check():
+    source = (
+        "def f(rho, sigma):\n"
+        "    if rho.dim != sigma.dim: raise DimensionMismatch\n"
+        "class C:\n"
+        "    def g(self, r, s, phi, psi):\n"
+        "        return (r.matrix.shape != s.matrix.shape,\n"
+        "                (phi.in_dim, phi.out_dim) != (psi.in_dim, psi.out_dim),\n"
+        "                r.shape[0] == s.shape[0])\n"
+        "def h(a, b, before, after):\n"
+        "    return (a.in_dim != a.out_dim, before.out_dim != after.in_dim,\n"
+        "            a.shape != (2, 2), a.dim == 2 * b.dim, a.shape[0] != b.shape[1])\n"
+    )
+    assert _sites(source, "m") == [("m", "f")] + [("m", "C.g")] * 3

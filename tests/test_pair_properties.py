@@ -17,6 +17,12 @@ order matrix, on both sides of linalg.SHIFTED_SOLVE_MIN_DIM (eigh below,
 inverse iteration from the dimension on), also where the eigenvector it
 needs is orthogonal to the iteration's start vector or sits in a cluster
 of relative width down to 1e-12.
+
+Every function that takes two operators goes through linalg.operator_pair:
+on a raw array it gives the result it gives on fresh states, and on a pair
+of two dimensions it raises DimensionMismatch. Two structural claims of the
+order hold on drawn pairs: mixing an ordered pair toward an anchor below it
+keeps it ordered, and the tensor product of two ordered pairs is ordered.
 """
 from __future__ import annotations
 
@@ -31,20 +37,35 @@ from hypothesis import strategies as st
 
 from qpe import (
     DensityMatrix,
+    DimensionMismatch,
+    Effect,
     QpeError,
+    depolarize,
+    effect_probability,
+    eigenvalue_shadow,
     f_renormalized_leq,
+    fidelity,
     fls_update,
     is_psd,
     lev_leq,
     max_divergence,
+    min_entropy,
+    mixing_monotone_check,
     order_divergence_gap,
     povm_distinguishability_lower_bound,
     primed_leq,
     qpe_leq,
+    qpe_order_oracle,
     random_agreeing_effect,
     random_effect_lower_bound,
     random_state,
+    rank_of,
     reconstruct_effect,
+    renyi_divergence,
+    renyi_entropy,
+    sequential_solve_effect,
+    sequential_update,
+    top_eigenvalue,
     way_below_witness,
 )
 from qpe.linalg import PARTNER_MEMO_SIZE, SHIFTED_SOLVE_MIN_DIM, _start_vector, random_unitary
@@ -375,3 +396,97 @@ def test_every_fails_witness_certifies_on_its_order_matrix(case):
         sandwich_slack = 1.0 - float(rho.eigenvalues[0]) * float(
             sandwich(rho, sigma).eigenvalues[0]) / float(sigma.eigenvalues[0])
         assert verdict.slack != sandwich_slack
+
+
+def _float(x):
+    return np.float64(x).tobytes()
+
+
+# every function operator_pair gates, with the kinds of its two operands
+# ("s" a state, "e" an effect) and the bytes its result is compared by
+GATED = {
+    "qpe_leq": ("ss", lambda a, b: _bits(qpe_leq(a, b))),
+    "lev_leq": ("ss", lambda a, b: _bits(lev_leq(a, b))),
+    "primed_leq": ("ss", lambda a, b: _bits(primed_leq(a, b))),
+    "f_renormalized_leq": ("ss", lambda a, b: _bits(f_renormalized_leq(a, b, "op_norm"))),
+    "max_divergence": ("ss", lambda a, b: _fields(max_divergence(a, b))),
+    "renyi_divergence": ("ss", lambda a, b: tuple(_fields(renyi_divergence(a, b, alpha))
+                                                  for alpha in (0.5, 1.0, 2.0))),
+    "povm_distinguishability_lower_bound":
+        ("ss", lambda a, b: _float(povm_distinguishability_lower_bound(a, b))),
+    "effect_probability": ("se", lambda a, b: _float(effect_probability(a, b))),
+    "fls_update": ("se", lambda a, b: fls_update(a, b).matrix.tobytes()),
+    "sequential_update": ("se", lambda a, b: sequential_update(a, b).matrix.tobytes()),
+    "sequential_solve_effect": ("ss", lambda a, b: sequential_solve_effect(a, b).matrix.tobytes()),
+    "reconstruct_effect": ("ss", lambda a, b: reconstruct_effect(a, b).matrix.tobytes()),
+    "way_below_witness": ("ss", lambda a, b: _fields(way_below_witness(a, b))),
+    "qpe_order_oracle": ("ss", lambda a, b: _bits(qpe_order_oracle(a, b))),
+    "random_effect_lower_bound": ("ss", lambda a, b: _float(random_effect_lower_bound(a, b, trials=4))),
+    "fidelity": ("ss", lambda a, b: _float(fidelity(a, b))),
+}
+
+# the single-operand readers, which take a raw array through as_operator
+ONE_OPERAND = {
+    "renyi_entropy": lambda a: tuple(_float(renyi_entropy(a, alpha)) for alpha in (0.5, 1.0, np.inf)),
+    "depolarize": lambda a: depolarize(a, 0.3).matrix.tobytes(),
+    "eigenvalue_shadow": lambda a: eigenvalue_shadow(a).tobytes(),
+    "min_entropy": lambda a: _float(min_entropy(a)),
+    "top_eigenvalue": lambda a: _float(top_eigenvalue(a)),
+    "rank_of": rank_of,
+}
+
+
+def _fresh(kinds, raw):
+    return tuple((DensityMatrix if kind == "s" else Effect)(M) for kind, M in zip(kinds, raw))
+
+
+def _outcome(query, *operands):
+    try:
+        return query(*operands)
+    except QpeError as exc:
+        return type(exc).__name__
+
+
+@PROPERTY_SETTINGS
+@given(pair=raw_pairs())
+def test_a_raw_operand_gets_the_result_of_a_fresh_state(pair):
+    for name, (kinds, query) in GATED.items():
+        assert _outcome(query, *pair) == _outcome(query, *_fresh(kinds, pair)), name
+    for name, query in ONE_OPERAND.items():
+        for M in pair:
+            assert _outcome(query, M) == _outcome(query, DensityMatrix(M)), name
+
+
+@pytest.mark.parametrize("name", sorted(GATED))
+def test_operands_of_two_dims_raise_dimension_mismatch(name):
+    kinds, query = GATED[name]
+    small, large = random_state(2, rng=0).matrix, random_state(3, rng=1).matrix
+    for raw in ((small, large), (large, small)):
+        for operands in (raw, _fresh(kinds, raw)):
+            with pytest.raises(DimensionMismatch, match="operand dimensions differ"):
+                query(*operands)
+
+
+@st.composite
+def ordered_pairs(draw):
+    """Raw (rho, sigma) with rho below sigma: sigma pulled toward rho's top
+    eigenvector, or a near-boundary pair."""
+    if draw(st.booleans()):
+        return draw(near_boundary_pairs())
+    n = draw(st.integers(2, 5))
+    return _pair("ordered", n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+
+
+@PROPERTY_SETTINGS
+@given(pair=ordered_pairs(), s=st.floats(0.0, 1.0), t=st.floats(0.0, 1.0))
+def test_mixing_an_ordered_pair_toward_an_anchor_below_keeps_it_ordered(pair, s, t):
+    rho, sigma = (DensityMatrix(M) for M in pair)
+    # rho' = depolarize(rho, s) is below rho: rho+ rho' - rho'+ rho = (s/n)(rho+ I - rho)
+    assert mixing_monotone_check(depolarize(rho, s), rho, sigma, t)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=20)
+@given(first=ordered_pairs(), second=ordered_pairs())
+def test_the_tensor_product_of_ordered_pairs_is_ordered(first, second):
+    rho, sigma = (DensityMatrix(np.kron(a, b)) for a, b in zip(first, second))
+    assert qpe_leq(rho, sigma).holds
