@@ -144,7 +144,7 @@ def random_agreeing_effect(
     coeff = rng.standard_normal(top.dim) + 1j * rng.standard_normal(top.dim)
     v = top.basis @ coeff
     v = v / np.linalg.norm(v)
-    n = rho.dim
+    n = len(v)
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     G[:, 0] = v
     Q, _ = np.linalg.qr(G)

@@ -21,8 +21,8 @@ from .exceptions import (
     NonHermitianInput,
     NotCPTP,
 )
-from .linalg import (OrderVerdict, assert_hermitian, check_mixing_weight, kernel_cutoff,
-                     partial_trace, partial_transpose)
+from .linalg import (OrderVerdict, as_operator, assert_hermitian, check_mixing_weight,
+                     kernel_cutoff, partial_trace, partial_transpose)
 from .orders import qpe_leq
 from .states import DensityMatrix, rank_of, top_eigenvalue
 from .divergence import DivergenceValue, max_divergence
@@ -174,7 +174,7 @@ class Channel:
         return _kraus_sandwich(self.kraus, X)
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        return DensityMatrix(self._apply_matrix(rho.matrix), self.cfg)
+        return DensityMatrix(self._apply_matrix(as_operator(rho).matrix), self.cfg)
 
     def apply_choi_form(self, rho: DensityMatrix) -> DensityMatrix:
         """Action recovered from the Choi matrix alone.
@@ -184,7 +184,7 @@ class Channel:
         """
         n, k = self.in_dim, self.out_dim
         lifted = partial_transpose(self.choi.matrix, (n, k), 1)
-        M = lifted @ np.kron(rho.matrix, np.eye(k))
+        M = lifted @ np.kron(as_operator(rho).matrix, np.eye(k))
         out = n * partial_trace(M, (n, k), 1)
         return DensityMatrix(out, self.cfg)
 
@@ -227,6 +227,7 @@ def channel_mix(phi: Channel, psi: Channel, t: float,
 def extended_output(channel: Channel, rho: DensityMatrix, m: int,
                     cfg: ToleranceConfig = DEFAULT_CONFIG) -> DensityMatrix:
     """Output of (id_m x channel) on a bipartite input state."""
+    rho = as_operator(rho)
     if rho.dim != m * channel.in_dim:
         raise DimensionMismatch(f"input dim {rho.dim} is not "
                                 f"{m} x {channel.in_dim}")

@@ -30,9 +30,9 @@ from .channels import (
 )
 from .config import ToleranceConfig
 from .divergence import renyi_divergence, renyi_entropy
-from .domain import CERTIFIED_BELOW, NOT_BELOW, way_below_witness
+from .domain import CERTIFIED_BELOW, NOT_BELOW, UNKNOWN, way_below_witness
 from .exceptions import BadParameter, DegenerateDraw, NotBelow, QpeError
-from .linalg import HOLDS, MARGINAL
+from .linalg import FAILS, HOLDS, MARGINAL
 from .oracle import counterexample_suite, partial_trace_counterexample
 from .orders import classical_pe_leq, lev_leq, majorizes, primed_leq, qpe_leq
 from .serialization import (
@@ -89,12 +89,15 @@ def _config(args: argparse.Namespace) -> ToleranceConfig:
     )
 
 
-def _verdict_exit(relation: str) -> int:
-    if relation == HOLDS:
-        return 0
-    if relation == MARGINAL:
-        return 3
-    return 1
+# exit code of each outcome the library reports
+EXIT = {HOLDS: 0, FAILS: 1, MARGINAL: 3,
+        CERTIFIED_BELOW: 0, NOT_BELOW: 1, UNKNOWN: 3}
+
+
+def _verdict_output(label: str, verdict, payload: dict):
+    payload.update(verdict=verdict.relation, slack=float(verdict.slack))
+    return (EXIT[verdict.relation], payload,
+            [f"{label}: {verdict.relation} (slack {verdict.slack:.3e})"])
 
 
 def _cmd_order_check(args, cfg):
@@ -113,10 +116,7 @@ def _cmd_order_check(args, cfg):
         sigma = load_state(args.upper, cfg)
         predicate = {"qpe": qpe_leq, "lev": lev_leq, "primed": primed_leq}[rel]
         verdict = predicate(rho, sigma, cfg)
-    payload = {"relation": rel, "verdict": verdict.relation,
-               "slack": float(verdict.slack)}
-    lines = [f"{rel}: {verdict.relation} (slack {verdict.slack:.3e})"]
-    return _verdict_exit(verdict.relation), payload, lines
+    return _verdict_output(rel, verdict, {"relation": rel})
 
 
 def _cmd_divergence(args, cfg):
@@ -165,20 +165,13 @@ def _cmd_domain_waybelow(args, cfg):
                "residual": wit.residual, "note": wit.note}
     lines = [f"way-below: {wit.verdict} via {wit.rule}"
              + (f" (t = {wit.t:.6g})" if wit.t is not None else "")]
-    if wit.verdict == CERTIFIED_BELOW:
-        return 0, payload, lines
-    if wit.verdict == NOT_BELOW:
-        return 1, payload, lines
-    return 3, payload, lines
+    return EXIT[wit.verdict], payload, lines
 
 
 def _cmd_channel_order(args, cfg):
     phi = load_channel(args.lower, cfg)
     psi = load_channel(args.upper, cfg)
-    verdict = channel_qpe_leq(phi, psi, cfg)
-    payload = {"verdict": verdict.relation, "slack": float(verdict.slack)}
-    lines = [f"channel order: {verdict.relation} (slack {verdict.slack:.3e})"]
-    return _verdict_exit(verdict.relation), payload, lines
+    return _verdict_output("channel order", channel_qpe_leq(phi, psi, cfg), {})
 
 
 def _cmd_channel_divergence(args, cfg):
@@ -200,6 +193,20 @@ def _cmd_channel_fidelity(args, cfg):
     return 0, payload, lines
 
 
+def _trace_payload(trace, matrices: bool) -> dict:
+    payload = {
+        "dim": trace.dim, "t": trace.t, "seed": trace.seed,
+        "rho": encode_matrix(trace.rho),
+        "order_slack": float(trace.order_verdict.slack),
+        "marginal": encode_matrix(trace.marginal_rho),
+        "marginal_deviation": trace.marginal_deviation,
+        "monotone_broken": trace.monotone_broken,
+    }
+    if not matrices:
+        del payload["rho"], payload["marginal"]
+    return payload
+
+
 def _cmd_demo_counterexamples(args, cfg):
     reports = counterexample_suite(cfg)
     trace = partial_trace_counterexample(args.dim, seed=args.seed, cfg=cfg)
@@ -210,12 +217,7 @@ def _cmd_demo_counterexamples(args, cfg):
              "values": r.values, "stable": r.stable, "witnessed": r.witnessed}
             for r in reports
         ],
-        "partial_trace": {
-            "dim": trace.dim, "t": trace.t, "seed": trace.seed,
-            "order_slack": float(trace.order_verdict.slack),
-            "marginal_deviation": trace.marginal_deviation,
-            "monotone_broken": trace.monotone_broken,
-        },
+        "partial_trace": _trace_payload(trace, matrices=False),
     }
     ok = all(r.witnessed and r.stable for r in reports) and trace.monotone_broken
     lines = [f"{r.name}: {'witnessed' if r.witnessed else 'NOT witnessed'}"
@@ -230,14 +232,6 @@ def _cmd_demo_counterexamples(args, cfg):
 
 def _cmd_demo_partial_trace(args, cfg):
     trace = partial_trace_counterexample(args.dim, args.t, args.seed, cfg)
-    payload = {
-        "dim": trace.dim, "t": trace.t, "seed": trace.seed,
-        "rho": encode_matrix(trace.rho),
-        "order_slack": float(trace.order_verdict.slack),
-        "marginal": encode_matrix(trace.marginal_rho),
-        "marginal_deviation": trace.marginal_deviation,
-        "monotone_broken": trace.monotone_broken,
-    }
     lines = [
         f"state below the maximally entangled target (slack "
         f"{trace.order_verdict.slack:.3e})",
@@ -245,7 +239,7 @@ def _cmd_demo_partial_trace(args, cfg):
         "partial trace is " + ("not monotone here"
                                if trace.monotone_broken else "monotone here"),
     ]
-    return (0 if trace.monotone_broken else 3), payload, lines
+    return (0 if trace.monotone_broken else 3), _trace_payload(trace, matrices=True), lines
 
 
 def _cmd_demo_transitivity(args, cfg):
@@ -258,12 +252,9 @@ def _cmd_demo_transitivity(args, cfg):
         "replay_residual": report.replay_residual,
     }
     if report.found:
-        payload["rho"] = encode_matrix(report.rho)
-        payload["first_effect"] = encode_matrix(report.first_effect)
-        payload["second_effect"] = encode_matrix(report.second_effect)
-        payload["final"] = encode_matrix(report.final)
-    lines = [report.message]
-    return (0 if report.found else 3), payload, lines
+        for key in ("rho", "first_effect", "second_effect", "final"):
+            payload[key] = encode_matrix(getattr(report, key))
+    return (0 if report.found else 3), payload, [report.message]
 
 
 def _cmd_random_state(args, cfg):
@@ -300,103 +291,73 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top = parser.add_subparsers(dest="command", metavar="command")
 
-    order = top.add_parser("order", help="order relations between states")
-    order_sub = order.add_subparsers(dest="subcommand", metavar="subcommand")
-    check = order_sub.add_parser("check", parents=[common],
-                                 help="decide whether LOWER is below UPPER")
+    def group(name, about):
+        sub = top.add_parser(name, help=about)
+        return sub.add_subparsers(dest="subcommand", metavar="subcommand")
+
+    def leaf(parent, name, about, handler, *operands):
+        cmd = parent.add_parser(name, parents=[common], help=about)
+        for operand in operands:
+            cmd.add_argument(operand)
+        cmd.set_defaults(handler=handler)
+        return cmd
+
+    order = group("order", "order relations between states")
+    check = leaf(order, "check", "decide whether LOWER is below UPPER",
+                 _cmd_order_check, "lower", "upper")
     check.add_argument("--relation", default="qpe",
                        choices=("qpe", "lev", "primed", "classical", "majorization"))
-    check.add_argument("lower")
-    check.add_argument("upper")
-    check.set_defaults(handler=_cmd_order_check)
-
-    div = top.add_parser("divergence", parents=[common],
-                         help="sandwiched Renyi divergence D_alpha(LHS || RHS)")
+    div = leaf(top, "divergence", "sandwiched Renyi divergence D_alpha(LHS || RHS)",
+               _cmd_divergence, "lhs", "rhs")
     div.add_argument("--alpha", type=_alpha_arg, default=float("inf"),
                      help="order of the divergence; a number or 'inf'")
-    div.add_argument("lhs")
-    div.add_argument("rhs")
-    div.set_defaults(handler=_cmd_divergence)
-
-    ent = top.add_parser("entropy", parents=[common],
-                         help="Renyi entropy of a state")
+    ent = leaf(top, "entropy", "Renyi entropy of a state", _cmd_entropy, "state")
     ent.add_argument("--alpha", type=_alpha_arg, default=1.0,
                      help="order of the entropy; a number or 'inf'")
-    ent.add_argument("state")
-    ent.set_defaults(handler=_cmd_entropy)
 
-    bayes = top.add_parser("bayes", help="Bayesian updates and their inverses")
-    bayes_sub = bayes.add_subparsers(dest="subcommand", metavar="subcommand")
-    upd = bayes_sub.add_parser("update", parents=[common],
-                               help="condition STATE on EFFECT")
+    bayes = group("bayes", "Bayesian updates and their inverses")
+    upd = leaf(bayes, "update", "condition STATE on EFFECT", _cmd_bayes_update,
+               "state", "effect")
     upd.add_argument("--rule", choices=("fls", "seq"), default="fls",
                      help="state-sandwich (fls) or effect-sandwich (seq) rule")
-    upd.add_argument("state")
-    upd.add_argument("effect")
-    upd.set_defaults(handler=_cmd_bayes_update)
-    eff = bayes_sub.add_parser("effect", parents=[common],
-                               help="reconstruct the evidence mapping LOWER to UPPER")
-    eff.add_argument("lower")
-    eff.add_argument("upper")
-    eff.set_defaults(handler=_cmd_bayes_effect)
+    leaf(bayes, "effect", "reconstruct the evidence mapping LOWER to UPPER",
+         _cmd_bayes_effect, "lower", "upper")
 
-    dom = top.add_parser("domain", help="approximation-order witnesses")
-    dom_sub = dom.add_subparsers(dest="subcommand", metavar="subcommand")
-    wb = dom_sub.add_parser("waybelow", parents=[common],
-                            help="certify LOWER way below UPPER, or refute it")
-    wb.add_argument("lower")
-    wb.add_argument("upper")
-    wb.set_defaults(handler=_cmd_domain_waybelow)
+    domain = group("domain", "approximation-order witnesses")
+    leaf(domain, "waybelow", "certify LOWER way below UPPER, or refute it",
+         _cmd_domain_waybelow, "lower", "upper")
 
-    chan = top.add_parser("channel", help="order and divergence on channels")
-    chan_sub = chan.add_subparsers(dest="subcommand", metavar="subcommand")
-    c_ord = chan_sub.add_parser("order", parents=[common],
-                                help="positive-evidence order between channels")
-    c_ord.add_argument("lower")
-    c_ord.add_argument("upper")
-    c_ord.set_defaults(handler=_cmd_channel_order)
-    c_div = chan_sub.add_parser("divergence", parents=[common],
-                                help="worst-case max-divergence D_inf(LHS || RHS)")
-    c_div.add_argument("lhs")
-    c_div.add_argument("rhs")
-    c_div.set_defaults(handler=_cmd_channel_divergence)
-    c_fid = chan_sub.add_parser("fidelity", parents=[common],
-                                help="entanglement fidelity and attaining input")
-    c_fid.add_argument("channel")
-    c_fid.set_defaults(handler=_cmd_channel_fidelity)
+    chan = group("channel", "order and divergence on channels")
+    leaf(chan, "order", "positive-evidence order between channels",
+         _cmd_channel_order, "lower", "upper")
+    leaf(chan, "divergence", "worst-case max-divergence D_inf(LHS || RHS)",
+         _cmd_channel_divergence, "lhs", "rhs")
+    leaf(chan, "fidelity", "entanglement fidelity and attaining input",
+         _cmd_channel_fidelity, "channel")
 
-    demo = top.add_parser("demo", help="verified counterexamples and searches")
-    demo_sub = demo.add_subparsers(dest="subcommand", metavar="subcommand")
-    d_cx = demo_sub.add_parser("counterexamples", parents=[common],
-                               help="replay the stored counterexample suite")
+    demo = group("demo", "verified counterexamples and searches")
+    d_cx = leaf(demo, "counterexamples", "replay the stored counterexample suite",
+                _cmd_demo_counterexamples)
     d_cx.add_argument("--dim", type=int, default=2,
                       help="subsystem dimension for the partial-trace instance")
-    d_cx.set_defaults(handler=_cmd_demo_counterexamples)
-    d_pt = demo_sub.add_parser("partial-trace", parents=[common],
-                               help="partial trace fails to be monotone")
+    d_pt = leaf(demo, "partial-trace", "partial trace fails to be monotone",
+                _cmd_demo_partial_trace)
     d_pt.add_argument("--dim", type=int, default=2)
     d_pt.add_argument("--t", type=float, default=0.5,
                       help="weight on the maximally entangled component")
-    d_pt.set_defaults(handler=_cmd_demo_partial_trace)
-    d_tr = demo_sub.add_parser("transitivity", parents=[common],
-                               help="search for a non-composable two-step update chain")
+    d_tr = leaf(demo, "transitivity", "search for a non-composable two-step update chain",
+                _cmd_demo_transitivity)
     d_tr.add_argument("--dim", type=int, default=3)
-    d_tr.add_argument("--budget", type=int, default=2000,
-                      help="number of sampled chains")
-    d_tr.set_defaults(handler=_cmd_demo_transitivity)
+    d_tr.add_argument("--budget", type=int, default=2000, help="number of sampled chains")
 
-    rnd = top.add_parser("random", help="sample test objects")
-    rnd_sub = rnd.add_subparsers(dest="subcommand", metavar="subcommand")
-    r_st = rnd_sub.add_parser("state", parents=[common], help="random density matrix")
+    rnd = group("random", "sample test objects")
+    r_st = leaf(rnd, "state", "random density matrix", _cmd_random_state)
     r_st.add_argument("--dim", type=int, required=True)
     r_st.add_argument("--rank", type=int, default=None)
-    r_st.set_defaults(handler=_cmd_random_state)
-    r_ch = rnd_sub.add_parser("channel", parents=[common], help="random channel")
+    r_ch = leaf(rnd, "channel", "random channel", _cmd_random_channel)
     r_ch.add_argument("--in-dim", type=int, required=True)
     r_ch.add_argument("--out-dim", type=int, required=True)
     r_ch.add_argument("--kraus-rank", type=int, default=1)
-    r_ch.set_defaults(handler=_cmd_random_channel)
-
     return parser
 
 
@@ -410,7 +371,7 @@ def run(argv=None) -> int:
         cfg = _config(args)
         code, payload, lines = args.handler(args, cfg)
         if args.format == "json":
-            text = json.dumps(payload, indent=2, default=_jsonable)
+            text = json.dumps(payload, indent=2)
         else:
             text = "\n".join(lines)
     except NotBelow as exc:
@@ -427,16 +388,6 @@ def run(argv=None) -> int:
         return 4
     print(text)
     return code
-
-
-def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
 def main() -> None:

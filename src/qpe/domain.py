@@ -112,7 +112,7 @@ def directed_supremum(chain, cfg: ToleranceConfig = DEFAULT_CONFIG) -> DensityMa
     Verifies each consecutive pair is ordered and that the tail has settled;
     the supremum of a convergent increasing chain is its limit.
     """
-    states = list(chain)
+    states = [as_operator(s) for s in chain]
     if not states:
         raise NotAChain("empty chain")
     for a, b in zip(states, states[1:]):
@@ -132,6 +132,8 @@ def mixing_monotone_check(kappa: DensityMatrix, rho: DensityMatrix,
                           cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
     """Whether mixing both sides of an ordered pair toward a lower state preserves order."""
     check_mixing_weight(t)
+    kappa, rho = operator_pair(kappa, rho)
+    rho, sigma = operator_pair(rho, sigma)
     if not qpe_leq(kappa, rho, cfg).holds:
         raise PreconditionViolated("mixing anchor is not below the lower state")
     if not qpe_leq(rho, sigma, cfg).holds:

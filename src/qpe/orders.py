@@ -54,6 +54,8 @@ __all__ = [
 
 # largest entrywise projector gap at which two subspaces still coincide
 SUBSPACE_ATOL = 1e-8
+# absolute shortfall a prefix sum may have in majorizes
+MAJORIZATION_ATOL = 1e-12
 # rho^-1/2 amplifies the rounding in sigma by up to rho's condition number
 # kappa on its support: ordered pairs' sandwich slacks were measured down to
 # -0.37 eps kappa (dims 2-32, priors with eigenvalues down to kernel_cutoff).
@@ -268,12 +270,16 @@ def f_renormalized_leq(rho, sigma, f, cfg: ToleranceConfig = DEFAULT_CONFIG) -> 
     return _order_verdict(hermitian_part(M), cfg)
 
 
-def majorizes(x, y, atol: float = 1e-12) -> bool:
-    """Whether x majorizes y: descending prefix sums of x dominate y's."""
+def majorizes(x, y) -> bool:
+    """Whether x majorizes y: descending prefix sums of x dominate y's.
+
+    Each prefix sum of x may fall short by MAJORIZATION_ATOL, so rounding in
+    the sums of two equal vectors does not break the tie.
+    """
     xv, yv = _probability_pair(x, y)
     cx = np.cumsum(np.sort(xv)[::-1])
     cy = np.cumsum(np.sort(yv)[::-1])
-    return bool(np.all(cx >= cy - atol))
+    return bool(np.all(cx >= cy - MAJORIZATION_ATOL))
 
 
 def eigenvalue_shadow(rho: DensityMatrix) -> np.ndarray:

@@ -1,0 +1,49 @@
+"""The walk the AST pin tests share: every module of src/qpe, and a visitor
+that records each finding under the qualified name of the function or class
+it sits in."""
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "qpe"
+
+
+def modules() -> list[tuple[str, str]]:
+    """(module name, source) for each module of the package, in name order."""
+    return [(path.stem, path.read_text()) for path in sorted(SRC.glob("*.py"))]
+
+
+class ScopedVisitor(ast.NodeVisitor):
+    """Tracks the enclosing classes and functions; record() appends
+    (module, qualified name) to found, "<module>" at the top level."""
+
+    def __init__(self, module: str):
+        self.module = module
+        self.scope: list[str] = []
+        self.found: list[tuple[str, str]] = []
+
+    def _scoped(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _scoped
+
+    def record(self):
+        self.found.append((self.module, ".".join(self.scope) or "<module>"))
+
+
+def sites(source: str, visitor: ScopedVisitor) -> list[tuple[str, str]]:
+    """What visitor records on source, in source order."""
+    visitor.visit(ast.parse(source))
+    return visitor.found
+
+
+def package_sites(make_visitor) -> Counter:
+    """How often make_visitor(module) records each site across the package."""
+    found = Counter()
+    for module, source in modules():
+        found.update(sites(source, make_visitor(module)))
+    return found

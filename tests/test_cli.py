@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -208,6 +209,59 @@ class TestExitCodes:
         assert code == 4
         assert out == ""
         assert "internal error: RuntimeError: handler bug" in err
+
+
+FIXTURE_KINDS = {path.name: json.loads(path.read_text())["kind"]
+                 for path in sorted(FIXTURES.glob("*.json"))}
+
+
+def of_kind(*kinds: str) -> list[str]:
+    return [fx(name) for name, kind in FIXTURE_KINDS.items() if kind in kinds]
+
+
+STATES, CHANNELS = of_kind("state"), of_kind("channel")
+DISTRIBUTIONS = of_kind("state", "probvec")
+# every command, with the fixtures each of its operands is drawn from
+COMMANDS = [
+    *((("order", "check", "--relation", r), (STATES, STATES)) for r in ("qpe", "lev", "primed")),
+    *((("order", "check", "--relation", r), (DISTRIBUTIONS, DISTRIBUTIONS))
+      for r in ("classical", "majorization")),
+    (("divergence",), (STATES, STATES)),
+    (("entropy",), (STATES,)),
+    (("bayes", "update", "--rule", "fls"), (STATES, of_kind("effect"))),
+    (("bayes", "update", "--rule", "seq"), (STATES, of_kind("effect"))),
+    (("bayes", "effect"), (STATES, STATES)),
+    (("domain", "waybelow"), (STATES, STATES)),
+    (("channel", "order"), (CHANNELS, CHANNELS)),
+    (("channel", "divergence"), (CHANNELS, CHANNELS)),
+    (("channel", "fidelity"), (CHANNELS,)),
+    (("demo", "counterexamples"), ()),
+    (("demo", "partial-trace"), ()),
+    (("demo", "transitivity", "--budget", "20"), ()),
+    (("random", "state", "--dim", "3"), ()),
+    (("random", "channel", "--in-dim", "2", "--out-dim", "3"), ()),
+]
+
+
+class TestExitContract:
+    @pytest.mark.parametrize("command,operands", COMMANDS,
+                             ids=[" ".join(command) for command, _ in COMMANDS])
+    def test_no_crash_and_one_code_in_both_formats(self, capsys, monkeypatch,
+                                                   command, operands):
+        # one parser for every run: building it takes most of a run's time
+        parser = qpe.cli.build_parser()
+        monkeypatch.setattr(qpe.cli, "build_parser", lambda: parser)
+        for files in itertools.product(*operands):
+            text_code, _, _ = run_cli(capsys, *command, *files)
+            code, out, err = run_cli(capsys, *command, *files, "--format", "json")
+            # exit 4 is a crash, which must never pass for a failing relation
+            assert text_code == code != 4, files
+            # no document only for invalid input or a refusal named on stderr
+            # (a reconstruction refused, exit 1; a degenerate draw, exit 3)
+            if out:
+                json.loads(out)
+            else:
+                assert code == 2 or err.startswith(("not below: ", "degenerate draw: ")), files
 
 
 class TestOrderOutput:

@@ -9,11 +9,10 @@ inverse iteration.
 """
 from __future__ import annotations
 
-import ast
 from collections import Counter
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "qpe"
+from ast_sites import ScopedVisitor, package_sites, sites
+
 EIGENSOLVERS = {"eigh", "eigvalsh", "eig", "eigvals"}
 LINEAR_SOLVERS = {"solve", "inv"}
 
@@ -45,47 +44,30 @@ ALLOWED = {
 ALLOWED_LINEAR_SOLVES = {("linalg", "extreme_eigenvector")}
 
 
-class _Sites(ast.NodeVisitor):
+class _Sites(ScopedVisitor):
     """Collects (module, qualified function name) for each use of a name
     in names."""
 
     def __init__(self, module: str, names=EIGENSOLVERS):
-        self.module = module
+        super().__init__(module)
         self.names = names
-        self.scope: list[str] = []
-        self.found: list[tuple[str, str]] = []
-
-    def _scoped(self, node):
-        self.scope.append(node.name)
-        self.generic_visit(node)
-        self.scope.pop()
-
-    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _scoped
-
-    def _record(self):
-        self.found.append((self.module, ".".join(self.scope) or "<module>"))
 
     def visit_Attribute(self, node):
         if node.attr in self.names:
-            self._record()
+            self.record()
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node):
         if any(alias.name in self.names for alias in node.names):
-            self._record()
+            self.record()
 
 
 def _sites(source: str, module: str, names=EIGENSOLVERS) -> list[tuple[str, str]]:
-    visitor = _Sites(module, names)
-    visitor.visit(ast.parse(source))
-    return visitor.found
+    return sites(source, _Sites(module, names))
 
 
 def _package_sites(names) -> Counter:
-    found = Counter()
-    for path in sorted(SRC.glob("*.py")):
-        found.update(_sites(path.read_text(), path.stem, names))
-    return found
+    return package_sites(lambda module: _Sites(module, names))
 
 
 def test_eigensolves_only_at_allowed_sites():

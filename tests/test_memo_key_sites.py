@@ -13,11 +13,10 @@ from __future__ import annotations
 import ast
 import dataclasses
 from collections import Counter
-from pathlib import Path
 
+from ast_sites import modules
 from qpe.config import ToleranceConfig
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "qpe"
 FIELDS = {f.name for f in dataclasses.fields(ToleranceConfig)}
 
 
@@ -53,9 +52,7 @@ def _problems(found) -> list[str]:
 
 
 def test_memo_keys_are_tagged_tuples_of_cfg_fields():
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        found += _keys(path.read_text(), path.stem)
+    found = [site for module, source in modules() for site in _keys(source, module)]
     assert len(found) == 4
     assert _problems(found) == []
 

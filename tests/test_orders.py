@@ -240,6 +240,18 @@ class TestLeastEigenvalueOrder:
         elsewhere = DensityMatrix.from_diag([5 / 8, 0.0, 3 / 8])
         assert lev_leq(rho, elsewhere).fails
 
+    def test_nested_kernels_decide_on_the_bottom_eigenspace(self):
+        # rho's kernel e3 lies in sigma's kernel span(e2, e3), which takes in
+        # rho's bottom eigenspace e2: below, structurally
+        sigma = DensityMatrix.from_diag([1.0, 0.0, 0.0])
+        v = lev_leq(DensityMatrix.from_diag([0.6, 0.4, 0.0]), sigma)
+        assert v.holds and v.slack == 0.0
+        # the same kernels, but rho's bottom eigenspace is e1: the witness is
+        # e2, the direction of sigma's kernel on which rho weighs most
+        v = lev_leq(DensityMatrix.from_diag([0.4, 0.6, 0.0]), sigma)
+        assert v.fails and v.slack == -np.inf
+        assert_allclose(np.abs(v.witness), [0.0, 1.0, 0.0], atol=1e-12)
+
     def test_kernel_shrink_always_fails(self):
         rho = DensityMatrix.from_diag([0.6, 0.4, 0.0])
         sigma = DensityMatrix.from_diag([0.4, 0.3, 0.3])
@@ -250,6 +262,8 @@ class TestLeastEigenvalueOrder:
         ([0.5, 0.3, 0.2], [5 / 8, 0.0, 3 / 8], "upper", 1),
         # the kernel shrank
         ([0.6, 0.4, 0.0], [0.4, 0.3, 0.3], "lower", 2),
+        # sigma's kernel grew, but does not hold rho's
+        ([0.5, 0.5, 0.0], [0.0, 0.0, 1.0], "lower", 2),
         # kernels of one dimension, in different places
         ([0.6, 0.4, 0.0], [0.6, 0.0, 0.4], "lower", 2),
     ])

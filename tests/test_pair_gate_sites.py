@@ -16,9 +16,9 @@ composed before another is square on its input space.
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "qpe"
+from ast_sites import ScopedVisitor, package_sites, sites
+
 DIMENSIONS = {"dim", "shape", "in_dim", "out_dim"}
 ALLOWED = {
     ("channels", "_channel_pair"),
@@ -44,42 +44,25 @@ def _reads(node) -> list[tuple[str, tuple]] | None:
     return None
 
 
-class _Sites(ast.NodeVisitor):
+class _Sites(ScopedVisitor):
     """Collects (module, qualified function name) for each comparison of the
     same dimension read off two different objects."""
-
-    def __init__(self, module: str):
-        self.module = module
-        self.scope: list[str] = []
-        self.found: list[tuple[str, str]] = []
-
-    def _scoped(self, node):
-        self.scope.append(node.name)
-        self.generic_visit(node)
-        self.scope.pop()
-
-    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _scoped
 
     def visit_Compare(self, node):
         sides = [_reads(x) for x in (node.left, *node.comparators)]
         for left, right in zip(sides, sides[1:]):
             if (left and right and len(left) == len(right)
                     and all(a[1] == b[1] and a[0] != b[0] for a, b in zip(left, right))):
-                self.found.append((self.module, ".".join(self.scope) or "<module>"))
+                self.record()
         self.generic_visit(node)
 
 
 def _sites(source: str, module: str) -> list[tuple[str, str]]:
-    found = _Sites(module)
-    found.visit(ast.parse(source))
-    return found.found
+    return sites(source, _Sites(module))
 
 
 def test_operand_pairs_are_compared_only_in_the_gates():
-    found = set()
-    for path in sorted(SRC.glob("*.py")):
-        found.update(_sites(path.read_text(), path.stem))
-    assert found == ALLOWED
+    assert set(package_sites(_Sites)) == ALLOWED
 
 
 def test_guard_sees_every_form_of_a_pair_check():

@@ -20,9 +20,11 @@ of relative width down to 1e-12.
 
 Every function that takes two operators goes through linalg.operator_pair:
 on a raw array it gives the result it gives on fresh states, and on a pair
-of two dimensions it raises DimensionMismatch. Two structural claims of the
-order hold on drawn pairs: mixing an ordered pair toward an anchor below it
-keeps it ordered, and the tensor product of two ordered pairs is ordered.
+of two dimensions it raises DimensionMismatch. The functions that take one
+operator, a channel's action included, also give a raw array the result of
+a fresh state. Two structural claims of the order hold on drawn pairs:
+mixing an ordered pair toward an anchor below it keeps it ordered, and the
+tensor product of two ordered pairs is ordered.
 """
 from __future__ import annotations
 
@@ -36,13 +38,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpe import (
+    Channel,
     DensityMatrix,
     DimensionMismatch,
     Effect,
     QpeError,
     depolarize,
+    directed_supremum,
     effect_probability,
     eigenvalue_shadow,
+    extended_output,
     f_renormalized_leq,
     fidelity,
     fls_update,
@@ -423,9 +428,16 @@ GATED = {
     "qpe_order_oracle": ("ss", lambda a, b: _bits(qpe_order_oracle(a, b))),
     "random_effect_lower_bound": ("ss", lambda a, b: _float(random_effect_lower_bound(a, b, trials=4))),
     "fidelity": ("ss", lambda a, b: _float(fidelity(a, b))),
+    "mixing_monotone_check": ("ss", lambda a, b: mixing_monotone_check(a, a, b, 0.3)),
+    "directed_supremum": ("ss", lambda a, b: directed_supremum([a, b, b]).matrix.tobytes()),
 }
 
-# the single-operand readers, which take a raw array through as_operator
+
+def _dim(a):
+    return a.dim if isinstance(a, DensityMatrix) else len(a)
+
+
+# the single-operand functions, which take a raw array through as_operator
 ONE_OPERAND = {
     "renyi_entropy": lambda a: tuple(_float(renyi_entropy(a, alpha)) for alpha in (0.5, 1.0, np.inf)),
     "depolarize": lambda a: depolarize(a, 0.3).matrix.tobytes(),
@@ -433,6 +445,14 @@ ONE_OPERAND = {
     "min_entropy": lambda a: _float(min_entropy(a)),
     "top_eigenvalue": lambda a: _float(top_eigenvalue(a)),
     "rank_of": rank_of,
+    "random_agreeing_effect":
+        lambda a: random_agreeing_effect(a, np.random.default_rng(0)).matrix.tobytes(),
+    "Channel.apply": lambda a: Channel.random(_dim(a), 3, 2, rng=0).apply(a).matrix.tobytes(),
+    "Channel.apply_choi_form":
+        lambda a: Channel.random(_dim(a), 3, 2, rng=0).apply_choi_form(a).matrix.tobytes(),
+    # id_n x phi for a channel phi on dimension 1, so the input is n x 1
+    "extended_output": lambda a: extended_output(Channel.random(1, 2, 2, rng=0), a,
+                                                 _dim(a)).matrix.tobytes(),
 }
 
 

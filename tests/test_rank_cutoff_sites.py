@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import ast
 from collections import Counter
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "qpe"
+from ast_sites import ScopedVisitor, package_sites, sites
+
 ALLOWED = {("linalg", "kernel_cutoff")}
 ALLOWED_COMPARISONS = {
     ("bayes", "_conditioned"),
@@ -27,20 +27,8 @@ ALLOWED_COMPARISONS = {
 }
 
 
-class _Sites(ast.NodeVisitor):
+class _Sites(ScopedVisitor):
     """Collects (module, qualified function name) for each product with rank_cutoff."""
-
-    def __init__(self, module: str):
-        self.module = module
-        self.scope: list[str] = []
-        self.found: list[tuple[str, str]] = []
-
-    def _scoped(self, node):
-        self.scope.append(node.name)
-        self.generic_visit(node)
-        self.scope.pop()
-
-    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _scoped
 
     @staticmethod
     def _is_cutoff(node) -> bool:
@@ -48,7 +36,7 @@ class _Sites(ast.NodeVisitor):
 
     def _check(self, operands):
         if any(self._is_cutoff(x) for x in operands):
-            self.found.append((self.module, ".".join(self.scope) or "<module>"))
+            self.record()
 
     def visit_BinOp(self, node):
         if isinstance(node.op, ast.Mult):
@@ -100,16 +88,11 @@ class _Comparisons(_Sites):
 
 
 def _sites(source: str, module: str, visitor=_Sites) -> list[tuple[str, str]]:
-    found = visitor(module)
-    found.visit(ast.parse(source))
-    return found.found
+    return sites(source, visitor(module))
 
 
 def test_rank_cutoff_is_scaled_only_in_kernel_cutoff():
-    found = Counter()
-    for path in sorted(SRC.glob("*.py")):
-        found.update(_sites(path.read_text(), path.stem))
-    assert found == Counter(ALLOWED)
+    assert package_sites(_Sites) == Counter(ALLOWED)
 
 
 def test_guard_sees_products_on_either_side():
@@ -126,10 +109,7 @@ def test_guard_sees_products_on_either_side():
 
 
 def test_rank_cutoff_is_compared_bare_only_at_the_absolute_thresholds():
-    found = set()
-    for path in sorted(SRC.glob("*.py")):
-        found.update(_sites(path.read_text(), path.stem, _Comparisons))
-    assert found == ALLOWED_COMPARISONS
+    assert set(package_sites(_Comparisons)) == ALLOWED_COMPARISONS
 
 
 def test_comparison_guard_sees_aliases_and_powers():
