@@ -115,6 +115,7 @@ from .oracle import (
     PartialTraceReport,
     ProbeResult,
     channel_order_oracle,
+    choi_form_output,
     counterexample_suite,
     diagonal_order_oracle,
     partial_trace_counterexample,

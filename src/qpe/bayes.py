@@ -79,13 +79,16 @@ def classical_solve_evidence(x, y, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.
 
 
 def _conditioned(outer, inner, cfg: ToleranceConfig) -> DensityMatrix:
-    """outer^1/2 inner outer^1/2 / tr(E rho), the state and effect either way round."""
+    """outer^1/2 inner outer^1/2 / tr(E rho), the state and effect either way
+    round: a state by construction, checked only if an operand came in raw."""
     outer, inner = operator_pair(outer, inner)
     sq = outer.sqrt
     out = sq @ inner.matrix @ sq
     prob = float(out.trace().real)
     if prob <= cfg.rank_cutoff:
         raise ZeroProbability(f"tr(E rho) = {prob:.3e}")
+    if isinstance(outer, (DensityMatrix, Effect)) and isinstance(inner, (DensityMatrix, Effect)):
+        return DensityMatrix._derived(out / prob)
     return DensityMatrix(out / prob, cfg)
 
 
@@ -118,12 +121,10 @@ def reconstruct_effect(rho: DensityMatrix, sigma: DensityMatrix,
         raise NotBelow(f"prior is not below target ({verdict.relation}, "
                        f"slack {verdict.slack:.3e})")
     middle = sandwich(rho, sigma, cfg)
-    norm = middle.norm
-    if not norm > 0:
-        return Effect._on_spectrum(middle.matrix, middle.eigenvalues, cfg)
-    # the fold settles the sign of the zero entries the division can flip
-    return Effect._on_spectrum(hermitian_part(middle.matrix / norm),
-                               middle.eigenvalues / norm, cfg)
+    norm = middle.norm if middle.norm > 0 else 1.0  # a zero sandwich stays as it is
+    # the fold settles the sign of the zero entries the division can flip; the
+    # bounds are checked on the known spectrum, as a raw operand can break them
+    return Effect._derived(middle.matrix / norm, middle.eigenvalues / norm)._check_bounds(cfg)
 
 
 def random_agreeing_effect(
@@ -240,7 +241,7 @@ def sequential_transitivity_demo(
     rng = np.random.default_rng(seed)
     best_overlap = 1.0
     for trial in range(budget):
-        rho = _random_full_rank(dim, rng, cfg)
+        rho = _random_full_rank(dim, rng)
         first = _draw_step_effect(rho, rng, cfg)
         mid = sequential_update(rho, first, cfg)
         second = _draw_step_effect(mid, rng, cfg)
@@ -290,10 +291,10 @@ def sequential_transitivity_demo(
     )
 
 
-def _random_full_rank(dim, rng, cfg):
+def _random_full_rank(dim, rng):
     G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     raw = G @ G.conj().T + 0.05 * np.eye(dim)
-    return DensityMatrix(raw / raw.trace().real, cfg)
+    return DensityMatrix._derived(raw / raw.trace().real)
 
 
 def _draw_step_effect(state, rng, cfg):

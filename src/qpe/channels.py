@@ -22,7 +22,7 @@ from .exceptions import (
     NotCPTP,
 )
 from .linalg import (OrderVerdict, as_operator, assert_hermitian, check_mixing_weight,
-                     kernel_cutoff, partial_trace, partial_transpose)
+                     kernel_cutoff, partial_trace)
 from .orders import qpe_leq
 from .states import DensityMatrix, rank_of, top_eigenvalue
 from .divergence import DivergenceValue, max_divergence
@@ -175,18 +175,6 @@ class Channel:
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         return DensityMatrix(self._apply_matrix(as_operator(rho).matrix), self.cfg)
-
-    def apply_choi_form(self, rho: DensityMatrix) -> DensityMatrix:
-        """Action recovered from the Choi matrix alone.
-
-        n tr_1( J^T1 (rho x I) ); agrees with the Kraus action and serves as
-        a representation cross-check.
-        """
-        n, k = self.in_dim, self.out_dim
-        lifted = partial_transpose(self.choi.matrix, (n, k), 1)
-        M = lifted @ np.kron(as_operator(rho).matrix, np.eye(k))
-        out = n * partial_trace(M, (n, k), 1)
-        return DensityMatrix(out, self.cfg)
 
     def __repr__(self):
         return (f"Channel(in_dim={self.in_dim}, out_dim={self.out_dim}, "

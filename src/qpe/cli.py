@@ -258,8 +258,7 @@ def _cmd_demo_transitivity(args, cfg):
 
 
 def _cmd_random_state(args, cfg):
-    rho = random_state(args.dim, rank=args.rank,
-                       rng=np.random.default_rng(args.seed), cfg=cfg)
+    rho = random_state(args.dim, rank=args.rank, rng=np.random.default_rng(args.seed))
     payload = state_json(rho)
     lines = _matrix_lines(rho.matrix)
     return 0, payload, lines

@@ -1,9 +1,9 @@
 """Hermitian matrix calculus: spectra, PSD verdicts, powers, tensor algebra.
 
-HermitianOperator is the one route from a matrix to its spectrum: it takes
-a validated matrix, solves it once and caches the result, and the package's
-states and effects are HermitianOperators. The checks, norms, powers,
-fidelity and partial trace and transpose accept a complex ndarray or a
+HermitianOperator is the one route from a matrix to its spectrum: it owns
+a Hermitian matrix and solves its spectrum once, on first read, and the
+package's states and effects are HermitianOperators. The checks, norms,
+powers, fidelity and partial trace and transpose accept a complex ndarray or a
 HermitianOperator; the norms and is_psd read an operator's cached
 spectrum, matrix_power and fidelity solve afresh. kernel_cutoff is the
 package's one rule for which eigenvalues count as zero, and operator_pair
@@ -236,25 +236,30 @@ class HermitianOperator:
     """A frozen Hermitian matrix whose spectrum is computed once.
 
     Takes an exactly Hermitian matrix (as returned by assert_hermitian) and
-    owns it. The descending eigenvalues come from one eigvalsh here; the
-    eigenvectors and sqrt from one eigh on first use, from which power and
-    inv_sqrt are formed afresh on each call.
+    owns it. The descending eigenvalues come from one eigvalsh on first read,
+    or w seeds them; the eigenvectors and sqrt from one eigh on first use,
+    from which power and inv_sqrt are formed afresh on each call.
 
     Each operator also remembers what was computed against its recent
     partners, up to PARTNER_MEMO_SIZE of them with the oldest dropped first
     (see _remember), so a pair asked twice is decided once.
     """
 
-    def __init__(self, H: np.ndarray):
-        self._own(H, np.linalg.eigvalsh(H)[::-1])
-
-    def _own(self, H: np.ndarray, w: np.ndarray) -> None:
-        """Take H with its known descending spectrum w; both become read-only."""
-        w.setflags(write=False)
+    def __init__(self, H: np.ndarray, w: np.ndarray | None = None):
         H.setflags(write=False)
         self._matrix = H
-        self._eigenvalues = w
+        if w is not None:
+            w.setflags(write=False)
+            self.eigenvalues = w  # seeds the cached property
         self._partners: dict[int, tuple[weakref.ref, dict]] = {}
+
+    @classmethod
+    def _derived(cls, A: np.ndarray, w: np.ndarray | None = None):
+        """This type on hermitian_part(A), unchecked: only for what is PSD (and
+        of unit trace, for a state) as the package computed it."""
+        op = cls.__new__(cls)
+        HermitianOperator.__init__(op, hermitian_part(A), w)
+        return op
 
     @property
     def matrix(self) -> np.ndarray:
@@ -264,15 +269,17 @@ class HermitianOperator:
     def dim(self) -> int:
         return self._matrix.shape[0]
 
-    @property
+    @cached_property
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues in descending order."""
-        return self._eigenvalues
+        w = np.linalg.eigvalsh(self._matrix)[::-1]
+        w.setflags(write=False)
+        return w
 
     @property
     def norm(self) -> float:
         """Operator norm, the largest eigenvalue magnitude."""
-        w = self._eigenvalues
+        w = self.eigenvalues
         return max(abs(float(w[0])), abs(float(w[-1])))
 
     @cached_property
@@ -344,7 +351,7 @@ class HermitianOperator:
         return {**self.__dict__, "_partners": {}}
 
     def __repr__(self):
-        return f"{type(self).__name__}(dim={self.dim}, top={self._eigenvalues[0]:.6g})"
+        return f"{type(self).__name__}(dim={self.dim}, top={self.eigenvalues[0]:.6g})"
 
 
 def as_operator(x) -> HermitianOperator:

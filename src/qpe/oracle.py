@@ -1,13 +1,13 @@
 """Independent verification routes and stored counterexamples.
 
-Everything here deliberately avoids the main code paths: positivity is
-probed by Rayleigh quotients instead of an eigensolver, the state order on
-its order matrix instead of the sandwich, the diagonal order by
-elementwise division, the channel order from the Kraus action instead of
-the Choi states, the max-divergence from below by random effects instead
-of its attaining projector, and entropies by the direct sum formula. A
-disagreement between these routes and the main library is a bug in one of
-them, never a tolerance artifact to be absorbed.
+Everything here deliberately avoids the main code paths: positivity is probed
+by Rayleigh quotients instead of an eigensolver, the state order on its order
+matrix instead of the sandwich, the diagonal order by elementwise division, the
+channel order from the Kraus action instead of the Choi states and the channel
+action from the Choi matrix instead, the max-divergence from below by random
+effects instead of its attaining projector, and entropies by the direct sum
+formula. A disagreement between these routes and the main library is a bug in
+one of them, never a tolerance artifact to be absorbed.
 """
 from __future__ import annotations
 
@@ -18,7 +18,8 @@ import numpy as np
 from .channels import Channel, _channel_pair
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .exceptions import BadParameter, DegenerateDraw, DimensionMismatch
-from .linalg import FAILS, HOLDS, MARGINAL, OrderVerdict, is_psd, operator_pair, partial_trace
+from .linalg import (FAILS, HOLDS, MARGINAL, OrderVerdict, as_operator, is_psd, operator_pair,
+                     partial_trace, partial_transpose)
 from .orders import majorizes, qpe_leq
 from .states import DensityMatrix, top_eigenvalue
 
@@ -154,6 +155,18 @@ def channel_order_oracle(phi: Channel, psi: Channel,
             block[i * k:(i + 1) * k, j * k:(j + 1) * k] = diff / scale
             unit[i, j] = 0.0
     return is_psd(block, cfg)
+
+
+def choi_form_output(channel: Channel, rho) -> DensityMatrix:
+    """Channel.apply's output from the Choi matrix J alone, n tr_1(J^T1 (rho x I)),
+    with its dimension check and its output checked under the channel's cfg."""
+    rho = as_operator(rho)
+    n, k = channel.in_dim, channel.out_dim
+    if rho.dim != n:
+        raise DimensionMismatch(f"input shape {rho.matrix.shape} does not match in_dim {n}")
+    lifted = partial_transpose(channel.choi.matrix, (n, k), 1)
+    out = n * partial_trace(lifted @ np.kron(rho.matrix, np.eye(k)), (n, k), 1)
+    return DensityMatrix(out, channel.cfg)
 
 
 def shannon_entropy(p, base: str = "natural") -> float:

@@ -1,9 +1,11 @@
 """States, effects and their spectral structure.
 
-DensityMatrix and Effect are linalg.HermitianOperators: the eigvalsh run by
-validation is the cached spectrum, and one eigh on first use supplies the
-eigenvectors. Eigenspace extraction clusters eigenvalues that sit within
-cluster_width of each other so near-degenerate spectra count as degenerate.
+DensityMatrix and Effect are linalg.HermitianOperators, each validating
+outside input in its constructor; what the package computes from validated
+ones is built by _derived, unchecked. The spectrum is one eigvalsh on first
+read and the eigenvectors one eigh. Eigenspace extraction clusters
+eigenvalues within cluster_width of each other, so near-degenerate spectra
+count as degenerate.
 """
 from __future__ import annotations
 
@@ -60,11 +62,9 @@ class DensityMatrix(HermitianOperator):
             )
             H = H / tr
         super().__init__(H)
-        verdict = psd_verdict(self._eigenvalues, None, cfg)
+        verdict = psd_verdict(self.eigenvalues, None, cfg)
         if verdict.fails:
-            raise InvalidState(
-                f"not positive semidefinite (lambda_min = {verdict.slack:.3e})"
-            )
+            raise InvalidState(f"not positive semidefinite (lambda_min = {verdict.slack:.3e})")
 
     @classmethod
     def maximally_mixed(cls, n: int, cfg: ToleranceConfig = DEFAULT_CONFIG):
@@ -91,29 +91,16 @@ class Effect(HermitianOperator):
         super().__init__(assert_hermitian(matrix))
         self._check_bounds(cfg)
 
-    @classmethod
-    def _on_spectrum(cls, H: np.ndarray, w: np.ndarray,
-                     cfg: ToleranceConfig = DEFAULT_CONFIG) -> Effect:
-        """An effect on an exactly Hermitian H whose descending spectrum w is
-        already known: no Hermitian check and no solve, the bounds still checked."""
-        effect = cls.__new__(cls)
-        effect._own(H, w)
-        effect._check_bounds(cfg)
-        return effect
-
-    def _check_bounds(self, cfg: ToleranceConfig) -> None:
-        w = self._eigenvalues
+    def _check_bounds(self, cfg: ToleranceConfig) -> Effect:
+        w = self.eigenvalues
         low = psd_verdict(w, None, cfg)
         if low.fails:
-            raise InvalidState(
-                f"effect not PSD (lambda_min = {low.slack:.3e})"
-            )
+            raise InvalidState(f"effect not PSD (lambda_min = {low.slack:.3e})")
         # the spectrum of I - E is 1 - w, descending when reversed
         high = psd_verdict(1.0 - w[::-1], None, cfg)
         if high.fails:
-            raise InvalidState(
-                f"effect exceeds identity (slack = {high.slack:.3e})"
-            )
+            raise InvalidState(f"effect exceeds identity (slack = {high.slack:.3e})")
+        return self
 
     @classmethod
     def identity(cls, n: int):
@@ -267,7 +254,6 @@ def random_state(
     dim: int,
     rank: int | None = None,
     rng: np.random.Generator | int | None = None,
-    cfg: ToleranceConfig = DEFAULT_CONFIG,
 ) -> DensityMatrix:
     """G G^dagger / tr for a dim x rank complex Gaussian G."""
     if not isinstance(rng, np.random.Generator):
@@ -277,4 +263,4 @@ def random_state(
         raise BadParameter(f"need 1 <= rank <= dim, got rank={rank}, dim={dim}")
     G = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     raw = G @ G.conj().T
-    return DensityMatrix(raw / raw.trace().real, cfg)
+    return DensityMatrix._derived(raw / raw.trace().real)

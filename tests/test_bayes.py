@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qpe import DensityMatrix, Effect
+from qpe import DensityMatrix, Effect, ToleranceConfig
 from qpe.bayes import (
     classical_solve_evidence,
     classical_update,
@@ -18,6 +18,7 @@ from qpe.bayes import (
 )
 from qpe.exceptions import (
     BadParameter,
+    InvalidState,
     NonFiniteInput,
     NotBelow,
     PreconditionViolated,
@@ -120,6 +121,34 @@ class TestQuantumUpdates:
             fls_update(rho, Effect.from_diag([0.0, 1.0]))
         with pytest.raises(ZeroProbability):
             sequential_update(rho, Effect.from_diag([0.0, 1.0]))
+
+
+    def test_update_of_validated_operands_is_not_checked_again(self):
+        """The posterior of a validated prior and effect is PSD by
+        construction and built unchecked, so a tighter cfg on the update
+        does not re-check it. Under psd_slack = 0, rounding in a
+        rank-deficient prior's kernel leaves many of these 200 posteriors
+        (120 with numpy 2.4) with a least eigenvalue below zero, which the
+        validating constructor refuses; the update returns each of them,
+        bit for bit the posterior under the default cfg. A raw prior is
+        still checked."""
+        zero = ToleranceConfig(psd_slack=0.0)
+        rng = np.random.default_rng(3)
+        refused = 0
+        for _ in range(200):
+            n = int(rng.integers(2, 6))
+            rho = random_state(n, rank=int(rng.integers(1, n)), rng=rng)
+            effect = random_agreeing_effect(rho, rng)
+            posterior = fls_update(rho, effect, zero).matrix
+            assert posterior.tobytes() == fls_update(rho, effect).matrix.tobytes()
+            try:
+                DensityMatrix(posterior, zero)
+            except InvalidState:
+                refused += 1
+                with pytest.raises(InvalidState, match="not positive semidefinite"):
+                    fls_update(rho.matrix, effect, zero)
+        # the refusals the update no longer makes
+        assert refused > 0
 
 
 class TestReconstructEffect:

@@ -22,7 +22,7 @@ from qpe.channels import (
 )
 from qpe.divergence import max_divergence
 from qpe.exceptions import BadParameter, DimensionMismatch, NonHermitianInput, NotCPTP
-from qpe.oracle import channel_order_oracle
+from qpe.oracle import channel_order_oracle, choi_form_output
 from qpe.orders import qpe_leq
 from qpe.states import random_state
 
@@ -158,7 +158,12 @@ class TestRepresentationAgreement:
             phi = Channel.random(3, 2, 3, rng)
             rho = random_state(3, rng=rng)
             assert_allclose(phi.apply(rho).matrix,
-                            phi.apply_choi_form(rho).matrix, atol=1e-10)
+                            choi_form_output(phi, rho).matrix, atol=1e-10)
+
+    @pytest.mark.parametrize("action", [Channel.apply, choi_form_output])
+    def test_both_actions_refuse_a_state_of_another_dim(self, action):
+        with pytest.raises(DimensionMismatch, match=r"shape \(3, 3\) does not match in_dim 2"):
+            action(Channel.identity(2), np.eye(3) / 3)
 
     def test_extended_action_on_product_input(self, rng):
         phi = Channel.random(2, 2, 2, rng)

@@ -17,10 +17,10 @@ EIGENSOLVERS = {"eigh", "eigvalsh", "eig", "eigvals"}
 LINEAR_SOLVERS = {"solve", "inv"}
 
 ALLOWED = {
-    # the cache: the spectrum validation reads, then the lazy eigenvectors,
-    # which also give a sandwich's fails witness below
-    # linalg.SHIFTED_SOLVE_MIN_DIM
-    ("linalg", "HermitianOperator.__init__"),
+    # the cache: the spectrum, solved on first read (validation reads it at
+    # once), then the lazy eigenvectors, which also give a sandwich's fails
+    # witness below linalg.SHIFTED_SOLVE_MIN_DIM
+    ("linalg", "HermitianOperator.eigenvalues"),
     ("linalg", "HermitianOperator._eigh"),
     # the witness vector of a fails verdict on a one-shot matrix (psd_verdict
     # on an order matrix) below linalg.SHIFTED_SOLVE_MIN_DIM, and on any

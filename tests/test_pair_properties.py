@@ -25,10 +25,19 @@ operator, a channel's action included, also give a raw array the result of
 a fresh state. Two structural claims of the order hold on drawn pairs:
 mixing an ordered pair toward an anchor below it keeps it ordered, and the
 tensor product of two ordered pairs is ordered.
+
+A state or effect the package computes from validated ones is built by
+HermitianOperator._derived, unchecked: at every such site its matrix is
+the validating constructor's on the same arithmetic, bit for bit, and its
+spectrum, solved when first read, that constructor's. A channel's output
+stays on the validating constructor, which renormalizes the trace a nearly
+complete Kraus family leaves off.
 """
 from __future__ import annotations
 
 import dataclasses
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,6 +52,7 @@ from qpe import (
     DimensionMismatch,
     Effect,
     QpeError,
+    choi_form_output,
     depolarize,
     directed_supremum,
     effect_probability,
@@ -73,7 +83,14 @@ from qpe import (
     top_eigenvalue,
     way_below_witness,
 )
-from qpe.linalg import PARTNER_MEMO_SIZE, SHIFTED_SOLVE_MIN_DIM, _start_vector, random_unitary
+from qpe.bayes import sequential_transitivity_demo
+from qpe.linalg import (
+    PARTNER_MEMO_SIZE,
+    SHIFTED_SOLVE_MIN_DIM,
+    HermitianOperator,
+    _start_vector,
+    random_unitary,
+)
 from qpe.states import sandwich
 
 INVARIANCE_TOL = 1e-9
@@ -448,8 +465,8 @@ ONE_OPERAND = {
     "random_agreeing_effect":
         lambda a: random_agreeing_effect(a, np.random.default_rng(0)).matrix.tobytes(),
     "Channel.apply": lambda a: Channel.random(_dim(a), 3, 2, rng=0).apply(a).matrix.tobytes(),
-    "Channel.apply_choi_form":
-        lambda a: Channel.random(_dim(a), 3, 2, rng=0).apply_choi_form(a).matrix.tobytes(),
+    "choi_form_output":
+        lambda a: choi_form_output(Channel.random(_dim(a), 3, 2, rng=0), a).matrix.tobytes(),
     # id_n x phi for a channel phi on dimension 1, so the input is n x 1
     "extended_output": lambda a: extended_output(Channel.random(1, 2, 2, rng=0), a,
                                                  _dim(a)).matrix.tobytes(),
@@ -510,3 +527,68 @@ def test_mixing_an_ordered_pair_toward_an_anchor_below_keeps_it_ordered(pair, s,
 def test_the_tensor_product_of_ordered_pairs_is_ordered(first, second):
     rho, sigma = (DensityMatrix(np.kron(a, b)) for a, b in zip(first, second))
     assert qpe_leq(rho, sigma).holds
+
+
+@contextmanager
+def _derived_builds():
+    """(cls, A, w, built) for each HermitianOperator._derived call in the block."""
+    builds = []
+    derived = HermitianOperator._derived.__func__
+
+    def spy(cls, A, w=None):
+        built = derived(cls, A, w)
+        builds.append((cls, A, w, built))
+        return built
+
+    with mock.patch.object(HermitianOperator, "_derived", classmethod(spy)):
+        yield builds
+
+
+@settings(PROPERTY_SETTINGS, max_examples=15)
+@given(pair=st.one_of(ordered_pairs(), raw_pairs()), seed=st.integers(0, 2**32 - 1),
+       t=st.floats(0.0, 1.0))
+def test_a_derived_build_is_the_validating_build_of_its_arithmetic(pair, seed, t):
+    """Full-rank, rank-deficient and near-boundary operands, through every
+    site that builds with _derived: the updates, reconstruct_effect,
+    depolarize, mixing_monotone_check and the random draws."""
+    rho, sigma = (DensityMatrix(M) for M in pair)
+    rng = np.random.default_rng(seed)
+    effect = random_agreeing_effect(rho, rng)
+    n = rho.dim
+    sites = [
+        lambda: fls_update(rho, effect),
+        lambda: sequential_update(rho, effect),
+        lambda: reconstruct_effect(rho, sigma),
+        lambda: depolarize(rho, t),
+        lambda: mixing_monotone_check(depolarize(rho, t), rho, sigma, t),
+        lambda: random_state(n, rank=int(rng.integers(1, n + 1)), rng=rng),
+        lambda: sequential_transitivity_demo(budget=1, seed=seed, dim=n),
+    ]
+    with _derived_builds() as builds:
+        for site in sites:
+            _outcome(site)
+    assert builds
+    for cls, A, w, built in builds:
+        checked = cls(A)
+        assert built.matrix.tobytes() == checked.matrix.tobytes()
+        if w is None:
+            assert built.eigenvalues.tobytes() == checked.eigenvalues.tobytes()
+        else:
+            # reconstruct_effect's: the sandwich spectrum over its norm
+            assert np.abs(built.eigenvalues - checked.eigenvalues).max() <= 1e-13
+
+
+@pytest.mark.parametrize("action", [
+    lambda phi, rho: phi.apply(rho),
+    lambda phi, rho: extended_output(phi, rho, 1),
+], ids=["Channel.apply", "extended_output"])
+def test_a_nearly_complete_kraus_family_has_its_output_renormalized(action):
+    """A Kraus family is complete only to COMPLETENESS_TOL (1e-8), above the
+    1e-9 trace defect the validating constructor forgives, which is why a
+    channel's output stays on that constructor."""
+    kraus = [np.sqrt(1.0 + 5e-9) * random_unitary(3, np.random.default_rng(0))]
+    with pytest.warns(UserWarning, match="renormalizing"):
+        phi = Channel(kraus)  # its Choi state carries the same defect
+    with pytest.warns(UserWarning, match="renormalizing state with trace off by 5.00e-09"):
+        out = action(phi, random_state(3, rng=1))
+    assert abs(out.matrix.trace().real - 1.0) <= 1e-15
