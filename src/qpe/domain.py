@@ -25,14 +25,11 @@ UNKNOWN = "unknown"
 
 def depolarize(rho: DensityMatrix, t: float,
                cfg: ToleranceConfig = DEFAULT_CONFIG) -> DensityMatrix:
-    """Mix toward the maximally mixed state: (1 - t) rho + t I/n, checked
-    only if rho came in raw."""
+    """Mix toward the maximally mixed state: (1 - t) rho + t I/n."""
     check_mixing_weight(t)
     rho = as_operator(rho)
     n = rho.dim
     out = (1.0 - t) * rho.matrix + (t / n) * np.eye(n)
-    if isinstance(rho, DensityMatrix):
-        return DensityMatrix._derived(out)
     return DensityMatrix(out, cfg)
 
 
@@ -141,8 +138,6 @@ def mixing_monotone_check(kappa: DensityMatrix, rho: DensityMatrix,
         raise PreconditionViolated("mixing anchor is not below the lower state")
     if not qpe_leq(rho, sigma, cfg).holds:
         raise PreconditionViolated("pair is not ordered")
-    # the mixtures are states, checked only if an operand came in raw
-    raw = not all(isinstance(x, DensityMatrix) for x in (kappa, rho, sigma))
-    left, right = (DensityMatrix(M, cfg) if raw else DensityMatrix._derived(M)
-                   for M in ((1.0 - t) * x.matrix + t * kappa.matrix for x in (rho, sigma)))
+    left = DensityMatrix((1.0 - t) * rho.matrix + t * kappa.matrix, cfg)
+    right = DensityMatrix((1.0 - t) * sigma.matrix + t * kappa.matrix, cfg)
     return qpe_leq(left, right, cfg).holds

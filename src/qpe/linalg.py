@@ -236,29 +236,29 @@ class HermitianOperator:
     """A frozen Hermitian matrix whose spectrum is computed once.
 
     Takes an exactly Hermitian matrix (as returned by assert_hermitian) and
-    owns it. The descending eigenvalues come from one eigvalsh on first read,
-    or w seeds them; the eigenvectors and sqrt from one eigh on first use,
-    from which power and inv_sqrt are formed afresh on each call.
+    owns it. The descending eigenvalues come from one eigvalsh on first read
+    (or _derived seeds them); the eigenvectors and sqrt from one eigh on
+    first use, from which power and inv_sqrt are formed afresh on each call.
 
     Each operator also remembers what was computed against its recent
     partners, up to PARTNER_MEMO_SIZE of them with the oldest dropped first
     (see _remember), so a pair asked twice is decided once.
     """
 
-    def __init__(self, H: np.ndarray, w: np.ndarray | None = None):
+    def __init__(self, H: np.ndarray):
         H.setflags(write=False)
         self._matrix = H
-        if w is not None:
-            w.setflags(write=False)
-            self.eigenvalues = w  # seeds the cached property
         self._partners: dict[int, tuple[weakref.ref, dict]] = {}
 
     @classmethod
     def _derived(cls, A: np.ndarray, w: np.ndarray | None = None):
-        """This type on hermitian_part(A), unchecked: only for what is PSD (and
-        of unit trace, for a state) as the package computed it."""
+        """This type on hermitian_part(A), unchecked, a known spectrum w seeded:
+        only for what is PSD (and of unit trace, for a state) as computed."""
         op = cls.__new__(cls)
-        HermitianOperator.__init__(op, hermitian_part(A), w)
+        HermitianOperator.__init__(op, hermitian_part(A))
+        if w is not None:
+            w.setflags(write=False)
+            op.eigenvalues = w
         return op
 
     @property

@@ -1,13 +1,14 @@
 """Independent verification routes and stored counterexamples.
 
-Everything here deliberately avoids the main code paths: positivity is probed
-by Rayleigh quotients instead of an eigensolver, the state order on its order
-matrix instead of the sandwich, the diagonal order by elementwise division, the
-channel order from the Kraus action instead of the Choi states and the channel
-action from the Choi matrix instead, the max-divergence from below by random
-effects instead of its attaining projector, and entropies by the direct sum
-formula. A disagreement between these routes and the main library is a bug in
-one of them, never a tolerance artifact to be absorbed.
+Everything here deliberately avoids the main code paths: positivity is
+probed by Rayleigh quotients instead of an eigensolver, the state order on
+its order matrix instead of the sandwich, the diagonal order by
+elementwise division, the channel order from the Kraus action instead of
+the Choi states and the channel action from the Choi matrix instead, the
+max-divergence from below by random effects instead
+of its attaining projector, and entropies by the direct sum formula. A
+disagreement between these routes and the main library is a bug in one of
+them, never a tolerance artifact to be absorbed.
 """
 from __future__ import annotations
 

@@ -1,11 +1,9 @@
 """States, effects and their spectral structure.
 
-DensityMatrix and Effect are linalg.HermitianOperators, each validating
-outside input in its constructor; what the package computes from validated
-ones is built by _derived, unchecked. The spectrum is one eigvalsh on first
-read and the eigenvectors one eigh. Eigenspace extraction clusters
-eigenvalues within cluster_width of each other, so near-degenerate spectra
-count as degenerate.
+DensityMatrix and Effect are linalg.HermitianOperators: the constructors
+validate outside input, and _derived builds what the package computes from
+them unchecked. Eigenspace extraction clusters eigenvalues that sit within
+cluster_width of each other so near-degenerate spectra count as degenerate.
 """
 from __future__ import annotations
 
@@ -64,7 +62,9 @@ class DensityMatrix(HermitianOperator):
         super().__init__(H)
         verdict = psd_verdict(self.eigenvalues, None, cfg)
         if verdict.fails:
-            raise InvalidState(f"not positive semidefinite (lambda_min = {verdict.slack:.3e})")
+            raise InvalidState(
+                f"not positive semidefinite (lambda_min = {verdict.slack:.3e})"
+            )
 
     @classmethod
     def maximally_mixed(cls, n: int, cfg: ToleranceConfig = DEFAULT_CONFIG):
@@ -95,11 +95,15 @@ class Effect(HermitianOperator):
         w = self.eigenvalues
         low = psd_verdict(w, None, cfg)
         if low.fails:
-            raise InvalidState(f"effect not PSD (lambda_min = {low.slack:.3e})")
+            raise InvalidState(
+                f"effect not PSD (lambda_min = {low.slack:.3e})"
+            )
         # the spectrum of I - E is 1 - w, descending when reversed
         high = psd_verdict(1.0 - w[::-1], None, cfg)
         if high.fails:
-            raise InvalidState(f"effect exceeds identity (slack = {high.slack:.3e})")
+            raise InvalidState(
+                f"effect exceeds identity (slack = {high.slack:.3e})"
+            )
         return self
 
     @classmethod

@@ -511,6 +511,15 @@ class TestRandomCommands:
                              "--seed", "5")
         assert first == second
 
+    def test_random_state_is_not_refused_under_zero_tolerance(self, capsys):
+        """A draw is PSD by construction and not checked again: this rank-1
+        draw reads lambda_min = -2.776e-16 from rounding, which --tol 0
+        refused while the draw went through the validating constructor."""
+        argv = ("random", "state", "--dim", "2", "--rank", "1", "--seed", "3")
+        code, out, err = run_cli(capsys, *argv, "--tol", "0")
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, *argv)[1]
+
     def test_random_channel_pipes_into_fidelity(self, capsys, tmp_path):
         code, payload = run_json(capsys, "random", "channel", "--in-dim", "2",
                                  "--out-dim", "2", "--kraus-rank", "2",

@@ -7,9 +7,9 @@ construction, because the package computed it from validated states and
 effects or drew it itself. Each site below is allowed for the reason in its
 comment; a site that takes outside numbers (a decoded document, a caller's
 matrix or eigenvalues) must use the validating constructor, and a new call
-anywhere else fails this test. The sites that take operands build with
-_derived only when every operand is a validated state or effect, and
-check a raw array's result as before.
+anywhere else fails this test. The updates build with _derived only when
+both operands are validated states or effects, and check a raw array's
+result as before.
 """
 from __future__ import annotations
 
@@ -26,10 +26,6 @@ ALLOWED = {
     ("bayes", "reconstruct_effect"),
     # G G^dagger + 0.05 I over its trace: the transitivity demo's own draw
     ("bayes", "_random_full_rank"),
-    # (1 - t) rho + t I/n: a mixture of two states
-    ("domain", "depolarize"),
-    # (1 - t) rho + t kappa and (1 - t) sigma + t kappa: mixtures of states
-    ("domain", "mixing_monotone_check"),
     # G G^dagger over its trace: the package's own draw
     ("states", "random_state"),
 }
