@@ -26,7 +26,7 @@ from .exceptions import (
     ZeroEvidence,
     ZeroProbability,
 )
-from .linalg import hermitian_part, kernel_cutoff, matrix_power, operator_norm, operator_pair
+from .linalg import as_operator, hermitian_part, kernel_cutoff, matrix_power, operator_pair
 from .orders import _probability_pair, as_probability_vector, classical_pe_leq, qpe_leq
 from .states import (
     DensityMatrix,
@@ -174,10 +174,12 @@ def sequential_solve_effect(rho: DensityMatrix, sigma: DensityMatrix,
     mid = matrix_power(rho.sqrt @ sigma.matrix @ rho.sqrt, 0.5, cfg)
     X = inv_half @ mid @ inv_half
     G = hermitian_part(X @ X.conj().T)
-    norm = operator_norm(G)
+    candidate = as_operator(G)
+    norm = candidate.norm
     if norm <= 0:
         raise ZeroProbability("candidate effect vanished")
-    return Effect(G / norm, cfg)
+    # G's spectrum over its norm is the effect's, as in reconstruct_effect
+    return Effect._derived(G / norm, candidate.eigenvalues / norm)._check_bounds(cfg)
 
 
 def measurement_monotone_check(rho: DensityMatrix, sigma: DensityMatrix,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .exceptions import BadAlpha
-from .linalg import OrderVerdict, as_operator, hermitian_part, operator_pair
+from .linalg import OrderVerdict, as_operator, hermitian_eigvals, hermitian_part, operator_pair
 from .orders import _probability_pair, classical_pe_leq, qpe_leq
 from .states import DensityMatrix, Effect, attaining_direction, escape_direction, sandwich
 
@@ -83,7 +83,7 @@ def renyi_divergence(sigma: DensityMatrix, rho: DensityMatrix, alpha: float,
     exponent = (1.0 - alpha) / (2.0 * alpha)
     half = rho.power(exponent, cfg)
     inner = hermitian_part(half @ sigma.matrix @ half)
-    w = np.maximum(np.linalg.eigvalsh(inner), 0.0)
+    w = np.maximum(hermitian_eigvals(inner), 0.0)
     total = (w[w > 0] ** alpha).sum()
     if total <= 0:
         # disjoint supports with alpha < 1

@@ -1,5 +1,9 @@
 """Hermitian matrix calculus: spectra, PSD verdicts, powers, tensor algebra.
 
+hermitian_eigvals and hermitian_eig are the package's one eigensolver
+kernel: every Hermitian eigensolve calls LAPACK through them, bit-identical
+to numpy.linalg.eigvalsh and eigh, in their ascending order.
+
 HermitianOperator is the one route from a matrix to its spectrum: it owns
 a Hermitian matrix and solves its spectrum once, on first read, and the
 package's states and effects are HermitianOperators. The checks, norms,
@@ -12,7 +16,7 @@ remembers what was computed against its recent partners (up to
 PARTNER_MEMO_SIZE, oldest dropped first): the order verdict (keyed on
 psd_slack, rank_cutoff), the sandwich (rank_cutoff), the max-divergence
 (rank_cutoff, log_base) and the way-below witness (psd_slack,
-rank_cutoff). Eigenvalues are always reported in descending order.
+rank_cutoff). An operator reports its eigenvalues in descending order.
 Positivity checks return a tri-state verdict instead of a boolean so
 callers can surface numerically marginal cases; relation_of is the one
 holds/marginal/fails band, and extreme_eigenvector finds every fails
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .exceptions import (
@@ -166,6 +171,33 @@ def psd_verdict(w, H, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
     return OrderVerdict(relation, lam_min)
 
 
+def hermitian_eigvals(H: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a finite, nonempty complex Hermitian matrix
+    H: what numpy.linalg.eigvalsh(H) returns, bit for bit, from the LAPACK
+    gufunc it wraps, called once without its wrapper (array conversion, type
+    resolution, an errstate context), which at dims 2-5 costs more than the
+    solve. One of the package's two eigensolvers, with hermitian_eig.
+
+    The gufunc reports a LAPACK failure by filling its output with NaN (and
+    setting the floating-point invalid flag, which numpy warns of); that
+    raises LinAlgError here, as it does in numpy.
+    """
+    w = _umath_linalg.eigvalsh_lo(H, signature="D->d")
+    if w[0] != w[0]:
+        raise LinAlgError("Eigenvalues did not converge")
+    return w
+
+
+def hermitian_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, V): ascending eigenvalues and unit eigenvectors as columns of a
+    finite, nonempty complex Hermitian matrix H, what numpy.linalg.eigh(H)
+    returns, bit for bit; see hermitian_eigvals."""
+    w, V = _umath_linalg.eigh_lo(H, signature="D->dD")
+    if w[0] != w[0]:
+        raise LinAlgError("Eigenvalues did not converge")
+    return w, V
+
+
 def _start_vector(n: int) -> np.ndarray:
     """extreme_eigenvector's fixed start: no entry is zero and no sign or
     permutation pattern of the standard basis is orthogonal to it, so the
@@ -206,7 +238,7 @@ def extreme_eigenvector(A, w, top: bool = True) -> np.ndarray:
     if isinstance(A, HermitianOperator):
         # a view: a copy is contiguous, and products with it round otherwise
         return A.eigenvectors[:, 0 if top else -1]
-    return np.linalg.eigh(H)[1][:, -1 if top else 0].copy()
+    return hermitian_eig(H)[1][:, -1 if top else 0].copy()
 
 
 def kernel_cutoff(w: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
@@ -272,7 +304,7 @@ class HermitianOperator:
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues in descending order."""
-        w = np.linalg.eigvalsh(self._matrix)[::-1]
+        w = hermitian_eigvals(self._matrix)[::-1]
         w.setflags(write=False)
         return w
 
@@ -284,7 +316,7 @@ class HermitianOperator:
 
     @cached_property
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        w, V = np.linalg.eigh(self._matrix)
+        w, V = hermitian_eig(self._matrix)
         # contiguous, as a pickled copy's is, so products with V round alike
         V = np.ascontiguousarray(V[:, ::-1])
         V.setflags(write=False)
@@ -410,7 +442,7 @@ def matrix_power(A, p, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
     NegativeEigenvalue.
     """
     H = assert_hermitian(A)
-    w, V = np.linalg.eigh(H)
+    w, V = hermitian_eig(H)
     w, V = w[::-1], V[:, ::-1]
     verdict = psd_verdict(w, None, cfg)
     if verdict.fails:
@@ -464,7 +496,7 @@ def fidelity(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
     rho, sigma = operator_pair(rho, sigma)
     sq = matrix_power(rho, 0.5, cfg)
     inner = sq @ sigma.matrix @ sq
-    w = np.linalg.eigvalsh(hermitian_part(inner))
+    w = hermitian_eigvals(hermitian_part(inner))
     val = float(np.sqrt(np.maximum(w, 0.0)).sum())
     return min(max(val, 0.0), 1.0)
 

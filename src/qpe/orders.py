@@ -22,6 +22,7 @@ from .linalg import (
     HermitianOperator,
     OrderVerdict,
     as_operator,
+    hermitian_eigvals,
     hermitian_part,
     kernel_cutoff,
     operator_pair,
@@ -131,7 +132,7 @@ def _order_verdict(M: np.ndarray, cfg: ToleranceConfig) -> OrderVerdict:
     sign of a zero entry, which LAPACK reads, and it keeps their verdicts
     bit-identical to is_psd's.
     """
-    return psd_verdict(np.linalg.eigvalsh(M)[::-1], M, cfg)
+    return psd_verdict(hermitian_eigvals(M)[::-1], M, cfg)
 
 
 def qpe_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:

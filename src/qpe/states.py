@@ -19,6 +19,7 @@ from .linalg import (
     as_operator,
     assert_hermitian,
     extreme_eigenvector,
+    hermitian_eig,
     hermitian_part,
     kernel_cutoff,
     psd_verdict,
@@ -189,7 +190,7 @@ def heaviest_kernel_direction(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG,
     if w[-1] > kernel_cutoff(w, cfg):  # full rank
         return None
     K = kernel(rho, cfg).basis
-    mass, Y = np.linalg.eigh(K.conj().T @ sigma.matrix @ K)
+    mass, Y = hermitian_eig(K.conj().T @ sigma.matrix @ K)
     return float(mass[-1]), K @ Y[:, -1]
 
 

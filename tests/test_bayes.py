@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -26,6 +28,7 @@ from qpe.exceptions import (
     ZeroEvidence,
     ZeroProbability,
 )
+from qpe.linalg import HermitianOperator
 from qpe.orders import classical_pe_leq, qpe_leq
 from qpe.states import random_state
 
@@ -231,6 +234,26 @@ class TestTransitivityDemo:
             Effect(report.second_effect),
         )
         assert_allclose(replay.matrix, report.final, atol=1e-10)
+
+    # (dim, seed) -> trials to the first certificate, budget 40
+    FIRST_FOUND = {(3, 0): 13, (3, 1): 3, (3, 2): 1, (3, 3): 31, (4, 0): 1, (5, 1): 6}
+
+    @pytest.mark.parametrize("dim, seed", sorted(FIRST_FOUND))
+    def test_report_is_the_validating_constructors(self, dim, seed):
+        """Builds with _derived (the priors, both updates and the solved
+        candidate, its spectrum seeded) give the report that checked builds,
+        each spectrum solved afresh, give: bit for bit, on fixed seeds."""
+        def report():
+            r = sequential_transitivity_demo(budget=40, seed=seed, dim=dim)
+            return (r.found, r.trials, r.message, r.candidate_overlap, r.replay_residual,
+                    [m.tobytes() for m in (r.rho, r.first_effect, r.second_effect,
+                                           r.intermediate, r.final, r.candidate)])
+
+        derived = report()
+        checked = classmethod(lambda cls, A, w=None: cls(A))
+        with mock.patch.object(HermitianOperator, "_derived", checked):
+            assert report() == derived
+        assert derived[:2] == (True, self.FIRST_FOUND[dim, seed])
 
     def test_qubit_chains_always_compose(self, cfg):
         report = sequential_transitivity_demo(cfg, budget=150, seed=1, dim=2)

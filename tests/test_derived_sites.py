@@ -24,6 +24,9 @@ ALLOWED = {
     # the sandwich rho^-1/2 sigma rho^-1/2 over its norm, seeded with the
     # sandwich's spectrum over that norm; its bounds are still checked there
     ("bayes", "reconstruct_effect"),
+    # the candidate X X^dagger over its norm, seeded with the checked
+    # candidate's spectrum over that norm; its bounds are still checked there
+    ("bayes", "sequential_solve_effect"),
     # G G^dagger + 0.05 I over its trace: the transitivity demo's own draw
     ("bayes", "_random_full_rank"),
     # G G^dagger over its trace: the package's own draw

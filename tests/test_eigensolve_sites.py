@@ -1,11 +1,14 @@
-"""Pins the functions in src/qpe that may call a numpy eigensolver or
-linear solver.
+"""Pins the functions in src/qpe that may solve a Hermitian eigenproblem or
+a linear system.
 
-A matrix reaches its spectrum through linalg.HermitianOperator, which solves
-once and caches the result. Each site below is allowed for the reason in its
-comment; a new eigensolve anywhere else in the package fails this test. A
-linear solve or inverse is allowed only in linalg.extreme_eigenvector's
-inverse iteration.
+Every Hermitian eigensolve goes through the eigensolver kernel,
+linalg.hermitian_eigvals and hermitian_eig, and only the kernel calls
+numpy's LAPACK gufuncs (numpy.linalg._umath_linalg); no module calls a
+numpy.linalg eigensolver. A matrix reaches its spectrum through
+linalg.HermitianOperator, which solves once and caches the result. Each
+kernel caller below is allowed for the reason in its comment; a new one
+anywhere else in the package fails this test. A linear solve or inverse is
+allowed only in linalg.extreme_eigenvector's inverse iteration.
 """
 from __future__ import annotations
 
@@ -14,6 +17,7 @@ from collections import Counter
 from ast_sites import ScopedVisitor, package_sites, sites
 
 EIGENSOLVERS = {"eigh", "eigvalsh", "eig", "eigvals"}
+KERNEL = {"hermitian_eigvals", "hermitian_eig"}
 LINEAR_SOLVERS = {"solve", "inv"}
 
 ALLOWED = {
@@ -43,6 +47,14 @@ ALLOWED = {
 # the one witness primitive: inverse iteration at a known eigenvalue
 ALLOWED_LINEAR_SOLVES = {("linalg", "extreme_eigenvector")}
 
+# the import, and one gufunc call in each kernel function
+LAPACK_GUFUNCS = {"_umath_linalg"}
+ALLOWED_GUFUNC_SITES = {
+    ("linalg", "<module>"),
+    ("linalg", "hermitian_eigvals"),
+    ("linalg", "hermitian_eig"),
+}
+
 
 class _Sites(ScopedVisitor):
     """Collects (module, qualified function name) for each use of a name
@@ -62,6 +74,44 @@ class _Sites(ScopedVisitor):
             self.record()
 
 
+class _NamedSites(_Sites):
+    """_Sites that also sees a bare name: a call of it or a reference to it."""
+
+    def visit_Name(self, node):
+        if node.id in self.names:
+            self.record()
+
+
+class _KernelCalls(_NamedSites):
+    """Each use of a kernel function. An import under its own name only
+    binds it, and its uses are seen; an import that renames it is a use."""
+
+    def __init__(self, module: str):
+        super().__init__(module, KERNEL)
+
+    def visit_ImportFrom(self, node):
+        if any(alias.name in self.names and alias.asname not in (None, alias.name)
+               for alias in node.names):
+            self.record()
+
+
+class _GufuncSites(_NamedSites):
+    """Each use of the gufunc module, an import of it or from it included."""
+
+    def __init__(self, module: str):
+        super().__init__(module, LAPACK_GUFUNCS)
+
+    def visit_Import(self, node):
+        if any(set(alias.name.split(".")) & self.names for alias in node.names):
+            self.record()
+
+    def visit_ImportFrom(self, node):
+        if set((node.module or "").split(".")) & self.names:
+            self.record()
+        else:
+            super().visit_ImportFrom(node)
+
+
 def _sites(source: str, module: str, names=EIGENSOLVERS) -> list[tuple[str, str]]:
     return sites(source, _Sites(module, names))
 
@@ -71,7 +121,15 @@ def _package_sites(names) -> Counter:
 
 
 def test_eigensolves_only_at_allowed_sites():
-    assert _package_sites(EIGENSOLVERS) == Counter(ALLOWED)
+    assert package_sites(_KernelCalls) == Counter(ALLOWED)
+
+
+def test_no_numpy_eigensolver_outside_the_kernel():
+    assert _package_sites(EIGENSOLVERS) == Counter()
+
+
+def test_only_the_kernel_calls_the_lapack_gufuncs():
+    assert package_sites(_GufuncSites) == Counter(ALLOWED_GUFUNC_SITES)
 
 
 def test_linear_solves_only_in_the_witness_primitive():
@@ -90,6 +148,40 @@ def test_guard_sees_calls_aliases_and_imports():
         "    return solve(x)\n"
     )
     assert _sites(source, "m") == [("m", "<module>"), ("m", "A.f"), ("m", "g")]
+
+
+def test_kernel_guard_sees_calls_aliases_and_renaming_imports():
+    source = (
+        "from .linalg import hermitian_eig, hermitian_eigvals\n"
+        "from .linalg import hermitian_eig as solve\n"
+        "from . import linalg\n"
+        "def hermitian_eigvals(H):\n"
+        "    return H\n"
+        "class A:\n"
+        "    def f(self, x):\n"
+        "        return hermitian_eig(x)[0]\n"
+        "def g(x):\n"
+        "    spectrum = hermitian_eigvals\n"
+        "    return spectrum(x)\n"
+        "def h(x):\n"
+        "    return linalg.hermitian_eigvals(x)\n"
+    )
+    assert sites(source, _KernelCalls("m")) == [
+        ("m", "<module>"), ("m", "A.f"), ("m", "g"), ("m", "h")]
+
+
+def test_gufunc_guard_sees_every_import_form():
+    source = (
+        "from numpy.linalg import _umath_linalg\n"
+        "import numpy.linalg._umath_linalg as lapack\n"
+        "from numpy.linalg._umath_linalg import eigh_lo\n"
+        "def f(H):\n"
+        "    return _umath_linalg.eigh_lo(H)\n"
+        "def g(H):\n"
+        "    return np.linalg._umath_linalg.eigvalsh_lo(H)\n"
+    )
+    assert sites(source, _GufuncSites("m")) == [
+        ("m", "<module>"), ("m", "<module>"), ("m", "<module>"), ("m", "f"), ("m", "g")]
 
 
 def test_linear_solve_guard_sees_calls_aliases_and_imports():

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError, _umath_linalg
 from numpy.testing import assert_allclose
 
+from qpe import linalg
 from qpe.config import ToleranceConfig
 from qpe.exceptions import (
     BadParameter,
@@ -24,6 +28,8 @@ from qpe.linalg import (
     assert_hermitian,
     extreme_eigenvector,
     fidelity,
+    hermitian_eig,
+    hermitian_eigvals,
     hermitian_part,
     is_psd,
     matrix_power,
@@ -38,6 +44,7 @@ from qpe.linalg import (
 )
 from qpe.orders import eigenvalue_shadow
 from qpe.states import DensityMatrix, Effect, kernel, kernel_cutoff, rank_of, random_state
+from spies import spying
 
 FIDELITY_DIAG_PAIR = 0.97566303550217
 
@@ -164,7 +171,7 @@ class TestExtremeEigenvector:
     @staticmethod
     def _calls(fn):
         with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve, \
-                mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+                spying(hermitian_eig) as (eigh,):
             out = fn()
         return out, solve.call_count, eigh.call_count
 
@@ -203,6 +210,67 @@ class TestExtremeEigenvector:
             u, solves, eighs = self._calls(lambda: extreme_eigenvector(H, w, top=False))
         assert (solves, eighs) == (1, 1)
         assert np.array_equal(u, np.linalg.eigh(H)[1][:, 0])
+
+
+def _kernel_inputs(n, rng):
+    """(name, matrix) at dim n: a random state and a random Hermitian matrix,
+    and the edge inputs: zero, a rank-1 projector, a diagonal with exact
+    zeros, subnormal entries, entries at 1e-300 and entries of modulus up
+    to 8e307, whose spectrum can overflow to inf."""
+    H = random_hermitian(n, rng)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    diag = np.zeros(n, dtype=complex)
+    diag[1::2] = np.linspace(0.5, 1.0, n // 2)
+    return [
+        ("state", random_state(n, rng=rng).matrix),
+        ("hermitian", H),
+        ("zero", np.zeros((n, n), dtype=complex)),
+        ("projector", np.outer(v, v.conj())),
+        ("diagonal with zeros", np.diag(diag)),
+        ("subnormal", H * 1e-310),
+        ("1e-300", H * 1e-300),
+        ("8e307", H / np.abs(H).max() * 8e307),
+        ("all 8e307", np.full((n, n), 8e307, dtype=complex)),
+    ]
+
+
+class TestEigensolverKernel:
+    """hermitian_eigvals and hermitian_eig return numpy.linalg.eigvalsh's and
+    eigh's arrays bit for bit, and raise LinAlgError on a LAPACK failure."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12, 64])
+    def test_bit_identical_to_numpy_and_silent(self, rng, n):
+        for name, M in _kernel_inputs(n, rng):
+            assert np.isfinite(M).all(), name
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                w = hermitian_eigvals(M)
+                e, V = hermitian_eig(M)
+            w_ref = np.linalg.eigvalsh(M)
+            e_ref, V_ref = np.linalg.eigh(M)
+            for got, ref in ((w, w_ref), (e, e_ref), (V, V_ref)):
+                assert got.dtype == ref.dtype and got.shape == ref.shape, name
+                assert got.flags.c_contiguous == ref.flags.c_contiguous, name
+                assert np.array_equal(got, ref), name
+
+    def test_a_nan_output_raises_linalgerror(self):
+        """A LAPACK failure shows as a NaN-filled output of the gufunc."""
+        failing = SimpleNamespace(
+            eigvalsh_lo=lambda H, signature: np.full(len(H), np.nan),
+            eigh_lo=lambda H, signature: (np.full(len(H), np.nan),
+                                          np.full(H.shape, np.nan, dtype=complex)),
+        )
+        with mock.patch.object(linalg, "_umath_linalg", failing):
+            for solve in (hermitian_eigvals, hermitian_eig):
+                with pytest.raises(LinAlgError, match="did not converge"):
+                    solve(np.eye(3, dtype=complex))
+
+    def test_numpy_ships_the_lapack_gufuncs(self):
+        """The kernel calls numpy's private LAPACK gufuncs by name, with the
+        complex signature; a numpy that renames or drops them fails here."""
+        assert "D->d" in _umath_linalg.eigvalsh_lo.types
+        assert "D->dD" in _umath_linalg.eigh_lo.types
 
 
 def _descending_spectra(rng):

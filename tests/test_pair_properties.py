@@ -24,7 +24,9 @@ of two dimensions it raises DimensionMismatch. The functions that take one
 operator, a channel's action included, also give a raw array the result of
 a fresh state. Two structural claims of the order hold on drawn pairs:
 mixing an ordered pair toward an anchor below it keeps it ordered, and the
-tensor product of two ordered pairs is ordered.
+tensor product of two ordered pairs is ordered. So does the abstract's
+optimal approximation: a pure state is above rho exactly when it is a top
+eigenvector of rho.
 
 A state or effect the package computes from validated ones is built by
 HermitianOperator._derived, unchecked: at every such site its matrix is
@@ -529,6 +531,44 @@ def test_the_tensor_product_of_ordered_pairs_is_ordered(first, second):
     assert qpe_leq(rho, sigma).holds
 
 
+# a perturbation of the top eigenvector by this much toward a lower one
+# moves the slack by about -PERTURBATION^2 (rho+ / lambda - 1), at most -1.1e-7
+# with lambda <= 0.9 rho+: past the default fails band (-1e-8)
+PERTURBATION = 1e-3
+
+
+@st.composite
+def spectral_states(draw):
+    """(rho, U, k): a state at dims 2-5 with eigenbasis U (columns, top
+    first) and a top eigenspace of dimension k < n. The other eigenvalues
+    lie in [0.05, 0.9] rho+, or are 0 (a kernel), so each sits below rho+
+    by a clear gap."""
+    n = draw(st.integers(2, 5))
+    k = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rest = rng.uniform(0.05, 0.9, n - k) * (rng.random(n - k) < 0.8)
+    w = np.concatenate([np.ones(k), rest])
+    U = random_unitary(n, rng)
+    return DensityMatrix((U * (w / w.sum())) @ U.conj().T), U, k
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(case=spectral_states(), seed=st.integers(0, 2**32 - 1))
+def test_a_pure_state_is_above_rho_iff_it_is_a_top_eigenvector(case, seed):
+    """The abstract's optimal approximation: rho is below |v><v| exactly when
+    v is a top eigenvector of rho, since rho - rho+ |v><v| is then PSD. An
+    eigenvector outside the top eigenspace fails, and so does a top one
+    perturbed by PERTURBATION toward it."""
+    rho, U, k = case
+    rng = np.random.default_rng(seed)
+    top = U[:, :k] @ (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+    top /= np.linalg.norm(top)
+    lower = U[:, rng.integers(k, rho.dim)]
+    assert qpe_leq(rho, DensityMatrix.pure(top)).holds
+    assert qpe_leq(rho, DensityMatrix.pure(lower)).fails
+    assert qpe_leq(rho, DensityMatrix.pure(top + PERTURBATION * lower)).fails
+
+
 @contextmanager
 def _derived_builds():
     """(cls, A, w, built) for each HermitianOperator._derived call in the block."""
@@ -548,8 +588,8 @@ def _derived_builds():
 @given(pair=st.one_of(ordered_pairs(), raw_pairs()), seed=st.integers(0, 2**32 - 1))
 def test_a_derived_build_is_the_validating_build_of_its_arithmetic(pair, seed):
     """Full-rank, rank-deficient and near-boundary operands, through every
-    site that builds with _derived: the updates, reconstruct_effect and the
-    random draws."""
+    site that builds with _derived: the updates, reconstruct_effect,
+    sequential_solve_effect and the random draws."""
     rho, sigma = (DensityMatrix(M) for M in pair)
     rng = np.random.default_rng(seed)
     effect = random_agreeing_effect(rho, rng)
@@ -558,6 +598,7 @@ def test_a_derived_build_is_the_validating_build_of_its_arithmetic(pair, seed):
         lambda: fls_update(rho, effect),
         lambda: sequential_update(rho, effect),
         lambda: reconstruct_effect(rho, sigma),
+        lambda: sequential_solve_effect(rho, sigma),
         lambda: random_state(n, rank=int(rng.integers(1, n + 1)), rng=rng),
         lambda: sequential_transitivity_demo(budget=1, seed=seed, dim=n),
     ]
@@ -571,7 +612,7 @@ def test_a_derived_build_is_the_validating_build_of_its_arithmetic(pair, seed):
         if w is None:
             assert built.eigenvalues.tobytes() == checked.eigenvalues.tobytes()
         else:
-            # reconstruct_effect's: the sandwich spectrum over its norm
+            # the reconstructed and solved effects': a spectrum over its norm
             assert np.abs(built.eigenvalues - checked.eigenvalues).max() <= 1e-13
 
 

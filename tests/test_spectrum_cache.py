@@ -1,6 +1,7 @@
 """States compute their spectrum once, and the cached routes match raw arrays.
 
-The eigensolve counts are pinned by wrapping numpy's Hermitian eigensolvers.
+The eigensolve counts are pinned by wrapping the package's eigensolver
+kernel, linalg.hermitian_eigvals and hermitian_eig.
 The partner-memo tests check that a remembered order verdict, sandwich,
 divergence, way-below witness or reconstructed effect is the cold result
 bit for bit, also when the pair is asked again under a ToleranceConfig
@@ -16,9 +17,7 @@ import dataclasses
 import gc
 import json
 import pickle
-import sys
 import weakref
-from contextlib import ExitStack
 from unittest import mock
 
 import numpy as np
@@ -49,6 +48,7 @@ from qpe import (
     reconstruct_effect,
     renyi_divergence,
     schatten_norm,
+    sequential_solve_effect,
     ToleranceConfig,
     way_below_witness,
 )
@@ -59,29 +59,28 @@ from qpe.linalg import (
     HermitianOperator,
     OrderVerdict,
     assert_hermitian,
+    hermitian_eig,
+    hermitian_eigvals,
     matrix_power,
     random_unitary,
 )
 from qpe.serialization import channel_json, load_channel
 from qpe.states import sandwich
+from spies import spying
 
 DIFF_RTOL = 1e-10
 
 
 def count_eigensolves(fn):
-    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh, \
-            mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+    """Calls of the eigensolver kernel, both functions, under every name."""
+    with spying(hermitian_eigvals, hermitian_eig) as (eigvals, eig):
         fn()
-    return eigh.call_count + eigvalsh.call_count
+    return eigvals.call_count + eig.call_count
 
 
 def count_hermitian_checks(fn):
     """Calls of assert_hermitian under every name a qpe module binds it to."""
-    check = mock.Mock(wraps=assert_hermitian)
-    with ExitStack() as stack:
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("qpe.") and getattr(mod, "assert_hermitian", None) is assert_hermitian:
-                stack.enter_context(mock.patch.object(mod, "assert_hermitian", check))
+    with spying(assert_hermitian) as (check,):
         fn()
     return check.call_count
 
@@ -151,6 +150,18 @@ class TestEigensolveCounts:
         # from two validated operators, is built unchecked and solves nothing
         # until its spectrum is read
         assert count_eigensolves(round_trip) == 0
+
+    def test_warm_sequential_solve_effect(self, ordered_raw_pair):
+        rho, sigma = (DensityMatrix(M) for M in ordered_raw_pair)
+        sequential_solve_effect(rho, sigma)
+
+        def call():
+            return sequential_solve_effect(rho, sigma)
+
+        # matrix_power's eigh of the middle factor, then the candidate's
+        # eigvalsh for its norm, whose spectrum over the norm is the effect's
+        assert count_eigensolves(call) == 2
+        assert count_hermitian_checks(call) == 2
 
     @pytest.mark.parametrize("pair", ["ordered_raw_pair", "rank_deficient_raw_pair"])
     def test_warm_order_divergence_gap(self, request, pair):
