@@ -83,7 +83,7 @@ def _conditioned(outer, inner, cfg: ToleranceConfig) -> DensityMatrix:
     round: a state by construction, checked only if an operand came in raw."""
     outer, inner = operator_pair(outer, inner)
     sq = outer.sqrt
-    out = sq @ inner.matrix @ sq
+    out = sq.dot(inner.matrix).dot(sq)
     prob = float(out.trace().real)
     if prob <= cfg.rank_cutoff:
         raise ZeroProbability(f"tr(E rho) = {prob:.3e}")
@@ -121,7 +121,9 @@ def reconstruct_effect(rho: DensityMatrix, sigma: DensityMatrix,
         raise NotBelow(f"prior is not below target ({verdict.relation}, "
                        f"slack {verdict.slack:.3e})")
     middle = sandwich(rho, sigma, cfg)
-    norm = middle.norm if middle.norm > 0 else 1.0  # a zero sandwich stays as it is
+    norm = middle.norm
+    if not norm > 0:  # a zero sandwich stays as it is
+        norm = 1.0
     # the fold settles the sign of the zero entries the division can flip; the
     # bounds are checked on the known spectrum, as a raw operand can break them
     return Effect._derived(middle.matrix / norm, middle.eigenvalues / norm)._check_bounds(cfg)

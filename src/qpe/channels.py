@@ -9,20 +9,12 @@ positivity of a rescaled difference map.
 """
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
-from .exceptions import (
-    BadParameter,
-    DimensionMismatch,
-    InvalidState,
-    NonHermitianInput,
-    NotCPTP,
-)
+from .exceptions import BadParameter, DimensionMismatch, InvalidState, NotCPTP
 from .linalg import (OrderVerdict, as_operator, assert_hermitian, check_mixing_weight,
-                     kernel_cutoff, partial_trace)
+                     kernel_cutoff, lazy, partial_trace)
 from .orders import qpe_leq
 from .states import DensityMatrix, rank_of, top_eigenvalue
 from .divergence import DivergenceValue, max_divergence
@@ -79,15 +71,16 @@ class Channel:
         if out_dim is not None and out_dim != k:
             raise DimensionMismatch(f"declared out_dim {out_dim}, operators say {k}")
         _check_complete(ops, n)
-        # shadows the cached recovery below
+        # seeds the lazy recovery below
         self.kraus = ops
-        self._hold(to_choi(ops, n, k), n, k, cfg)
+        self._hold(assert_hermitian(to_choi(ops, n, k)), n, k, cfg)
 
     def _hold(self, J: np.ndarray, n: int, k: int, cfg: ToleranceConfig):
-        """Store the dims, cfg and the Choi state of J."""
+        """Store the dims, cfg and the Choi state of J, a matrix that
+        assert_hermitian returned: the state's other checks run here."""
         try:
-            self.choi = DensityMatrix(J, cfg)
-        except (InvalidState, NonHermitianInput) as exc:
+            self.choi = DensityMatrix.__new__(DensityMatrix)._validate(J, cfg)
+        except InvalidState as exc:
             raise NotCPTP(f"Choi matrix is not a state: {exc}") from exc
         self.in_dim, self.out_dim, self.cfg = n, k, cfg
 
@@ -120,7 +113,7 @@ class Channel:
             _check_complete(channel.kraus, n)
         return channel
 
-    @cached_property
+    @lazy
     def kraus(self) -> list[np.ndarray]:
         """sqrt(n mu) times each Choi eigenvector above kernel_cutoff, as k x n, ascending."""
         n, k = self.in_dim, self.out_dim

@@ -43,7 +43,7 @@ class ToleranceConfig:
 
     def log(self, x):
         """Logarithm in the configured base; handles 0 and inf gracefully."""
-        if np.isscalar(x):
+        if isinstance(x, float) or np.isscalar(x):  # a float skips isscalar's dispatch
             if x == 0:
                 return -math.inf
             if math.isinf(x):

@@ -21,12 +21,17 @@ Positivity checks return a tri-state verdict instead of a boolean so
 callers can surface numerically marginal cases; relation_of is the one
 holds/marginal/fails band, and extreme_eigenvector finds every fails
 witness that is an eigenvector at an eigenvalue already known.
+
+The matrix products of the pair operations (the powers and sqrt here, the
+sandwich and the updates) call ndarray.dot, not @: both run the same BLAS
+routine, to the same bits, and at dims 2-5 the matmul ufunc's dispatch
+costs more than the product.
 """
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
@@ -198,6 +203,14 @@ def hermitian_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, V
 
 
+def vector_norm(x: np.ndarray) -> float:
+    """The Euclidean norm of a 1-D complex vector: numpy.linalg.norm(x), bit
+    for bit, by its own formula (the dot products of the real and imaginary
+    parts), without its dispatch, which at dims 2-5 costs more than the sum."""
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _start_vector(n: int) -> np.ndarray:
     """extreme_eigenvector's fixed start: no entry is zero and no sign or
     permutation pattern of the standard basis is orthogonal to it, so the
@@ -232,7 +245,7 @@ def extreme_eigenvector(A, w, top: bool = True) -> np.ndarray:
         x = _start_vector(n)
         for _ in range(MAX_SOLVES):
             x = np.linalg.solve(shifted, x)
-            x /= np.linalg.norm(x)
+            x /= vector_norm(x)
             if side * (lam - np.vdot(x, H @ x).real) <= RAYLEIGH_TOL * scale:
                 return x
     if isinstance(A, HermitianOperator):
@@ -261,7 +274,32 @@ def _spectral_factor(w, p, cfg: ToleranceConfig) -> np.ndarray:
 def spectral_power(w, V, p, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
     """V diag(w)^p V^dagger for a descending PSD spectrum (w, V), with
     _spectral_factor's kernel rule, so negative powers are generalized inverses."""
-    return (V * _spectral_factor(w, p, cfg)) @ V.conj().T
+    return (V * _spectral_factor(w, p, cfg)).dot(V.conj().T)
+
+
+class lazy:
+    """A read-only attribute computed by the decorated method on first read
+    and stored in the instance's __dict__, which shadows this descriptor (it
+    has no __set__) from then on; assigning the attribute seeds it.
+
+    functools.cached_property without its lock, which on Python 3.11 is
+    one lock for every instance of the class, taken on each first read.
+    Without it, two threads racing on one instance's first read both compute
+    the value; they store equal values.
+    """
+
+    def __init__(self, method):
+        self.method = method
+        self.__doc__ = method.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.method(obj)
+        return value
 
 
 class HermitianOperator:
@@ -301,7 +339,7 @@ class HermitianOperator:
     def dim(self) -> int:
         return self._matrix.shape[0]
 
-    @cached_property
+    @lazy
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues in descending order."""
         w = hermitian_eigvals(self._matrix)[::-1]
@@ -314,7 +352,7 @@ class HermitianOperator:
         w = self.eigenvalues
         return max(abs(float(w[0])), abs(float(w[-1])))
 
-    @cached_property
+    @lazy
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
         w, V = hermitian_eig(self._matrix)
         # contiguous, as a pickled copy's is, so products with V round alike
@@ -327,10 +365,10 @@ class HermitianOperator:
         """Unit eigenvectors as columns, matching eigenvalues."""
         return self._eigh[1]
 
-    @cached_property
+    @lazy
     def sqrt(self) -> np.ndarray:
         w, V = self._eigh
-        return (V * np.sqrt(np.maximum(w, 0.0))) @ V.conj().T
+        return (V * np.sqrt(np.maximum(w, 0.0))).dot(V.conj().T)
 
     def power(self, p, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
         """Generalized power with matrix_power's rank_cutoff rule."""
@@ -343,7 +381,7 @@ class HermitianOperator:
     def power_times(self, p, x: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
         """power(p, cfg) @ x from the cached eigenbasis, without forming the power."""
         w, V = self._eigh
-        return V @ (_spectral_factor(w, p, cfg) * (V.conj().T @ x))
+        return V.dot(_spectral_factor(w, p, cfg) * V.conj().T.dot(x))
 
     def _remember(self, partner: HermitianOperator, key, compute):
         """compute(), remembered under key for one of the recent partners.

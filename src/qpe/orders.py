@@ -174,18 +174,22 @@ def qpe_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
 
 def _sandwich_verdict(r: HermitianOperator, s: HermitianOperator,
                       cfg: ToleranceConfig) -> OrderVerdict:
-    r_top, s_top = float(r.eigenvalues[0]), float(s.eigenvalues[0])
+    w = r.eigenvalues
+    r_top, s_top = float(w[0]), float(s.eigenvalues[0])
     if not (r_top > 0.0 and s_top > 0.0):
         raise NonpositiveScalar(f"qpe_leq rescales by the top eigenvalues, got {r_top}, {s_top}")
-    escape = escape_direction(r, s, cfg)
-    if escape is not None:
-        return OrderVerdict(FAILS, -np.inf, witness=escape)
+    full_rank = w[-1] > kernel_cutoff(w, cfg)
+    if not full_rank:  # else rho has no kernel for sigma to escape along
+        escape = escape_direction(r, s, cfg)
+        if escape is not None:
+            return OrderVerdict(FAILS, -np.inf, witness=escape)
     S = sandwich(r, s, cfg)
     slack = 1.0 - r_top * float(S.eigenvalues[0]) / s_top
     relation = relation_of(slack, slack, cfg)
     if relation == HOLDS:
         return OrderVerdict(HOLDS, slack)
-    if -slack <= SANDWICH_ROUNDING * r_top / float(r.eigenvalues[rank_of(r, cfg) - 1]):
+    least = w[-1] if full_rank else w[rank_of(r, cfg) - 1]  # on rho's support
+    if -slack <= SANDWICH_ROUNDING * r_top / float(least):
         return _order_verdict(r.matrix / r_top - s.matrix / s_top, cfg)
     if relation == MARGINAL:
         return OrderVerdict(MARGINAL, slack)

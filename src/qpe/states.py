@@ -15,6 +15,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .exceptions import BadParameter, DimensionMismatch, InvalidState
 from .linalg import (
+    FAILS,
     HermitianOperator,
     as_operator,
     assert_hermitian,
@@ -22,7 +23,8 @@ from .linalg import (
     hermitian_eig,
     hermitian_part,
     kernel_cutoff,
-    psd_verdict,
+    relation_of,
+    vector_norm,
 )
 
 TRACE_REJECT = 1e-6
@@ -50,22 +52,28 @@ class DensityMatrix(HermitianOperator):
     """
 
     def __init__(self, matrix, cfg: ToleranceConfig = DEFAULT_CONFIG):
-        H = assert_hermitian(matrix)
+        self._validate(assert_hermitian(matrix), cfg)
+
+    def _validate(self, H: np.ndarray, cfg: ToleranceConfig) -> DensityMatrix:
+        """The constructor's trace and PSD checks on H, a matrix that
+        assert_hermitian returned, which self then holds; returns self.
+        channels.Channel builds its Choi state on this, having checked the
+        matrix itself."""
         tr = float(H.trace().real)
         if abs(tr - 1.0) >= TRACE_REJECT:
             raise InvalidState(f"trace {tr} is not 1 within {TRACE_REJECT}")
         if abs(tr - 1.0) > TRACE_WARN:
             warnings.warn(
                 f"renormalizing state with trace off by {tr - 1.0:.2e}",
-                stacklevel=2,
+                stacklevel=3,
             )
             H = H / tr
         super().__init__(H)
-        verdict = psd_verdict(self.eigenvalues, None, cfg)
-        if verdict.fails:
-            raise InvalidState(
-                f"not positive semidefinite (lambda_min = {verdict.slack:.3e})"
-            )
+        # the band on the spectrum's two ends, as psd_verdict reads it
+        w = self.eigenvalues
+        if relation_of(w[-1], w[0], cfg) == FAILS:
+            raise InvalidState(f"not positive semidefinite (lambda_min = {w[-1]:.3e})")
+        return self
 
     @classmethod
     def maximally_mixed(cls, n: int, cfg: ToleranceConfig = DEFAULT_CONFIG):
@@ -94,17 +102,11 @@ class Effect(HermitianOperator):
 
     def _check_bounds(self, cfg: ToleranceConfig) -> Effect:
         w = self.eigenvalues
-        low = psd_verdict(w, None, cfg)
-        if low.fails:
-            raise InvalidState(
-                f"effect not PSD (lambda_min = {low.slack:.3e})"
-            )
-        # the spectrum of I - E is 1 - w, descending when reversed
-        high = psd_verdict(1.0 - w[::-1], None, cfg)
-        if high.fails:
-            raise InvalidState(
-                f"effect exceeds identity (slack = {high.slack:.3e})"
-            )
+        if relation_of(w[-1], w[0], cfg) == FAILS:
+            raise InvalidState(f"effect not PSD (lambda_min = {w[-1]:.3e})")
+        # the spectrum of I - E is 1 - w: least 1 - w[0], top 1 - w[-1]
+        if relation_of(1.0 - w[0], 1.0 - w[-1], cfg) == FAILS:
+            raise InvalidState(f"effect exceeds identity (slack = {1.0 - w[0]:.3e})")
         return self
 
     @classmethod
@@ -129,7 +131,7 @@ def sandwich(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> HermitianOper
     """
     def build():
         X = rho.inv_sqrt(cfg)
-        return HermitianOperator(hermitian_part(X @ sigma.matrix @ X))
+        return HermitianOperator(hermitian_part(X.dot(sigma.matrix).dot(X)))
 
     return rho._remember(sigma, ("sandwich", cfg.rank_cutoff), build)
 
@@ -148,7 +150,7 @@ def attaining_direction(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np
     """
     S = sandwich(rho, sigma, cfg)
     u = rho.power_times(-0.5, extreme_eigenvector(S, S.eigenvalues), cfg)
-    return u / np.linalg.norm(u)
+    return u / vector_norm(u)
 
 
 def _cluster_cut(w_desc: np.ndarray, start: int, width: float) -> int:

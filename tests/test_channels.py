@@ -21,7 +21,14 @@ from qpe.channels import (
     to_choi,
 )
 from qpe.divergence import max_divergence
-from qpe.exceptions import BadParameter, DimensionMismatch, NonHermitianInput, NotCPTP
+from qpe.exceptions import (
+    BadParameter,
+    DimensionMismatch,
+    NonFiniteInput,
+    NonHermitianInput,
+    NotCPTP,
+    OverflowingInput,
+)
 from qpe.oracle import channel_order_oracle, choi_form_output
 from qpe.orders import qpe_leq
 from qpe.states import random_state
@@ -136,6 +143,28 @@ class TestChannelValidation:
                             rtol=0, atol=1e-12)
             total = sum(K.conj().T @ K for K in phi.kraus)
             assert_allclose(total, np.eye(n), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: np.zeros((4, 3)), DimensionMismatch,
+         "expected a nonempty square matrix, got shape (4, 3)"),
+        (lambda: np.eye(3) / 3, DimensionMismatch,
+         "Choi matrix shape (3, 3) does not match dims (2, 2)"),
+        (lambda: np.diag([np.nan, 0.5, 0.5, 0.0]), NonFiniteInput,
+         "matrix has a NaN or infinite entry"),
+        (lambda: np.diag([1.5e308, 0.0, 0.0, 0.0]), OverflowingInput,
+         "matrix entry modulus 1.500e+308 exceeds 8.988e+307, past which the "
+         "Hermitian fold overflows"),
+        (lambda: IDENTITY_CHOI_2 + np.triu(np.full((4, 4), 0.1), 1), NonHermitianInput,
+         "matrix deviates from Hermitian by 1.000e-01 (scale 1.000e+00)"),
+        # the defect is taken on the trace as given, before the state renormalizes
+        (lambda: (1 + 1e-7) * IDENTITY_CHOI_2, NotCPTP, "Kraus completeness defect 1.000e-07"),
+        (lambda: (1 + 4e-2) * IDENTITY_CHOI_2 - 4e-2 * np.eye(4) / 4, NotCPTP,
+         "Choi matrix is not a state: not positive semidefinite (lambda_min = -1.000e-02)"),
+    ])
+    def test_rejections_keep_their_type_and_message(self, build, error, message):
+        with pytest.raises(error) as info:
+            Channel.from_choi(build(), 2, 2)
+        assert type(info.value) is error and str(info.value) == message
 
     def test_random_channel_needs_room_for_an_isometry(self, rng):
         with pytest.raises(BadParameter):

@@ -10,6 +10,10 @@ matrix or eigenvalues) must use the validating constructor, and a new call
 anywhere else fails this test. The updates build with _derived only when
 both operands are validated states or effects, and check a raw array's
 result as before.
+
+DensityMatrix._validate runs the state checks but the Hermitian one, on a
+matrix that assert_hermitian already returned; VALIDATE_ALLOWED pins its
+callers the same way.
 """
 from __future__ import annotations
 
@@ -33,19 +37,36 @@ ALLOWED = {
     ("states", "random_state"),
 }
 
+VALIDATE_ALLOWED = {
+    # the constructor, on assert_hermitian(matrix)
+    ("states", "DensityMatrix.__init__"),
+    # the Choi state, on a matrix that Channel.__init__ or from_choi passed
+    # through assert_hermitian (from_choi reads its marginal before the
+    # state's trace check renormalizes it)
+    ("channels", "Channel._hold"),
+}
+
 
 class _Sites(ScopedVisitor):
     """Collects (module, qualified function name) for each reference to
-    _derived, called or not."""
+    the attribute name, _derived by default, called or not."""
+
+    def __init__(self, module: str, name: str = "_derived"):
+        super().__init__(module)
+        self.name = name
 
     def visit_Attribute(self, node):
-        if node.attr == "_derived":
+        if node.attr == self.name:
             self.record()
         self.generic_visit(node)
 
 
 def test_derived_builds_only_at_allowed_sites():
     assert package_sites(_Sites) == Counter(ALLOWED)
+
+
+def test_state_checks_without_the_hermitian_one_only_at_allowed_sites():
+    assert package_sites(lambda module: _Sites(module, "_validate")) == Counter(VALIDATE_ALLOWED)
 
 
 def test_guard_sees_calls_and_references():

@@ -10,7 +10,7 @@ from numpy.linalg import LinAlgError, _umath_linalg
 from numpy.testing import assert_allclose
 
 from qpe import linalg
-from qpe.config import ToleranceConfig
+from qpe.config import DEFAULT_CONFIG, ToleranceConfig
 from qpe.exceptions import (
     BadParameter,
     DimensionMismatch,
@@ -41,6 +41,7 @@ from qpe.linalg import (
     schatten_norm,
     spectral_power,
     tensor,
+    vector_norm,
 )
 from qpe.orders import eigenvalue_shadow
 from qpe.states import DensityMatrix, Effect, kernel, kernel_cutoff, rank_of, random_state
@@ -353,6 +354,47 @@ class TestReadOffValuesMatchFullPasses:
                 rho = DensityMatrix(hermitian_part((U * (w / w.sum())) @ U.conj().T))
                 full = rho.eigenvalues[-1] > kernel_cutoff(rho.eigenvalues)
                 assert full == (rank_of(rho) == n) == (kernel(rho).dim == 0)
+
+
+class TestDotMatchesMatmul:
+    """The op path's products call ndarray.dot where they used @; each must
+    equal the @ form it replaced bit for bit, and vector_norm must equal
+    numpy.linalg.norm, on the eigensolver kernel's inputs (zero, diagonal,
+    rank-1, subnormal and 8e307 entries among them)."""
+
+    @staticmethod
+    def _equal(got, ref):
+        return got.dtype == ref.dtype and np.array_equal(got, ref, equal_nan=True)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12, 64])
+    def test_spectral_primitives(self, rng, n):
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        with np.errstate(all="ignore"):
+            for name, M in _kernel_inputs(n, rng):
+                op = as_operator(M)
+                w, V = op._eigh
+                assert self._equal(op.sqrt, (V * np.sqrt(np.maximum(w, 0.0))) @ V.conj().T), name
+                # a column view, as attaining_direction passes, and a contiguous vector
+                for y in (op.eigenvectors[:, 0], x):
+                    for p in (-0.5, 0.5, 1.0):
+                        factor = linalg._spectral_factor(w, p, DEFAULT_CONFIG)
+                        assert self._equal(spectral_power(w, V, p), (V * factor) @ V.conj().T), name
+                        assert self._equal(op.power_times(p, y), V @ (factor * (V.conj().T @ y))), name
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12, 64])
+    def test_sandwich_and_update_products(self, rng, n):
+        inputs = [M for _, M in _kernel_inputs(n, rng)]
+        with np.errstate(all="ignore"):
+            for X, Y in zip(inputs, inputs[1:] + inputs[:1]):
+                assert self._equal(X.dot(Y).dot(X), X @ Y @ X)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12, 64])
+    def test_vector_norm(self, rng, n):
+        with np.errstate(all="ignore"):
+            for name, M in _kernel_inputs(n, rng):
+                for x in (M[:, 0], M[0], M[:, -1].copy()):
+                    got, ref = vector_norm(x), np.linalg.norm(x)
+                    assert np.float64(got).tobytes() == np.float64(ref).tobytes(), name
 
 
 class TestMatrixPower:

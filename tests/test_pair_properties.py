@@ -8,10 +8,12 @@ pair queries must give the cold results in any order of calls, either
 orientation and any mix of partners, also once a pool of more than 8
 states makes old partners drop out. The order verdict and the
 order-divergence gap must not move under a unitary conjugation of both
-states, nor the verdict and its slack under tensoring both with I/m. The gap is (to rounding) nonnegative and vanishes exactly when the
-order holds, and an ordered pair survives the reconstruct-then-update round
-trip, also on near-boundary pairs reached by evidence whose second
-eigenvalue is close to 1. The measurement bound attains the max-divergence,
+states, nor the verdict and its slack under tensoring both with I/m or
+under the direct sum of both with a k x k zero block. The gap is (to
+rounding) nonnegative and vanishes exactly when the order holds, and an
+ordered pair survives the reconstruct-then-update round trip, also on
+near-boundary pairs reached by evidence whose second eigenvalue is close
+to 1. The measurement bound attains the max-divergence,
 and no random effect exceeds it. Every fails witness certifies on its own
 order matrix, on both sides of linalg.SHIFTED_SOLVE_MIN_DIM (eigh below,
 inverse iteration from the dimension on), also where the eigenvector it
@@ -291,6 +293,24 @@ def test_order_is_invariant_under_tensoring_with_the_uniform_state(pair, data):
     verdict = qpe_leq(DensityMatrix(R), DensityMatrix(S))
     lifted = qpe_leq(DensityMatrix(np.kron(R, bottom)), DensityMatrix(np.kron(S, bottom)))
     assert lifted.relation == verdict.relation
+    assert lifted.slack == verdict.slack or abs(lifted.slack - verdict.slack) <= INVARIANCE_TOL
+
+
+@settings(PROPERTY_SETTINGS, max_examples=20)
+@given(pair=raw_pairs(), k=st.integers(1, 3))
+def test_order_is_invariant_under_a_direct_sum_with_zero(pair, k):
+    R, S = pair
+    n = R.shape[0]
+
+    def embedded(M):
+        out = np.zeros((n + k, n + k), dtype=complex)
+        out[:n, :n] = M
+        return DensityMatrix(out)
+
+    verdict = qpe_leq(DensityMatrix(R), DensityMatrix(S))
+    lifted = qpe_leq(embedded(R), embedded(S))
+    assert lifted.relation == verdict.relation
+    # a support escape reads -inf in both
     assert lifted.slack == verdict.slack or abs(lifted.slack - verdict.slack) <= INVARIANCE_TOL
 
 

@@ -294,6 +294,11 @@ class TestChoiChannelSolves:
         assert count_eigensolves(lambda: phi.kraus) == 1
         assert count_eigensolves(lambda: phi.kraus) == 0
 
+    def test_a_channel_checks_its_choi_matrix_hermitian_once(self):
+        phi = Channel.random(3, 2, 2, np.random.default_rng(6))
+        assert count_hermitian_checks(lambda: Channel.from_choi(phi.choi.matrix, 3, 2)) == 1
+        assert count_hermitian_checks(lambda: Channel(phi.kraus, 3, 2)) == 1
+
     def test_repr_reads_the_choi_spectrum(self):
         J = Channel.random(3, 2, 2, np.random.default_rng(6)).choi.matrix
         phi = Channel.from_choi(J, 3, 2)

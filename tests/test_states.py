@@ -142,6 +142,38 @@ class TestEffectValidation:
             Effect(np.diag([0.5, -1e-6]))
 
 
+# each band fails past 10 psd_slack times its scale: just past that edge,
+# well past it, and at scale 2; the message names the end that failed
+BAND_EDGE_REJECTIONS = [
+    (lambda: DensityMatrix(np.diag([1.1, -0.1])),
+     "not positive semidefinite (lambda_min = -1.000e-01)"),
+    (lambda: DensityMatrix(np.diag([1.0 + 1.1e-8, -1.1e-8])),
+     "not positive semidefinite (lambda_min = -1.100e-08)"),
+    (lambda: Effect(np.diag([1.0 + 1e-6, 0.5])), "effect exceeds identity (slack = -1.000e-06)"),
+    (lambda: Effect(np.diag([1.0 + 1.1e-8, 0.5])), "effect exceeds identity (slack = -1.100e-08)"),
+    (lambda: Effect(np.diag([3.0, 0.5])), "effect exceeds identity (slack = -2.000e+00)"),
+    (lambda: Effect(np.diag([0.5, -1e-6])), "effect not PSD (lambda_min = -1.000e-06)"),
+    (lambda: Effect(np.diag([0.5, -1.1e-8])), "effect not PSD (lambda_min = -1.100e-08)"),
+    (lambda: Effect(np.diag([-3.0, 0.5])), "effect not PSD (lambda_min = -3.000e+00)"),
+]
+
+
+@pytest.mark.parametrize("build, message", BAND_EDGE_REJECTIONS)
+def test_band_edge_rejections_keep_their_messages(build, message):
+    with pytest.raises(InvalidState) as info:
+        build()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DensityMatrix(np.diag([1.0 + 0.9e-8, -0.9e-8])),
+    lambda: Effect(np.diag([1.0 + 0.9e-8, 0.5])),
+    lambda: Effect(np.diag([0.5, -0.9e-8])),
+])
+def test_marginal_band_edges_are_accepted(build):
+    build()
+
+
 class TestSpectralStructure:
     def test_top_eigenvalue(self):
         assert_allclose(top_eigenvalue(DensityMatrix.from_diag([0.6, 0.4])), 0.6)
