@@ -3,6 +3,8 @@
 hermitian_eigvals and hermitian_eig are the package's one eigensolver
 kernel: every Hermitian eigensolve calls LAPACK through them, bit-identical
 to numpy.linalg.eigvalsh and eigh, in their ascending order.
+cholesky_factors is its one factorization, which validates a large state
+without its spectrum.
 
 HermitianOperator is the one route from a matrix to its spectrum: it owns
 a Hermitian matrix and solves its spectrum once, on first read, and the
@@ -203,6 +205,24 @@ def hermitian_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, V
 
 
+def cholesky_factors(H: np.ndarray) -> bool:
+    """Whether a finite, nonempty complex Hermitian matrix H has a finite
+    Cholesky factor L, H = L L^H: numpy.linalg.cholesky's LAPACK gufunc,
+    called once without its wrapper, under an errstate that keeps in the
+    floating-point flags a failure raises (the gufunc fills a failed
+    factor with NaN). The package's one factorization.
+
+    A factorization that runs to completion is backward stable: L L^H is
+    H + E with ||E|| at most about n^2 eps ||H|| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Thm 10.3), so True
+    certifies that H's least eigenvalue is above -n^2 eps ||H||; False
+    certifies nothing (a singular or marginal H fails, PSD or not).
+    """
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
+        L = _umath_linalg.cholesky_lo(H, signature="D->D")
+    return bool(np.isfinite(L).all())
+
+
 def vector_norm(x: np.ndarray) -> float:
     """The Euclidean norm of a 1-D complex vector: numpy.linalg.norm(x), bit
     for bit, by its own formula (the dot products of the real and imaginary
@@ -309,6 +329,9 @@ class HermitianOperator:
     owns it. The descending eigenvalues come from one eigvalsh on first read
     (or _derived seeds them); the eigenvectors and sqrt from one eigh on
     first use, from which power and inv_sqrt are formed afresh on each call.
+    The eigh has its own eigenvalues (_eigh[0]), equal to eigvalsh's to the
+    last bits; orders.qpe_leq reads rho's there, so a prior whose
+    validation solved nothing is decided on that one decomposition.
 
     Each operator also remembers what was computed against its recent
     partners, up to PARTNER_MEMO_SIZE of them with the oldest dropped first

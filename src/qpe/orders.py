@@ -37,7 +37,6 @@ from .states import (
     escape_direction,
     heaviest_kernel_direction,
     kernel,
-    rank_of,
     sandwich,
     subspace_intersects,
 )
@@ -154,6 +153,11 @@ def qpe_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
     decided on rho/rho+ - sigma/sigma+ (norm at most 1, also unmoved by
     tensoring with I/m), whose least eigenvalue is then the slack.
 
+    On the sandwich route rho+, rho's full rank and its least eigenvalue on
+    its support are read off the eigh that rho^-1/2 is formed from, so a
+    prior validated by its factorization needs no other solve; sigma+, and
+    rho+ on the order matrix, off each state's eigvalsh spectrum.
+
     A raw operand whose top eigenvalue is not positive has no rescaling and
     raises NonpositiveScalar.
 
@@ -174,11 +178,14 @@ def qpe_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
 
 def _sandwich_verdict(r: HermitianOperator, s: HermitianOperator,
                       cfg: ToleranceConfig) -> OrderVerdict:
-    w = r.eigenvalues
+    # rho's spectrum from the eigh its inverse square root is formed from,
+    # so the verdict and the sandwich cut the same support
+    w = r._eigh[0]
     r_top, s_top = float(w[0]), float(s.eigenvalues[0])
     if not (r_top > 0.0 and s_top > 0.0):
         raise NonpositiveScalar(f"qpe_leq rescales by the top eigenvalues, got {r_top}, {s_top}")
-    full_rank = w[-1] > kernel_cutoff(w, cfg)
+    cutoff = kernel_cutoff(w, cfg)
+    full_rank = w[-1] > cutoff
     if not full_rank:  # else rho has no kernel for sigma to escape along
         escape = escape_direction(r, s, cfg)
         if escape is not None:
@@ -188,9 +195,11 @@ def _sandwich_verdict(r: HermitianOperator, s: HermitianOperator,
     relation = relation_of(slack, slack, cfg)
     if relation == HOLDS:
         return OrderVerdict(HOLDS, slack)
-    least = w[-1] if full_rank else w[rank_of(r, cfg) - 1]  # on rho's support
+    least = w[-1] if full_rank else w[np.count_nonzero(w > cutoff) - 1]  # on rho's support
     if -slack <= SANDWICH_ROUNDING * r_top / float(least):
-        return _order_verdict(r.matrix / r_top - s.matrix / s_top, cfg)
+        # both tops from eigvalsh, so that a state against itself (or an
+        # equal copy) gives the zero matrix
+        return _order_verdict(r.matrix / float(r.eigenvalues[0]) - s.matrix / s_top, cfg)
     if relation == MARGINAL:
         return OrderVerdict(MARGINAL, slack)
     return OrderVerdict(FAILS, slack, witness=attaining_direction(r, s, cfg))

@@ -2,8 +2,9 @@
 a linear system.
 
 Every Hermitian eigensolve goes through the eigensolver kernel,
-linalg.hermitian_eigvals and hermitian_eig, and only the kernel calls
-numpy's LAPACK gufuncs (numpy.linalg._umath_linalg); no module calls a
+linalg.hermitian_eigvals and hermitian_eig, and only the kernel and the
+Cholesky kernel, linalg.cholesky_factors, call numpy's LAPACK gufuncs
+(numpy.linalg._umath_linalg); no module calls a
 numpy.linalg eigensolver. A matrix reaches its spectrum through
 linalg.HermitianOperator, which solves once and caches the result. Each
 kernel caller below is allowed for the reason in its comment; a new one
@@ -47,12 +48,14 @@ ALLOWED = {
 # the one witness primitive: inverse iteration at a known eigenvalue
 ALLOWED_LINEAR_SOLVES = {("linalg", "extreme_eigenvector")}
 
-# the import, and one gufunc call in each kernel function
+# the import, and one gufunc call in each kernel function: the two
+# eigensolvers and the factorization that validates a large state
 LAPACK_GUFUNCS = {"_umath_linalg"}
 ALLOWED_GUFUNC_SITES = {
     ("linalg", "<module>"),
     ("linalg", "hermitian_eigvals"),
     ("linalg", "hermitian_eig"),
+    ("linalg", "cholesky_factors"),
 }
 
 

@@ -26,6 +26,7 @@ from qpe.linalg import (
     _start_vector,
     as_operator,
     assert_hermitian,
+    cholesky_factors,
     extreme_eigenvector,
     fidelity,
     hermitian_eig,
@@ -272,6 +273,51 @@ class TestEigensolverKernel:
         complex signature; a numpy that renames or drops them fails here."""
         assert "D->d" in _umath_linalg.eigvalsh_lo.types
         assert "D->dD" in _umath_linalg.eigh_lo.types
+
+
+def _reference_factors(M) -> bool:
+    """numpy.linalg.cholesky's answer: a factor, and a finite one."""
+    try:
+        L = np.linalg.cholesky(M)
+    except LinAlgError:
+        return False
+    return bool(np.isfinite(L).all())
+
+
+class TestCholeskyKernel:
+    """cholesky_factors answers as numpy.linalg.cholesky succeeds or fails,
+    silently, and never for a factor that is not finite."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12, 64])
+    def test_agrees_with_numpy_and_is_silent(self, rng, n):
+        inputs = _kernel_inputs(n, rng) + [
+            # definite at the scales of the edge inputs, so both answers occur
+            (f"identity * {scale}", np.eye(n, dtype=complex) * scale)
+            for scale in (1.0, 1e-310, 1e-300, 8e307)
+        ]
+        answers = set()
+        for name, M in inputs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = cholesky_factors(M)
+            assert got is _reference_factors(M), name
+            answers.add(got)
+        assert answers == {True, False}
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_a_factor_that_is_not_finite_is_refused(self, entry):
+        """A LAPACK failure fills the gufunc's output with NaN; a non-finite
+        entry anywhere is refused all the same."""
+        def factor(H, signature):
+            L = np.linalg.cholesky(H)
+            L[-1, 0] = entry
+            return L
+
+        with mock.patch.object(linalg, "_umath_linalg", SimpleNamespace(cholesky_lo=factor)):
+            assert cholesky_factors(np.eye(3, dtype=complex)) is False
+
+    def test_numpy_ships_the_lapack_gufunc(self):
+        assert "D->D" in _umath_linalg.cholesky_lo.types
 
 
 def _descending_spectra(rng):

@@ -26,8 +26,9 @@ from qpe import (
     qpe_order_oracle,
     random_agreeing_effect,
 )
+from qpe.config import ToleranceConfig
 from qpe.linalg import random_unitary
-from qpe.states import sandwich
+from qpe.states import random_state, sandwich
 
 # the verdict band is 1e-9 wide; a holds verdict means a gap below this
 GAP_TOL = 1e-8
@@ -43,7 +44,9 @@ def _witness_form(verdict, rho, sigma) -> float:
 
 
 def _sandwich_slack(rho, sigma) -> float:
-    return 1.0 - float(rho.eigenvalues[0]) * float(sandwich(rho, sigma).eigenvalues[0]) \
+    """The slack off the sandwich, with rho+ read off the eigh that forms
+    rho^-1/2, as qpe_leq reads it."""
+    return 1.0 - float(rho._eigh[0][0]) * float(sandwich(rho, sigma).eigenvalues[0]) \
         / float(sigma.eigenvalues[0])
 
 
@@ -166,3 +169,19 @@ def test_tensoring_the_perturbed_pair_with_the_uniform_state_keeps_it_failing(m)
     assert v.fails
     assert_allclose(v.slack, PERTURBED_SLACK, rtol=1e-9)
     assert _witness_form(v, rho, sigma) < 0.0
+
+
+@pytest.mark.parametrize("n", [2, 4, 12, 40])
+def test_a_state_is_below_itself_without_slack(n):
+    """At psd_slack = 0 a sandwich slack a rounding below zero goes to the
+    order matrix, which reads both tops off the eigvalsh spectrum: for a
+    state against itself or an equal copy that matrix is zero, so the pair
+    holds with slack 0, above the crossover, where rho's validation solves
+    nothing, too."""
+    cfg = ToleranceConfig(psd_slack=0.0)
+    for seed in range(20):
+        R = random_state(n, rng=np.random.default_rng(seed)).matrix.copy()
+        rho = DensityMatrix(R, cfg)
+        for sigma in (rho, DensityMatrix(R, cfg)):
+            verdict = qpe_leq(rho, sigma, cfg)
+            assert verdict.holds and verdict.slack >= 0.0, (seed, verdict.slack)

@@ -394,3 +394,59 @@ class TestMajorization:
         assert classical_pe_leq(lower, upper).holds
         assert not majorizes(upper, lower)
         assert not majorizes(lower, upper)
+
+
+# the order matrices' factor under rho, sigma -> c rho (x) I/m, c sigma (x) I/m:
+# primed's sigma - rho - (sigma+ - rho+) I moves by c/m, and f(X) rho - f(rho) X
+# by c/m times f's own factor, (c m^(1/p - 1))^r for ('schatten', p, r)
+SCALE_AUDIT_ORDERS = {
+    "primed": (primed_leq, lambda c, m: c / m),
+    "op_norm": (lambda a, b: f_renormalized_leq(a, b, "op_norm"), lambda c, m: (c / m) ** 2),
+    "schatten 2": (lambda a, b: f_renormalized_leq(a, b, ("schatten", 2, 1)),
+                   lambda c, m: c ** 2 / m ** 1.5),
+}
+
+
+def _scale_audit_pairs(d, rng):
+    """A pair pulled toward rho's top eigenvector (primed and op_norm hold,
+    schatten 2 fails) and a random one (every order fails), raw, at dim d."""
+    R = random_state(d, rng=rng).matrix
+    v = np.linalg.eigh(R)[1][:, -1]
+    pulled = 0.7 * R + 0.3 * np.outer(v, v.conj())
+    return {"pulled": (R, pulled), "random": (R, random_state(d, rng=rng).matrix)}
+
+
+def _lifted(X, c, m):
+    """c X (x) I/m, with its spectrum, known in closed form, seeded: the
+    predicates then solve only their order matrix, also at n = 1000."""
+    w = np.repeat(np.linalg.eigvalsh(X)[::-1] * (c / m), m)
+    return DensityMatrix._derived(np.kron(c * X, np.eye(m) / m), w)
+
+
+@pytest.mark.parametrize("d, m, scales", [(3, 1, (1e-6, 1e-3, 7.0, 1e3)),
+                                          (5, 10, (1e-6, 1.0, 7.0, 1e3)),
+                                          (5, 200, (1e3,))])
+def test_matrix_orders_under_tensoring_and_rescaling(d, m, scales):
+    """primed_leq and f_renormalized_leq at n = d m = 3, 50 and 1000: the
+    least eigenvalue of the order matrix, their slack, moves by the factor
+    the algebra gives (exactly, up to rounding), and so the relation holds
+    where it held. A fails verdict stays fails under tensoring with I/m and
+    under scaling up. Under scaling down it is not asserted: the band edge,
+    10 psd_slack max(1, ||M||), does not scale with M, and on these pairs
+    op_norm and schatten 2 read holds at c = 1e-6 where they fail at c = 1,
+    schatten 2 reads marginal on the pulled pair at c = 1e-3, and primed
+    reads holds on the random pair at c = 1e-8 with m = 10."""
+    rng = np.random.default_rng(d * m)
+    for kind, (R, S) in _scale_audit_pairs(d, rng).items():
+        for name, (order, factor) in SCALE_AUDIT_ORDERS.items():
+            base = order(R, S)
+            for c in scales:
+                got = order(_lifted(R, c, m), _lifted(S, c, m))
+                case = (kind, name, c, m)
+                if base.holds:
+                    assert got.holds, case
+                    continue
+                assert base.fails, case
+                assert_allclose(got.slack, factor(c, m) * base.slack, rtol=1e-8, err_msg=str(case))
+                if c >= 1.0:
+                    assert got.fails, case

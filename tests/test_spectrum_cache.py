@@ -1,7 +1,9 @@
 """States compute their spectrum once, and the cached routes match raw arrays.
 
 The eigensolve counts are pinned by wrapping the package's eigensolver
-kernel, linalg.hermitian_eigvals and hermitian_eig.
+kernel, linalg.hermitian_eigvals and hermitian_eig, and the factorizations
+by wrapping linalg.cholesky_factors, with which a state from
+states.CHOLESKY_MIN_DIM on is validated.
 The partner-memo tests check that a remembered order verdict, sandwich,
 divergence, way-below witness or reconstructed effect is the cold result
 bit for bit, also when the pair is asked again under a ToleranceConfig
@@ -59,13 +61,14 @@ from qpe.linalg import (
     HermitianOperator,
     OrderVerdict,
     assert_hermitian,
+    cholesky_factors,
     hermitian_eig,
     hermitian_eigvals,
     matrix_power,
     random_unitary,
 )
 from qpe.serialization import channel_json, load_channel
-from qpe.states import sandwich
+from qpe.states import CHOLESKY_MIN_DIM, sandwich
 from spies import spying
 
 DIFF_RTOL = 1e-10
@@ -76,6 +79,14 @@ def count_eigensolves(fn):
     with spying(hermitian_eigvals, hermitian_eig) as (eigvals, eig):
         fn()
     return eigvals.call_count + eig.call_count
+
+
+def count_kernel_calls(fn):
+    """(eigensolves, factorizations): calls of the eigensolver kernel and of
+    the Cholesky kernel, under every name."""
+    with spying(hermitian_eigvals, hermitian_eig, cholesky_factors) as (eigvals, eig, chol):
+        fn()
+    return eigvals.call_count + eig.call_count, chol.call_count
 
 
 def count_hermitian_checks(fn):
@@ -124,7 +135,8 @@ def near_equal_raw_pair():
 class TestEigensolveCounts:
     def test_building_a_state_solves_once(self, ordered_raw_pair):
         R, _ = ordered_raw_pair
-        assert count_eigensolves(lambda: DensityMatrix(R)) == 1
+        # below CHOLESKY_MIN_DIM validation reads the spectrum, unfactored
+        assert count_kernel_calls(lambda: DensityMatrix(R)) == (1, 0)
 
     def test_order_on_built_states(self, ordered_raw_pair):
         rho, sigma = (DensityMatrix(M) for M in ordered_raw_pair)
@@ -196,11 +208,29 @@ class TestEigensolveCounts:
         # max-divergence built, and the posterior (ordered) is not solved
         assert count_eigensolves(op) == (4 if ordered else 5)
 
+    def test_building_a_large_state_solves_nothing(self):
+        """From CHOLESKY_MIN_DIM on, a full-rank state is validated by one
+        factorization, and its spectrum is solved on its first read."""
+        for n in (CHOLESKY_MIN_DIM, 64):
+            R = random_state(n, rng=np.random.default_rng(n)).matrix.copy()
+            built = []
+            assert count_kernel_calls(lambda: built.append(DensityMatrix(R))) == (0, 1)
+            rho, = built
+            assert "eigenvalues" not in vars(rho)
+            assert count_kernel_calls(lambda: rho.eigenvalues) == (1, 0)
+            assert count_kernel_calls(lambda: rho.eigenvalues) == (0, 0)
+
+    def test_a_singular_large_state_falls_back_to_its_spectrum(self):
+        R = random_state(CHOLESKY_MIN_DIM, rank=3, rng=np.random.default_rng(8)).matrix.copy()
+        assert count_kernel_calls(lambda: DensityMatrix(R)) == (1, 1)
+
     @pytest.mark.parametrize("ordered", [True, False])
     def test_cold_pairs_op_above_the_witness_crossover(self, ordered):
-        """pairs_large's op: the fails witness is one shifted solve at the
-        sandwich's known top eigenvalue, so an incomparable pair saves the
-        sandwich's eigh, as an ordered pair saves the posterior's solve."""
+        """pairs_large's op: each build is one factorization, and the order
+        reads rho's spectrum off the eigh its inverse square root is formed
+        from. The fails witness is one shifted solve at the sandwich's known
+        top eigenvalue, so an incomparable pair saves the sandwich's eigh, as
+        an ordered pair saves the posterior's solve."""
         rng = np.random.default_rng(15)
         rho = random_state(64, rng=rng)
         if ordered:
@@ -219,8 +249,9 @@ class TestEigensolveCounts:
                 with pytest.raises(NotBelow):
                     reconstruct_effect(rho, sigma)
 
+        # rho's eigh, sigma's eigvalsh (its top eigenvalue), the sandwich's
         with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
-            assert count_eigensolves(op) == 4
+            assert count_kernel_calls(op) == (3, 2)
         assert solve.call_count == (0 if ordered else 1)
 
 

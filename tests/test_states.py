@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qpe import DensityMatrix, Effect, qpe_leq
-from qpe.config import ToleranceConfig
+from qpe import Channel, DensityMatrix, Effect, qpe_leq
+from qpe.config import DEFAULT_CONFIG, ToleranceConfig
 from qpe.exceptions import (
     BadParameter,
     DimensionMismatch,
@@ -14,9 +14,12 @@ from qpe.exceptions import (
     NonHermitianInput,
     OverflowingInput,
 )
-from qpe.linalg import FOLD_LIMIT, assert_hermitian
+from qpe.linalg import FAILS, FOLD_LIMIT, assert_hermitian, cholesky_factors, random_unitary, relation_of
 from qpe.orders import as_probability_vector
 from qpe.states import (
+    CHOLESKY_MIN_DIM,
+    TRACE_REJECT,
+    TRACE_WARN,
     bottom_eigenspace_nonzero,
     kernel,
     min_entropy,
@@ -26,6 +29,7 @@ from qpe.states import (
     top_eigenspace,
     top_eigenvalue,
 )
+from spies import spying
 
 # finite, but its modulus is past the float range
 OVERFLOW_CELL = 1.5e308 * (1 + 1j)
@@ -172,6 +176,132 @@ def test_band_edge_rejections_keep_their_messages(build, message):
 ])
 def test_marginal_band_edges_are_accepted(build):
     build()
+
+
+def _band_outcome(M, cfg):
+    """The spectrum band's decision on M: None to accept, else the message
+    of the InvalidState it raises. The trace checks are DensityMatrix's;
+    the band is read on eigvalsh's spectrum, which every state below
+    CHOLESKY_MIN_DIM, and every state that does not factor, is validated on."""
+    H = assert_hermitian(M)
+    tr = float(H.trace().real)
+    if abs(tr - 1.0) >= TRACE_REJECT:
+        return f"trace {tr} is not 1 within {TRACE_REJECT}"
+    if abs(tr - 1.0) > TRACE_WARN:
+        H = H / tr
+    w = np.linalg.eigvalsh(H)[::-1]
+    if relation_of(w[-1], w[0], cfg) == FAILS:
+        return f"not positive semidefinite (lambda_min = {w[-1]:.3e})"
+    return None
+
+
+def _outcome(build):
+    try:
+        build()
+    except InvalidState as exc:
+        return str(exc)
+    return None
+
+
+def _rotated(w, rng):
+    """U diag(w) U^dagger for a Haar U: a dense matrix of spectrum w."""
+    U = random_unitary(len(w), rng)
+    return (U * np.asarray(w, dtype=float)) @ U.conj().T
+
+
+def _least_at(n, lam, rng):
+    """A dense unit-trace matrix whose least eigenvalue is lam."""
+    w = rng.uniform(0.5, 1.0, n)
+    w[-1] = 0.0
+    w *= (1.0 - lam) / w.sum()
+    w[-1] = lam
+    return _rotated(w, rng)
+
+
+def _factored_inputs(n, rng):
+    """(name, matrix) at dim n: full-rank and rank-deficient states, spectra
+    at and about the band's fails edge (10 psd_slack below zero), marginal
+    and past it by 10%, far past it, and just above zero, where a
+    factorization may or may not complete."""
+    edge = -10.0 * DEFAULT_CONFIG.psd_slack
+    inputs = [("full rank", random_state(n, rng=rng).matrix)]
+    inputs += [(f"rank {r}", random_state(n, rank=r, rng=rng).matrix)
+               for r in (1, n // 2, n - 1)]
+    for lam in (0.9 * edge, edge, 1.1 * edge, -0.1, -1e-15, 0.0, 1e-17, 1e-15, 1e-12):
+        inputs.append((f"least eigenvalue {lam:g}", _least_at(n, lam, rng)))
+    inputs.append(("diagonal past the edge",
+                   np.diag([1.0 - 1.1 * edge] + [0.0] * (n - 2) + [1.1 * edge])))
+    return inputs
+
+
+class TestFactoredValidation:
+    """From CHOLESKY_MIN_DIM on, a state whose matrix factors is accepted
+    without its spectrum; every other state goes to the band. So each
+    accept or reject, and each message, is the band's."""
+
+    @staticmethod
+    def _check(cases, cfg):
+        paths = []
+        with spying(cholesky_factors) as (factor,):
+            for name, build, M in cases:
+                before = factor.call_count
+                assert _outcome(build) == _band_outcome(M, cfg), name
+                paths.append(factor.call_count > before)
+        return paths
+
+    @pytest.mark.parametrize("n", [CHOLESKY_MIN_DIM, 13, 16, 25, 32, 64])
+    @pytest.mark.parametrize("psd_slack", [1e-9, 2e-9])
+    def test_states_decide_as_the_band(self, n, psd_slack):
+        rng = np.random.default_rng(n)
+        cfg = ToleranceConfig(psd_slack=psd_slack)
+        cases = [(name, lambda M=M: DensityMatrix(M, cfg), M)
+                 for name, M in _factored_inputs(n, rng)]
+        assert all(self._check(cases, cfg))
+
+    def test_a_state_at_256_decides_as_the_band(self):
+        rng = np.random.default_rng(256)
+        cases = [(name, lambda M=M: DensityMatrix(M), M)
+                 for name, M in (("full rank", random_state(256, rng=rng).matrix),
+                                 ("rank 200", random_state(256, rank=200, rng=rng).matrix),
+                                 ("past the edge", _least_at(256, -1.1e-8, rng)))]
+        assert all(self._check(cases, DEFAULT_CONFIG))
+
+    @pytest.mark.parametrize("n, k", [(3, 4), (4, 3), (4, 4)])
+    def test_low_kraus_rank_choi_states_decide_as_the_band(self, n, k):
+        rng = np.random.default_rng(n * k)
+        cases = []
+        low = -(-n // k)  # the least Kraus rank an n -> k channel can have
+        for rank in (low, low + 1, n * k):
+            phi = Channel.random(n, k, rank, rng)
+            J = phi.choi.matrix
+            cases.append((f"rank {rank}", lambda J=J: DensityMatrix(J), J))
+            cases.append((f"rank {rank} kraus", lambda phi=phi: Channel(phi.kraus, n, k), J))
+        assert all(self._check(cases, DEFAULT_CONFIG))
+
+    @pytest.mark.parametrize("n", [CHOLESKY_MIN_DIM, 64])
+    def test_without_slack_the_band_decides_alone(self, n):
+        """At psd_slack = 0 the fails edge is zero itself, inside the
+        factorization's -n^2 eps, so no state is factored: the band rejects
+        every state with a negative eigenvalue, rounding included."""
+        rng = np.random.default_rng(n)
+        cfg = ToleranceConfig(psd_slack=0.0)
+        cases = [(name, lambda M=M: DensityMatrix(M, cfg), M)
+                 for name, M in _factored_inputs(n, rng)]
+        assert not any(self._check(cases, cfg))
+
+    def test_the_factored_route_accepts_and_the_band_rejects(self):
+        """Both routes run over the inputs: some states are accepted with
+        their spectrum unsolved, and some go to the band and are refused."""
+        rng = np.random.default_rng(7)
+        unsolved, refused = 0, 0
+        for _, M in _factored_inputs(16, rng):
+            try:
+                rho = DensityMatrix(M)
+            except InvalidState:
+                refused += 1
+            else:
+                unsolved += "eigenvalues" not in vars(rho)
+        assert unsolved >= 4 and refused >= 2
 
 
 class TestSpectralStructure:
