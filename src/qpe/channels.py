@@ -75,11 +75,12 @@ class Channel:
         self.kraus = ops
         self._hold(assert_hermitian(to_choi(ops, n, k)), n, k, cfg)
 
-    def _hold(self, J: np.ndarray, n: int, k: int, cfg: ToleranceConfig):
+    def _hold(self, J: np.ndarray, n: int, k: int, cfg: ToleranceConfig,
+              factor: bool = True):
         """Store the dims, cfg and the Choi state of J, a matrix that
         assert_hermitian returned: the state's other checks run here."""
         try:
-            self.choi = DensityMatrix.__new__(DensityMatrix)._validate(J, cfg)
+            self.choi = DensityMatrix.__new__(DensityMatrix)._validate(J, cfg, factor)
         except InvalidState as exc:
             raise NotCPTP(f"Choi matrix is not a state: {exc}") from exc
         self.in_dim, self.out_dim, self.cfg = n, k, cfg
@@ -101,7 +102,7 @@ class Channel:
         if defect > COMPLETENESS_TOL:
             raise NotCPTP(f"Kraus completeness defect {defect:.3e}")
         channel = cls.__new__(cls)
-        channel._hold(J, n, k, cfg)
+        channel._hold(J, n, k, cfg, factor=False)
         w = channel.choi.eigenvalues
         if w[-1] < -COMPLETENESS_TOL * max(w[0], 1.0):
             raise NotCPTP(f"Choi matrix has eigenvalue {w[-1]:.3e}")
@@ -176,7 +177,7 @@ class Channel:
 
 def _channel_pair(phi: Channel, psi: Channel) -> None:
     """The gate of every function that takes two channels of one shape."""
-    if (phi.in_dim, phi.out_dim) != (psi.in_dim, psi.out_dim):
+    if phi.in_dim != psi.in_dim or phi.out_dim != psi.out_dim:
         raise DimensionMismatch("channels have different dims")
 
 

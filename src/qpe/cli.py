@@ -10,6 +10,7 @@ an explicit --tol always wins.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -360,8 +361,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on first use and reused: parsing leaves
+    no state on it, and building the 14 leaves costs more than most runs."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if not hasattr(args, "handler"):
         parser.print_help(file=sys.stderr)

@@ -54,14 +54,16 @@ def max_divergence(sigma: DensityMatrix, rho: DensityMatrix,
     renyi_divergence at alpha = inf come through here and share it.
     """
     sigma, rho = operator_pair(sigma, rho)
+    return rho._remember(sigma, ("max_divergence", cfg.rank_cutoff, cfg.log_base),
+                         _max_divergence, rho, sigma, cfg)
 
-    def compute():
-        if escape_direction(rho, sigma, cfg) is not None:
-            return DivergenceValue(np.inf, np.inf, cfg.log_base, support_violation=True)
-        return DivergenceValue(float(cfg.log(sandwich(rho, sigma, cfg).norm)),
-                               np.inf, cfg.log_base)
 
-    return rho._remember(sigma, ("max_divergence", cfg.rank_cutoff, cfg.log_base), compute)
+def _max_divergence(rho, sigma, cfg: ToleranceConfig) -> DivergenceValue:
+    """max_divergence computed afresh on an operator pair, for it to remember."""
+    if escape_direction(rho, sigma, cfg) is not None:
+        return DivergenceValue(np.inf, np.inf, cfg.log_base, support_violation=True)
+    return DivergenceValue(float(cfg.log(sandwich(rho, sigma, cfg).norm)),
+                           np.inf, cfg.log_base)
 
 
 def renyi_divergence(sigma: DensityMatrix, rho: DensityMatrix, alpha: float,

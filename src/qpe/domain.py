@@ -64,7 +64,7 @@ def way_below_witness(rho: DensityMatrix, sigma: DensityMatrix,
     """
     rho, sigma = operator_pair(rho, sigma)
     return rho._remember(sigma, ("way_below", cfg.psd_slack, cfg.rank_cutoff),
-                         lambda: _way_below(rho, sigma, cfg))
+                         _way_below, rho, sigma, cfg)
 
 
 def _way_below(rho: DensityMatrix, sigma: DensityMatrix,

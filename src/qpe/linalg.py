@@ -14,15 +14,12 @@ HermitianOperator; the norms and is_psd read an operator's cached
 spectrum, matrix_power and fidelity solve afresh. kernel_cutoff is the
 package's one rule for which eigenvalues count as zero, and operator_pair
 the one gate of every function that takes two operators. An operator also
-remembers what was computed against its recent partners (up to
-PARTNER_MEMO_SIZE, oldest dropped first): the order verdict (keyed on
-psd_slack, rank_cutoff), the sandwich (rank_cutoff), the max-divergence
-(rank_cutoff, log_base) and the way-below witness (psd_slack,
-rank_cutoff). An operator reports its eigenvalues in descending order.
-Positivity checks return a tri-state verdict instead of a boolean so
-callers can surface numerically marginal cases; relation_of is the one
-holds/marginal/fails band, and extreme_eigenvector finds every fails
-witness that is an eigenvector at an eigenvalue already known.
+remembers the pair queries asked against its recent partners
+(HermitianOperator._remember). An operator reports its eigenvalues in
+descending order. Positivity checks return a tri-state verdict instead of a
+boolean so callers can surface numerically marginal cases; relation_of is
+the one holds/marginal/fails band, and extreme_eigenvector finds every
+fails witness that is an eigenvector at an eigenvalue already known.
 
 The matrix products of the pair operations (the powers and sqrt here, the
 sandwich and the updates) call ndarray.dot, not @: both run the same BLAS
@@ -406,8 +403,9 @@ class HermitianOperator:
         w, V = self._eigh
         return V.dot(_spectral_factor(w, p, cfg) * V.conj().T.dot(x))
 
-    def _remember(self, partner: HermitianOperator, key, compute):
-        """compute(), remembered under key for one of the recent partners.
+    def _remember(self, partner: HermitianOperator, key, compute, *args):
+        """compute(*args), remembered under key for one of the recent partners.
+        compute is a module-level function, so a hit builds no closure.
 
         Up to PARTNER_MEMO_SIZE partners are remembered; a new one past that
         drops the oldest-inserted. A partner is held by weakref and matched
@@ -415,12 +413,13 @@ class HermitianOperator:
         entries and a chain of comparisons does not keep old states alive.
         key is a tuple: a tag naming the query, then every input of compute
         other than the pair itself (the cfg fields it reads); compute must
-        not return None. The entries, by tag, with the cfg fields keyed:
+        not return None. The entries, by tag, with the cfg fields keyed and
+        the function that computes them:
 
-            qpe_leq          psd_slack, rank_cutoff    orders.qpe_leq
-            sandwich         rank_cutoff               states.sandwich
-            max_divergence   rank_cutoff, log_base     divergence.max_divergence
-            way_below        psd_slack, rank_cutoff    domain.way_below_witness
+            qpe_leq          psd_slack, rank_cutoff    orders._qpe_verdict
+            sandwich         rank_cutoff               states._sandwich
+            max_divergence   rank_cutoff, log_base     divergence._max_divergence
+            way_below        psd_slack, rank_cutoff    domain._way_below
 
         All but the sandwich nest: qpe_leq and max_divergence ask for the
         sandwich and way_below for the verdict of the same pair, and those
@@ -436,7 +435,7 @@ class HermitianOperator:
             slot = partners[ident] = (weakref.ref(partner), {})
         value = slot[1].get(key)
         if value is None:
-            value = slot[1][key] = compute()
+            value = slot[1][key] = compute(*args)
         return value
 
     def __getstate__(self):

@@ -166,14 +166,17 @@ def qpe_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
     between calls and its witness is read-only.
     """
     r, s = operator_pair(rho, sigma)
+    return r._remember(s, ("qpe_leq", cfg.psd_slack, cfg.rank_cutoff), _qpe_verdict, r, s, cfg)
 
-    def decide():
-        verdict = _sandwich_verdict(r, s, cfg)
-        if verdict.witness is not None:
-            verdict.witness.setflags(write=False)
-        return verdict
 
-    return r._remember(s, ("qpe_leq", cfg.psd_slack, cfg.rank_cutoff), decide)
+def _qpe_verdict(r: HermitianOperator, s: HermitianOperator,
+                 cfg: ToleranceConfig) -> OrderVerdict:
+    """qpe_leq's verdict on an operator pair, its witness read-only: the
+    memo shares it between calls."""
+    verdict = _sandwich_verdict(r, s, cfg)
+    if verdict.witness is not None:
+        verdict.witness.setflags(write=False)
+    return verdict
 
 
 def _sandwich_verdict(r: HermitianOperator, s: HermitianOperator,

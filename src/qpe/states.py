@@ -71,11 +71,13 @@ class DensityMatrix(HermitianOperator):
     def __init__(self, matrix, cfg: ToleranceConfig = DEFAULT_CONFIG):
         self._validate(assert_hermitian(matrix), cfg)
 
-    def _validate(self, H: np.ndarray, cfg: ToleranceConfig) -> DensityMatrix:
+    def _validate(self, H: np.ndarray, cfg: ToleranceConfig,
+                  factor: bool = True) -> DensityMatrix:
         """The constructor's trace and PSD checks on H, a matrix that
         assert_hermitian returned, which self then holds; returns self.
         channels.Channel builds its Choi state on this, having checked the
-        matrix itself."""
+        matrix itself. factor=False skips the factorization, for a caller
+        that reads the spectrum next anyway."""
         tr = float(H.trace().real)
         if abs(tr - 1.0) >= TRACE_REJECT:
             raise InvalidState(f"trace {tr} is not 1 within {TRACE_REJECT}")
@@ -91,7 +93,8 @@ class DensityMatrix(HermitianOperator):
         # edge -10 psd_slack or less, the band would accept too, and the
         # spectrum is left to its first read
         n = len(H)
-        if n >= CHOLESKY_MIN_DIM and n * n * EPS <= cfg.psd_slack and cholesky_factors(H):
+        if (factor and n >= CHOLESKY_MIN_DIM and n * n * EPS <= cfg.psd_slack
+                and cholesky_factors(H)):
             return self
         # the band on the spectrum's two ends, as psd_verdict reads it
         w = self.eigenvalues
@@ -153,11 +156,14 @@ def sandwich(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> HermitianOper
     all read it. It is remembered on rho for sigma (one of rho's recent
     partners) and rank_cutoff.
     """
-    def build():
-        X = rho.inv_sqrt(cfg)
-        return HermitianOperator(hermitian_part(X.dot(sigma.matrix).dot(X)))
+    return rho._remember(sigma, ("sandwich", cfg.rank_cutoff), _sandwich, rho, sigma, cfg)
 
-    return rho._remember(sigma, ("sandwich", cfg.rank_cutoff), build)
+
+def _sandwich(rho: HermitianOperator, sigma: HermitianOperator,
+              cfg: ToleranceConfig) -> HermitianOperator:
+    """The sandwich computed afresh, for sandwich to remember."""
+    X = rho.inv_sqrt(cfg)
+    return HermitianOperator(hermitian_part(X.dot(sigma.matrix).dot(X)))
 
 
 def attaining_direction(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -200,10 +201,12 @@ class TestExitCodes:
         assert "Hermitian" in err
 
     def test_crash_exits_four_not_one(self, capsys, monkeypatch):
-        def crash(args, cfg):
+        def crash(rho, sigma, cfg):
             raise RuntimeError("handler bug")
 
-        monkeypatch.setattr(qpe.cli, "_cmd_order_check", crash)
+        # the handler reads qpe_leq at call time; the parser, built once,
+        # holds the handler itself
+        monkeypatch.setattr(qpe.cli, "qpe_leq", crash)
         code, out, err = run_cli(capsys, "order", "check", fx("state_diag_64.json"),
                                  fx("state_diag_82.json"))
         assert code == 4
@@ -246,11 +249,7 @@ COMMANDS = [
 class TestExitContract:
     @pytest.mark.parametrize("command,operands", COMMANDS,
                              ids=[" ".join(command) for command, _ in COMMANDS])
-    def test_no_crash_and_one_code_in_both_formats(self, capsys, monkeypatch,
-                                                   command, operands):
-        # one parser for every run: building it takes most of a run's time
-        parser = qpe.cli.build_parser()
-        monkeypatch.setattr(qpe.cli, "build_parser", lambda: parser)
+    def test_no_crash_and_one_code_in_both_formats(self, capsys, command, operands):
         for files in itertools.product(*operands):
             text_code, _, _ = run_cli(capsys, *command, *files)
             code, out, err = run_cli(capsys, *command, *files, "--format", "json")
@@ -262,6 +261,34 @@ class TestExitContract:
                 json.loads(out)
             else:
                 assert code == 2 or err.startswith(("not below: ", "degenerate draw: ")), files
+
+
+class TestParserReuse:
+    def test_two_runs_build_one_parser(self, capsys):
+        argv = ("order", "check", fx("state_diag_64.json"), fx("state_diag_82.json"))
+        qpe.cli._parser.cache_clear()
+        with mock.patch.object(qpe.cli, "build_parser", wraps=qpe.cli.build_parser) as build:
+            first = run_cli(capsys, *argv)
+            second = run_cli(capsys, *argv)
+        assert build.call_count == 1
+        assert first == second and first[0] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("order", "check", "--help"),
+        ("order", "check", "a.json"),
+        ("order",),
+        (),
+    ])
+    def test_help_and_usage_errors_repeat_after_a_run(self, capsys, argv):
+        outputs = []
+        for _ in range(2):
+            try:
+                code = run(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            outputs.append((code, *capsys.readouterr()))
+            run_cli(capsys, "entropy", fx("state_diag_532.json"))
+        assert outputs[0] == outputs[1]
 
 
 class TestOrderOutput:

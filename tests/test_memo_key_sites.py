@@ -1,4 +1,4 @@
-"""Pins the shape of every partner-memo key in src/qpe.
+"""Pins the shape of every partner-memo call in src/qpe.
 
 HermitianOperator._remember keeps one table per operator for four kinds of
 pair result. Each call site's key must be a tuple literal whose first
@@ -6,7 +6,9 @@ element is a string tag no other site uses, followed only by
 cfg.<field> for real ToleranceConfig fields: a reused tag would hand one
 query another query's result type, and anything but a cfg field could not
 be checked against what the computation reads (tests/test_spectrum_cache.py
-checks that).
+checks that). Each site's compute argument must name a function defined at
+the top level of its module, not a lambda or a def nested in the caller:
+either would build a closure on every call, hits included.
 """
 from __future__ import annotations
 
@@ -20,22 +22,53 @@ from qpe.config import ToleranceConfig
 FIELDS = {f.name for f in dataclasses.fields(ToleranceConfig)}
 
 
-def _keys(source: str, module: str) -> list[tuple[str, ast.expr]]:
-    """(module, key expression) for each _remember(partner, key, compute) call."""
+def _argument(call: ast.Call, position: int, name: str) -> ast.expr | None:
+    if len(call.args) > position:
+        return call.args[position]
+    return next((kw.value for kw in call.keywords if kw.arg == name), None)
+
+
+def _bound(scope: ast.AST) -> set[str]:
+    """The names a top-level function or class binds anywhere inside it:
+    parameters, nested defs and assignment targets."""
+    names = set()
+    for node in ast.walk(scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node is not scope:
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+    return names
+
+
+def _calls(source: str, module: str) -> list[tuple[str, ast.expr, ast.expr, bool]]:
+    """(module, key expression, compute expression, whether compute names a
+    module-level function) for each _remember(partner, key, compute, *args)
+    call."""
+    tree = ast.parse(source)
+    functions = {node.name for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
     found = []
-    for node in ast.walk(ast.parse(source)):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "_remember"):
-            key = node.args[1] if len(node.args) > 1 else next(
-                (kw.value for kw in node.keywords if kw.arg == "key"), None)
-            found.append((module, key))
+    for scope in tree.body:
+        local = _bound(scope)
+        for node in ast.walk(scope):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "_remember"):
+                compute = _argument(node, 2, "compute")
+                top_level = (isinstance(compute, ast.Name) and compute.id in functions
+                             and compute.id not in local)
+                found.append((module, _argument(node, 1, "key"), compute, top_level))
     return found
 
 
 def _problems(found) -> list[str]:
-    """What is wrong with the keys found, as messages; empty when all is well."""
+    """What is wrong with the calls found, as messages; empty when all is well."""
     problems, tags = [], Counter()
-    for module, key in found:
+    for module, key, compute, top_level in found:
+        if not top_level:
+            text = ast.unparse(compute) if compute is not None else "missing"
+            problems.append(f"{module}: compute {text} is not a module-level function")
         if not (isinstance(key, ast.Tuple) and key.elts
                 and isinstance(key.elts[0], ast.Constant) and isinstance(key.elts[0].value, str)):
             problems.append(f"{module}: key is not a tuple literal led by a string tag")
@@ -52,25 +85,40 @@ def _problems(found) -> list[str]:
 
 
 def test_memo_keys_are_tagged_tuples_of_cfg_fields():
-    found = [site for module, source in modules() for site in _keys(source, module)]
+    found = [site for module, source in modules() for site in _calls(source, module)]
     assert len(found) == 4
     assert _problems(found) == []
 
 
 def test_guard_sees_bad_keys():
     source = (
+        "def g(rho, sigma, cfg):\n"
+        "    return rho\n"
         "def f(rho, sigma, cfg, key):\n"
-        "    rho._remember(sigma, ('a', cfg.psd_slack), g)\n"
+        "    rho._remember(sigma, ('a', cfg.psd_slack), g, rho, sigma, cfg)\n"
         "    rho._remember(sigma, ('a', cfg.rank_cutoff), g)\n"
         "    rho._remember(sigma, key, g)\n"
         "    rho._remember(sigma, ('b', cfg.slack), g)\n"
         "    rho._remember(sigma, ('c', tol), g)\n"
         "    rho._remember(sigma, compute=g, key=(cfg.log_base,))\n"
+        "    rho._remember(sigma, ('d', cfg.log_base), lambda: g(rho, sigma, cfg))\n"
+        "    def h():\n"
+        "        return g(rho, sigma, cfg)\n"
+        "    rho._remember(sigma, ('e', cfg.log_base), h)\n"
+        "    rho._remember(sigma, ('f', cfg.log_base), undefined)\n"
+        "def shadow(rho, sigma, cfg):\n"
+        "    def g():\n"
+        "        return rho\n"
+        "    rho._remember(sigma, ('g', cfg.log_base), g)\n"
     )
-    assert _problems(_keys(source, "m")) == [
+    assert _problems(_calls(source, "m")) == [
         "m: key is not a tuple literal led by a string tag",
         "m: b key holds cfg.slack, not a ToleranceConfig field of cfg",
         "m: c key holds tol, not a ToleranceConfig field of cfg",
         "m: key is not a tuple literal led by a string tag",
+        "m: compute lambda: g(rho, sigma, cfg) is not a module-level function",
+        "m: compute h is not a module-level function",
+        "m: compute undefined is not a module-level function",
+        "m: compute g is not a module-level function",
         "tag a used at 2 call sites",
     ]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import gc
+import importlib
 import json
 import pickle
 import weakref
@@ -324,6 +325,14 @@ class TestChoiChannelSolves:
         phi = Channel.from_choi(J, 3, 2)
         assert count_eigensolves(lambda: phi.kraus) == 1
         assert count_eigensolves(lambda: phi.kraus) == 0
+
+    def test_a_large_choi_state_is_validated_on_its_spectrum(self):
+        """from_choi reads the Choi spectrum, so from CHOLESKY_MIN_DIM on it
+        validates on that one eigvalsh and factors nothing."""
+        assert 16 >= CHOLESKY_MIN_DIM
+        with spying(hermitian_eigvals, hermitian_eig, cholesky_factors) as (eigvals, eig, chol):
+            Channel.depolarizing(4, 0.3)
+        assert (eigvals.call_count, eig.call_count, chol.call_count) == (1, 0, 0)
 
     def test_a_channel_checks_its_choi_matrix_hermitian_once(self):
         phi = Channel.random(3, 2, 2, np.random.default_rng(6))
@@ -710,6 +719,46 @@ class TestPartnerMemo:
         gc.collect()
         assert len(prior._partners) == PARTNER_MEMO_SIZE
         assert [ref() for ref in refs] == [None] * 1000
+
+
+# each remembered query on (lower, upper), with the module and name of the
+# module-level function that computes its entry on a miss
+HIT_QUERIES = {
+    "qpe_leq": (qpe_leq, "qpe.orders", "_qpe_verdict"),
+    "sandwich": (sandwich, "qpe.states", "_sandwich"),
+    "max_divergence": (lambda lower, upper: max_divergence(upper, lower),
+                       "qpe.divergence", "_max_divergence"),
+    "way_below": (way_below_witness, "qpe.domain", "_way_below"),
+    "channel_qpe_leq": (channel_qpe_leq, "qpe.orders", "_qpe_verdict"),
+    "channel_max_divergence": (lambda lower, upper: channel_max_divergence(upper, lower),
+                               "qpe.divergence", "_max_divergence"),
+}
+
+
+class TestMemoHits:
+    """A remembered query asked again returns the entry it stored and calls
+    nothing to compute it; a miss calls the module-level function once."""
+
+    @staticmethod
+    def _fresh_pair(query: str):
+        rng = np.random.default_rng(21)
+        if query.startswith("channel"):
+            upper = Channel.random(2, 2, 2, rng)
+            return Channel.from_choi(0.6 * upper.choi.matrix + 0.4 * np.eye(4) / 4, 2, 2), upper
+        upper = random_state(3, rng=rng)
+        return depolarize(upper, 0.4), upper
+
+    @pytest.mark.parametrize("query", sorted(HIT_QUERIES))
+    def test_a_hit_calls_no_compute_function(self, query):
+        ask, module, name = HIT_QUERIES[query]
+        lower, upper = self._fresh_pair(query)
+        target = importlib.import_module(module)
+        with mock.patch.object(target, name, wraps=getattr(target, name)) as compute:
+            first = ask(lower, upper)
+            assert compute.call_count == 1
+            assert ask(lower, upper) is first
+            assert ask(lower, upper) is first
+            assert compute.call_count == 1
 
 
 # the four remembered entries, each called as (rho, sigma, cfg) with the
