@@ -82,7 +82,7 @@ def _conditioned(outer, inner, cfg: ToleranceConfig) -> DensityMatrix:
     """outer^1/2 inner outer^1/2 / tr(E rho), the state and effect either way
     round: a state by construction, checked only if an operand came in raw."""
     outer, inner = operator_pair(outer, inner)
-    sq = outer.sqrt
+    sq = outer.power(0.5, cfg)
     out = sq.dot(inner.matrix).dot(sq)
     prob = float(out.trace().real)
     if prob <= cfg.rank_cutoff:
@@ -172,8 +172,9 @@ def sequential_solve_effect(rho: DensityMatrix, sigma: DensityMatrix,
     scale, which the update ignores) that can map rho onto sigma.
     """
     rho, sigma = operator_pair(rho, sigma)
-    inv_half = rho.inv_sqrt(cfg)
-    mid = matrix_power(rho.sqrt @ sigma.matrix @ rho.sqrt, 0.5, cfg)
+    half = rho.power(0.5, cfg)
+    mid = matrix_power(half @ sigma.matrix @ half, 0.5, cfg)
+    inv_half = rho.power(-0.5, cfg)
     X = inv_half @ mid @ inv_half
     G = hermitian_part(X @ X.conj().T)
     candidate = as_operator(G)

@@ -10,10 +10,11 @@ HermitianOperator is the one route from a matrix to its spectrum: it owns
 a Hermitian matrix and solves its spectrum once, on first read, and the
 package's states and effects are HermitianOperators. The checks, norms,
 powers, fidelity and partial trace and transpose accept a complex ndarray or a
-HermitianOperator; the norms and is_psd read an operator's cached
-spectrum, matrix_power and fidelity solve afresh. kernel_cutoff is the
-package's one rule for which eigenvalues count as zero, and operator_pair
-the one gate of every function that takes two operators. An operator also
+HermitianOperator; the norms, is_psd, matrix_power and fidelity read an
+operator's cached spectrum, and solve a raw array's afresh. The package's
+one spectral power is HermitianOperator.power, its one rule for which
+eigenvalues count as zero kernel_cutoff, and operator_pair the one gate of
+every function that takes two operators. An operator also
 remembers the pair queries asked against its recent partners
 (HermitianOperator._remember). An operator reports its eigenvalues in
 descending order. Positivity checks return a tri-state verdict instead of a
@@ -21,8 +22,8 @@ boolean so callers can surface numerically marginal cases; relation_of is
 the one holds/marginal/fails band, and extreme_eigenvector finds every
 fails witness that is an eigenvector at an eigenvalue already known.
 
-The matrix products of the pair operations (the powers and sqrt here, the
-sandwich and the updates) call ndarray.dot, not @: both run the same BLAS
+The matrix products of the pair operations (the powers here, the sandwich
+and the updates) call ndarray.dot, not @: both run the same BLAS
 routine, to the same bits, and at dims 2-5 the matmul ufunc's dispatch
 costs more than the product.
 """
@@ -324,8 +325,8 @@ class HermitianOperator:
 
     Takes an exactly Hermitian matrix (as returned by assert_hermitian) and
     owns it. The descending eigenvalues come from one eigvalsh on first read
-    (or _derived seeds them); the eigenvectors and sqrt from one eigh on
-    first use, from which power and inv_sqrt are formed afresh on each call.
+    (or _derived seeds them); the eigenvectors from one eigh on first use,
+    from which power and power_times are formed afresh on each call.
     The eigh has its own eigenvalues (_eigh[0]), equal to eigvalsh's to the
     last bits; orders.qpe_leq reads rho's there, so a prior whose
     validation solved nothing is decided on that one decomposition.
@@ -385,18 +386,12 @@ class HermitianOperator:
         """Unit eigenvectors as columns, matching eigenvalues."""
         return self._eigh[1]
 
-    @lazy
-    def sqrt(self) -> np.ndarray:
-        w, V = self._eigh
-        return (V * np.sqrt(np.maximum(w, 0.0))).dot(V.conj().T)
-
     def power(self, p, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
-        """Generalized power with matrix_power's rank_cutoff rule."""
+        """The package's one spectral power of a PSD operator, from its cached
+        eigh: the eigenvalues at or below kernel_cutoff map to zero for every
+        p, so power(-0.5) is the generalized inverse square root and power(0.5)
+        leaves a kernel exactly empty."""
         return spectral_power(*self._eigh, p, cfg)
-
-    def inv_sqrt(self, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
-        """Generalized inverse square root."""
-        return self.power(-0.5, cfg)
 
     def power_times(self, p, x: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
         """power(p, cfg) @ x from the cached eigenbasis, without forming the power."""
@@ -494,22 +489,19 @@ def is_psd(A, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
 
 
 def matrix_power(A, p, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Spectral power A^p of a PSD matrix.
+    """as_operator(A).power(p, cfg) for a PSD matrix or operator A.
 
-    Negative powers are generalized inverses: eigenvalues at or below
-    kernel_cutoff map to zero. Slightly negative eigenvalues
-    (within the PSD slack) are clamped to zero; anything worse raises
+    Eigenvalues at or below kernel_cutoff, slightly negative ones (within
+    the PSD slack) among them, map to zero; anything more negative raises
     NegativeEigenvalue.
     """
-    H = assert_hermitian(A)
-    w, V = hermitian_eig(H)
-    w, V = w[::-1], V[:, ::-1]
-    verdict = psd_verdict(w, None, cfg)
+    op = as_operator(A)
+    verdict = psd_verdict(op._eigh[0], None, cfg)
     if verdict.fails:
         raise NegativeEigenvalue(
             f"matrix_power needs a PSD input (lambda_min = {verdict.slack:.3e})"
         )
-    return spectral_power(w, V, p, cfg)
+    return op.power(p, cfg)
 
 
 def tensor(A, B) -> np.ndarray:

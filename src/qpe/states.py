@@ -162,7 +162,7 @@ def sandwich(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> HermitianOper
 def _sandwich(rho: HermitianOperator, sigma: HermitianOperator,
               cfg: ToleranceConfig) -> HermitianOperator:
     """The sandwich computed afresh, for sandwich to remember."""
-    X = rho.inv_sqrt(cfg)
+    X = rho.power(-0.5, cfg)
     return HermitianOperator(hermitian_part(X.dot(sigma.matrix).dot(X)))
 
 

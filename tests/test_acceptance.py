@@ -87,7 +87,7 @@ def _agreeing_search_distance(rho: DensityMatrix, sigma: DensityMatrix,
     q[1] = 1.0
     E = np.einsum("ia,ta,ja->tij", W, q, W.conj())
     E += np.outer(v, v.conj())[None, :, :]
-    s = rho.sqrt
+    s = rho.power(0.5)
     S = np.einsum("ij,tjk,kl->til", s, E, s)
     traces = np.einsum("tii->t", S).real
     outs = S / traces[:, None, None]

@@ -118,6 +118,26 @@ class TestQuantumUpdates:
         out = sequential_update(rho, plus)
         assert_allclose(out.matrix, np.full((2, 2), 0.5), atol=1e-12)
 
+    # the half power maps a kernel by kernel_cutoff to zero, so a rank-1
+    # operand's conditioning is exact to rounding
+    @staticmethod
+    def _pure_and_full_rank(n):
+        rng = np.random.default_rng(n)
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return DensityMatrix.pure(u), random_state(n, rng=rng), rng
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_conditioning_a_pure_state_leaves_it(self, n):
+        pure, sigma, rng = self._pure_and_full_rank(n)
+        post = fls_update(pure, random_agreeing_effect(sigma, rng))
+        assert np.abs(post.matrix - pure.matrix).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_a_rank_one_projector_lands_on_its_ray(self, n):
+        pure, sigma, _ = self._pure_and_full_rank(n)
+        post = sequential_update(sigma, Effect(pure.matrix))
+        assert np.abs(post.matrix - pure.matrix).max() <= 1e-13
+
     def test_orthogonal_evidence_rejected(self):
         rho = DensityMatrix.pure([1.0, 0.0])
         with pytest.raises(ZeroProbability):
@@ -254,6 +274,12 @@ class TestTransitivityDemo:
         with mock.patch.object(HermitianOperator, "_derived", checked):
             assert report() == derived
         assert derived[:2] == (True, self.FIRST_FOUND[dim, seed])
+
+    @pytest.mark.parametrize("dim, seed", sorted(FIRST_FOUND))
+    def test_certificate_replays_to_rounding(self, dim, seed):
+        report = sequential_transitivity_demo(budget=40, seed=seed, dim=dim)
+        assert (report.found, report.trials) == (True, self.FIRST_FOUND[dim, seed])
+        assert report.replay_residual <= 1e-12
 
     def test_qubit_chains_always_compose(self, cfg):
         report = sequential_transitivity_demo(cfg, budget=150, seed=1, dim=2)

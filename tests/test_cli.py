@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import itertools
 import json
 from pathlib import Path
@@ -85,6 +86,20 @@ class TestExitCodes:
             run(["order", "check", "--relation", "entropy",
                  fx("probvec_532.json"), fx("probvec_532.json")])
         assert exc.value.code == 2
+
+    def test_unreadable_alpha_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["divergence", "--alpha", "abc",
+                 fx("state_diag_64.json"), fx("state_diag_82.json")])
+        assert exc.value.code == 2
+        assert "bad order 'abc'" in capsys.readouterr().err
+
+    def test_dash_reads_the_document_from_stdin(self, capsys, monkeypatch):
+        doc = (FIXTURES / "state_diag_532.json").read_text()
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        from_stdin = run_cli(capsys, "entropy", "-")
+        assert from_stdin == run_cli(capsys, "entropy", fx("state_diag_532.json"))
+        assert from_stdin[0] == 0 and from_stdin[1].startswith("H_1.0 = ")
 
     def test_missing_file_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "order", "check",

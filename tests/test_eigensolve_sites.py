@@ -37,8 +37,7 @@ ALLOWED = {
     # the partner compressed to rho's kernel: its top eigenvector is the
     # direction a support escape runs along, and a fails witness
     ("states", "heaviest_kernel_direction"),
-    # solve afresh on every call: the tests' reference for the cached routes
-    ("linalg", "matrix_power"),
+    # the inner matrix sqrt(rho) sigma sqrt(rho), solved afresh on every call
     ("linalg", "fidelity"),
     # the one-shot inner matrix, kept so printed values stay bit-identical
     ("divergence", "renyi_divergence"),

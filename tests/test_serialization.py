@@ -67,6 +67,14 @@ class TestMatrixCells:
         with pytest.raises(InputFormatError):
             decode_matrix([[1.0]], shape=(2, 2))
 
+    @pytest.mark.parametrize("entries, message", [
+        ([], "non-empty list of rows"),
+        ([[]], "rows must be non-empty lists"),
+    ])
+    def test_empty_entries_rejected(self, entries, message):
+        with pytest.raises(InputFormatError, match=message):
+            decode_state({"kind": "state", "dims": [1], "entries": entries})
+
 
 class TestStateAndEffectDocuments:
     def test_state_round_trip_with_complex_entries(self, rng):
@@ -90,6 +98,16 @@ class TestStateAndEffectDocuments:
         obj["kind"] = "effect"
         with pytest.raises(InputFormatError):
             decode_state(obj)
+
+    def test_square_dims_pair_accepted(self):
+        obj = state_json(DensityMatrix.maximally_mixed(2))
+        obj["dims"] = [2, 2]
+        assert_allclose(decode_state(obj).matrix, np.eye(2) / 2, atol=1e-15)
+
+    @pytest.mark.parametrize("doc", [[], [[0.5, 0.0], [0.0, 0.5]], "state", 1.0, None])
+    def test_document_that_is_not_an_object_rejected(self, doc):
+        with pytest.raises(InputFormatError, match="expected a JSON object"):
+            decode_state(doc)
 
     def test_bad_dims_rejected(self):
         obj = state_json(DensityMatrix.maximally_mixed(2))
@@ -144,6 +162,11 @@ class TestChannelDocuments:
     def test_missing_dims_rejected(self):
         with pytest.raises(InputFormatError):
             decode_channel({"kind": "channel", "repr": "choi", "data": [[1.0]]})
+
+    def test_empty_kraus_family_rejected(self):
+        doc = {"kind": "channel", "in_dim": 2, "out_dim": 2, "repr": "kraus", "data": []}
+        with pytest.raises(InputFormatError, match="kraus data must be a non-empty list"):
+            decode_channel(doc)
 
     def test_boolean_dims_rejected(self):
         doc = {"kind": "channel", "in_dim": True, "out_dim": 1, "repr": "choi", "data": [[1.0]]}

@@ -10,7 +10,7 @@ bit for bit, also when the pair is asked again under a ToleranceConfig
 with one field moved.
 The differential tests recompute every quantity that reads a state's cached
 spectrum (sandwich, generalized powers, kernel) from the raw matrices
-through matrix_power, which solves afresh on each call.
+through matrix_power, which solves a raw array afresh on each call.
 """
 from __future__ import annotations
 
@@ -63,6 +63,7 @@ from qpe.linalg import (
     OrderVerdict,
     assert_hermitian,
     cholesky_factors,
+    fidelity,
     hermitian_eig,
     hermitian_eigvals,
     matrix_power,
@@ -141,7 +142,7 @@ class TestEigensolveCounts:
 
     def test_order_on_built_states(self, ordered_raw_pair):
         rho, sigma = (DensityMatrix(M) for M in ordered_raw_pair)
-        # rho's eigh for inv_sqrt, then the sandwich, which stays remembered
+        # rho's eigh for power(-0.5), then the sandwich, which stays remembered
         assert count_eigensolves(lambda: qpe_leq(rho, sigma)) == 2
         assert count_eigensolves(lambda: max_divergence(sigma, rho)) == 0
 
@@ -176,6 +177,12 @@ class TestEigensolveCounts:
         assert count_eigensolves(call) == 2
         assert count_hermitian_checks(call) == 2
 
+    def test_fidelity_reads_the_cached_eigh(self, ordered_raw_pair):
+        rho, sigma = (DensityMatrix(M) for M in ordered_raw_pair)
+        rho.eigenvectors
+        # rho's half power is read off its eigh; only the inner matrix is solved
+        assert count_eigensolves(lambda: fidelity(rho, sigma)) == 1
+
     @pytest.mark.parametrize("pair", ["ordered_raw_pair", "rank_deficient_raw_pair"])
     def test_warm_order_divergence_gap(self, request, pair):
         rho, sigma = (DensityMatrix(M) for M in request.getfixturevalue(pair))
@@ -203,7 +210,7 @@ class TestEigensolveCounts:
                 with pytest.raises(NotBelow):
                     reconstruct_effect(rho, sigma)
 
-        # builds 2, inv_sqrt's eigh 1, sandwich 1, and then, at these dims
+        # builds 2, power(-0.5)'s eigh 1, sandwich 1, and then, at these dims
         # below linalg.SHIFTED_SOLVE_MIN_DIM, the sandwich's eigh for the
         # fails witness (incomparable) 1; the verdict reads the sandwich the
         # max-divergence built, and the posterior (ordered) is not solved
@@ -591,7 +598,7 @@ class TestPartnerMemo:
         rho, sigma, twin = DensityMatrix(R), DensityMatrix(S), DensityMatrix(S)
         first = qpe_leq(rho, sigma)
         max_divergence(sigma, rho)
-        # the twin's sandwich (inv_sqrt is rho's own and cached), which the
+        # the twin's sandwich (power(-0.5) is rho's own eigh, cached), which the
         # max-divergence then reads
         assert count_eigensolves(lambda: qpe_leq(rho, twin)) == 1
         assert count_eigensolves(lambda: max_divergence(twin, rho)) == 0
@@ -648,7 +655,7 @@ class TestPartnerMemo:
         rho = DensityMatrix(R)
         # rho's and the partners' own solves (an update's spectrum is solved
         # on first read), so each pair below costs only its own
-        rho.inv_sqrt()
+        rho.power(-0.5)
         for sigma in partners:
             sigma.eigenvalues
         return R, rho, partners

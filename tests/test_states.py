@@ -67,9 +67,10 @@ class TestDensityMatrixValidation:
         rho = DensityMatrix.pure([2.0, 0.0])
         assert_allclose(rho.matrix, np.diag([1.0, 0.0]))
 
-    def test_sqrt_squares_back(self, rng):
+    def test_half_power_squares_back(self, rng):
         rho = random_state(4, rng=rng)
-        assert_allclose(rho.sqrt @ rho.sqrt, rho.matrix, atol=1e-10)
+        half = rho.power(0.5)
+        assert_allclose(half @ half, rho.matrix, atol=1e-10)
 
 
 class TestNonFiniteInput:
