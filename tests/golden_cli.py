@@ -30,17 +30,6 @@ GOLDEN = HERE / "golden"
 TRANSCRIPT = GOLDEN / "cli_transcript.json"
 FINGERPRINT = GOLDEN / "fingerprint.json"
 
-KINDS = {path.name: json.loads(path.read_text())["kind"]
-         for path in sorted(FIXTURES.glob("*.json"))}
-
-
-def _of_kind(*kinds: str) -> list[str]:
-    return [name for name, kind in KINDS.items() if kind in kinds]
-
-
-STATES, CHANNELS, EFFECTS = _of_kind("state"), _of_kind("channel"), _of_kind("effect")
-DISTRIBUTIONS = _of_kind("state", "probvec")
-
 
 def _pairs(xs: list[str], span: int) -> list[tuple[str, str]]:
     """(xs[i], xs[i + k]) for k < span, indices mod len(xs): every operand
@@ -52,28 +41,36 @@ def commands() -> list[list[str]]:
     """Every command with its --relation, --alpha and flag variants, on
     fixture operands named relative to tests/fixtures; the demos at small
     budgets and the random draws on fixed seeds."""
+    kinds = {path.name: json.loads(path.read_text())["kind"]
+             for path in sorted(FIXTURES.glob("*.json"))}
+
+    def of_kind(*wanted: str) -> list[str]:
+        return [name for name, kind in kinds.items() if kind in wanted]
+
+    states, channels, effects = of_kind("state"), of_kind("channel"), of_kind("effect")
+    distributions = of_kind("state", "probvec")
     out = []
-    out += [["order", "check", a, b] for a, b in _pairs(STATES, 4)]
+    out += [["order", "check", a, b] for a, b in _pairs(states, 4)]
     out += [["order", "check", "--relation", r, a, b]
-            for r in ("lev", "primed") for a, b in _pairs(STATES, 2)]
+            for r in ("lev", "primed") for a, b in _pairs(states, 2)]
     out += [["order", "check", "--relation", r, a, b]
-            for r in ("classical", "majorization") for a, b in _pairs(DISTRIBUTIONS, 2)]
-    out += [["order", "check", "--tol", "0", a, b] for a, b in _pairs(STATES, 2)]
-    out += [["divergence", a, b] for a, b in _pairs(STATES, 2)]
+            for r in ("classical", "majorization") for a, b in _pairs(distributions, 2)]
+    out += [["order", "check", "--tol", "0", a, b] for a, b in _pairs(states, 2)]
+    out += [["divergence", a, b] for a, b in _pairs(states, 2)]
     out += [["divergence", "--alpha", alpha, a, b]
-            for alpha in ("0.5", "2", "inf") for a, b in _pairs(STATES, 1)[::2]]
-    out += [["divergence", "--alpha", alpha, STATES[0], STATES[1]] for alpha in ("1", "0", "-1")]
-    out += [["divergence", "--log-base", "2", a, b] for a, b in _pairs(STATES, 2)[::3]]
+            for alpha in ("0.5", "2", "inf") for a, b in _pairs(states, 1)[::2]]
+    out += [["divergence", "--alpha", alpha, states[0], states[1]] for alpha in ("1", "0", "-1")]
+    out += [["divergence", "--log-base", "2", a, b] for a, b in _pairs(states, 2)[::3]]
     out += [["entropy", "--alpha", alpha, s]
-            for alpha in ("1", "0", "0.5", "2", "inf") for s in STATES[::2]]
-    out += [["entropy", "--log-base", "2", s] for s in STATES[1::2]]
+            for alpha in ("1", "0", "0.5", "2", "inf") for s in states[::2]]
+    out += [["entropy", "--log-base", "2", s] for s in states[1::2]]
     out += [["bayes", "update", "--rule", rule, s, e]
-            for rule in ("fls", "seq") for s in STATES for e in EFFECTS]
-    out += [["bayes", "effect", a, b] for a, b in _pairs(STATES, 3)]
-    out += [["domain", "waybelow", a, b] for a, b in _pairs(STATES, 3)]
-    out += [["channel", "order", a, b] for a, b in _pairs(CHANNELS, 3)]
-    out += [["channel", "divergence", a, b] for a, b in _pairs(CHANNELS, 3)]
-    out += [["channel", "fidelity", c] for c in CHANNELS]
+            for rule in ("fls", "seq") for s in states for e in effects]
+    out += [["bayes", "effect", a, b] for a, b in _pairs(states, 3)]
+    out += [["domain", "waybelow", a, b] for a, b in _pairs(states, 3)]
+    out += [["channel", "order", a, b] for a, b in _pairs(channels, 3)]
+    out += [["channel", "divergence", a, b] for a, b in _pairs(channels, 3)]
+    out += [["channel", "fidelity", c] for c in channels]
     out += [["demo", "counterexamples"], ["demo", "counterexamples", "--dim", "3"]]
     out += [["demo", "partial-trace"],
             ["demo", "partial-trace", "--dim", "3", "--t", "0.3", "--seed", "9"]]
@@ -89,14 +86,10 @@ def commands() -> list[list[str]]:
              "--seed", "4"]]
     # refusals the library reports through run: a missing file and documents
     # of the wrong kind (operands of different dimensions are among the pairs)
-    out += [["order", "check", STATES[0], "missing.json"],
-            ["order", "check", EFFECTS[0], STATES[0]],
-            ["channel", "order", STATES[0], CHANNELS[0]]]
+    out += [["order", "check", states[0], "missing.json"],
+            ["order", "check", effects[0], states[0]],
+            ["channel", "order", states[0], channels[0]]]
     return [argv + ["--format", fmt] for argv in out for fmt in ("text", "json")]
-
-
-def _lines(text: str) -> list[str]:
-    return text.splitlines()
 
 
 def transcript() -> list[dict]:
@@ -117,7 +110,7 @@ def transcript() -> list[dict]:
                 code = run(list(argv))
             records.append({
                 "argv": argv, "exit": code,
-                "stdout": _lines(out.getvalue()), "stderr": _lines(err.getvalue()),
+                "stdout": out.getvalue().splitlines(), "stderr": err.getvalue().splitlines(),
                 "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
             })
     finally:

@@ -67,7 +67,7 @@ class TestDensityMatrixValidation:
         rho = DensityMatrix.pure([2.0, 0.0])
         assert_allclose(rho.matrix, np.diag([1.0, 0.0]))
 
-    def test_half_power_squares_back(self, rng):
+    def test_sqrt_squares_back(self, rng):
         rho = random_state(4, rng=rng)
         half = rho.power(0.5)
         assert_allclose(half @ half, rho.matrix, atol=1e-10)
