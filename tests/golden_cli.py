@@ -29,6 +29,9 @@ FIXTURES = HERE / "fixtures"
 GOLDEN = HERE / "golden"
 TRANSCRIPT = GOLDEN / "cli_transcript.json"
 FINGERPRINT = GOLDEN / "fingerprint.json"
+# the projector onto u = (1, 2, 2i)/3, kept out of the generated pairs and
+# run in a block of its own
+PURE = "state_pure_122.json"
 
 
 def _pairs(xs: list[str], span: int) -> list[tuple[str, str]]:
@@ -42,7 +45,7 @@ def commands() -> list[list[str]]:
     fixture operands named relative to tests/fixtures; the demos at small
     budgets and the random draws on fixed seeds."""
     kinds = {path.name: json.loads(path.read_text())["kind"]
-             for path in sorted(FIXTURES.glob("*.json"))}
+             for path in sorted(FIXTURES.glob("*.json")) if path.name != PURE}
 
     def of_kind(*wanted: str) -> list[str]:
         return [name for name, kind in kinds.items() if kind in wanted]
@@ -89,6 +92,15 @@ def commands() -> list[list[str]]:
     out += [["order", "check", states[0], "missing.json"],
             ["order", "check", effects[0], states[0]],
             ["channel", "order", states[0], channels[0]]]
+    # the pure operand against every state of its dimension both ways; D_alpha
+    # with state_diag_532.json (D_1/2 = log 3.6 both ways) and H_alpha (0 at
+    # every alpha)
+    diag = "state_diag_532.json"
+    peers = [s for s in states if json.loads((FIXTURES / s).read_text())["dims"] == [3]]
+    out += [["order", "check", a, b] for s in peers for a, b in ((PURE, s), (s, PURE))]
+    out += [["divergence", "--alpha", alpha, a, b]
+            for alpha in ("1", "0.5", "2") for a, b in ((PURE, diag), (diag, PURE))]
+    out += [["entropy", "--alpha", alpha, PURE] for alpha in ("1", "0.5", "2", "inf")]
     return [argv + ["--format", fmt] for argv in out for fmt in ("text", "json")]
 
 
