@@ -116,12 +116,10 @@ class Channel:
 
     @lazy
     def kraus(self) -> list[np.ndarray]:
-        """sqrt(n mu) times each Choi eigenvector above kernel_cutoff, as k x n, ascending."""
+        """sqrt(n mu) times each Choi eigenvector on its support, as k x n, ascending."""
         n, k = self.in_dim, self.out_dim
-        w, V = self.choi._eigh
-        cut = kernel_cutoff(w, self.cfg)
-        return [np.sqrt(n * mu) * v.reshape(n, k).T
-                for mu, v in zip(w[::-1], V.T[::-1]) if mu > cut]
+        w, V = self.choi.support(self.cfg)
+        return [np.sqrt(n * mu) * v.reshape(n, k).T for mu, v in zip(w[::-1], V.T[::-1])]
 
     @classmethod
     def identity(cls, n: int, cfg: ToleranceConfig = DEFAULT_CONFIG) -> "Channel":

@@ -14,7 +14,8 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .exceptions import BadAlpha
-from .linalg import OrderVerdict, as_operator, hermitian_eigvals, hermitian_part, operator_pair
+from .linalg import (OrderVerdict, _sandwiched_trace, as_operator, kernel_cutoff,
+                     operator_pair)
 from .orders import _probability_pair, classical_pe_leq, qpe_leq
 from .states import DensityMatrix, Effect, attaining_direction, escape_direction, sandwich
 
@@ -34,13 +35,13 @@ def renyi_entropy(rho: DensityMatrix, alpha: float,
     """Renyi entropy of order alpha; alpha = 1 is von Neumann, inf is min-entropy."""
     if not alpha > 0:
         raise BadAlpha(f"order must be positive, got {alpha}")
-    lam = np.maximum(as_operator(rho).eigenvalues, 0.0)
+    w = as_operator(rho).eigenvalues
     if np.isinf(alpha):
-        return float(-cfg.log(lam.max()))
+        return float(-cfg.log(w[0]))
+    w = w[w > kernel_cutoff(w, cfg)]
     if alpha == 1:
-        live = lam > 0
-        return float(-(lam[live] * cfg.log(lam[live])).sum())
-    return float(cfg.log((lam[lam > 0] ** alpha).sum()) / (1.0 - alpha))
+        return float(-(w * cfg.log(w)).sum())
+    return float(cfg.log((w ** alpha).sum()) / (1.0 - alpha))
 
 
 def max_divergence(sigma: DensityMatrix, rho: DensityMatrix,
@@ -80,31 +81,15 @@ def renyi_divergence(sigma: DensityMatrix, rho: DensityMatrix, alpha: float,
         return max_divergence(sigma, rho, cfg)
     if alpha >= 1 and escape_direction(rho, sigma, cfg) is not None:
         return DivergenceValue(np.inf, alpha, cfg.log_base, support_violation=True)
-    if alpha == 1:
-        return _umegaki(sigma, rho, cfg)
-    exponent = (1.0 - alpha) / (2.0 * alpha)
-    half = rho.power(exponent, cfg)
-    inner = hermitian_part(half @ sigma.matrix @ half)
-    w = np.maximum(hermitian_eigvals(inner), 0.0)
-    total = (w[w > 0] ** alpha).sum()
-    if total <= 0:
-        # disjoint supports with alpha < 1
+    if alpha == 1:  # tr sigma log sigma - tr sigma log rho, on the two supports
+        w_s, V_s = sigma.support(cfg)
+        w_r, V_r = rho.support(cfg)
+        cross = (w_s[:, None] * np.abs(V_s.conj().T @ V_r) ** 2 * cfg.log(w_r)).sum()
+        return DivergenceValue(float((w_s * cfg.log(w_s)).sum() - cross), 1.0, cfg.log_base)
+    total = _sandwiched_trace(rho, sigma, alpha, cfg)
+    if total == 0.0:  # disjoint supports, alpha < 1
         return DivergenceValue(np.inf, alpha, cfg.log_base, support_violation=True)
-    return DivergenceValue(float(cfg.log(total) / (alpha - 1.0)),
-                           alpha, cfg.log_base)
-
-
-def _umegaki(sigma, rho, cfg):
-    w_s = np.maximum(sigma.eigenvalues, 0.0)
-    w_r = np.maximum(rho.eigenvalues, 0.0)
-    V_s, V_r = sigma.eigenvectors, rho.eigenvectors
-    live = w_s > 0
-    ent = (w_s[live] * cfg.log(w_s[live])).sum()
-    # tr sigma log rho through the overlap matrix, restricted to rho's support
-    overlap = np.abs(V_s.conj().T @ V_r) ** 2
-    log_r = np.where(w_r > 0, cfg.log(np.where(w_r > 0, w_r, 1.0)), 0.0)
-    cross = (w_s[:, None] * overlap * log_r[None, :]).sum()
-    return DivergenceValue(float(ent - cross), 1.0, cfg.log_base)
+    return DivergenceValue(float(cfg.log(total) / (alpha - 1.0)), alpha, cfg.log_base)
 
 
 def classical_max_divergence(x, y, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:

@@ -13,8 +13,9 @@ powers, fidelity and partial trace and transpose accept a complex ndarray or a
 HermitianOperator; the norms, is_psd, matrix_power and fidelity read an
 operator's cached spectrum, and solve a raw array's afresh. The package's
 one spectral power is HermitianOperator.power, its one rule for which
-eigenvalues count as zero kernel_cutoff, and operator_pair the one gate of
-every function that takes two operators. An operator also
+eigenvalues count as zero kernel_cutoff (HermitianOperator.support keeps the
+rest), and operator_pair the one gate of every function that takes two
+operators; fidelity solves no eigenproblem of its own. An operator also
 remembers the pair queries asked against its recent partners
 (HermitianOperator._remember). An operator reports its eigenvalues in
 descending order. Positivity checks return a tri-state verdict instead of a
@@ -326,7 +327,7 @@ class HermitianOperator:
     Takes an exactly Hermitian matrix (as returned by assert_hermitian) and
     owns it. The descending eigenvalues come from one eigvalsh on first read
     (or _derived seeds them); the eigenvectors from one eigh on first use,
-    from which power and power_times are formed afresh on each call.
+    from which power, power_times and support are formed afresh on each call.
     The eigh has its own eigenvalues (_eigh[0]), equal to eigvalsh's to the
     last bits; orders.qpe_leq reads rho's there, so a prior whose
     validation solved nothing is decided on that one decomposition.
@@ -392,6 +393,15 @@ class HermitianOperator:
         p, so power(-0.5) is the generalized inverse square root and power(0.5)
         leaves a kernel exactly empty."""
         return spectral_power(*self._eigh, p, cfg)
+
+    def support(self, cfg: ToleranceConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, np.ndarray]:
+        """(w, V) of the cached eigh above kernel_cutoff, a prefix of the descending
+        spectrum; NegativeEigenvalue when the spectrum fails psd_verdict's band."""
+        w, V = self._eigh
+        if (verdict := psd_verdict(w, None, cfg)).fails:
+            raise NegativeEigenvalue(f"operator not PSD (lambda_min = {verdict.slack:.3e})")
+        rank = int(np.count_nonzero(w > kernel_cutoff(w, cfg)))
+        return w[:rank], V[:, :rank]
 
     def power_times(self, p, x: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
         """power(p, cfg) @ x from the cached eigenbasis, without forming the power."""
@@ -489,18 +499,10 @@ def is_psd(A, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
 
 
 def matrix_power(A, p, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """as_operator(A).power(p, cfg) for a PSD matrix or operator A.
-
-    Eigenvalues at or below kernel_cutoff, slightly negative ones (within
-    the PSD slack) among them, map to zero; anything more negative raises
-    NegativeEigenvalue.
-    """
+    """as_operator(A).power(p, cfg) for a PSD matrix or operator A, whose
+    support's check raises NegativeEigenvalue past the PSD band."""
     op = as_operator(A)
-    verdict = psd_verdict(op._eigh[0], None, cfg)
-    if verdict.fails:
-        raise NegativeEigenvalue(
-            f"matrix_power needs a PSD input (lambda_min = {verdict.slack:.3e})"
-        )
+    op.support(cfg)
     return op.power(p, cfg)
 
 
@@ -543,14 +545,27 @@ def partial_transpose(A, dims, subsystem: int) -> np.ndarray:
     return T.transpose(axes).reshape(m * n, m * n)
 
 
+def _sandwiched_trace(rho, sigma, alpha, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
+    """tr (rho^p sigma rho^p)^alpha, p = (1 - alpha) / (2 alpha), for PSD rho and
+    sigma: the sum of s^(2 alpha) over the singular values s of rho^p sigma^1/2
+    on their supports, diag(w_rho^p) V_rho^H V_sigma diag(w_sigma^1/2). So a
+    kernel adds nothing, and a small s is known to about eps s_max, where the
+    root of the inner matrix's small eigenvalue is known to about sqrt(eps).
+    0 when sigma's weight on rho's support, tr(P_rho sigma), is at most
+    kernel_cutoff(sigma): the mirror of states.escape_direction's rule."""
+    w_r, V_r = rho.support(cfg)
+    w_s, V_s = sigma.support(cfg)
+    root = V_r.conj().T.dot(V_s) * np.sqrt(w_s)
+    if np.vdot(root, root).real <= kernel_cutoff(sigma._eigh[0], cfg):
+        return 0.0
+    factor = w_r[:, None] ** ((1.0 - alpha) / (2.0 * alpha)) * root
+    return float((np.linalg.svd(factor, compute_uv=False) ** (2.0 * alpha)).sum())
+
+
 def fidelity(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
-    """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)), clamped to [0, 1]."""
-    rho, sigma = operator_pair(rho, sigma)
-    sq = matrix_power(rho, 0.5, cfg)
-    inner = sq @ sigma.matrix @ sq
-    w = hermitian_eigvals(hermitian_part(inner))
-    val = float(np.sqrt(np.maximum(w, 0.0)).sum())
-    return min(max(val, 0.0), 1.0)
+    """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)), _sandwiched_trace
+    at alpha = 1/2, at most 1."""
+    return min(_sandwiched_trace(*operator_pair(rho, sigma), 0.5, cfg), 1.0)
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

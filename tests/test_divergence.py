@@ -15,7 +15,7 @@ from qpe.divergence import (
     renyi_divergence,
     renyi_entropy,
 )
-from qpe.exceptions import BadAlpha
+from qpe.exceptions import BadAlpha, NegativeEigenvalue
 from qpe.linalg import fidelity, random_unitary
 from qpe.states import min_entropy, random_state
 
@@ -199,6 +199,86 @@ class TestSandwichedFamily:
         fwd = max_divergence(a, b).value
         back = max_divergence(b, a).value
         assert abs(fwd - back) > 0.1
+
+
+def _unit(n, rng):
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return u / np.linalg.norm(u)
+
+
+def _born(u, rho):
+    return np.vdot(u, rho.matrix @ u).real
+
+
+class TestKernelsAddNothing:
+    """Closed forms where an operand has a kernel. The sandwiched trace reads
+    singular values on the two supports, so a kernel's rounding eigenvalues
+    (about 1e-17) add nothing, where their roots (about 3e-9) would."""
+
+    ATOL = 1e-13
+    DIMS = range(2, 9)
+
+    @pytest.mark.parametrize("n", DIMS)
+    def test_fidelity_of_a_pure_operand(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            u, v = _unit(n, rng), _unit(n, rng)
+            pure_u, pure_v = DensityMatrix.pure(u), DensityMatrix.pure(v)
+            sigma = random_state(n, rng=rng)
+            assert abs(fidelity(pure_u, pure_v) - abs(np.vdot(u, v))) <= self.ATOL
+            assert abs(fidelity(pure_u, sigma) - np.sqrt(_born(u, sigma))) <= self.ATOL
+            assert abs(fidelity(sigma, pure_u) - np.sqrt(_born(u, sigma))) <= self.ATOL
+
+    @pytest.mark.parametrize("n", DIMS)
+    def test_entropy_of_a_pure_state_is_zero(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            pure = DensityMatrix.pure(_unit(n, rng))
+            for alpha in (0.5, 2.0):
+                assert abs(renyi_entropy(pure, alpha)) <= self.ATOL
+
+    @pytest.mark.parametrize("n", DIMS)
+    def test_half_order_against_a_pure_operand(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            u = _unit(n, rng)
+            pure, rho = DensityMatrix.pure(u), random_state(n, rng=rng)
+            want = -np.log(_born(u, rho))
+            assert abs(renyi_divergence(pure, rho, 0.5).value - want) <= self.ATOL
+            assert abs(renyi_divergence(rho, pure, 0.5).value - want) <= self.ATOL
+
+    @pytest.mark.parametrize("n", DIMS)
+    def test_half_order_symmetric_with_a_rank_deficient_operand(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            a = random_state(n, rank=int(rng.integers(1, n)), rng=rng)
+            b = random_state(n, rank=int(rng.integers(1, n + 1)), rng=rng)
+            assert abs(renyi_divergence(a, b, 0.5).value
+                       - renyi_divergence(b, a, 0.5).value) <= self.ATOL
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_orthogonal_supports_are_flagged_below_one(self, n):
+        # neither state is diagonal: the two supports are orthogonal only up
+        # to rounding, which the trace's support rule reads as disjoint
+        rng = np.random.default_rng(n)
+        for _ in range(100):
+            U = random_unitary(n, rng)
+            k = int(rng.integers(1, n))
+            p = np.r_[rng.dirichlet(np.ones(k)), np.zeros(n - k)]
+            a = DensityMatrix((U * p) @ U.conj().T)
+            b = DensityMatrix((U * (np.r_[np.zeros(k), rng.dirichlet(np.ones(n - k))])) @ U.conj().T)
+            d = renyi_divergence(a, b, 0.5)
+            assert d.value == np.inf and d.support_violation
+            assert fidelity(a, b) == 0.0
+
+    def test_operand_that_is_not_psd_is_refused(self):
+        bad = np.diag([0.75, 0.5, -0.25])
+        state = DensityMatrix.from_diag([0.5, 0.3, 0.2])
+        for lhs, rhs in ((bad, state), (state, bad)):
+            with pytest.raises(NegativeEigenvalue):
+                renyi_divergence(lhs, rhs, 0.5)
+            with pytest.raises(NegativeEigenvalue):
+                fidelity(lhs, rhs)
 
 
 class TestOrderGap:

@@ -8,8 +8,11 @@ Cholesky kernel, linalg.cholesky_factors, call numpy's LAPACK gufuncs
 numpy.linalg eigensolver. A matrix reaches its spectrum through
 linalg.HermitianOperator, which solves once and caches the result. Each
 kernel caller below is allowed for the reason in its comment; a new one
-anywhere else in the package fails this test. A linear solve or inverse is
-allowed only in linalg.extreme_eigenvector's inverse iteration.
+anywhere else in the package fails this test. fidelity and the sandwiched
+Renyi divergences are not among them: they read the two operands' cached
+eighs (HermitianOperator.support) and take singular values of a product of
+them, with no inner matrix to solve. A linear solve or inverse is allowed
+only in linalg.extreme_eigenvector's inverse iteration.
 """
 from __future__ import annotations
 
@@ -37,10 +40,6 @@ ALLOWED = {
     # the partner compressed to rho's kernel: its top eigenvector is the
     # direction a support escape runs along, and a fails witness
     ("states", "heaviest_kernel_direction"),
-    # the inner matrix sqrt(rho) sigma sqrt(rho), solved afresh on every call
-    ("linalg", "fidelity"),
-    # the one-shot inner matrix, kept so printed values stay bit-identical
-    ("divergence", "renyi_divergence"),
 }
 
 

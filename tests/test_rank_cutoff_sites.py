@@ -1,9 +1,12 @@
 """Pins the one function in src/qpe that scales rank_cutoff into a cutoff,
-and the few places that compare against it unscaled.
+the few places that compare against it unscaled, and the few that clamp an
+array at a bound.
 
 Which eigenvalues count as zero decides the support condition of the order,
-the generalized inverse, the infinite max-divergence and the Kraus family
-recovered from a Choi state. linalg.kernel_cutoff is that rule; a product
+the generalized inverse, the infinite max-divergence, the Kraus family
+recovered from a Choi state, and the supports that fidelity and the
+sandwiched Renyi family sum over (HermitianOperator.support).
+linalg.kernel_cutoff is that rule; a product
 with rank_cutoff anywhere else would be a second copy of it, and a
 comparison against a bare rank_cutoff (directly, through a local name bound
 to it, or raised to a power) would be a second, absolute rule. The absolute
@@ -11,6 +14,14 @@ thresholds that remain are not supports: bayes._conditioned's floor on a
 Born probability and domain._way_below's floor on a squared distance. The
 config's own check that cluster_width is at least rank_cutoff is the third
 allowed comparison. The memo keys read rank_cutoff without comparing it.
+
+A spectrum clamped at 0 and then kept where it is > 0 would be another
+rule, which keeps every rounding eigenvalue and, under a fractional power,
+turns one of about 1e-17 into about 3e-9. So np.maximum and np.clip (or a
+.clip method) appear only where they clamp a probability, not a rank: the
+entries of a probability vector and a state's spectrum read as one
+(orders.as_probability_vector, orders.eigenvalue_shadow), and the evidence
+of the classical update (bayes.classical_update, classical_solve_evidence).
 """
 from __future__ import annotations
 
@@ -24,6 +35,13 @@ ALLOWED_COMPARISONS = {
     ("bayes", "_conditioned"),
     ("domain", "_way_below"),
     ("config", "ToleranceConfig.__post_init__"),
+}
+CLAMPS = {"maximum", "clip"}
+ALLOWED_CLAMPS = {
+    ("orders", "as_probability_vector"),
+    ("orders", "eigenvalue_shadow"),
+    ("bayes", "classical_update"),
+    ("bayes", "classical_solve_evidence"),
 }
 
 
@@ -87,6 +105,20 @@ class _Comparisons(_Sites):
     visit_AugAssign = visit_BinOp
 
 
+class _Clamps(ScopedVisitor):
+    """Collects (module, qualified function name) for each use of a clamp:
+    np.maximum, np.clip, an array's .clip, or either imported by name."""
+
+    def visit_Attribute(self, node):
+        if node.attr in CLAMPS:
+            self.record()
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        if any(alias.name in CLAMPS for alias in node.names):
+            self.record()
+
+
 def _sites(source: str, module: str, visitor=_Sites) -> list[tuple[str, str]]:
     return sites(source, visitor(module))
 
@@ -126,3 +158,21 @@ def test_comparison_guard_sees_aliases_and_powers():
         "    return cutoff < 1.0, (cfg.rank_cutoff,)\n"
     )
     assert _sites(source, "m", _Comparisons) == [("m", "classical_max_divergence")] * 3 + [("m", "g")]
+
+
+def test_arrays_are_clamped_only_where_a_probability_is():
+    assert set(package_sites(_Clamps)) == ALLOWED_CLAMPS
+
+
+def test_clamp_guard_sees_the_spectrum_clamp():
+    # the rule the scalar spectral sums once had, beside an import and a method
+    source = (
+        "from numpy import clip\n"
+        "def fidelity(w):\n"
+        "    w = np.maximum(w, 0.0)\n"
+        "    return np.sqrt(w[w > 0]).sum()\n"
+        "class C:\n"
+        "    def g(self, w):\n"
+        "        return w.clip(0.0, None), max(w[0], 1e-300)\n"
+    )
+    assert _sites(source, "m", _Clamps) == [("m", "<module>"), ("m", "fidelity"), ("m", "C.g")]

@@ -10,7 +10,8 @@ bit for bit, also when the pair is asked again under a ToleranceConfig
 with one field moved.
 The differential tests recompute every quantity that reads a state's cached
 spectrum (sandwich, generalized powers, kernel) from the raw matrices
-through matrix_power, which solves a raw array afresh on each call.
+through matrix_power, which solves a raw array afresh on each call, and
+the sandwiched Renyi divergence through numpy's own eigh.
 """
 from __future__ import annotations
 
@@ -177,11 +178,14 @@ class TestEigensolveCounts:
         assert count_eigensolves(call) == 2
         assert count_hermitian_checks(call) == 2
 
-    def test_fidelity_reads_the_cached_eigh(self, ordered_raw_pair):
-        rho, sigma = (DensityMatrix(M) for M in ordered_raw_pair)
-        rho.eigenvectors
-        # rho's half power is read off its eigh; only the inner matrix is solved
-        assert count_eigensolves(lambda: fidelity(rho, sigma)) == 1
+    @pytest.mark.parametrize("pair", ["ordered_raw_pair", "rank_deficient_raw_pair"])
+    def test_fidelity_reads_the_cached_eigh(self, request, pair):
+        rho, sigma = (DensityMatrix(M) for M in request.getfixturevalue(pair))
+        rho.eigenvectors, sigma.eigenvectors
+        # both supports are read off the cached eighs, and the trace takes
+        # singular values: no inner matrix is solved
+        assert count_eigensolves(lambda: fidelity(rho, sigma)) == 0
+        assert count_eigensolves(lambda: renyi_divergence(sigma, rho, 0.5)) == 0
 
     @pytest.mark.parametrize("pair", ["ordered_raw_pair", "rank_deficient_raw_pair"])
     def test_warm_order_divergence_gap(self, request, pair):
@@ -401,8 +405,14 @@ def _raw_effect(R, S):
 
 
 def _raw_renyi(S, R, alpha):
-    w = np.clip(np.linalg.eigvalsh(_raw_sandwich(R, S, (1.0 - alpha) / (2.0 * alpha))), 0.0, None)
-    return float(np.log((w[w > 0] ** alpha).sum()) / (alpha - 1.0))
+    # the inner matrix compressed to R's support, from numpy's own eigh: S
+    # lives there, so it has full rank and no eigenvalue to clamp
+    w, V = np.linalg.eigh(R)
+    live = w > DEFAULT_CONFIG.rank_cutoff * w[-1]
+    X = V[:, live] * w[live] ** ((1.0 - alpha) / (2.0 * alpha))
+    M = X.conj().T @ S @ X
+    inner = np.linalg.eigvalsh((M + M.conj().T) / 2.0)
+    return float(np.log((inner ** alpha).sum()) / (alpha - 1.0))
 
 
 def _near_degenerate(rng):
