@@ -35,6 +35,24 @@ class ScopedVisitor(ast.NodeVisitor):
         self.found.append((self.module, ".".join(self.scope) or "<module>"))
 
 
+class AttributeSites(ScopedVisitor):
+    """Records each use of an attribute named in names (np.linalg.eigh,
+    w.clip) and each import of one of those names."""
+
+    def __init__(self, module: str, names):
+        super().__init__(module)
+        self.names = names
+
+    def visit_Attribute(self, node):
+        if node.attr in self.names:
+            self.record()
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        if any(alias.name in self.names for alias in node.names):
+            self.record()
+
+
 def sites(source: str, visitor: ScopedVisitor) -> list[tuple[str, str]]:
     """What visitor records on source, in source order."""
     visitor.visit(ast.parse(source))

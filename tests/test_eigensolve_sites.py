@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from ast_sites import ScopedVisitor, package_sites, sites
+from ast_sites import AttributeSites as _Sites, package_sites, sites
 
 EIGENSOLVERS = {"eigh", "eigvalsh", "eig", "eigvals"}
 KERNEL = {"hermitian_eigvals", "hermitian_eig"}
@@ -55,24 +55,6 @@ ALLOWED_GUFUNC_SITES = {
     ("linalg", "hermitian_eig"),
     ("linalg", "cholesky_factors"),
 }
-
-
-class _Sites(ScopedVisitor):
-    """Collects (module, qualified function name) for each use of a name
-    in names."""
-
-    def __init__(self, module: str, names=EIGENSOLVERS):
-        super().__init__(module)
-        self.names = names
-
-    def visit_Attribute(self, node):
-        if node.attr in self.names:
-            self.record()
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node):
-        if any(alias.name in self.names for alias in node.names):
-            self.record()
 
 
 class _NamedSites(_Sites):

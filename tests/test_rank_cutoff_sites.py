@@ -28,7 +28,7 @@ from __future__ import annotations
 import ast
 from collections import Counter
 
-from ast_sites import ScopedVisitor, package_sites, sites
+from ast_sites import AttributeSites, ScopedVisitor, package_sites, sites
 
 ALLOWED = {("linalg", "kernel_cutoff")}
 ALLOWED_COMPARISONS = {
@@ -105,20 +105,6 @@ class _Comparisons(_Sites):
     visit_AugAssign = visit_BinOp
 
 
-class _Clamps(ScopedVisitor):
-    """Collects (module, qualified function name) for each use of a clamp:
-    np.maximum, np.clip, an array's .clip, or either imported by name."""
-
-    def visit_Attribute(self, node):
-        if node.attr in CLAMPS:
-            self.record()
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node):
-        if any(alias.name in CLAMPS for alias in node.names):
-            self.record()
-
-
 def _sites(source: str, module: str, visitor=_Sites) -> list[tuple[str, str]]:
     return sites(source, visitor(module))
 
@@ -161,7 +147,7 @@ def test_comparison_guard_sees_aliases_and_powers():
 
 
 def test_arrays_are_clamped_only_where_a_probability_is():
-    assert set(package_sites(_Clamps)) == ALLOWED_CLAMPS
+    assert set(package_sites(lambda module: AttributeSites(module, CLAMPS))) == ALLOWED_CLAMPS
 
 
 def test_clamp_guard_sees_the_spectrum_clamp():
@@ -175,4 +161,5 @@ def test_clamp_guard_sees_the_spectrum_clamp():
         "    def g(self, w):\n"
         "        return w.clip(0.0, None), max(w[0], 1e-300)\n"
     )
-    assert _sites(source, "m", _Clamps) == [("m", "<module>"), ("m", "fidelity"), ("m", "C.g")]
+    assert sites(source, AttributeSites("m", CLAMPS)) == [
+        ("m", "<module>"), ("m", "fidelity"), ("m", "C.g")]
