@@ -14,8 +14,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .exceptions import BadAlpha
-from .linalg import (OrderVerdict, _sandwiched_trace, as_operator, kernel_cutoff,
-                     operator_pair)
+from .linalg import OrderVerdict, _sandwiched_trace, as_operator, kernel_cutoff, operator_pair
 from .orders import _probability_pair, classical_pe_leq, qpe_leq
 from .states import DensityMatrix, Effect, attaining_direction, escape_direction, sandwich
 
@@ -79,11 +78,11 @@ def renyi_divergence(sigma: DensityMatrix, rho: DensityMatrix, alpha: float,
     sigma, rho = operator_pair(sigma, rho)
     if np.isinf(alpha):
         return max_divergence(sigma, rho, cfg)
+    w_s, V_s = sigma.support(cfg)  # first: every finite alpha refuses a non-PSD operand
+    w_r, V_r = rho.support(cfg)
     if alpha >= 1 and escape_direction(rho, sigma, cfg) is not None:
         return DivergenceValue(np.inf, alpha, cfg.log_base, support_violation=True)
     if alpha == 1:  # tr sigma log sigma - tr sigma log rho, on the two supports
-        w_s, V_s = sigma.support(cfg)
-        w_r, V_r = rho.support(cfg)
         cross = (w_s[:, None] * np.abs(V_s.conj().T @ V_r) ** 2 * cfg.log(w_r)).sum()
         return DivergenceValue(float((w_s * cfg.log(w_s)).sum() - cross), 1.0, cfg.log_base)
     total = _sandwiched_trace(rho, sigma, alpha, cfg)

@@ -551,20 +551,22 @@ def _sandwiched_trace(rho, sigma, alpha, cfg: ToleranceConfig = DEFAULT_CONFIG) 
     on their supports, diag(w_rho^p) V_rho^H V_sigma diag(w_sigma^1/2). So a
     kernel adds nothing, and a small s is known to about eps s_max, where the
     root of the inner matrix's small eigenvalue is known to about sqrt(eps).
-    0 when sigma's weight on rho's support, tr(P_rho sigma), is at most
-    kernel_cutoff(sigma): the mirror of states.escape_direction's rule."""
+    0 when either operand weighs at most its own kernel_cutoff on the other's
+    support (sigma's rule mirrors states.escape_direction's), in either order:
+    for states the trace at alpha = 1/2 is then at most sqrt(rank_cutoff)."""
     w_r, V_r = rho.support(cfg)
     w_s, V_s = sigma.support(cfg)
-    root = V_r.conj().T.dot(V_s) * np.sqrt(w_s)
-    if np.vdot(root, root).real <= kernel_cutoff(sigma._eigh[0], cfg):
+    overlap = V_r.conj().T.dot(V_s)
+    weight = np.abs(overlap) ** 2
+    if (weight.dot(w_s).sum() <= kernel_cutoff(sigma._eigh[0], cfg)
+            or w_r.dot(weight).sum() <= kernel_cutoff(rho._eigh[0], cfg)):
         return 0.0
-    factor = w_r[:, None] ** ((1.0 - alpha) / (2.0 * alpha)) * root
+    factor = w_r[:, None] ** ((1.0 - alpha) / (2.0 * alpha)) * (overlap * np.sqrt(w_s))
     return float((np.linalg.svd(factor, compute_uv=False) ** (2.0 * alpha)).sum())
 
 
 def fidelity(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
-    """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)), _sandwiched_trace
-    at alpha = 1/2, at most 1."""
+    """Uhlmann fidelity tr sqrt(rho^1/2 sigma rho^1/2): _sandwiched_trace at 1/2, <= 1."""
     return min(_sandwiched_trace(*operator_pair(rho, sigma), 0.5, cfg), 1.0)
 
 

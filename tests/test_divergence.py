@@ -271,12 +271,54 @@ class TestKernelsAddNothing:
             assert d.value == np.inf and d.support_violation
             assert fidelity(a, b) == 0.0
 
-    def test_operand_that_is_not_psd_is_refused(self):
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_near_orthogonal_pure_states_read_alike_both_ways(self, n):
+        # |<u|v>|^2 at or below rank_cutoff (1e-12) is a disjoint pair; above
+        # it the fidelity is |<u|v>| to rounding
+        rng = np.random.default_rng(n)
+        for c, want in ((5e-7, 0.0), (1e-5, 1e-5)):
+            U = random_unitary(n, rng)
+            u, v = U[:, 0], np.sqrt(1.0 - c * c) * U[:, 1] + c * U[:, 0]
+            a, b = DensityMatrix.pure(u), DensityMatrix.pure(v)
+            for lhs, rhs in ((a, b), (b, a)):
+                assert fidelity(lhs, rhs) == pytest.approx(want, rel=1e-8, abs=0.0)
+                d = renyi_divergence(lhs, rhs, 0.5)
+                assert d.support_violation == (want == 0.0)
+                assert d.value == pytest.approx(-2.0 * np.log(want) if want else np.inf)
+
+    def test_either_operands_rule_flags_a_disjoint_pair(self):
+        # sigma weighs 0.1 * 5e-12 on rho's support, under its own cutoff
+        # (0.9e-12); rho weighs 5e-12 on sigma's, over its own (1e-12). The
+        # value on the supports is sqrt(5e-13), about 7e-7; both orders read 0.
+        U = random_unitary(3, np.random.default_rng(5))
+        c = np.sqrt(5e-12)
+        v2 = c * U[:, 0] + np.sqrt(1.0 - c * c) * U[:, 1]
+        rho = DensityMatrix.pure(U[:, 0])
+        sigma = DensityMatrix(0.9 * np.outer(U[:, 2], U[:, 2].conj())
+                              + 0.1 * np.outer(v2, v2.conj()))
+        for lhs, rhs in ((rho, sigma), (sigma, rho)):
+            assert fidelity(lhs, rhs) == 0.0
+            d = renyi_divergence(lhs, rhs, 0.5)
+            assert d.value == np.inf and d.support_violation
+
+    @pytest.mark.parametrize("small, kept", [(1e-13, False), (1e-11, True)])
+    def test_eigenvalue_at_the_cutoff(self, small, kept):
+        # an eigenvalue at or below kernel_cutoff (1e-12 of the largest) is
+        # kernel: its root, sqrt(small / 2), leaves the fidelity
+        rho = DensityMatrix.from_diag([1.0 - small, small])
+        mixed = DensityMatrix.from_diag([0.5, 0.5])
+        want = np.sqrt(0.5) * (np.sqrt(1.0 - small) + (np.sqrt(small) if kept else 0.0))
+        for lhs, rhs in ((rho, mixed), (mixed, rho)):
+            assert abs(fidelity(lhs, rhs) - want) <= 1e-15
+            assert abs(renyi_divergence(lhs, rhs, 0.5).value + 2.0 * np.log(want)) <= self.ATOL
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_operand_that_is_not_psd_is_refused(self, alpha):
         bad = np.diag([0.75, 0.5, -0.25])
         state = DensityMatrix.from_diag([0.5, 0.3, 0.2])
         for lhs, rhs in ((bad, state), (state, bad)):
             with pytest.raises(NegativeEigenvalue):
-                renyi_divergence(lhs, rhs, 0.5)
+                renyi_divergence(lhs, rhs, alpha)
             with pytest.raises(NegativeEigenvalue):
                 fidelity(lhs, rhs)
 
