@@ -9,6 +9,9 @@ positivity of a rescaled difference map.
 """
 from __future__ import annotations
 
+import functools
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
@@ -17,7 +20,9 @@ from .linalg import (OrderVerdict, as_operator, assert_hermitian, check_mixing_w
                      kernel_cutoff, lazy, partial_trace)
 from .orders import qpe_leq
 from .states import DensityMatrix, rank_of, top_eigenvalue
-from .divergence import DivergenceValue, max_divergence
+
+if TYPE_CHECKING:
+    from .divergence import DivergenceValue
 
 COMPLETENESS_TOL = 1e-8
 
@@ -233,6 +238,19 @@ def channel_qpe_leq(phi: Channel, psi: Channel,
     return qpe_leq(phi.choi, psi.choi, cfg)
 
 
+@functools.cache
+def _divergence():
+    """The divergence module, imported on the first channel_max_divergence
+    (the channel order needs none of it) and kept: an import statement there
+    cost 1.4 us a call, more than the memo hit it guards. max_divergence is
+    read off the module on each call, so a patch of it is seen. import_module,
+    as `from . import divergence` asks the package's __getattr__ first, which
+    loads all four lazy modules."""
+    from importlib import import_module
+
+    return import_module(f"{__package__}.divergence")
+
+
 def channel_max_divergence(psi: Channel, phi: Channel,
                            cfg: ToleranceConfig = DEFAULT_CONFIG) -> DivergenceValue:
     """Worst-case max-divergence of outputs, equal to that of the Choi states.
@@ -241,7 +259,7 @@ def channel_max_divergence(psi: Channel, phi: Channel,
     entangled state.
     """
     _channel_pair(phi, psi)
-    return max_divergence(psi.choi, phi.choi, cfg)
+    return _divergence().max_divergence(psi.choi, phi.choi, cfg)
 
 
 def entanglement_fidelity(channel: Channel,

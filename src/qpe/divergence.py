@@ -14,7 +14,8 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .exceptions import BadAlpha
-from .linalg import OrderVerdict, _sandwiched_trace, as_operator, kernel_cutoff, operator_pair
+from .linalg import (HermitianOperator, OrderVerdict, _sandwiched_trace, as_operator,
+                     kernel_cutoff, operator_pair)
 from .orders import _probability_pair, classical_pe_leq, qpe_leq
 from .states import DensityMatrix, Effect, attaining_direction, escape_direction, sandwich
 
@@ -47,7 +48,8 @@ def max_divergence(sigma: DensityMatrix, rho: DensityMatrix,
                    cfg: ToleranceConfig = DEFAULT_CONFIG) -> DivergenceValue:
     """D_inf(sigma || rho) = log || rho^-1/2 sigma rho^-1/2 ||.
 
-    Infinite when sigma has weight outside rho's support. The value is
+    Infinite when sigma has weight outside rho's support; NegativeEigenvalue
+    for a raw operand that is not PSD, as at every finite alpha. The value is
     remembered on rho for sigma (one of rho's recent partners) and
     rank_cutoff and log_base (the cfg fields it reads), so a pair asked
     again gets the same object back; channel_max_divergence and
@@ -58,8 +60,18 @@ def max_divergence(sigma: DensityMatrix, rho: DensityMatrix,
                          _max_divergence, rho, sigma, cfg)
 
 
+def _refuse_raw_non_psd(sigma, rho, cfg: ToleranceConfig) -> None:
+    """NegativeEigenvalue for an operand that arrived as a raw matrix and
+    fails support's PSD band, as every finite alpha raises; a state or effect
+    was validated when built, and is not solved again."""
+    for op in (sigma, rho):
+        if type(op) is HermitianOperator:
+            op.support(cfg)
+
+
 def _max_divergence(rho, sigma, cfg: ToleranceConfig) -> DivergenceValue:
     """max_divergence computed afresh on an operator pair, for it to remember."""
+    _refuse_raw_non_psd(sigma, rho, cfg)
     if escape_direction(rho, sigma, cfg) is not None:
         return DivergenceValue(np.inf, np.inf, cfg.log_base, support_violation=True)
     return DivergenceValue(float(cfg.log(sandwich(rho, sigma, cfg).norm)),
@@ -110,10 +122,12 @@ def povm_distinguishability_lower_bound(sigma: DensityMatrix, rho: DensityMatrix
     P projects onto states.attaining_direction, so the bound equals
     D_inf(sigma || rho) to rounding; the Born probabilities are computed on
     the two matrices, not read off the sandwich. Infinite when sigma escapes
-    rho's support, by max_divergence's rule. oracle.random_effect_lower_bound
-    is the independent check.
+    rho's support, by max_divergence's rule, and refuses a raw operand that is
+    not PSD as it does. oracle.random_effect_lower_bound is the independent
+    check.
     """
     sigma, rho = operator_pair(sigma, rho)
+    _refuse_raw_non_psd(sigma, rho, cfg)
     if escape_direction(rho, sigma, cfg) is not None:
         return np.inf
     u = attaining_direction(rho, sigma, cfg)

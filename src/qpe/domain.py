@@ -14,13 +14,10 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .exceptions import NotAChain, NotConverged, PreconditionViolated
-from .linalg import as_operator, check_mixing_weight, operator_norm, operator_pair
+from .linalg import (CERTIFIED_BELOW, NOT_BELOW, UNKNOWN, as_operator, check_mixing_weight,
+                     operator_norm, operator_pair)
 from .orders import qpe_leq
 from .states import DensityMatrix, rank_of
-
-CERTIFIED_BELOW = "certified_below"
-NOT_BELOW = "not_below"
-UNKNOWN = "unknown"
 
 
 def depolarize(rho: DensityMatrix, t: float,

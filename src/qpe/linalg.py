@@ -50,6 +50,10 @@ from .exceptions import (
 HOLDS = "holds"
 FAILS = "fails"
 MARGINAL = "marginal"
+# the outcomes of domain.way_below_witness
+CERTIFIED_BELOW = "certified_below"
+NOT_BELOW = "not_below"
+UNKNOWN = "unknown"
 
 # relative scale for accepting a matrix as Hermitian
 HERMITIAN_RTOL = 1e-9

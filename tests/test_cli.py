@@ -3,6 +3,9 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -223,6 +226,19 @@ class TestExitCodes:
         # holds the handler itself
         monkeypatch.setattr(qpe.cli, "qpe_leq", crash)
         code, out, err = run_cli(capsys, "order", "check", fx("state_diag_64.json"),
+                                 fx("state_diag_82.json"))
+        assert code == 4
+        assert out == ""
+        assert "internal error: RuntimeError: handler bug" in err
+
+    def test_crash_in_a_lazily_imported_handler_exits_four(self, capsys, monkeypatch):
+        def crash(rho, sigma, cfg):
+            raise RuntimeError("handler bug")
+
+        # the handler imports reconstruct_effect when it runs, so it reads
+        # the module attribute at call time
+        monkeypatch.setattr(qpe.bayes, "reconstruct_effect", crash)
+        code, out, err = run_cli(capsys, "bayes", "effect", fx("state_diag_64.json"),
                                  fx("state_diag_82.json"))
         assert code == 4
         assert out == ""
@@ -572,3 +588,39 @@ class TestRandomCommands:
         code, out = run_json(capsys, "channel", "fidelity", str(doc))
         assert code == 0
         assert_allclose(out["value"], CHANNEL_FIDELITY_SEED_3, atol=1e-9)
+
+
+# run in a fresh interpreter: qpe.cli.run on argv, its output discarded,
+# then the exit code and the qpe modules loaded
+LOADED_MODULES_PROBE = """
+import contextlib, io, sys
+import qpe.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = qpe.cli.run(sys.argv[1:])
+print(code, *sorted(name for name in sys.modules if name.startswith("qpe.")))
+"""
+# what every command loads: the package's eager modules and the CLI's own
+EAGER_MODULES = {"qpe.config", "qpe.exceptions", "qpe.linalg", "qpe.states",
+                 "qpe.orders", "qpe.channels", "qpe.serialization", "qpe.cli"}
+
+
+class TestLoadedModules:
+    @pytest.mark.parametrize("argv, extra", [
+        (("order", "check", fx("state_diag_64.json"), fx("state_diag_82.json")), set()),
+        (("channel", "order", fx("channel_dep_half_choi.json"),
+          fx("channel_identity2_kraus.json")), set()),
+        (("channel", "divergence", fx("channel_dep_half_choi.json"),
+          fx("channel_identity2_kraus.json")), {"qpe.divergence"}),
+        (("bayes", "effect", fx("state_diag_64.json"), fx("state_diag_82.json")),
+         {"qpe.bayes"}),
+    ], ids=["order check", "channel order", "channel divergence", "bayes effect"])
+    def test_a_command_loads_only_the_modules_it_runs(self, argv, extra):
+        src = str(Path(qpe.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-c", LOADED_MODULES_PROBE, *argv],
+                              capture_output=True, text=True, env=env, check=True)
+        code, *loaded = done.stdout.split()
+        assert code == "0"
+        assert set(loaded) == EAGER_MODULES | extra
+        assert "qpe.oracle" not in loaded

@@ -312,7 +312,7 @@ class TestKernelsAddNothing:
             assert abs(fidelity(lhs, rhs) - want) <= 1e-15
             assert abs(renyi_divergence(lhs, rhs, 0.5).value + 2.0 * np.log(want)) <= self.ATOL
 
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, np.inf])
     def test_operand_that_is_not_psd_is_refused(self, alpha):
         bad = np.diag([0.75, 0.5, -0.25])
         state = DensityMatrix.from_diag([0.5, 0.3, 0.2])
@@ -321,6 +321,8 @@ class TestKernelsAddNothing:
                 renyi_divergence(lhs, rhs, alpha)
             with pytest.raises(NegativeEigenvalue):
                 fidelity(lhs, rhs)
+            with pytest.raises(NegativeEigenvalue):
+                povm_distinguishability_lower_bound(lhs, rhs)
 
 
 class TestOrderGap:
