@@ -15,7 +15,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .exceptions import BadAlpha
 from .linalg import (HermitianOperator, OrderVerdict, _sandwiched_trace, as_operator,
-                     kernel_cutoff, operator_pair)
+                     kernel_cutoff, operator_pair, remembered)
 from .orders import _probability_pair, classical_pe_leq, qpe_leq
 from .states import DensityMatrix, Effect, attaining_direction, escape_direction, sandwich
 
@@ -50,14 +50,15 @@ def max_divergence(sigma: DensityMatrix, rho: DensityMatrix,
 
     Infinite when sigma has weight outside rho's support; NegativeEigenvalue
     for a raw operand that is not PSD, as at every finite alpha. The value is
-    remembered on rho for sigma (one of rho's recent partners) and
-    rank_cutoff and log_base (the cfg fields it reads), so a pair asked
-    again gets the same object back; channel_max_divergence and
-    renyi_divergence at alpha = inf come through here and share it.
+    remembered on rho for sigma (linalg.remembered), and
+    channel_max_divergence and renyi_divergence at alpha = inf share it.
     """
-    sigma, rho = operator_pair(sigma, rho)
-    return rho._remember(sigma, ("max_divergence", cfg.rank_cutoff, cfg.log_base),
-                         _max_divergence, rho, sigma, cfg)
+    try:
+        return remembered(rho, sigma, ("max_divergence", cfg.rank_cutoff, cfg.log_base),
+                          _max_divergence, cfg)
+    except Exception:
+        operator_pair(sigma, rho)  # a refused pair's refusal in this order: sigma's dim first
+        raise
 
 
 def _refuse_raw_non_psd(sigma, rho, cfg: ToleranceConfig) -> None:

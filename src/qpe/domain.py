@@ -15,7 +15,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .exceptions import NotAChain, NotConverged, PreconditionViolated
 from .linalg import (CERTIFIED_BELOW, NOT_BELOW, UNKNOWN, as_operator, check_mixing_weight,
-                     operator_norm, operator_pair)
+                     operator_norm, operator_pair, remembered)
 from .orders import qpe_leq
 from .states import DensityMatrix, rank_of
 
@@ -55,13 +55,10 @@ def way_below_witness(rho: DensityMatrix, sigma: DensityMatrix,
     state. A semi-decision: unknown means no route applied, not that the
     relation fails.
 
-    The witness is remembered on rho for sigma (one of rho's recent
-    partners) and psd_slack and rank_cutoff (the cfg fields it reads), so
-    a pair asked again gets the same object back.
+    The witness is remembered on rho for sigma (linalg.remembered), so a
+    pair asked again gets the same object back.
     """
-    rho, sigma = operator_pair(rho, sigma)
-    return rho._remember(sigma, ("way_below", cfg.psd_slack, cfg.rank_cutoff),
-                         _way_below, rho, sigma, cfg)
+    return remembered(rho, sigma, ("way_below", cfg.psd_slack, cfg.rank_cutoff), _way_below, cfg)
 
 
 def _way_below(rho: DensityMatrix, sigma: DensityMatrix,

@@ -15,13 +15,13 @@ operator's cached spectrum, and solve a raw array's afresh. The package's
 one spectral power is HermitianOperator.power, its one rule for which
 eigenvalues count as zero kernel_cutoff (HermitianOperator.support keeps the
 rest), and operator_pair the one gate of every function that takes two
-operators; fidelity solves no eigenproblem of its own. An operator also
-remembers the pair queries asked against its recent partners
-(HermitianOperator._remember). An operator reports its eigenvalues in
-descending order. Positivity checks return a tri-state verdict instead of a
-boolean so callers can surface numerically marginal cases; relation_of is
-the one holds/marginal/fails band, and extreme_eigenvector finds every
-fails witness that is an eigenvector at an eigenvalue already known.
+operators; fidelity solves no eigenproblem of its own. Each operator
+remembers the pair queries asked of its recent partners (remembered). An
+operator reports its eigenvalues in descending order. Positivity checks
+return a tri-state verdict instead of a boolean so callers can surface
+numerically marginal cases; relation_of is the one holds/marginal/fails
+band, and extreme_eigenvector finds every fails witness that is an
+eigenvector at an eigenvalue already known.
 
 The matrix products of the pair operations (the powers here, the sandwich
 and the updates) call ndarray.dot, not @: both run the same BLAS
@@ -338,7 +338,7 @@ class HermitianOperator:
 
     Each operator also remembers what was computed against its recent
     partners, up to PARTNER_MEMO_SIZE of them with the oldest dropped first
-    (see _remember), so a pair asked twice is decided once.
+    (see remembered), so a pair asked twice is decided once.
     """
 
     def __init__(self, H: np.ndarray):
@@ -412,41 +412,6 @@ class HermitianOperator:
         w, V = self._eigh
         return V.dot(_spectral_factor(w, p, cfg) * V.conj().T.dot(x))
 
-    def _remember(self, partner: HermitianOperator, key, compute, *args):
-        """compute(*args), remembered under key for one of the recent partners.
-        compute is a module-level function, so a hit builds no closure.
-
-        Up to PARTNER_MEMO_SIZE partners are remembered; a new one past that
-        drops the oldest-inserted. A partner is held by weakref and matched
-        by identity, so an equal-valued copy does not read this pair's
-        entries and a chain of comparisons does not keep old states alive.
-        key is a tuple: a tag naming the query, then every input of compute
-        other than the pair itself (the cfg fields it reads); compute must
-        not return None. The entries, by tag, with the cfg fields keyed and
-        the function that computes them:
-
-            qpe_leq          psd_slack, rank_cutoff    orders._qpe_verdict
-            sandwich         rank_cutoff               states._sandwich
-            max_divergence   rank_cutoff, log_base     divergence._max_divergence
-            way_below        psd_slack, rank_cutoff    domain._way_below
-
-        All but the sandwich nest: qpe_leq and max_divergence ask for the
-        sandwich and way_below for the verdict of the same pair, and those
-        calls find the slot the outer one opened, so they cannot drop it.
-        """
-        partners, ident = self._partners, id(partner)
-        slot = partners.get(ident)
-        if slot is None or slot[0]() is not partner:
-            if slot is not None:
-                del partners[ident]  # a dead partner's reused id: drop its entries
-            elif len(partners) >= PARTNER_MEMO_SIZE:
-                del partners[next(iter(partners))]
-            slot = partners[ident] = (weakref.ref(partner), {})
-        value = slot[1].get(key)
-        if value is None:
-            value = slot[1][key] = compute(*args)
-        return value
-
     def __getstate__(self):
         # a copy or pickle starts with no partners: a weakref cannot be pickled
         return {**self.__dict__, "_partners": {}}
@@ -473,6 +438,44 @@ def operator_pair(a, b) -> tuple[HermitianOperator, HermitianOperator]:
     if len(a._matrix) != len(b._matrix):  # square: the length is the dim
         raise DimensionMismatch(f"operand dimensions differ: {a.dim} vs {b.dim}")
     return a, b
+
+
+def remembered(a, b, key, compute, cfg: ToleranceConfig):
+    """compute(a, b, cfg), remembered on a for b under key. Two operators of
+    one length pass as they are, anything else through operator_pair; compute
+    is a module-level function, run only on a miss, so a hit builds no closure.
+
+    Up to PARTNER_MEMO_SIZE partners are remembered; a new one past that
+    drops the oldest-inserted. A partner is held by weakref and matched by
+    identity, so an equal-valued copy does not read this pair's entries and
+    a chain of comparisons does not keep old states alive. key is a tuple:
+    a tag naming the query, then the cfg fields compute reads; compute must
+    not return None. The entries, by tag, each on rho for sigma:
+
+        qpe_leq          psd_slack, rank_cutoff    orders._qpe_verdict
+        sandwich         rank_cutoff               states._sandwich
+        max_divergence   rank_cutoff, log_base     divergence._max_divergence
+        way_below        psd_slack, rank_cutoff    domain._way_below
+
+    All but the sandwich nest: qpe_leq and max_divergence ask for the
+    sandwich and way_below for the verdict of the same pair, and those
+    calls find the slot the outer one opened, so they cannot drop it.
+    """
+    if not (isinstance(a, HermitianOperator) and isinstance(b, HermitianOperator)
+            and len(a._matrix) == len(b._matrix)):  # square: the length is the dim
+        a, b = operator_pair(a, b)
+    partners, ident = a._partners, id(b)
+    slot = partners.get(ident)
+    if slot is None or slot[0]() is not b:
+        if slot is not None:
+            del partners[ident]  # a dead partner's reused id: drop its entries
+        elif len(partners) >= PARTNER_MEMO_SIZE:
+            del partners[next(iter(partners))]
+        slot = partners[ident] = (weakref.ref(b), {})
+    value = slot[1].get(key)
+    if value is None:
+        value = slot[1][key] = compute(a, b, cfg)
+    return value
 
 
 def check_mixing_weight(t: float) -> None:

@@ -28,6 +28,7 @@ from .linalg import (
     operator_pair,
     psd_verdict,
     relation_of,
+    remembered,
     schatten_norm,
 )
 from .states import (
@@ -161,12 +162,10 @@ def qpe_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
     A raw operand whose top eigenvalue is not positive has no rescaling and
     raises NonpositiveScalar.
 
-    The verdict is remembered on rho for sigma (one of rho's recent partners)
-    and psd_slack and rank_cutoff (the cfg fields it reads), so it is shared
-    between calls and its witness is read-only.
+    The verdict is remembered on rho for sigma (linalg.remembered), so it is
+    shared between calls and its witness is read-only.
     """
-    r, s = operator_pair(rho, sigma)
-    return r._remember(s, ("qpe_leq", cfg.psd_slack, cfg.rank_cutoff), _qpe_verdict, r, s, cfg)
+    return remembered(rho, sigma, ("qpe_leq", cfg.psd_slack, cfg.rank_cutoff), _qpe_verdict, cfg)
 
 
 def _qpe_verdict(r: HermitianOperator, s: HermitianOperator,

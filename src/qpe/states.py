@@ -27,6 +27,7 @@ from .linalg import (
     hermitian_part,
     kernel_cutoff,
     relation_of,
+    remembered,
     vector_norm,
 )
 
@@ -153,10 +154,9 @@ def sandwich(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> HermitianOper
     """rho^-1/2 sigma rho^-1/2, the generalized inverse vanishing off rho's support.
 
     Reconstruction, the order, the max-divergence and its attaining direction
-    all read it. It is remembered on rho for sigma (one of rho's recent
-    partners) and rank_cutoff.
+    all read it. It is remembered on rho for sigma (linalg.remembered).
     """
-    return rho._remember(sigma, ("sandwich", cfg.rank_cutoff), _sandwich, rho, sigma, cfg)
+    return remembered(rho, sigma, ("sandwich", cfg.rank_cutoff), _sandwich, cfg)
 
 
 def _sandwich(rho: HermitianOperator, sigma: HermitianOperator,

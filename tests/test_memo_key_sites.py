@@ -1,7 +1,8 @@
 """Pins the shape of every partner-memo call in src/qpe.
 
-HermitianOperator._remember keeps one table per operator for four kinds of
-pair result. Each call site's key must be a tuple literal whose first
+linalg.remembered(a, b, key, compute, cfg) reads and fills the one table per
+operator that holds four kinds of pair result, and it is the whole of each
+query that uses it. Each call site's key must be a tuple literal whose first
 element is a string tag no other site uses, followed only by
 cfg.<field> for real ToleranceConfig fields: a reused tag would hand one
 query another query's result type, and anything but a cfg field could not
@@ -44,7 +45,7 @@ def _bound(scope: ast.AST) -> set[str]:
 
 def _calls(source: str, module: str) -> list[tuple[str, ast.expr, ast.expr, bool]]:
     """(module, key expression, compute expression, whether compute names a
-    module-level function) for each _remember(partner, key, compute, *args)
+    module-level function) for each remembered(a, b, key, compute, cfg)
     call."""
     tree = ast.parse(source)
     functions = {node.name for node in tree.body
@@ -53,12 +54,12 @@ def _calls(source: str, module: str) -> list[tuple[str, ast.expr, ast.expr, bool
     for scope in tree.body:
         local = _bound(scope)
         for node in ast.walk(scope):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "_remember"):
-                compute = _argument(node, 2, "compute")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "remembered"):
+                compute = _argument(node, 3, "compute")
                 top_level = (isinstance(compute, ast.Name) and compute.id in functions
                              and compute.id not in local)
-                found.append((module, _argument(node, 1, "key"), compute, top_level))
+                found.append((module, _argument(node, 2, "key"), compute, top_level))
     return found
 
 
@@ -95,28 +96,28 @@ def test_guard_sees_bad_keys():
         "def g(rho, sigma, cfg):\n"
         "    return rho\n"
         "def f(rho, sigma, cfg, key):\n"
-        "    rho._remember(sigma, ('a', cfg.psd_slack), g, rho, sigma, cfg)\n"
-        "    rho._remember(sigma, ('a', cfg.rank_cutoff), g)\n"
-        "    rho._remember(sigma, key, g)\n"
-        "    rho._remember(sigma, ('b', cfg.slack), g)\n"
-        "    rho._remember(sigma, ('c', tol), g)\n"
-        "    rho._remember(sigma, compute=g, key=(cfg.log_base,))\n"
-        "    rho._remember(sigma, ('d', cfg.log_base), lambda: g(rho, sigma, cfg))\n"
-        "    def h():\n"
-        "        return g(rho, sigma, cfg)\n"
-        "    rho._remember(sigma, ('e', cfg.log_base), h)\n"
-        "    rho._remember(sigma, ('f', cfg.log_base), undefined)\n"
+        "    remembered(rho, sigma, ('a', cfg.psd_slack), g, cfg)\n"
+        "    remembered(rho, sigma, ('a', cfg.rank_cutoff), g, cfg)\n"
+        "    remembered(rho, sigma, key, g, cfg)\n"
+        "    remembered(rho, sigma, ('b', cfg.slack), g, cfg)\n"
+        "    remembered(rho, sigma, ('c', tol), g, cfg)\n"
+        "    remembered(rho, sigma, compute=g, key=(cfg.log_base,), cfg=cfg)\n"
+        "    remembered(rho, sigma, ('d', cfg.log_base), lambda a, b, c: g(a, b, c), cfg)\n"
+        "    def h(a, b, c):\n"
+        "        return g(a, b, c)\n"
+        "    remembered(rho, sigma, ('e', cfg.log_base), h, cfg)\n"
+        "    remembered(rho, sigma, ('f', cfg.log_base), undefined, cfg)\n"
         "def shadow(rho, sigma, cfg):\n"
-        "    def g():\n"
-        "        return rho\n"
-        "    rho._remember(sigma, ('g', cfg.log_base), g)\n"
+        "    def g(a, b, c):\n"
+        "        return a\n"
+        "    remembered(rho, sigma, ('g', cfg.log_base), g, cfg)\n"
     )
     assert _problems(_calls(source, "m")) == [
         "m: key is not a tuple literal led by a string tag",
         "m: b key holds cfg.slack, not a ToleranceConfig field of cfg",
         "m: c key holds tol, not a ToleranceConfig field of cfg",
         "m: key is not a tuple literal led by a string tag",
-        "m: compute lambda: g(rho, sigma, cfg) is not a module-level function",
+        "m: compute lambda a, b, c: g(a, b, c) is not a module-level function",
         "m: compute h is not a module-level function",
         "m: compute undefined is not a module-level function",
         "m: compute g is not a module-level function",

@@ -3,11 +3,13 @@ other, and the one that checks two channels.
 
 A function that takes two operators puts them through linalg.operator_pair,
 which converts a raw array with as_operator and raises one DimensionMismatch
-for a pair of two dimensions (it compares the lengths of the two matrices,
-which this pin does not read); a function that takes two channels of one
-shape calls channels._channel_pair. A comparison of one attribute (dim,
-shape, in_dim or out_dim) read off two different objects anywhere else would
-be a second copy of that rule. The comparisons that remain are not operand
+for a pair of two dimensions, or through linalg.remembered, whose accept
+test passes two operators of one length as they are and hands any other
+pair to operator_pair; both compare len(x._matrix) of the two operands. A
+function that takes two channels of one shape calls channels._channel_pair.
+A comparison of one attribute (dim, shape, in_dim or out_dim), or of the
+lengths of two matrices, read off two different objects anywhere else would
+be another copy of that rule. The comparisons that remain are not operand
 checks: lev_leq compares the dimensions of two kernels, which is part of the
 relation it decides, subspace_intersects checks that two subspace bases
 live in one space, and jamiolkowski_properties_check that a channel to be
@@ -20,22 +22,30 @@ import ast
 from ast_sites import ScopedVisitor, package_sites, sites
 
 DIMENSIONS = {"dim", "shape", "in_dim", "out_dim"}
+MATRICES = {"_matrix", "matrix"}
 ALLOWED = {
     ("channels", "_channel_pair"),
     ("channels", "jamiolkowski_properties_check"),
+    ("linalg", "operator_pair"),
+    ("linalg", "remembered"),
     ("orders", "lev_leq"),
     ("states", "subspace_intersects"),
 }
 
 
 def _reads(node) -> list[tuple[str, tuple]] | None:
-    """(object, path) for each dimension read in node: x.dim, x.shape[0], or
-    a tuple of them; None when node is not made of such reads."""
+    """(object, path) for each dimension read in node: x.dim, x.shape[0],
+    len(x._matrix), or a tuple of them; None when node is not made of such
+    reads."""
     if isinstance(node, ast.Tuple):
         parts = [_reads(x) for x in node.elts]
         if not parts or None in parts:
             return None
         return [read for part in parts for read in part]
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "len"
+            and len(node.args) == 1 and isinstance(node.args[0], ast.Attribute)
+            and node.args[0].attr in MATRICES):
+        return [(ast.dump(node.args[0].value), ("len",))]
     index = ()
     if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
         index, node = (node.slice.value,), node.value
@@ -76,6 +86,11 @@ def test_guard_sees_every_form_of_a_pair_check():
         "                r.shape[0] == s.shape[0])\n"
         "def h(a, b, before, after):\n"
         "    return (a.in_dim != a.out_dim, before.out_dim != after.in_dim,\n"
-        "            a.shape != (2, 2), a.dim == 2 * b.dim, a.shape[0] != b.shape[1])\n"
+        "            a.shape != (2, 2), a.dim == 2 * b.dim, a.shape[0] != b.shape[1],\n"
+        "            len(a._matrix) == 2, len(a._matrix) != len(a._matrix),\n"
+        "            len(a._matrix) != len(b.matrix), len(a) != len(b))\n"
+        "def k(a, b):\n"
+        "    if not (isinstance(a, H) and len(a._matrix) == len(b._matrix)):\n"
+        "        a, b = operator_pair(a, b)\n"
     )
-    assert _sites(source, "m") == [("m", "f")] + [("m", "C.g")] * 3
+    assert _sites(source, "m") == [("m", "f")] + [("m", "C.g")] * 3 + [("m", "h"), ("m", "k")]
