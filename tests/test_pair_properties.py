@@ -516,13 +516,22 @@ def test_a_raw_operand_gets_the_result_of_a_fresh_state(pair):
             assert _outcome(query, M) == _outcome(query, DensityMatrix(M)), name
 
 
+# the gated query that names its second operand's dim first: sequential_update
+# gates (effect, rho), as the CLI's seq-rule refusals in the golden transcript read
+SECOND_FIRST = {"sequential_update"}
+
+
 @pytest.mark.parametrize("name", sorted(GATED))
 def test_operands_of_two_dims_raise_dimension_mismatch(name):
+    """The whole refusal text, in the query's own operand order: the first
+    operand's dim is named first (the second's for SECOND_FIRST), raw or
+    built, so a gate whose operands were swapped fails here."""
     kinds, query = GATED[name]
     small, large = random_state(2, rng=0).matrix, random_state(3, rng=1).matrix
-    for raw in ((small, large), (large, small)):
+    texts = ("3 vs 2", "2 vs 3") if name in SECOND_FIRST else ("2 vs 3", "3 vs 2")
+    for raw, text in zip(((small, large), (large, small)), texts):
         for operands in (raw, _fresh(kinds, raw)):
-            with pytest.raises(DimensionMismatch, match="operand dimensions differ"):
+            with pytest.raises(DimensionMismatch, match=f"^operand dimensions differ: {text}$"):
                 query(*operands)
 
 
