@@ -9,6 +9,10 @@ A change that moves printed output regenerates the two files, and the git
 diff of the transcript is its declared change:
 
     PYTHONPATH=src python tests/golden_cli.py
+
+Before it overwrites the transcript, the script prints how many runs moved
+against the committed one and, for each, its argv and the first thing that
+moved: the exit code, or the first differing stdout, stderr or warning line.
 """
 from __future__ import annotations
 
@@ -155,9 +159,42 @@ def _dump(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
 
 
+def _first_move(old: dict, new: dict) -> str | None:
+    """What moved first between two records of one argv, or None."""
+    if old["exit"] != new["exit"]:
+        return f"exit {old['exit']} -> {new['exit']}"
+    for key in ("stdout", "stderr", "warnings"):
+        a, b = old[key], new[key]
+        if a != b:
+            i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+            line = [repr(lines[i]) if i < len(lines) else "(none)" for lines in (a, b)]
+            return f"{key} line {i + 1}: {line[0]} -> {line[1]}"
+    return None
+
+
+def moves(old: list[dict], new: list[dict]) -> list[str]:
+    """One report per run of new that moved against old, matched by argv:
+    the argv, then what moved first (or that the run is new); and one per
+    run of old that new no longer makes."""
+    before = {tuple(record["argv"]): record for record in old}
+    now = {tuple(record["argv"]) for record in new}
+    out = []
+    for record in new:
+        argv = " ".join(record["argv"])
+        was = before.get(tuple(record["argv"]))
+        why = "new run" if was is None else _first_move(was, record)
+        if why is not None:
+            out.append(f"{argv}\n    {why}")
+    out += [f"{' '.join(argv)}\n    run dropped" for argv in before if argv not in now]
+    return out
+
+
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     records = transcript()
+    if TRANSCRIPT.exists():
+        moved = moves(json.loads(TRANSCRIPT.read_text(encoding="utf-8")), records)
+        print(f"{len(moved)} of {len(records)} runs moved", *moved, sep="\n")
     _dump(records, TRANSCRIPT)
     _dump(fingerprint(), FINGERPRINT)
     print(f"{len(records)} runs -> {TRANSCRIPT.relative_to(HERE.parent)}", file=sys.stderr)

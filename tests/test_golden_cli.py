@@ -90,3 +90,17 @@ def test_transcript_matches_golden():
 ])
 def test_rounding_comparison(got, want, same):
     assert same_up_to_rounding(got, want) is same
+
+
+def test_regeneration_reports_what_moved():
+    old = [{"argv": [name], "exit": 0, "stdout": ["a", "b"], "stderr": [], "warnings": []}
+           for name in ("same", "exit", "out", "err", "gone")]
+    new = [dict(old[0]), dict(old[1], exit=3), dict(old[2], stdout=["a", "c", "d"]),
+           dict(old[3], stderr=["boom"]), dict(old[0], argv=["added"])]
+    assert golden_cli.moves(old, new) == [
+        "exit\n    exit 0 -> 3",
+        "out\n    stdout line 2: 'b' -> 'c'",
+        "err\n    stderr line 1: (none) -> 'boom'",
+        "added\n    new run",
+        "gone\n    run dropped",
+    ]
