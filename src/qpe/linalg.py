@@ -86,8 +86,10 @@ class OrderVerdict:
     slack is the smallest eigenvalue of the tested matrix, except for
     qpe_leq and classical_pe_leq, whose slack is the dimensionless
     1 - rho+ lambda_max(rho^-1/2 sigma rho^-1/2) / sigma+ (-inf when sigma
-    escapes rho's support). witness is a unit vector certifying the
-    violation and is present exactly when the relation fails.
+    escapes rho's support), and primed_leq and f_renormalized_leq, whose
+    slack is their order matrix's over a scale of the pair (see each).
+    witness is a unit vector certifying the violation and is present
+    exactly when the relation fails.
     """
 
     relation: str

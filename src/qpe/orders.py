@@ -5,7 +5,9 @@ rho is below sigma when sigma+ rho - rho+ sigma is PSD. It is decided by the
 max-divergence characterization, on the sandwich rho^-1/2 sigma rho^-1/2,
 with a dimensionless slack that no rescaling or tensoring with I/m moves.
 Variants swap the rescaling functional (least nonzero eigenvalue, general
-norms) or relax the matrix inequality; they decide on their order matrix.
+norms) or relax the matrix inequality; they decide on their order matrix,
+primed and f-renormalized on its least eigenvalue over a scale of the pair,
+which rescaling or tensoring with I/m does not move either.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from .linalg import (
     HermitianOperator,
     OrderVerdict,
     as_operator,
+    extreme_eigenvector,
     hermitian_eigvals,
     hermitian_part,
     kernel_cutoff,
@@ -124,15 +127,31 @@ def _unit(n: int, i: int) -> np.ndarray:
     return out
 
 
-def _order_verdict(M: np.ndarray, cfg: ToleranceConfig) -> OrderVerdict:
+def _order_verdict(M: np.ndarray, cfg: ToleranceConfig,
+                   unit: float | None = None) -> OrderVerdict:
     """psd_verdict on a one-shot order matrix, solved here and not cached.
 
     M is lev's, primed's or f-renormalized's order matrix, or qpe_leq's
     fallback. The first three pass hermitian_part(M): the fold can flip the
-    sign of a zero entry, which LAPACK reads, and it keeps their verdicts
-    bit-identical to is_psd's.
+    sign of a zero entry, which LAPACK reads, and it keeps their spectra and
+    witnesses bit-identical to is_psd's.
+
+    With a unit (primed's and f-renormalized's scale of the pair, which
+    moves as M does under rescaling and tensoring with I/m), the slack is
+    lambda_min(M) / unit, banded as qpe_leq's dimensionless slack is
+    (relation_of(slack, slack)); a fails witness is still M's least
+    eigenvector. NonpositiveScalar unless unit > 0.
     """
-    return psd_verdict(hermitian_eigvals(M)[::-1], M, cfg)
+    w = hermitian_eigvals(M)[::-1]
+    if unit is None:
+        return psd_verdict(w, M, cfg)
+    if not unit > 0.0:
+        raise NonpositiveScalar(f"slack unit {unit} is not positive: the pair's tops are not")
+    slack = float(w[-1]) / unit
+    relation = relation_of(slack, slack, cfg)
+    if relation == FAILS:
+        return OrderVerdict(FAILS, slack, witness=extreme_eigenvector(M, w, top=False))
+    return OrderVerdict(relation, slack)
 
 
 def qpe_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
@@ -257,10 +276,13 @@ def _contained_in(A: np.ndarray, B: np.ndarray) -> bool:
 
 
 def primed_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
-    """Relaxed order: sigma - rho <= (sigma+ - rho+) I."""
+    """Relaxed order: sigma - rho <= (sigma+ - rho+) I.
+
+    The slack is lambda_min((sigma+ - rho+) I - (sigma - rho)) / max(sigma+, rho+)."""
     r, s = operator_pair(rho, sigma)
-    gap = float(s.eigenvalues[0]) - float(r.eigenvalues[0])
-    return _order_verdict(hermitian_part(gap * np.eye(r.dim) - (s.matrix - r.matrix)), cfg)
+    r_top, s_top = float(r.eigenvalues[0]), float(s.eigenvalues[0])
+    M = hermitian_part((s_top - r_top) * np.eye(r.dim) - (s.matrix - r.matrix))
+    return _order_verdict(M, cfg, max(s_top, r_top))
 
 
 def _renorm_scalar(f, X: HermitianOperator) -> float:
@@ -280,10 +302,14 @@ def _renorm_scalar(f, X: HermitianOperator) -> float:
 
 
 def f_renormalized_leq(rho, sigma, f, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
-    """Order induced by an alternative rescaling: f(sigma) rho - f(rho) sigma PSD."""
+    """Order induced by an alternative rescaling: f(sigma) rho - f(rho) sigma PSD.
+
+    The slack is lambda_min(f(sigma) rho - f(rho) sigma) / max(f(sigma) rho+,
+    f(rho) sigma+)."""
     r, s = operator_pair(rho, sigma)
-    M = _renorm_scalar(f, s) * r.matrix - _renorm_scalar(f, r) * s.matrix
-    return _order_verdict(hermitian_part(M), cfg)
+    f_s, f_r = _renorm_scalar(f, s), _renorm_scalar(f, r)
+    unit = max(f_s * float(r.eigenvalues[0]), f_r * float(s.eigenvalues[0]))
+    return _order_verdict(hermitian_part(f_s * r.matrix - f_r * s.matrix), cfg, unit)
 
 
 def majorizes(x, y) -> bool:

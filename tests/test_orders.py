@@ -324,6 +324,15 @@ class TestRenormalizedOrders:
         with pytest.raises(BadParameter):
             f_renormalized_leq(rho, rho, ("schatten", np.nan, 1))
 
+    def test_raw_pair_without_a_positive_slack_unit_rejected(self):
+        # the tops are negative, so max(sigma+, rho+) and max(f(sigma) rho+,
+        # f(rho) sigma+) are too, and a slack over them would flip its sign
+        neg = -np.eye(2) / 2
+        with pytest.raises(NonpositiveScalar, match="slack unit -0.5 is not positive"):
+            primed_leq(neg, neg)
+        with pytest.raises(NonpositiveScalar, match="slack unit -0.25 is not positive"):
+            f_renormalized_leq(neg, neg, "op_norm")
+
 
 def _near_pair():
     """A state and a traceless nudge of it that keeps its (1, 0) entry.
@@ -351,19 +360,24 @@ def _signed_zero_pair():
     return state([0.5, 0.3, 0.2], -0.0), state([0.45, 0.35, 0.2], 0.0)
 
 
-# each predicate with the matrix it decides, for is_psd to decide as well
+# each predicate with the matrix it decides, for is_psd to decide as well, and
+# the unit its slack is read in (primed's and f-renormalized's scale of the pair)
 ORDER_MATRICES = {
     "lev": (lev_leq, lambda r, s: bottom_eigenspace_nonzero(r).eigenvalue * s.matrix
-            - bottom_eigenspace_nonzero(s).eigenvalue * r.matrix),
+            - bottom_eigenspace_nonzero(s).eigenvalue * r.matrix, lambda r, s: 1.0),
     "primed": (primed_leq, lambda r, s: (s.eigenvalues[0] - r.eigenvalues[0]) * np.eye(r.dim)
-               - (s.matrix - r.matrix)),
+               - (s.matrix - r.matrix),
+               lambda r, s: max(float(s.eigenvalues[0]), float(r.eigenvalues[0]))),
     "op_norm": (lambda r, s: f_renormalized_leq(r, s, "op_norm"),
-                lambda r, s: s.norm * r.matrix - r.norm * s.matrix),
+                lambda r, s: s.norm * r.matrix - r.norm * s.matrix,
+                lambda r, s: max(s.norm * float(r.eigenvalues[0]),
+                                 r.norm * float(s.eigenvalues[0]))),
 }
 
 
 class TestOrderMatrixRoute:
-    """The predicates decide on their order matrix exactly as is_psd does.
+    """The predicates decide on their order matrix exactly as is_psd does,
+    primed and op_norm with is_psd's least eigenvalue over their unit.
 
     Signed zeros in the matrix reach LAPACK, so the route must fold the
     matrix as is_psd does for the results to agree bit for bit.
@@ -372,11 +386,11 @@ class TestOrderMatrixRoute:
     @pytest.mark.parametrize("pair", [_near_pair, _signed_zero_pair])
     @pytest.mark.parametrize("name", sorted(ORDER_MATRICES))
     def test_bit_identical_to_is_psd(self, pair, name):
-        predicate, order_matrix = ORDER_MATRICES[name]
+        predicate, order_matrix, unit = ORDER_MATRICES[name]
         a, b = pair()
         for r, s in ((a, b), (b, a)):
             got, want = predicate(r, s), is_psd(order_matrix(r, s))
-            assert (got.relation, got.slack) == (want.relation, want.slack)
+            assert (got.relation, got.slack) == (want.relation, want.slack / unit(r, s))
             if want.witness is None:
                 assert got.witness is None
             else:
@@ -396,15 +410,16 @@ class TestMajorization:
         assert not majorizes(lower, upper)
 
 
-# the order matrices' factor under rho, sigma -> c rho (x) I/m, c sigma (x) I/m:
-# primed's sigma - rho - (sigma+ - rho+) I moves by c/m, and f(X) rho - f(rho) X
-# by c/m times f's own factor, (c m^(1/p - 1))^r for ('schatten', p, r)
+# under rho, sigma -> c rho (x) I/m, c sigma (x) I/m primed's order matrix
+# moves by c/m, and f(sigma) rho - f(rho) sigma by c/m times f's own factor,
+# (c m^(1/p - 1))^r for ('schatten', p, r); each slack's unit moves alike
 SCALE_AUDIT_ORDERS = {
-    "primed": (primed_leq, lambda c, m: c / m),
-    "op_norm": (lambda a, b: f_renormalized_leq(a, b, "op_norm"), lambda c, m: (c / m) ** 2),
-    "schatten 2": (lambda a, b: f_renormalized_leq(a, b, ("schatten", 2, 1)),
-                   lambda c, m: c ** 2 / m ** 1.5),
+    "primed": primed_leq,
+    "op_norm": lambda a, b: f_renormalized_leq(a, b, "op_norm"),
+    "schatten 2": lambda a, b: f_renormalized_leq(a, b, ("schatten", 2, 1)),
 }
+# absolute bound on a dimensionless slack that is zero but for rounding
+ZERO_ATOL = 1e-14
 
 
 def _scale_audit_pairs(d, rng):
@@ -423,30 +438,24 @@ def _lifted(X, c, m):
     return DensityMatrix._derived(np.kron(c * X, np.eye(m) / m), w)
 
 
-@pytest.mark.parametrize("d, m, scales", [(3, 1, (1e-6, 1e-3, 7.0, 1e3)),
-                                          (5, 10, (1e-6, 1.0, 7.0, 1e3)),
+@pytest.mark.parametrize("d, m, scales", [(3, 1, (1e-8, 1e-6, 1e-3, 7.0, 1e3)),
+                                          (5, 10, (1e-8, 1e-6, 1.0, 7.0, 1e3)),
                                           (5, 200, (1e3,))])
 def test_matrix_orders_under_tensoring_and_rescaling(d, m, scales):
     """primed_leq and f_renormalized_leq at n = d m = 3, 50 and 1000: the
-    least eigenvalue of the order matrix, their slack, moves by the factor
-    the algebra gives (exactly, up to rounding), and so the relation holds
-    where it held. A fails verdict stays fails under tensoring with I/m and
-    under scaling up. Under scaling down it is not asserted: the band edge,
-    10 psd_slack max(1, ||M||), does not scale with M, and on these pairs
-    op_norm and schatten 2 read holds at c = 1e-6 where they fail at c = 1,
-    schatten 2 reads marginal on the pulled pair at c = 1e-3, and primed
-    reads holds on the random pair at c = 1e-8 with m = 10."""
+    least eigenvalue of the order matrix over a scale of the pair that
+    moves with it, their slack, is unmoved by rescaling both operators by
+    c > 0 and tensoring both with I/m, and so is the relation, down to
+    c = 1e-8 with m = 10. The pulled pair's holding slacks are zeros of the
+    order matrix to rounding (at most 6e-16, moving by 3e-15 at n = 1000),
+    hence ZERO_ATOL beside rtol 1e-8."""
     rng = np.random.default_rng(d * m)
     for kind, (R, S) in _scale_audit_pairs(d, rng).items():
-        for name, (order, factor) in SCALE_AUDIT_ORDERS.items():
+        for name, order in SCALE_AUDIT_ORDERS.items():
             base = order(R, S)
             for c in scales:
                 got = order(_lifted(R, c, m), _lifted(S, c, m))
                 case = (kind, name, c, m)
-                if base.holds:
-                    assert got.holds, case
-                    continue
-                assert base.fails, case
-                assert_allclose(got.slack, factor(c, m) * base.slack, rtol=1e-8, err_msg=str(case))
-                if c >= 1.0:
-                    assert got.fails, case
+                assert got.relation == base.relation, case
+                assert_allclose(got.slack, base.slack, rtol=1e-8, atol=ZERO_ATOL,
+                                err_msg=str(case))
