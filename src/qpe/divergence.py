@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
-from .exceptions import BadAlpha
+from .exceptions import BadAlpha, QpeError
 from .linalg import (HermitianOperator, OrderVerdict, _sandwiched_trace, as_operator,
                      kernel_cutoff, operator_pair, remembered)
 from .orders import _probability_pair, classical_pe_leq, qpe_leq
@@ -56,7 +56,7 @@ def max_divergence(sigma: DensityMatrix, rho: DensityMatrix,
     try:
         return remembered(rho, sigma, ("max_divergence", cfg.rank_cutoff, cfg.log_base),
                           _max_divergence, cfg)
-    except Exception:
+    except QpeError:
         operator_pair(sigma, rho)  # a refused pair's refusal in this order: sigma's dim first
         raise
 
