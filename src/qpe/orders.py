@@ -129,7 +129,8 @@ def _unit(n: int, i: int) -> np.ndarray:
 
 def _order_verdict(M: np.ndarray, cfg: ToleranceConfig,
                    unit: float | None = None) -> OrderVerdict:
-    """psd_verdict on a one-shot order matrix, solved here and not cached.
+    """The verdict on a one-shot order matrix, solved here and not cached:
+    psd_verdict's, unless a unit is given (below).
 
     M is lev's, primed's or f-renormalized's order matrix, or qpe_leq's
     fallback. The first three pass hermitian_part(M): the fold can flip the
