@@ -83,11 +83,12 @@ MAX_SOLVES = 4
 class OrderVerdict:
     """Tri-state outcome of a positivity or order test.
 
-    slack is the smallest eigenvalue of the tested matrix, except for
-    qpe_leq and classical_pe_leq, whose slack is the dimensionless
-    1 - rho+ lambda_max(rho^-1/2 sigma rho^-1/2) / sigma+ (-inf when sigma
-    escapes rho's support), and primed_leq and f_renormalized_leq, whose
-    slack is their order matrix's over a scale of the pair (see each).
+    Every order predicate's slack is dimensionless: qpe_leq's and
+    classical_pe_leq's is 1 - rho+ lambda_max(rho^-1/2 sigma rho^-1/2) / sigma+
+    (-inf when sigma escapes rho's support), and lev_leq's, primed_leq's and
+    f_renormalized_leq's is their order matrix's least eigenvalue over a
+    scale of the pair (see each). Only is_psd's slack is a bare least
+    eigenvalue, of the tested matrix.
     witness is a unit vector certifying the violation and is present
     exactly when the relation fails.
     """

@@ -5,9 +5,9 @@ rho is below sigma when sigma+ rho - rho+ sigma is PSD. It is decided by the
 max-divergence characterization, on the sandwich rho^-1/2 sigma rho^-1/2,
 with a dimensionless slack that no rescaling or tensoring with I/m moves.
 Variants swap the rescaling functional (least nonzero eigenvalue, general
-norms) or relax the matrix inequality; they decide on their order matrix,
-primed and f-renormalized on its least eigenvalue over a scale of the pair,
-which rescaling or tensoring with I/m does not move either.
+norms) or relax the matrix inequality; they decide on the least eigenvalue
+of their order matrix over a scale of the pair, which rescaling or
+tensoring with I/m does not move either.
 """
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ from .linalg import (
     hermitian_part,
     kernel_cutoff,
     operator_pair,
-    psd_verdict,
     relation_of,
     remembered,
     schatten_norm,
@@ -127,27 +126,21 @@ def _unit(n: int, i: int) -> np.ndarray:
     return out
 
 
-def _order_verdict(M: np.ndarray, cfg: ToleranceConfig,
-                   unit: float | None = None) -> OrderVerdict:
-    """The verdict on a one-shot order matrix, solved here and not cached:
-    psd_verdict's, unless a unit is given (below).
+def _order_verdict(M: np.ndarray, cfg: ToleranceConfig, unit: float) -> OrderVerdict:
+    """The verdict on a one-shot order matrix, solved here and not cached.
 
-    M is lev's, primed's or f-renormalized's order matrix, or qpe_leq's
-    fallback. The first three pass hermitian_part(M): the fold can flip the
-    sign of a zero entry, which LAPACK reads, and it keeps their spectra and
-    witnesses bit-identical to is_psd's.
-
-    With a unit (primed's and f-renormalized's scale of the pair, which
-    moves as M does under rescaling and tensoring with I/m), the slack is
-    lambda_min(M) / unit, banded as qpe_leq's dimensionless slack is
-    (relation_of(slack, slack)); a fails witness is still M's least
-    eigenvector. NonpositiveScalar unless unit > 0.
+    M is lev's, primed's or f-renormalized's order matrix, passed as
+    hermitian_part(M) (the fold can flip the sign of a zero entry, which
+    LAPACK reads, and it keeps their spectra and witnesses bit-identical to
+    is_psd's), or qpe_leq's fallback. unit is a scale of the pair that
+    bounds ||M|| and moves as M does under rescaling and tensoring with
+    I/m. The slack is lambda_min(M) / unit, banded as qpe_leq's
+    dimensionless slack is (relation_of(slack, slack)); a fails witness is
+    M's least eigenvector. NonpositiveScalar unless unit > 0.
     """
-    w = hermitian_eigvals(M)[::-1]
-    if unit is None:
-        return psd_verdict(w, M, cfg)
     if not unit > 0.0:
         raise NonpositiveScalar(f"slack unit {unit} is not positive: the pair's tops are not")
+    w = hermitian_eigvals(M)[::-1]
     slack = float(w[-1]) / unit
     relation = relation_of(slack, slack, cfg)
     if relation == FAILS:
@@ -172,7 +165,7 @@ def qpe_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
     SANDWICH_ROUNDING * kappa of zero, kappa being rho's condition number
     on its support, is rounding that rho^-1/2 amplified. Such a pair is
     decided on rho/rho+ - sigma/sigma+ (norm at most 1, also unmoved by
-    tensoring with I/m), whose least eigenvalue is then the slack.
+    tensoring with I/m), whose least eigenvalue, in unit 1, is the slack.
 
     On the sandwich route rho+, rho's full rank and its least eigenvalue on
     its support are read off the eigh that rho^-1/2 is formed from, so a
@@ -221,7 +214,7 @@ def _sandwich_verdict(r: HermitianOperator, s: HermitianOperator,
     if -slack <= SANDWICH_ROUNDING * r_top / float(least):
         # both tops from eigvalsh, so that a state against itself (or an
         # equal copy) gives the zero matrix
-        return _order_verdict(r.matrix / float(r.eigenvalues[0]) - s.matrix / s_top, cfg)
+        return _order_verdict(r.matrix / float(r.eigenvalues[0]) - s.matrix / s_top, cfg, 1.0)
     if relation == MARGINAL:
         return OrderVerdict(MARGINAL, slack)
     return OrderVerdict(FAILS, slack, witness=attaining_direction(r, s, cfg))
@@ -231,8 +224,9 @@ def lev_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
     """Least-nonzero-eigenvalue order.
 
     Two ways to be below: equal kernels with rho- sigma - sigma- rho PSD,
-    or a strictly larger kernel on sigma that absorbs part of rho's bottom
-    eigenspace. The second route is structural, so its slack is 0.
+    whose slack is lambda_min(rho- sigma - sigma- rho) / max(rho- sigma+,
+    sigma- rho+), or a strictly larger kernel on sigma that absorbs part of
+    rho's bottom eigenspace. The second route is structural, so its slack is 0.
     Kernels that do not nest that way fail structurally, with slack -inf
     as for qpe_leq's support condition: the witness is a unit vector of one
     state's kernel on which the other weighs most.
@@ -245,7 +239,8 @@ def lev_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
         if ker_r.dim == 0 or subspace_equal(ker_r.basis, ker_s.basis):
             r_min = bottom_eigenspace_nonzero(r, cfg).eigenvalue
             s_min = bottom_eigenspace_nonzero(s, cfg).eigenvalue
-            return _order_verdict(hermitian_part(r_min * s.matrix - s_min * r.matrix), cfg)
+            unit = max(r_min * float(s.eigenvalues[0]), s_min * float(r.eigenvalues[0]))
+            return _order_verdict(hermitian_part(r_min * s.matrix - s_min * r.matrix), cfg, unit)
         return _kernel_mismatch(r, s, cfg)
     if ker_s.dim < ker_r.dim or not (ker_r.dim == 0 or _contained_in(ker_r.basis, ker_s.basis)):
         return _kernel_mismatch(r, s, cfg)

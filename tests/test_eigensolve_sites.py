@@ -30,12 +30,14 @@ ALLOWED = {
     # witness below linalg.SHIFTED_SOLVE_MIN_DIM
     ("linalg", "HermitianOperator.eigenvalues"),
     ("linalg", "HermitianOperator._eigh"),
-    # the witness vector of a fails verdict on a one-shot matrix (psd_verdict
-    # on an order matrix) below linalg.SHIFTED_SOLVE_MIN_DIM, and on any
-    # matrix whose inverse iteration did not settle
+    # the witness vector of a fails verdict on a one-shot matrix (an order
+    # matrix that orders._order_verdict bands over a unit of the pair) below
+    # linalg.SHIFTED_SOLVE_MIN_DIM, and on any matrix whose inverse
+    # iteration did not settle
     ("linalg", "extreme_eigenvector"),
-    # the one-shot order matrix of the three matrix predicates, and of
-    # qpe_leq's fallback when rho^-1/2 would amplify rounding into the band
+    # the one-shot order matrix of the three matrix predicates, each over
+    # its unit of the pair, and of qpe_leq's fallback (unit 1) when
+    # rho^-1/2 would amplify rounding into the band
     ("orders", "_order_verdict"),
     # the partner compressed to rho's kernel: its top eigenvector is the
     # direction a support escape runs along, and a fails witness

@@ -360,11 +360,17 @@ def _signed_zero_pair():
     return state([0.5, 0.3, 0.2], -0.0), state([0.45, 0.35, 0.2], 0.0)
 
 
+def _lev_unit(r, s):
+    """lev's scale of the pair: max(rho- sigma+, sigma- rho+)."""
+    r_min, s_min = bottom_eigenspace_nonzero(r).eigenvalue, bottom_eigenspace_nonzero(s).eigenvalue
+    return max(r_min * float(s.eigenvalues[0]), s_min * float(r.eigenvalues[0]))
+
+
 # each predicate with the matrix it decides, for is_psd to decide as well, and
-# the unit its slack is read in (primed's and f-renormalized's scale of the pair)
+# the scale of the pair its slack is read in
 ORDER_MATRICES = {
     "lev": (lev_leq, lambda r, s: bottom_eigenspace_nonzero(r).eigenvalue * s.matrix
-            - bottom_eigenspace_nonzero(s).eigenvalue * r.matrix, lambda r, s: 1.0),
+            - bottom_eigenspace_nonzero(s).eigenvalue * r.matrix, _lev_unit),
     "primed": (primed_leq, lambda r, s: (s.eigenvalues[0] - r.eigenvalues[0]) * np.eye(r.dim)
                - (s.matrix - r.matrix),
                lambda r, s: max(float(s.eigenvalues[0]), float(r.eigenvalues[0]))),
@@ -377,7 +383,7 @@ ORDER_MATRICES = {
 
 class TestOrderMatrixRoute:
     """The predicates decide on their order matrix exactly as is_psd does,
-    primed and op_norm with is_psd's least eigenvalue over their unit.
+    with is_psd's least eigenvalue over their unit as the slack.
 
     Signed zeros in the matrix reach LAPACK, so the route must fold the
     matrix as is_psd does for the results to agree bit for bit.
@@ -411,24 +417,37 @@ class TestMajorization:
 
 
 # under rho, sigma -> c rho (x) I/m, c sigma (x) I/m primed's order matrix
-# moves by c/m, and f(sigma) rho - f(rho) sigma by c/m times f's own factor,
-# (c m^(1/p - 1))^r for ('schatten', p, r); each slack's unit moves alike
+# moves by c/m, lev's by (c/m)^2, and f(sigma) rho - f(rho) sigma by c/m times
+# f's own factor, (c m^(1/p - 1))^r for ('schatten', p, r); each slack's unit
+# moves alike
 SCALE_AUDIT_ORDERS = {
+    "lev": lev_leq,
     "primed": primed_leq,
     "op_norm": lambda a, b: f_renormalized_leq(a, b, "op_norm"),
     "schatten 2": lambda a, b: f_renormalized_leq(a, b, ("schatten", 2, 1)),
 }
+# lev reads both operators' eigenvectors, which _lifted does not seed: their
+# eighs at n = 1000 cost about 2 s a pair, so lev is audited up to n = 50
+LEV_AUDIT_MAX_DIM = 50
 # absolute bound on a dimensionless slack that is zero but for rounding
 ZERO_ATOL = 1e-14
 
 
 def _scale_audit_pairs(d, rng):
-    """A pair pulled toward rho's top eigenvector (primed and op_norm hold,
-    schatten 2 fails) and a random one (every order fails), raw, at dim d."""
+    """Raw pairs at dim d: one pulled toward rho's top eigenvector (lev,
+    primed and op_norm hold, schatten 2 fails), a random one (every order
+    fails), and a rank d - 1 pair that shares its kernel (lev decides it on
+    its order matrix, with a nonempty kernel)."""
     R = random_state(d, rng=rng).matrix
     v = np.linalg.eigh(R)[1][:, -1]
     pulled = 0.7 * R + 0.3 * np.outer(v, v.conj())
-    return {"pulled": (R, pulled), "random": (R, random_state(d, rng=rng).matrix)}
+    pairs = {"pulled": (R, pulled), "random": (R, random_state(d, rng=rng).matrix)}
+    D = random_state(d, d - 1, rng=rng).matrix
+    U = np.linalg.eigh(D)[1]
+    P = U[:, 1:] @ U[:, 1:].conj().T  # onto D's support
+    X = P @ random_state(d, rng=rng).matrix @ P
+    pairs["shared kernel"] = (D, X / X.trace().real)
+    return pairs
 
 
 def _lifted(X, c, m):
@@ -442,7 +461,7 @@ def _lifted(X, c, m):
                                           (5, 10, (1e-8, 1e-6, 1.0, 7.0, 1e3)),
                                           (5, 200, (1e3,))])
 def test_matrix_orders_under_tensoring_and_rescaling(d, m, scales):
-    """primed_leq and f_renormalized_leq at n = d m = 3, 50 and 1000: the
+    """The matrix orders at n = d m = 3, 50 and 1000 (lev up to n = 50): the
     least eigenvalue of the order matrix over a scale of the pair that
     moves with it, their slack, is unmoved by rescaling both operators by
     c > 0 and tensoring both with I/m, and so is the relation, down to
@@ -452,6 +471,8 @@ def test_matrix_orders_under_tensoring_and_rescaling(d, m, scales):
     rng = np.random.default_rng(d * m)
     for kind, (R, S) in _scale_audit_pairs(d, rng).items():
         for name, order in SCALE_AUDIT_ORDERS.items():
+            if name == "lev" and d * m > LEV_AUDIT_MAX_DIM:
+                continue
             base = order(R, S)
             for c in scales:
                 got = order(_lifted(R, c, m), _lifted(S, c, m))
