@@ -80,8 +80,8 @@ def classical_solve_evidence(x, y, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.
 
 def _conditioned(outer, inner, cfg: ToleranceConfig) -> DensityMatrix:
     """outer^1/2 inner outer^1/2 / tr(E rho), the state and effect either way
-    round: a state by construction, checked only if an operand came in raw."""
-    outer, inner = operator_pair(outer, inner)
+    round, gated by operator_pair: a state by construction, checked only if
+    an operand came in raw."""
     sq = outer.power(0.5, cfg)
     out = sq.dot(inner.matrix).dot(sq)
     prob = float(out.trace().real)
@@ -95,12 +95,13 @@ def _conditioned(outer, inner, cfg: ToleranceConfig) -> DensityMatrix:
 def fls_update(rho: DensityMatrix, effect: Effect,
                cfg: ToleranceConfig = DEFAULT_CONFIG) -> DensityMatrix:
     """State-sandwich update rho^1/2 E rho^1/2 / tr(E rho)."""
-    return _conditioned(rho, effect, cfg)
+    return _conditioned(*operator_pair(rho, effect), cfg)
 
 
 def sequential_update(rho: DensityMatrix, effect: Effect,
                       cfg: ToleranceConfig = DEFAULT_CONFIG) -> DensityMatrix:
     """Effect-sandwich update E^1/2 rho E^1/2 / tr(E rho)."""
+    rho, effect = operator_pair(rho, effect)
     return _conditioned(effect, rho, cfg)
 
 
