@@ -26,9 +26,11 @@ of two dimensions it raises DimensionMismatch. The functions that take one
 operator, a channel's action included, also give a raw array the result of
 a fresh state. Two structural claims of the order hold on drawn pairs:
 mixing an ordered pair toward an anchor below it keeps it ordered, and the
-tensor product of two ordered pairs is ordered. So does the abstract's
-optimal approximation: a pure state is above rho exactly when it is a top
-eigenvector of rho.
+tensor product of two ordered pairs is ordered. So do two of the
+abstract's claims: the optimal approximation (a pure state is above rho
+exactly when it is a top eigenvector of rho), and the Bayes update, which
+moves a full-rank rho by a max-divergence of -log tr(rho E) for an effect
+E of norm 1.
 
 A state or effect the package computes from validated ones is built by
 HermitianOperator._derived, unchecked: at every such site its matrix is
@@ -45,6 +47,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings
@@ -552,6 +555,27 @@ def test_mixing_an_ordered_pair_toward_an_anchor_below_keeps_it_ordered(pair, s,
 def test_the_tensor_product_of_ordered_pairs_is_ordered(first, second):
     rho, sigma = (DensityMatrix(np.kron(a, b)) for a, b in zip(first, second))
     assert qpe_leq(rho, sigma).holds
+
+
+# the divergence is -log of a probability in (0, 1], read off one sandwich
+BAYES_DIVERGENCE_TOL = 1e-12
+
+
+@settings(PROPERTY_SETTINGS, max_examples=30)
+@given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_the_update_moves_rho_by_the_evidence_it_receives(n, seed):
+    """The abstract's Bayes claim: for a full-rank rho and an effect E whose
+    top eigenvalue is 1, D_max(fls_update(rho, E) || rho) = -log tr(rho E).
+    The posterior is rho^1/2 E rho^1/2 / tr(rho E), so its sandwich against
+    rho is rho^-1/2 rho^1/2 E rho^1/2 rho^-1/2 / tr(rho E) = E / tr(rho E),
+    whose top eigenvalue is 1 / tr(rho E); D_max is that eigenvalue's log."""
+    rng = np.random.default_rng(seed)
+    rho = random_state(n, rng=rng)
+    effect = random_agreeing_effect(rho, rng)
+    prob = float(np.trace(rho.matrix @ effect.matrix).real)
+    got = max_divergence(fls_update(rho, effect), rho)
+    assert not got.support_violation
+    assert_allclose(got.value, -np.log(prob), rtol=0, atol=BAYES_DIVERGENCE_TOL)
 
 
 # a perturbation of the top eigenvector by this much toward a lower one
