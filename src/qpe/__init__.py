@@ -11,7 +11,8 @@ handlers import the ones they call, so a command loads only what it runs,
 and the first read of one of their names here loads all four (the module
 __getattr__ below). states and channels stay eager because
 bench/tracer.py finds the constructors it wraps (its CONSTRUCTORS) in
-sys.modules when it installs.
+sys.modules when it installs. The paper's claim checks and searches live
+in oracle; the other modules hold only the rules they decide.
 """
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .exceptions import (
@@ -85,7 +86,6 @@ from .channels import (
     channel_tensor,
     entanglement_fidelity,
     extended_output,
-    jamiolkowski_properties_check,
     maximally_entangled,
     to_choi,
 )
@@ -95,15 +95,12 @@ __version__ = "0.1.0"
 # the names of the modules loaded on first use, by module
 _LAZY = {
     "bayes": (
-        "TransitivityReport",
         "classical_solve_evidence",
         "classical_update",
         "fls_update",
-        "measurement_monotone_check",
         "random_agreeing_effect",
         "reconstruct_effect",
         "sequential_solve_effect",
-        "sequential_transitivity_demo",
         "sequential_update",
     ),
     "divergence": (
@@ -120,21 +117,25 @@ _LAZY = {
         "WayBelowWitness",
         "depolarize",
         "directed_supremum",
-        "mixing_monotone_check",
         "way_below_witness",
     ),
     "oracle": (
         "CounterexampleReport",
         "PartialTraceReport",
         "ProbeResult",
+        "TransitivityReport",
         "channel_order_oracle",
         "choi_form_output",
         "counterexample_suite",
         "diagonal_order_oracle",
+        "jamiolkowski_properties_check",
+        "measurement_monotone_check",
+        "mixing_monotone_check",
         "partial_trace_counterexample",
         "psd_probe",
         "qpe_order_oracle",
         "random_effect_lower_bound",
+        "sequential_transitivity_demo",
         "shannon_entropy",
     ),
 }

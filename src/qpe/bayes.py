@@ -5,13 +5,11 @@ rho -> rho^1/2 E rho^1/2 / tr(E rho), whose reachable set is exactly the
 upper set of rho in the positive-evidence order when the evidence shares a
 top eigenvector with the prior, and the effect-sandwich (projection
 postulate) form rho -> E^1/2 rho E^1/2 / tr(E rho), which is not transitive
-as a relation. Both admit explicit inverses: an order-certified closed form
-for the first, the unique PSD solution of a quadratic matrix equation for
-the second.
+as a relation (oracle searches for a witness). Both admit explicit inverses:
+an order-certified closed form for the first, the unique PSD solution of a
+quadratic matrix equation for the second.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,20 +19,13 @@ from .exceptions import (
     DimensionMismatch,
     NonFiniteInput,
     NotBelow,
-    PreconditionViolated,
     SupportViolation,
     ZeroEvidence,
     ZeroProbability,
 )
 from .linalg import as_operator, hermitian_part, kernel_cutoff, matrix_power, operator_pair
 from .orders import _probability_pair, as_probability_vector, classical_pe_leq, qpe_leq
-from .states import (
-    DensityMatrix,
-    Effect,
-    sandwich,
-    subspace_intersects,
-    top_eigenspace,
-)
+from .states import DensityMatrix, Effect, sandwich, top_eigenspace
 
 
 def classical_update(x, p) -> np.ndarray:
@@ -184,136 +175,3 @@ def sequential_solve_effect(rho: DensityMatrix, sigma: DensityMatrix,
         raise ZeroProbability("candidate effect vanished")
     # G's spectrum over its norm is the effect's, as in reconstruct_effect
     return Effect._derived(G / norm, candidate.eigenvalues / norm)._check_bounds(cfg)
-
-
-def measurement_monotone_check(rho: DensityMatrix, sigma: DensityMatrix,
-                               effect: Effect,
-                               cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
-    """Whether conditioning preserves the order on an admissible triple.
-
-    Requires rho below sigma and evidence sharing a top eigenvector with the
-    upper state; returns the verdict of the order between the two
-    effect-sandwich updates.
-    """
-    order = qpe_leq(rho, sigma, cfg)
-    if not order.holds:
-        raise PreconditionViolated(f"lower state not below upper ({order.relation})")
-    if not subspace_intersects(top_eigenspace(effect, cfg),
-                               top_eigenspace(sigma, cfg), cfg):
-        raise PreconditionViolated("evidence does not share a top eigenvector "
-                                   "with the upper state")
-    upd_r = sequential_update(rho, effect, cfg)
-    upd_s = sequential_update(sigma, effect, cfg)
-    return qpe_leq(upd_r, upd_s, cfg).holds
-
-
-@dataclass
-class TransitivityReport:
-    """Outcome of the search for a two-step chain with no one-step shortcut."""
-
-    found: bool
-    trials: int
-    dim: int
-    seed: int
-    message: str
-    rho: np.ndarray | None = None
-    first_effect: np.ndarray | None = None
-    second_effect: np.ndarray | None = None
-    intermediate: np.ndarray | None = None
-    final: np.ndarray | None = None
-    candidate: np.ndarray | None = field(default=None, repr=False)
-    candidate_overlap: float | None = None
-    replay_residual: float | None = None
-
-
-def sequential_transitivity_demo(
-    cfg: ToleranceConfig = DEFAULT_CONFIG,
-    budget: int = 2000,
-    seed: int = 0,
-    dim: int = 3,
-) -> TransitivityReport:
-    """Search for a failure of transitivity of the effect-sandwich relation.
-
-    Draws full-rank priors and chains two agreeing updates; the unique
-    candidate for a one-step effect is reconstructed by solving the sandwich
-    equation, so failing the agreeing condition certifies that no single
-    agreeing effect reproduces the chain. Dimension 2 provably always
-    composes (a shared top eigenvector forces a common eigenbasis), so qubit
-    searches report NotFound. A budget below 1 or a dim below 2 samples
-    nothing and is rejected with BadParameter.
-    """
-    if budget < 1 or dim < 2:
-        raise BadParameter(f"need budget >= 1 and dim >= 2, got budget={budget}, dim={dim}")
-    rng = np.random.default_rng(seed)
-    best_overlap = 1.0
-    for trial in range(budget):
-        rho = _random_full_rank(dim, rng)
-        first = _draw_step_effect(rho, rng, cfg)
-        mid = sequential_update(rho, first, cfg)
-        second = _draw_step_effect(mid, rng, cfg)
-        final = sequential_update(mid, second, cfg)
-        try:
-            cand = sequential_solve_effect(rho, final, cfg)
-        except ZeroProbability:
-            continue
-        replay = float(
-            np.abs(sequential_update(rho, cand, cfg).matrix - final.matrix).max()
-        )
-        if replay > 1e-8:
-            # reconstruction failed numerically; not a usable certificate
-            continue
-        overlap = _top_overlap(cand, rho, cfg)
-        best_overlap = min(best_overlap, overlap)
-        if overlap < 0.5:
-            return TransitivityReport(
-                found=True,
-                trials=trial + 1,
-                dim=dim,
-                seed=seed,
-                message=(
-                    "two agreeing updates with no agreeing one-step effect: "
-                    f"unique candidate has top-eigenspace overlap {overlap:.2e} "
-                    "with the prior"
-                ),
-                rho=rho.matrix,
-                first_effect=first.matrix,
-                second_effect=second.matrix,
-                intermediate=mid.matrix,
-                final=final.matrix,
-                candidate=cand.matrix,
-                candidate_overlap=overlap,
-                replay_residual=replay,
-            )
-    return TransitivityReport(
-        found=False,
-        trials=budget,
-        dim=dim,
-        seed=seed,
-        message=(
-            "NotFound: every sampled chain admitted a one-step agreeing effect "
-            f"(closest overlap {best_overlap:.3f})"
-        ),
-        candidate_overlap=best_overlap,
-    )
-
-
-def _random_full_rank(dim, rng):
-    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    raw = G @ G.conj().T + 0.05 * np.eye(dim)
-    return DensityMatrix._derived(raw / raw.trace().real)
-
-
-def _draw_step_effect(state, rng, cfg):
-    # alternate between smooth spectra and rank-deficient projectors;
-    # only the projective steps ever break one-step composability
-    if state.dim > 2 and rng.random() < 0.5:
-        rank = int(rng.integers(2, state.dim))
-        return random_agreeing_effect(state, rng, projector_rank=rank, cfg=cfg)
-    return random_agreeing_effect(state, rng, cfg=cfg)
-
-
-def _top_overlap(effect, state, cfg) -> float:
-    A = top_eigenspace(effect, cfg).basis
-    B = top_eigenspace(state, cfg).basis
-    s = np.linalg.svd(A.conj().T @ B, compute_uv=False)
-    return float(s.max(initial=0.0))

@@ -278,56 +278,3 @@ def entanglement_fidelity(channel: Channel,
     v = channel.choi.eigenvectors[:, 0]
     w = np.conj(v).reshape(n, n).T.reshape(-1)
     return value, DensityMatrix.pure(w, cfg)
-
-
-def jamiolkowski_properties_check(
-    phi1: Channel,
-    phi2: Channel,
-    xi_pre: Channel,
-    xi_post: Channel,
-    mix_with: Channel,
-    t: float = 0.3,
-    cfg: ToleranceConfig = DEFAULT_CONFIG,
-) -> dict[str, float]:
-    """Residuals for the structural identities of the channel-state map.
-
-    Checks positivity and trace marginals of the Choi state, rank agreement
-    with the Kraus family, the permutation identity for tensor products,
-    linearity under mixing, and the transformation rule under pre- and
-    post-composition. All residuals should sit at numerical noise.
-    """
-    if xi_pre.in_dim != xi_pre.out_dim or xi_pre.in_dim != phi1.in_dim:
-        raise DimensionMismatch("pre-composition channel must be square on "
-                                "the input space")
-    if xi_post.in_dim != phi1.out_dim:
-        raise DimensionMismatch("post-composition channel does not match "
-                                "the output space")
-    _channel_pair(mix_with, phi1)
-    n, k = phi1.in_dim, phi1.out_dim
-    J1 = phi1.choi.matrix
-    out: dict[str, float] = {}
-    out["cp_psd"] = float(max(0.0, -phi1.choi.eigenvalues[-1]))
-    out["tp_trace"] = float(abs(J1.trace().real - 1.0))
-    marginal = partial_trace(J1, (n, k), 2)
-    out["tp_partial"] = float(np.abs(marginal - np.eye(n) / n).max())
-    rebuilt = Channel.from_choi(J1, n, k, cfg)
-    out["rank_match"] = float(abs(rank_of(phi1.choi, cfg) - len(rebuilt.kraus)))
-
-    big = channel_tensor(phi1, phi2, cfg).choi.matrix
-    # kron orders both indices as (n1 k1)(n2 k2); the tensor channel's Choi
-    # matrix as (n1 n2)(k1 k2)
-    glued = np.kron(J1, phi2.choi.matrix).reshape((n, k, phi2.in_dim, phi2.out_dim) * 2)
-    glued = glued.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(big.shape)
-    out["tensor_permute"] = float(np.abs(big - glued).max())
-
-    mixed = channel_mix(phi1, mix_with, t, cfg).choi.matrix
-    straight = (1.0 - t) * J1 + t * mix_with.choi.matrix
-    out["mix_linear"] = float(np.abs(mixed - straight).max())
-
-    sandwiched = channel_compose(xi_post, channel_compose(phi1, xi_pre, cfg), cfg)
-    lifted_ops = [np.kron(A.T, B) for A in xi_pre.kraus for B in xi_post.kraus]
-    transported = _kraus_sandwich(lifted_ops, J1)
-    out["compose_transform"] = float(
-        np.abs(sandwiched.choi.matrix - transported).max()
-    )
-    return out

@@ -3,9 +3,8 @@
 Exit codes are uniform across subcommands: 0 for a holding relation or a
 successful computation, 1 for a failing relation, 2 for invalid input,
 3 for marginal, unknown, or not-found outcomes, and 4 for an internal error
-(an exception that is not a QpeError). The default positivity
-tolerance can be preset through the QPE_DEFAULT_TOL environment variable;
-an explicit --tol always wins.
+(an exception that is not a QpeError). The positivity tolerance is --tol,
+1e-9 by default.
 
 The handlers import bayes, divergence, domain and oracle themselves, so a
 command loads only the modules it runs.
@@ -15,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 import numpy as np
@@ -27,7 +25,7 @@ from .channels import (
     entanglement_fidelity,
 )
 from .config import ToleranceConfig
-from .exceptions import BadParameter, DegenerateDraw, NotBelow, QpeError
+from .exceptions import DegenerateDraw, NotBelow, QpeError
 from .linalg import CERTIFIED_BELOW, FAILS, HOLDS, MARGINAL, NOT_BELOW, UNKNOWN
 from .orders import classical_pe_leq, lev_leq, majorizes, primed_leq, qpe_leq
 from .serialization import (
@@ -53,8 +51,7 @@ def _alpha_arg(text: str) -> float:
 
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None,
-                        help="positivity slack (default 1e-9, or QPE_DEFAULT_TOL)")
+    common.add_argument("--tol", type=float, default=1e-9, help="positivity slack")
     common.add_argument("--cluster", type=float, default=1e-9,
                         help="relative width for grouping degenerate eigenvalues")
     common.add_argument("--rank-cutoff", type=float, default=1e-12,
@@ -69,15 +66,8 @@ def _common_flags() -> argparse.ArgumentParser:
 
 
 def _config(args: argparse.Namespace) -> ToleranceConfig:
-    tol = args.tol
-    if tol is None:
-        preset = os.environ.get("QPE_DEFAULT_TOL", "1e-9")
-        try:
-            tol = float(preset)
-        except ValueError as exc:
-            raise BadParameter(f"QPE_DEFAULT_TOL is not a number: {preset!r}") from exc
     return ToleranceConfig(
-        psd_slack=tol,
+        psd_slack=args.tol,
         cluster_width=args.cluster,
         rank_cutoff=args.rank_cutoff,
         log_base="two" if args.log_base == "2" else "natural",
@@ -252,7 +242,7 @@ def _cmd_demo_partial_trace(args, cfg):
 
 
 def _cmd_demo_transitivity(args, cfg):
-    from .bayes import sequential_transitivity_demo
+    from .oracle import sequential_transitivity_demo
 
     report = sequential_transitivity_demo(cfg, budget=args.budget,
                                           seed=args.seed, dim=args.dim)

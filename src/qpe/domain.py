@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
-from .exceptions import NotAChain, NotConverged, PreconditionViolated
+from .exceptions import NotAChain, NotConverged
 from .linalg import (CERTIFIED_BELOW, NOT_BELOW, UNKNOWN, as_operator, check_mixing_weight,
-                     operator_norm, operator_pair, remembered)
+                     operator_norm, remembered)
 from .orders import qpe_leq
 from .states import DensityMatrix, rank_of
 
@@ -119,19 +119,3 @@ def directed_supremum(chain, cfg: ToleranceConfig = DEFAULT_CONFIG) -> DensityMa
     if tail_gap > 1e-10:
         raise NotConverged(f"chain tail still moving (gap {tail_gap:.3e})")
     return states[-1]
-
-
-def mixing_monotone_check(kappa: DensityMatrix, rho: DensityMatrix,
-                          sigma: DensityMatrix, t: float,
-                          cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
-    """Whether mixing both sides of an ordered pair toward a lower state preserves order."""
-    check_mixing_weight(t)
-    kappa, rho = operator_pair(kappa, rho)
-    rho, sigma = operator_pair(rho, sigma)
-    if not qpe_leq(kappa, rho, cfg).holds:
-        raise PreconditionViolated("mixing anchor is not below the lower state")
-    if not qpe_leq(rho, sigma, cfg).holds:
-        raise PreconditionViolated("pair is not ordered")
-    left = DensityMatrix((1.0 - t) * rho.matrix + t * kappa.matrix, cfg)
-    right = DensityMatrix((1.0 - t) * sigma.matrix + t * kappa.matrix, cfg)
-    return qpe_leq(left, right, cfg).holds

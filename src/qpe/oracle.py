@@ -1,6 +1,6 @@
-"""Independent verification routes and stored counterexamples.
+"""Independent verification routes, claim checks and stored counterexamples.
 
-Everything here deliberately avoids the main code paths: positivity is
+The routes deliberately avoid the main code paths: positivity is
 probed by Rayleigh quotients instead of an eigensolver, the state order on
 its order matrix instead of the sandwich, the diagonal order by
 elementwise division, the channel order from the Kraus action instead of
@@ -8,21 +8,29 @@ the Choi states and the channel action from the Choi matrix instead, the
 max-divergence from below by random effects instead
 of its attaining projector, and entropies by the direct sum formula. A
 disagreement between these routes and the main library is a bug in one of
-them, never a tolerance artifact to be absorbed.
+them, never a tolerance artifact to be absorbed. The checks and searches
+of the paper's structural claims (order preservation under mixing and
+conditioning, the Jamiolkowski identities, the non-transitive
+effect-sandwich rule) use the main code paths instead, and they alone
+raise PreconditionViolated.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Channel, _channel_pair
+from .bayes import random_agreeing_effect, sequential_solve_effect, sequential_update
+from .channels import (Channel, _channel_pair, _kraus_sandwich, channel_compose, channel_mix,
+                       channel_tensor)
 from .config import DEFAULT_CONFIG, ToleranceConfig
-from .exceptions import BadParameter, DegenerateDraw, DimensionMismatch
-from .linalg import (FAILS, HOLDS, MARGINAL, OrderVerdict, as_operator, is_psd, operator_pair,
-                     partial_trace, partial_transpose)
+from .exceptions import (BadParameter, DegenerateDraw, DimensionMismatch, NonFiniteInput,
+                         PreconditionViolated, ZeroProbability)
+from .linalg import (FAILS, HOLDS, MARGINAL, OrderVerdict, as_operator, as_square_array,
+                     check_mixing_weight, is_psd, operator_pair, partial_trace, partial_transpose)
 from .orders import majorizes, qpe_leq
-from .states import DensityMatrix, top_eigenvalue
+from .states import (DensityMatrix, Effect, rank_of, subspace_intersects, top_eigenspace,
+                     top_eigenvalue)
 
 # noise floor of the oracles' own arithmetic: psd_probe's is -10 SLACK
 # max(1, ||A||), and diagonal_order_oracle bands its margin at -SLACK, -10 SLACK
@@ -48,11 +56,12 @@ def psd_probe(A, trials: int = 200) -> ProbeResult:
     Samples trials random unit vectors (seeded by PROBE_SEED) and the
     coordinate directions; finding v* A v below the noise floor set by SLACK
     certifies non-positivity, finding nothing is inconclusive. A negative
-    trials raises BadParameter.
+    trials raises BadParameter. A is read by as_square_array: a non-square
+    or non-finite matrix raises, and a state probes its own matrix.
     """
     if trials < 0:
         raise BadParameter(f"trials must be nonnegative, got {trials}")
-    M = np.asarray(A, dtype=complex)
+    M = as_square_array(A)
     n = M.shape[0]
     rng = np.random.default_rng(PROBE_SEED)
     floor = -10.0 * SLACK * max(1.0, float(np.linalg.norm(M)))
@@ -109,12 +118,15 @@ def diagonal_order_oracle(x, y) -> OrderVerdict:
 
     Forms the ratios y_i / y_max and x_i / x_max directly and compares them,
     a different arithmetic route from the cross-multiplied form used by the
-    library predicate. The least margin is banded by SLACK.
+    library predicate. The least margin is banded by SLACK; a NaN or
+    infinite entry raises NonFiniteInput.
     """
     xv = np.asarray(x, dtype=float).reshape(-1)
     yv = np.asarray(y, dtype=float).reshape(-1)
     if xv.size != yv.size:
         raise DimensionMismatch("vectors differ in length")
+    if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
+        raise NonFiniteInput("probability vector has a NaN or infinite entry")
     x_top = xv.max()
     y_top = yv.max()
     margin = np.inf
@@ -302,3 +314,209 @@ def counterexample_suite(cfg: ToleranceConfig = DEFAULT_CONFIG) -> list[Countere
         reports.append(CounterexampleReport(name, x, y, checks, values,
                                             stable, checks == expected))
     return reports
+
+
+def _order_preserved(rho, sigma, move, unordered: str, cfg: ToleranceConfig) -> bool:
+    """Whether qpe_leq(move(rho), move(sigma)) holds, for rho below sigma; else
+    PreconditionViolated with unordered formatted by the pair's relation."""
+    order = qpe_leq(rho, sigma, cfg)
+    if not order.holds:
+        raise PreconditionViolated(unordered.format(order.relation))
+    return qpe_leq(move(rho), move(sigma), cfg).holds
+
+
+def mixing_monotone_check(kappa: DensityMatrix, rho: DensityMatrix,
+                          sigma: DensityMatrix, t: float,
+                          cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
+    """Whether mixing both sides of an ordered pair toward a lower state preserves order."""
+    check_mixing_weight(t)
+    kappa, rho = operator_pair(kappa, rho)
+    rho, sigma = operator_pair(rho, sigma)
+    if not qpe_leq(kappa, rho, cfg).holds:
+        raise PreconditionViolated("mixing anchor is not below the lower state")
+    return _order_preserved(
+        rho, sigma, lambda state: DensityMatrix((1.0 - t) * state.matrix + t * kappa.matrix, cfg),
+        "pair is not ordered", cfg)
+
+
+def measurement_monotone_check(rho: DensityMatrix, sigma: DensityMatrix,
+                               effect: Effect,
+                               cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
+    """Whether conditioning preserves the order on an admissible triple.
+
+    Requires rho below sigma and evidence sharing a top eigenvector with the
+    upper state; returns the verdict of the order between the two
+    effect-sandwich updates.
+    """
+    sigma, effect = operator_pair(sigma, effect)
+    if not subspace_intersects(top_eigenspace(effect, cfg),
+                               top_eigenspace(sigma, cfg), cfg):
+        raise PreconditionViolated("evidence does not share a top eigenvector "
+                                   "with the upper state")
+    return _order_preserved(rho, sigma, lambda state: sequential_update(state, effect, cfg),
+                            "lower state not below upper ({})", cfg)
+
+
+def jamiolkowski_properties_check(
+    phi1: Channel,
+    phi2: Channel,
+    xi_pre: Channel,
+    xi_post: Channel,
+    mix_with: Channel,
+    t: float = 0.3,
+    cfg: ToleranceConfig = DEFAULT_CONFIG,
+) -> dict[str, float]:
+    """Residuals for the structural identities of the channel-state map.
+
+    Checks positivity and trace marginals of the Choi state, rank agreement
+    with the Kraus family, the permutation identity for tensor products,
+    linearity under mixing, and the transformation rule under pre- and
+    post-composition. All residuals should sit at numerical noise.
+    """
+    if xi_pre.in_dim != xi_pre.out_dim or xi_pre.in_dim != phi1.in_dim:
+        raise DimensionMismatch("pre-composition channel must be square on "
+                                "the input space")
+    if xi_post.in_dim != phi1.out_dim:
+        raise DimensionMismatch("post-composition channel does not match "
+                                "the output space")
+    _channel_pair(mix_with, phi1)
+    n, k = phi1.in_dim, phi1.out_dim
+    J1 = phi1.choi.matrix
+    out: dict[str, float] = {}
+    out["cp_psd"] = float(max(0.0, -phi1.choi.eigenvalues[-1]))
+    out["tp_trace"] = float(abs(J1.trace().real - 1.0))
+    marginal = partial_trace(J1, (n, k), 2)
+    out["tp_partial"] = float(np.abs(marginal - np.eye(n) / n).max())
+    rebuilt = Channel.from_choi(J1, n, k, cfg)
+    out["rank_match"] = float(abs(rank_of(phi1.choi, cfg) - len(rebuilt.kraus)))
+
+    big = channel_tensor(phi1, phi2, cfg).choi.matrix
+    # kron orders both indices as (n1 k1)(n2 k2); the tensor channel's Choi
+    # matrix as (n1 n2)(k1 k2)
+    glued = np.kron(J1, phi2.choi.matrix).reshape((n, k, phi2.in_dim, phi2.out_dim) * 2)
+    glued = glued.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(big.shape)
+    out["tensor_permute"] = float(np.abs(big - glued).max())
+
+    mixed = channel_mix(phi1, mix_with, t, cfg).choi.matrix
+    straight = (1.0 - t) * J1 + t * mix_with.choi.matrix
+    out["mix_linear"] = float(np.abs(mixed - straight).max())
+
+    sandwiched = channel_compose(xi_post, channel_compose(phi1, xi_pre, cfg), cfg)
+    lifted_ops = [np.kron(A.T, B) for A in xi_pre.kraus for B in xi_post.kraus]
+    transported = _kraus_sandwich(lifted_ops, J1)
+    out["compose_transform"] = float(
+        np.abs(sandwiched.choi.matrix - transported).max()
+    )
+    return out
+
+
+@dataclass
+class TransitivityReport:
+    """Outcome of the search for a two-step chain with no one-step shortcut."""
+
+    found: bool
+    trials: int
+    dim: int
+    seed: int
+    message: str
+    rho: np.ndarray | None = None
+    first_effect: np.ndarray | None = None
+    second_effect: np.ndarray | None = None
+    intermediate: np.ndarray | None = None
+    final: np.ndarray | None = None
+    candidate: np.ndarray | None = field(default=None, repr=False)
+    candidate_overlap: float | None = None
+    replay_residual: float | None = None
+
+
+def sequential_transitivity_demo(
+    cfg: ToleranceConfig = DEFAULT_CONFIG,
+    budget: int = 2000,
+    seed: int = 0,
+    dim: int = 3,
+) -> TransitivityReport:
+    """Search for a failure of transitivity of the effect-sandwich relation.
+
+    Draws full-rank priors and chains two agreeing updates; the unique
+    candidate for a one-step effect is reconstructed by solving the sandwich
+    equation, so failing the agreeing condition certifies that no single
+    agreeing effect reproduces the chain. Dimension 2 provably always
+    composes (a shared top eigenvector forces a common eigenbasis), so qubit
+    searches report NotFound. A budget below 1 or a dim below 2 samples
+    nothing and is rejected with BadParameter.
+    """
+    if budget < 1 or dim < 2:
+        raise BadParameter(f"need budget >= 1 and dim >= 2, got budget={budget}, dim={dim}")
+    rng = np.random.default_rng(seed)
+    best_overlap = 1.0
+    for trial in range(budget):
+        rho = _random_full_rank(dim, rng)
+        first = _draw_step_effect(rho, rng, cfg)
+        mid = sequential_update(rho, first, cfg)
+        second = _draw_step_effect(mid, rng, cfg)
+        final = sequential_update(mid, second, cfg)
+        try:
+            cand = sequential_solve_effect(rho, final, cfg)
+        except ZeroProbability:
+            continue
+        replay = float(
+            np.abs(sequential_update(rho, cand, cfg).matrix - final.matrix).max()
+        )
+        if replay > 1e-8:
+            # reconstruction failed numerically; not a usable certificate
+            continue
+        overlap = _top_overlap(cand, rho, cfg)
+        best_overlap = min(best_overlap, overlap)
+        if overlap < 0.5:
+            return TransitivityReport(
+                found=True,
+                trials=trial + 1,
+                dim=dim,
+                seed=seed,
+                message=(
+                    "two agreeing updates with no agreeing one-step effect: "
+                    f"unique candidate has top-eigenspace overlap {overlap:.2e} "
+                    "with the prior"
+                ),
+                rho=rho.matrix,
+                first_effect=first.matrix,
+                second_effect=second.matrix,
+                intermediate=mid.matrix,
+                final=final.matrix,
+                candidate=cand.matrix,
+                candidate_overlap=overlap,
+                replay_residual=replay,
+            )
+    return TransitivityReport(
+        found=False,
+        trials=budget,
+        dim=dim,
+        seed=seed,
+        message=(
+            "NotFound: every sampled chain admitted a one-step agreeing effect "
+            f"(closest overlap {best_overlap:.3f})"
+        ),
+        candidate_overlap=best_overlap,
+    )
+
+
+def _random_full_rank(dim, rng):
+    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    raw = G @ G.conj().T + 0.05 * np.eye(dim)
+    return DensityMatrix._derived(raw / raw.trace().real)
+
+
+def _draw_step_effect(state, rng, cfg):
+    # alternate between smooth spectra and rank-deficient projectors;
+    # only the projective steps ever break one-step composability
+    if state.dim > 2 and rng.random() < 0.5:
+        rank = int(rng.integers(2, state.dim))
+        return random_agreeing_effect(state, rng, projector_rank=rank, cfg=cfg)
+    return random_agreeing_effect(state, rng, cfg=cfg)
+
+
+def _top_overlap(effect, state, cfg) -> float:
+    A = top_eigenspace(effect, cfg).basis
+    B = top_eigenspace(state, cfg).basis
+    s = np.linalg.svd(A.conj().T @ B, compute_uv=False)
+    return float(s.max(initial=0.0))

@@ -109,13 +109,13 @@ def commands() -> list[list[str]]:
 
 
 def transcript() -> list[dict]:
-    """Each of commands() run once in-process from tests/fixtures, with
-    QPE_DEFAULT_TOL unset: its argv, exit code, stdout and stderr lines, and
-    the category and message of each warning it raised."""
+    """Each of commands() run once in-process from tests/fixtures: its argv,
+    exit code, stdout and stderr lines, and the category and message of each
+    warning it raised."""
     from qpe.cli import run
 
     records = []
-    cwd, preset = os.getcwd(), os.environ.pop("QPE_DEFAULT_TOL", None)
+    cwd = os.getcwd()
     try:
         os.chdir(FIXTURES)
         for argv in commands():
@@ -131,8 +131,6 @@ def transcript() -> list[dict]:
             })
     finally:
         os.chdir(cwd)
-        if preset is not None:
-            os.environ["QPE_DEFAULT_TOL"] = preset
     return records
 
 

@@ -14,7 +14,6 @@ import pytest
 
 from qpe.bayes import (
     fls_update,
-    measurement_monotone_check,
     random_agreeing_effect,
     reconstruct_effect,
 )
@@ -23,7 +22,6 @@ from qpe.channels import (
     channel_max_divergence,
     channel_qpe_leq,
     extended_output,
-    jamiolkowski_properties_check,
     maximally_entangled,
     to_choi,
 )
@@ -34,12 +32,15 @@ from qpe.divergence import (
     povm_distinguishability_lower_bound,
     renyi_entropy,
 )
-from qpe.domain import depolarize, mixing_monotone_check, way_below_witness
+from qpe.domain import depolarize, way_below_witness
 from qpe.exceptions import NotBelow
 from qpe.oracle import (
     ENTROPY_UP_THE_ORDER,
     ORDER_NOT_MAJORIZATION,
     channel_order_oracle,
+    jamiolkowski_properties_check,
+    measurement_monotone_check,
+    mixing_monotone_check,
     partial_trace_counterexample,
     random_effect_lower_bound,
     shannon_entropy,

@@ -11,15 +11,14 @@ from qpe.bayes import (
     classical_solve_evidence,
     classical_update,
     fls_update,
-    measurement_monotone_check,
     random_agreeing_effect,
     reconstruct_effect,
     sequential_solve_effect,
-    sequential_transitivity_demo,
     sequential_update,
 )
 from qpe.exceptions import (
     BadParameter,
+    DimensionMismatch,
     InvalidState,
     NonFiniteInput,
     NotBelow,
@@ -29,6 +28,7 @@ from qpe.exceptions import (
     ZeroProbability,
 )
 from qpe.linalg import HermitianOperator
+from qpe.oracle import measurement_monotone_check, sequential_transitivity_demo
 from qpe.orders import classical_pe_leq, qpe_leq
 from qpe.states import random_state
 
@@ -224,6 +224,20 @@ class TestMeasurementMonotonicity:
         E = random_agreeing_effect(b, rng)
         with pytest.raises(PreconditionViolated):
             measurement_monotone_check(a, b, E)
+
+    def test_unordered_pair_message_names_the_relation(self, rng):
+        lower = DensityMatrix.from_diag([0.5, 0.3, 0.2])
+        upper = DensityMatrix.from_diag([0.6, 0.1, 0.3])
+        E = random_agreeing_effect(upper, rng)
+        with pytest.raises(PreconditionViolated) as caught:
+            measurement_monotone_check(lower, upper, E)
+        assert str(caught.value) == "lower state not below upper (fails)"
+
+    def test_effect_of_another_dimension_is_refused_by_the_pair_gate(self, make_ordered_pair):
+        rho, sigma = make_ordered_pair(2)
+        with pytest.raises(DimensionMismatch) as caught:
+            measurement_monotone_check(rho, sigma, Effect(np.eye(3)))
+        assert str(caught.value) == "operand dimensions differ: 2 vs 3"
 
     def test_requires_agreeing_evidence(self, rng, make_ordered_pair):
         rho, sigma = make_ordered_pair(3)

@@ -16,7 +16,6 @@ from qpe.channels import (
     channel_tensor,
     entanglement_fidelity,
     extended_output,
-    jamiolkowski_properties_check,
     maximally_entangled,
     to_choi,
 )
@@ -29,7 +28,7 @@ from qpe.exceptions import (
     NotCPTP,
     OverflowingInput,
 )
-from qpe.oracle import channel_order_oracle, choi_form_output
+from qpe.oracle import channel_order_oracle, choi_form_output, jamiolkowski_properties_check
 from qpe.orders import qpe_leq
 from qpe.states import random_state
 

@@ -342,28 +342,12 @@ class TestOrderOutput:
 
 
 class TestToleranceConfiguration:
-    def test_environment_default_widens_the_band(self, capsys, monkeypatch):
-        monkeypatch.setenv("QPE_DEFAULT_TOL", "1e-3")
-        code, _, _ = run_cli(capsys, "order", "check", "--relation",
-                             "classical", fx("probvec_532.json"),
-                             fx("probvec_marginal.json"))
-        assert code == 0
-
-    def test_explicit_flag_beats_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("QPE_DEFAULT_TOL", "1e-3")
+    def test_explicit_flag_beats_environment(self, capsys):
         code, _, _ = run_cli(capsys, "order", "check", "--relation",
                              "classical", "--tol", "1e-12",
                              fx("probvec_532.json"),
                              fx("probvec_marginal.json"))
         assert code == 1
-
-    def test_malformed_environment_default_is_invalid_input(self, capsys, monkeypatch):
-        monkeypatch.setenv("QPE_DEFAULT_TOL", "abc")
-        code, out, err = run_cli(capsys, "order", "check",
-                                 fx("state_onm_upper.json"),
-                                 fx("state_onm_lower.json"))
-        assert (code, out) == (2, "")
-        assert "QPE_DEFAULT_TOL" in err
 
     @pytest.mark.parametrize("argv", [
         ("order", "check", "--tol", "inf"),
@@ -624,3 +608,21 @@ class TestLoadedModules:
         assert code == "0"
         assert set(loaded) == EAGER_MODULES | extra
         assert "qpe.oracle" not in loaded
+
+
+class TestDemoLoadedModules:
+    # every demo handler reads oracle, whose claim searches run on bayes
+    @pytest.mark.parametrize("argv, code", [
+        (("demo", "counterexamples"), "0"),
+        (("demo", "partial-trace"), "0"),
+        (("demo", "transitivity", "--budget", "5"), "3"),
+    ], ids=["counterexamples", "partial-trace", "transitivity"])
+    def test_a_demo_loads_oracle_and_bayes_only(self, argv, code):
+        src = str(Path(qpe.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-c", LOADED_MODULES_PROBE, *argv],
+                              capture_output=True, text=True, env=env, check=True)
+        exit_code, *loaded = done.stdout.split()
+        assert exit_code == code
+        assert set(loaded) == EAGER_MODULES | {"qpe.oracle", "qpe.bayes"}

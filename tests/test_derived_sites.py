@@ -32,7 +32,7 @@ ALLOWED = {
     # candidate's spectrum over that norm; its bounds are still checked there
     ("bayes", "sequential_solve_effect"),
     # G G^dagger + 0.05 I over its trace: the transitivity demo's own draw
-    ("bayes", "_random_full_rank"),
+    ("oracle", "_random_full_rank"),
     # G G^dagger over its trace: the package's own draw
     ("states", "random_state"),
 }

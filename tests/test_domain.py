@@ -12,10 +12,10 @@ from qpe.domain import (
     UNKNOWN,
     depolarize,
     directed_supremum,
-    mixing_monotone_check,
     way_below_witness,
 )
 from qpe.exceptions import BadParameter, NotAChain, NotConverged, PreconditionViolated
+from qpe.oracle import mixing_monotone_check
 from qpe.orders import qpe_leq
 from qpe.states import random_state
 
@@ -171,6 +171,15 @@ class TestMixingMonotonicity:
         if not qpe_leq(loose, rho).holds:
             with pytest.raises(PreconditionViolated):
                 mixing_monotone_check(loose, rho, sigma, 0.5)
+
+    def test_rejects_unordered_pair(self):
+        # the bottom I/3 is below both states, which are not ordered
+        bottom = DensityMatrix(np.eye(3) / 3)
+        lower = DensityMatrix.from_diag([0.5, 0.3, 0.2])
+        upper = DensityMatrix.from_diag([0.6, 0.1, 0.3])
+        with pytest.raises(PreconditionViolated) as caught:
+            mixing_monotone_check(bottom, lower, upper, 0.5)
+        assert str(caught.value) == "pair is not ordered"
 
     def test_rejects_bad_parameter(self, rng):
         sigma = random_state(3, rng=rng)

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qpe.channels import Channel, channel_mix, channel_qpe_leq
-from qpe.exceptions import BadParameter, DimensionMismatch
+from qpe.exceptions import BadParameter, DimensionMismatch, NonFiniteInput
 from qpe.oracle import (
     ENTROPY_UP_THE_ORDER,
     ORDER_NOT_MAJORIZATION,
@@ -47,6 +47,20 @@ class TestPsdProbe:
             random_effect_lower_bound(sigma, rho, trials=-1)
         assert random_effect_lower_bound(sigma, rho, trials=0) == -np.inf
 
+    @pytest.mark.parametrize("A", [[[-1.0, np.nan], [np.nan, 1.0]],
+                                   [[1.0, np.inf], [np.inf, 1.0]]], ids=["nan", "inf"])
+    def test_non_finite_matrix_is_refused(self, A):
+        with pytest.raises(NonFiniteInput):
+            psd_probe(A)
+
+    def test_non_square_matrix_is_refused(self):
+        with pytest.raises(DimensionMismatch):
+            psd_probe(np.ones((2, 3)))
+
+    def test_a_state_probes_its_own_matrix(self, rng):
+        rho = random_state(3, rng=rng)
+        assert psd_probe(rho) == psd_probe(rho.matrix)
+
 
 class TestDiagonalOracle:
     def test_agrees_with_library_predicate(self, rng):
@@ -83,6 +97,12 @@ class TestDiagonalOracle:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             diagonal_order_oracle([0.5, 0.5], [1.0])
+
+    @pytest.mark.parametrize("x, y", [([np.nan, 0.5], [0.5, 0.5]),
+                                      ([0.5, 0.5], [np.inf, 0.5])], ids=["nan", "inf"])
+    def test_non_finite_entry_is_refused(self, x, y):
+        with pytest.raises(NonFiniteInput):
+            diagonal_order_oracle(x, y)
 
 
 CHANNEL_SHAPES = [(2, 2), (2, 3), (3, 2), (4, 4)]

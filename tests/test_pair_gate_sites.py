@@ -25,9 +25,9 @@ DIMENSIONS = {"dim", "shape", "in_dim", "out_dim"}
 MATRICES = {"_matrix", "matrix"}
 ALLOWED = {
     ("channels", "_channel_pair"),
-    ("channels", "jamiolkowski_properties_check"),
     ("linalg", "operator_pair"),
     ("linalg", "remembered"),
+    ("oracle", "jamiolkowski_properties_check"),
     ("orders", "lev_leq"),
     ("states", "subspace_intersects"),
 }

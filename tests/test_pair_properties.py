@@ -90,7 +90,7 @@ from qpe import (
     top_eigenvalue,
     way_below_witness,
 )
-from qpe.bayes import sequential_transitivity_demo
+from qpe.oracle import sequential_transitivity_demo
 from qpe.linalg import (
     PARTNER_MEMO_SIZE,
     SHIFTED_SOLVE_MIN_DIM,
