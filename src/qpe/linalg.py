@@ -444,9 +444,13 @@ def operator_pair(a, b) -> tuple[HermitianOperator, HermitianOperator]:
 
 
 def remembered(a, b, key, compute, cfg: ToleranceConfig):
-    """compute(a, b, cfg), remembered on a for b under key. Two operators of
-    one length pass as they are, anything else through operator_pair; compute
-    is a module-level function, run only on a miss, so a hit builds no closure.
+    """compute(a, b, cfg), remembered on a for b under key; compute is a
+    module-level function, run only on a miss, so a hit builds no closure.
+
+    A hit is one slot lookup and one weakref check: a live slot of a for b
+    exists only for a pair that went through operator_pair, and operators
+    are frozen, so it stands in for the gate. Anything else (no slot, a dead
+    partner's reused id, a raw operand) goes through operator_pair first.
 
     Up to PARTNER_MEMO_SIZE partners are remembered; a new one past that
     drops the oldest-inserted. A partner is held by weakref and matched by
@@ -464,13 +468,11 @@ def remembered(a, b, key, compute, cfg: ToleranceConfig):
     sandwich and way_below for the verdict of the same pair, and those
     calls find the slot the outer one opened, so they cannot drop it.
     """
-    if not (isinstance(a, HermitianOperator) and isinstance(b, HermitianOperator)
-            and len(a._matrix) == len(b._matrix)):  # square: the length is the dim
-        a, b = operator_pair(a, b)
-    partners, ident = a._partners, id(b)
-    slot = partners.get(ident)
+    slot = a._partners.get(id(b)) if isinstance(a, HermitianOperator) else None
     if slot is None or slot[0]() is not b:
-        if slot is not None:
+        a, b = operator_pair(a, b)
+        partners, ident = a._partners, id(b)
+        if ident in partners:
             del partners[ident]  # a dead partner's reused id: drop its entries
         elif len(partners) >= PARTNER_MEMO_SIZE:
             del partners[next(iter(partners))]

@@ -3,10 +3,10 @@ other, and the one that checks two channels.
 
 A function that takes two operators puts them through linalg.operator_pair,
 which converts a raw array with as_operator and raises one DimensionMismatch
-for a pair of two dimensions, or through linalg.remembered, whose accept
-test passes two operators of one length as they are and hands any other
-pair to operator_pair; both compare len(x._matrix) of the two operands. A
-function that takes two channels of one shape calls channels._channel_pair.
+for a pair of two dimensions by comparing len(x._matrix) of the two
+operands, or through linalg.remembered, which gates through operator_pair
+on a miss and compares nothing itself. A function that takes two channels
+of one shape calls channels._channel_pair.
 A comparison of one attribute (dim, shape, in_dim or out_dim), or of the
 lengths of two matrices, read off two different objects anywhere else would
 be another copy of that rule. The comparisons that remain are not operand
@@ -26,7 +26,6 @@ MATRICES = {"_matrix", "matrix"}
 ALLOWED = {
     ("channels", "_channel_pair"),
     ("linalg", "operator_pair"),
-    ("linalg", "remembered"),
     ("oracle", "jamiolkowski_properties_check"),
     ("orders", "lev_leq"),
     ("states", "subspace_intersects"),

@@ -31,6 +31,7 @@ from numpy.testing import assert_allclose
 from qpe import (
     Channel,
     DensityMatrix,
+    DimensionMismatch,
     InvalidState,
     NotBelow,
     channel_max_divergence,
@@ -68,6 +69,7 @@ from qpe.linalg import (
     hermitian_eig,
     hermitian_eigvals,
     matrix_power,
+    operator_pair,
     random_unitary,
 )
 from qpe.serialization import channel_json, load_channel
@@ -776,6 +778,63 @@ class TestMemoHits:
             assert ask(lower, upper) is first
             assert ask(lower, upper) is first
             assert compute.call_count == 1
+
+    @pytest.mark.parametrize("query", sorted(set(HIT_QUERIES) - {"channel_qpe_leq",
+                                                                 "channel_max_divergence"}))
+    def test_a_hit_calls_no_gate(self, query):
+        ask = HIT_QUERIES[query][0]
+        lower, upper = self._fresh_pair(query)
+        first = ask(lower, upper)
+        with spying(operator_pair) as (gate,):
+            assert ask(lower, upper) is first
+            assert ask(lower, upper) is first
+        assert gate.call_count == 0
+
+    @staticmethod
+    def _keys(cfg=DEFAULT_CONFIG):
+        # every entry's key as remembered reads it (see READS)
+        return [("qpe_leq", cfg.psd_slack, cfg.rank_cutoff), ("sandwich", cfg.rank_cutoff),
+                ("max_divergence", cfg.rank_cutoff, cfg.log_base),
+                ("way_below", cfg.psd_slack, cfg.rank_cutoff)]
+
+    def test_a_slot_of_another_partner_is_no_hit(self):
+        rng = np.random.default_rng(23)
+        rho, other = random_state(3, rng=rng), random_state(3, rng=rng)
+        sentinel = object()
+        for raw, text in ((random_state(3, rng=rng).matrix.copy(), None),
+                          (random_state(2, rng=rng).matrix.copy(), "3 vs 2")):
+            # a slot under the raw operand's id whose partner is not that operand
+            rho._partners[id(raw)] = (weakref.ref(other), dict.fromkeys(self._keys(), sentinel))
+            for entry, query in REMEMBERED.items():
+                if text is None:
+                    result = query(rho, raw, DEFAULT_CONFIG)
+                    assert result is not sentinel, entry
+                    assert _bits(result) == _bits(query(DensityMatrix(rho.matrix.copy()),
+                                                        raw, DEFAULT_CONFIG)), entry
+                    continue
+                # max_divergence names its first operand, sigma, first
+                named = "2 vs 3" if entry == "max_divergence" else text
+                with pytest.raises(DimensionMismatch,
+                                   match=f"^operand dimensions differ: {named}$"):
+                    query(rho, raw, DEFAULT_CONFIG)
+
+    def test_a_full_memo_still_refuses_two_dims(self):
+        rng = np.random.default_rng(24)
+        rho = random_state(3, rng=rng)
+        partners = [random_state(3, rng=rng) for _ in range(PARTNER_MEMO_SIZE)]
+        for sigma in partners:
+            qpe_leq(rho, sigma)
+        held = list(rho._partners)
+        assert len(held) == PARTNER_MEMO_SIZE
+        small = random_state(2, rng=rng)
+        for operand in (small, small.matrix.copy()):
+            for entry, query in REMEMBERED.items():
+                named = "2 vs 3" if entry == "max_divergence" else "3 vs 2"
+                with pytest.raises(DimensionMismatch,
+                                   match=f"^operand dimensions differ: {named}$"):
+                    query(rho, operand, DEFAULT_CONFIG)
+        # a refused pair opens no slot, so it drops no partner
+        assert list(rho._partners) == held
 
 
 # the four remembered entries, each called as (rho, sigma, cfg) with the
