@@ -14,10 +14,11 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .exceptions import BadAlpha, QpeError
-from .linalg import (HermitianOperator, OrderVerdict, _sandwiched_trace, as_operator,
-                     kernel_cutoff, operator_pair, remembered)
+from .linalg import (OrderVerdict, _sandwiched_trace, as_operator, kernel_cutoff,
+                     operator_pair, remembered)
 from .orders import _probability_pair, classical_pe_leq, qpe_leq
-from .states import DensityMatrix, Effect, attaining_direction, escape_direction, sandwich
+from .states import (DensityMatrix, Effect, _refuse_raw_non_psd, attaining_direction,
+                     escape_direction, sandwich)
 
 
 @dataclass(frozen=True)
@@ -32,10 +33,13 @@ class DivergenceValue:
 
 def renyi_entropy(rho: DensityMatrix, alpha: float,
                   cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
-    """Renyi entropy of order alpha; alpha = 1 is von Neumann, inf is min-entropy."""
+    """Renyi entropy of order alpha; alpha = 1 is von Neumann, inf is
+    min-entropy. NegativeEigenvalue for a raw operand that is not PSD."""
     if not alpha > 0:
         raise BadAlpha(f"order must be positive, got {alpha}")
-    w = as_operator(rho).eigenvalues
+    rho = as_operator(rho)
+    _refuse_raw_non_psd(rho, cfg=cfg)
+    w = rho.eigenvalues
     if np.isinf(alpha):
         return float(-cfg.log(w[0]))
     w = w[w > kernel_cutoff(w, cfg)]
@@ -61,18 +65,9 @@ def max_divergence(sigma: DensityMatrix, rho: DensityMatrix,
         raise
 
 
-def _refuse_raw_non_psd(sigma, rho, cfg: ToleranceConfig) -> None:
-    """NegativeEigenvalue for an operand that arrived as a raw matrix and
-    fails support's PSD band, as every finite alpha raises; a state or effect
-    was validated when built, and is not solved again."""
-    for op in (sigma, rho):
-        if type(op) is HermitianOperator:
-            op.support(cfg)
-
-
 def _max_divergence(rho, sigma, cfg: ToleranceConfig) -> DivergenceValue:
     """max_divergence computed afresh on an operator pair, for it to remember."""
-    _refuse_raw_non_psd(sigma, rho, cfg)
+    _refuse_raw_non_psd(sigma, rho, cfg=cfg)
     if escape_direction(rho, sigma, cfg) is not None:
         return DivergenceValue(np.inf, np.inf, cfg.log_base, support_violation=True)
     return DivergenceValue(float(cfg.log(sandwich(rho, sigma, cfg).norm)),
@@ -128,7 +123,7 @@ def povm_distinguishability_lower_bound(sigma: DensityMatrix, rho: DensityMatrix
     check.
     """
     sigma, rho = operator_pair(sigma, rho)
-    _refuse_raw_non_psd(sigma, rho, cfg)
+    _refuse_raw_non_psd(sigma, rho, cfg=cfg)
     if escape_direction(rho, sigma, cfg) is not None:
         return np.inf
     u = attaining_direction(rho, sigma, cfg)

@@ -23,12 +23,12 @@ import numpy as np
 from .bayes import random_agreeing_effect, sequential_solve_effect, sequential_update
 from .channels import (Channel, _channel_pair, _kraus_sandwich, channel_compose, channel_mix,
                        channel_tensor)
-from .config import DEFAULT_CONFIG, ToleranceConfig
+from .config import DEFAULT_CONFIG, LOG_BASES, ToleranceConfig
 from .exceptions import (BadParameter, DegenerateDraw, DimensionMismatch, NonFiniteInput,
                          PreconditionViolated, ZeroProbability)
 from .linalg import (FAILS, HOLDS, MARGINAL, OrderVerdict, as_operator, as_square_array,
                      check_mixing_weight, is_psd, operator_pair, partial_trace, partial_transpose)
-from .orders import majorizes, qpe_leq
+from .orders import as_probability_vector, majorizes, qpe_leq
 from .states import (DensityMatrix, Effect, rank_of, subspace_intersects, top_eigenspace,
                      top_eigenvalue)
 
@@ -183,8 +183,11 @@ def choi_form_output(channel: Channel, rho) -> DensityMatrix:
 
 
 def shannon_entropy(p, base: str = "natural") -> float:
-    """Direct -sum p log p, bypassing any matrix machinery."""
-    pv = np.asarray(p, dtype=float).reshape(-1)
+    """Direct -sum p log p on orders.as_probability_vector's vector,
+    bypassing any matrix machinery; base is one of config.LOG_BASES."""
+    if base not in LOG_BASES:
+        raise BadParameter(f"log base must be one of {LOG_BASES}, got {base!r}")
+    pv = as_probability_vector(p)
     live = pv > 0
     logs = np.log2(pv[live]) if base == "two" else np.log(pv[live])
     return float(-(pv[live] * logs).sum())

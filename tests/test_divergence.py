@@ -71,6 +71,17 @@ class TestRenyiEntropy:
         bot = DensityMatrix.maximally_mixed(4)
         assert_allclose(renyi_entropy(bot, 1.0, two), 2.0, atol=1e-12)
 
+    # a raw operand is refused when not PSD, as at every divergence order,
+    # not read off its spectrum with the negative eigenvalue dropped
+    @pytest.mark.parametrize("entropy", [
+        lambda: renyi_entropy(np.array([[1.0, 0.0], [0.0, -1.0]]), 2.0),
+        lambda: renyi_entropy([[0.5, 0.0], [0.0, -0.5]], 1.0),
+        lambda: min_entropy([[-1.0, 0.0], [0.0, -0.5]]),
+    ])
+    def test_refuses_a_raw_operand_that_is_not_psd(self, entropy):
+        with pytest.raises(NegativeEigenvalue):
+            entropy()
+
 
 class TestMaxDivergence:
     def test_frozen_skewed_pair(self):

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qpe.channels import Channel, channel_mix, channel_qpe_leq
-from qpe.exceptions import BadParameter, DimensionMismatch, NonFiniteInput
+from qpe.exceptions import BadParameter, DimensionMismatch, InvalidState, NonFiniteInput
 from qpe.oracle import (
     ENTROPY_UP_THE_ORDER,
     ORDER_NOT_MAJORIZATION,
@@ -183,6 +183,17 @@ class TestShannonEntropy:
     def test_zero_entries_ignored(self):
         assert_allclose(shannon_entropy([0.5, 0.5, 0.0]), np.log(2.0),
                         atol=1e-14)
+
+    @pytest.mark.parametrize("p,error", [([np.nan, 1.0], NonFiniteInput),
+                                         ([np.inf, 0.5], NonFiniteInput),
+                                         ([-0.5, 1.5], InvalidState)])
+    def test_refuses_a_malformed_vector(self, p, error):
+        with pytest.raises(error):
+            shannon_entropy(p)
+
+    def test_refuses_an_unknown_base(self):
+        with pytest.raises(BadParameter, match="log base"):
+            shannon_entropy([0.5, 0.5], base="ten")
 
 
 class TestPartialTraceCounterexample:
