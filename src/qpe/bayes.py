@@ -71,8 +71,8 @@ def classical_solve_evidence(x, y, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.
 
 def _conditioned(outer, inner, cfg: ToleranceConfig) -> DensityMatrix:
     """outer^1/2 inner outer^1/2 / tr(E rho), the state and effect either way
-    round, gated by operator_pair: a state by construction, checked only if
-    an operand came in raw."""
+    round. Checked if an operand came in raw: the gate passes one in the PSD
+    band's marginal part, whose negative eigenvalue a small tr(E rho) magnifies."""
     sq = outer.power(0.5, cfg)
     out = sq.dot(inner.matrix).dot(sq)
     prob = float(out.trace().real)
@@ -86,13 +86,13 @@ def _conditioned(outer, inner, cfg: ToleranceConfig) -> DensityMatrix:
 def fls_update(rho: DensityMatrix, effect: Effect,
                cfg: ToleranceConfig = DEFAULT_CONFIG) -> DensityMatrix:
     """State-sandwich update rho^1/2 E rho^1/2 / tr(E rho)."""
-    return _conditioned(*operator_pair(rho, effect), cfg)
+    return _conditioned(*operator_pair(rho, effect, cfg), cfg)
 
 
 def sequential_update(rho: DensityMatrix, effect: Effect,
                       cfg: ToleranceConfig = DEFAULT_CONFIG) -> DensityMatrix:
     """Effect-sandwich update E^1/2 rho E^1/2 / tr(E rho)."""
-    rho, effect = operator_pair(rho, effect)
+    rho, effect = operator_pair(rho, effect, cfg)
     return _conditioned(effect, rho, cfg)
 
 
@@ -107,17 +107,15 @@ def reconstruct_effect(rho: DensityMatrix, sigma: DensityMatrix,
     sandwich's over the same norm. Requires rho below sigma in the
     positive-evidence order.
     """
-    rho, sigma = operator_pair(rho, sigma)
+    rho, sigma = operator_pair(rho, sigma, cfg)
     verdict = qpe_leq(rho, sigma, cfg)
     if not verdict.holds:
         raise NotBelow(f"prior is not below target ({verdict.relation}, "
                        f"slack {verdict.slack:.3e})")
     middle = sandwich(rho, sigma, cfg)
     norm = middle.norm
-    if not norm > 0:  # a zero sandwich stays as it is
-        norm = 1.0
     # the fold settles the sign of the zero entries the division can flip; the
-    # bounds are checked on the known spectrum, as a raw operand can break them
+    # bounds are checked on the known spectrum, as a raw operand in the band can break them
     return Effect._derived(middle.matrix / norm, middle.eigenvalues / norm)._check_bounds(cfg)
 
 
@@ -163,7 +161,7 @@ def sequential_solve_effect(rho: DensityMatrix, sigma: DensityMatrix,
     rescaled to unit norm. For full-rank rho this is the only effect (up to
     scale, which the update ignores) that can map rho onto sigma.
     """
-    rho, sigma = operator_pair(rho, sigma)
+    rho, sigma = operator_pair(rho, sigma, cfg)
     half = rho.power(0.5, cfg)
     mid = matrix_power(half @ sigma.matrix @ half, 0.5, cfg)
     inv_half = rho.power(-0.5, cfg)

@@ -14,11 +14,11 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .exceptions import BadAlpha, QpeError
-from .linalg import (OrderVerdict, _sandwiched_trace, as_operator, kernel_cutoff,
-                     operator_pair, remembered)
+from .linalg import (HermitianOperator, OrderVerdict, _refuse_raw_non_psd, _sandwiched_trace,
+                     as_operator, kernel_cutoff, operator_pair, remembered)
 from .orders import _probability_pair, classical_pe_leq, qpe_leq
-from .states import (DensityMatrix, Effect, _refuse_raw_non_psd, attaining_direction,
-                     escape_direction, sandwich)
+from .states import (DensityMatrix, Effect, attaining_direction, escape_direction, min_entropy,
+                     sandwich)
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,12 @@ def renyi_entropy(rho: DensityMatrix, alpha: float,
     min-entropy. NegativeEigenvalue for a raw operand that is not PSD."""
     if not alpha > 0:
         raise BadAlpha(f"order must be positive, got {alpha}")
-    rho = as_operator(rho)
-    _refuse_raw_non_psd(rho, cfg=cfg)
-    w = rho.eigenvalues
     if np.isinf(alpha):
-        return float(-cfg.log(w[0]))
+        return min_entropy(rho, cfg)
+    rho = as_operator(rho)
+    if type(rho) is HermitianOperator:
+        _refuse_raw_non_psd(rho, cfg)
+    w = rho.eigenvalues
     w = w[w > kernel_cutoff(w, cfg)]
     if alpha == 1:
         return float(-(w * cfg.log(w)).sum())
@@ -52,8 +53,7 @@ def max_divergence(sigma: DensityMatrix, rho: DensityMatrix,
                    cfg: ToleranceConfig = DEFAULT_CONFIG) -> DivergenceValue:
     """D_inf(sigma || rho) = log || rho^-1/2 sigma rho^-1/2 ||.
 
-    Infinite when sigma has weight outside rho's support; NegativeEigenvalue
-    for a raw operand that is not PSD, as at every finite alpha. The value is
+    Infinite when sigma has weight outside rho's support. The value is
     remembered on rho for sigma (linalg.remembered), and
     channel_max_divergence and renyi_divergence at alpha = inf share it.
     """
@@ -61,13 +61,12 @@ def max_divergence(sigma: DensityMatrix, rho: DensityMatrix,
         return remembered(rho, sigma, ("max_divergence", cfg.rank_cutoff, cfg.log_base),
                           _max_divergence, cfg)
     except QpeError:
-        operator_pair(sigma, rho)  # a refused pair's refusal in this order: sigma's dim first
+        operator_pair(sigma, rho, cfg)  # a refused pair's refusal in this order: sigma's first
         raise
 
 
 def _max_divergence(rho, sigma, cfg: ToleranceConfig) -> DivergenceValue:
     """max_divergence computed afresh on an operator pair, for it to remember."""
-    _refuse_raw_non_psd(sigma, rho, cfg=cfg)
     if escape_direction(rho, sigma, cfg) is not None:
         return DivergenceValue(np.inf, np.inf, cfg.log_base, support_violation=True)
     return DivergenceValue(float(cfg.log(sandwich(rho, sigma, cfg).norm)),
@@ -83,10 +82,10 @@ def renyi_divergence(sigma: DensityMatrix, rho: DensityMatrix, alpha: float,
     """
     if not alpha > 0:
         raise BadAlpha(f"order must be positive, got {alpha}")
-    sigma, rho = operator_pair(sigma, rho)
+    sigma, rho = operator_pair(sigma, rho, cfg)
     if np.isinf(alpha):
         return max_divergence(sigma, rho, cfg)
-    w_s, V_s = sigma.support(cfg)  # first: every finite alpha refuses a non-PSD operand
+    w_s, V_s = sigma.support(cfg)
     w_r, V_r = rho.support(cfg)
     if alpha >= 1 and escape_direction(rho, sigma, cfg) is not None:
         return DivergenceValue(np.inf, alpha, cfg.log_base, support_violation=True)
@@ -118,12 +117,10 @@ def povm_distinguishability_lower_bound(sigma: DensityMatrix, rho: DensityMatrix
     P projects onto states.attaining_direction, so the bound equals
     D_inf(sigma || rho) to rounding; the Born probabilities are computed on
     the two matrices, not read off the sandwich. Infinite when sigma escapes
-    rho's support, by max_divergence's rule, and refuses a raw operand that is
-    not PSD as it does. oracle.random_effect_lower_bound is the independent
-    check.
+    rho's support, by max_divergence's rule. oracle.random_effect_lower_bound
+    is the independent check.
     """
-    sigma, rho = operator_pair(sigma, rho)
-    _refuse_raw_non_psd(sigma, rho, cfg=cfg)
+    sigma, rho = operator_pair(sigma, rho, cfg)
     if escape_direction(rho, sigma, cfg) is not None:
         return np.inf
     u = attaining_direction(rho, sigma, cfg)
@@ -151,5 +148,5 @@ def order_divergence_gap(rho: DensityMatrix, sigma: DensityMatrix,
 
 def effect_probability(state: DensityMatrix, effect: Effect) -> float:
     """Born probability tr(E rho)."""
-    state, effect = operator_pair(state, effect)
+    state, effect = operator_pair(state, effect, DEFAULT_CONFIG)
     return float((effect.matrix @ state.matrix).trace().real)

@@ -387,6 +387,7 @@ class HermitianOperator:
         # contiguous, as a pickled copy's is, so products with V round alike
         V = np.ascontiguousarray(V[:, ::-1])
         V.setflags(write=False)
+        w.setflags(write=False)  # and so the reversed view
         return w[::-1], V
 
     @property
@@ -430,9 +431,15 @@ def as_operator(x) -> HermitianOperator:
     return HermitianOperator(assert_hermitian(x))
 
 
-def operator_pair(a, b) -> tuple[HermitianOperator, HermitianOperator]:
-    """Both operands through as_operator, checked to be of one dimension: the
-    gate of every function that takes two operators."""
+def _refuse_raw_non_psd(op: HermitianOperator, cfg: ToleranceConfig) -> None:
+    """NegativeEigenvalue for a raw operand whose eigenvalues fail the PSD band."""
+    if relation_of((w := op.eigenvalues)[-1], w[0], cfg) == FAILS:  # DensityMatrix's band
+        raise NegativeEigenvalue(f"operator not PSD (lambda_min = {w[-1]:.3e})")
+
+
+def operator_pair(a, b, cfg: ToleranceConfig) -> tuple[HermitianOperator, HermitianOperator]:
+    """Both operands through as_operator, checked to be of one dimension and, if raw,
+    against cfg's PSD band: the gate of every function that takes two operators."""
     # as_operator inlined, so a pair of operators costs two isinstance checks
     if not isinstance(a, HermitianOperator):
         a = as_operator(a)
@@ -440,6 +447,10 @@ def operator_pair(a, b) -> tuple[HermitianOperator, HermitianOperator]:
         b = as_operator(b)
     if len(a._matrix) != len(b._matrix):  # square: the length is the dim
         raise DimensionMismatch(f"operand dimensions differ: {a.dim} vs {b.dim}")
+    if type(a) is HermitianOperator:
+        _refuse_raw_non_psd(a, cfg)
+    if type(b) is HermitianOperator:
+        _refuse_raw_non_psd(b, cfg)
     return a, b
 
 
@@ -470,7 +481,7 @@ def remembered(a, b, key, compute, cfg: ToleranceConfig):
     """
     slot = a._partners.get(id(b)) if isinstance(a, HermitianOperator) else None
     if slot is None or slot[0]() is not b:
-        a, b = operator_pair(a, b)
+        a, b = operator_pair(a, b, cfg)
         partners, ident = a._partners, id(b)
         if ident in partners:
             del partners[ident]  # a dead partner's reused id: drop its entries
@@ -579,7 +590,7 @@ def _sandwiched_trace(rho, sigma, alpha, cfg: ToleranceConfig = DEFAULT_CONFIG) 
 
 def fidelity(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
     """Uhlmann fidelity tr sqrt(rho^1/2 sigma rho^1/2): _sandwiched_trace at 1/2, <= 1."""
-    return min(_sandwiched_trace(*operator_pair(rho, sigma), 0.5, cfg), 1.0)
+    return min(_sandwiched_trace(*operator_pair(rho, sigma, cfg), 0.5, cfg), 1.0)
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -85,7 +85,7 @@ def qpe_order_oracle(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Order
     where the matrix's absolute band is wider than the sandwich's relative
     one (a violation on a direction where rho is below about psd_slack).
     """
-    rho, sigma = operator_pair(rho, sigma)
+    rho, sigma = operator_pair(rho, sigma, cfg)
     r_top, s_top = top_eigenvalue(rho), top_eigenvalue(sigma)
     return is_psd(s_top * rho.matrix - r_top * sigma.matrix, cfg)
 
@@ -102,7 +102,7 @@ def random_effect_lower_bound(sigma, rho, trials: int = 64, seed: int = 0) -> fl
     """
     if trials < 0:
         raise BadParameter(f"trials must be nonnegative, got {trials}")
-    sigma, rho = operator_pair(sigma, rho)
+    sigma, rho = operator_pair(sigma, rho, DEFAULT_CONFIG)
     n = rho.dim
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((trials, n, n)) + 1j * rng.standard_normal((trials, n, n))
@@ -333,8 +333,8 @@ def mixing_monotone_check(kappa: DensityMatrix, rho: DensityMatrix,
                           cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
     """Whether mixing both sides of an ordered pair toward a lower state preserves order."""
     check_mixing_weight(t)
-    kappa, rho = operator_pair(kappa, rho)
-    rho, sigma = operator_pair(rho, sigma)
+    kappa, rho = operator_pair(kappa, rho, cfg)
+    rho, sigma = operator_pair(rho, sigma, cfg)
     if not qpe_leq(kappa, rho, cfg).holds:
         raise PreconditionViolated("mixing anchor is not below the lower state")
     return _order_preserved(
@@ -351,7 +351,7 @@ def measurement_monotone_check(rho: DensityMatrix, sigma: DensityMatrix,
     upper state; returns the verdict of the order between the two
     effect-sandwich updates.
     """
-    sigma, effect = operator_pair(sigma, effect)
+    sigma, effect = operator_pair(sigma, effect, cfg)
     if not subspace_intersects(top_eigenspace(effect, cfg),
                                top_eigenspace(sigma, cfg), cfg):
         raise PreconditionViolated("evidence does not share a top eigenvector "

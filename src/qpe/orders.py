@@ -172,8 +172,8 @@ def qpe_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
     prior validated by its factorization needs no other solve; sigma+, and
     rho+ on the order matrix, off each state's eigvalsh spectrum.
 
-    A raw operand whose top eigenvalue is not positive has no rescaling and
-    raises NonpositiveScalar.
+    The gate (linalg.operator_pair) refuses a raw operand outside the PSD band
+    with NegativeEigenvalue; a zero one passes it, and raises NonpositiveScalar.
 
     The verdict is remembered on rho for sigma (linalg.remembered), so it is
     shared between calls and its witness is read-only.
@@ -231,7 +231,7 @@ def lev_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
     as for qpe_leq's support condition: the witness is a unit vector of one
     state's kernel on which the other weighs most.
     """
-    r, s = operator_pair(rho, sigma)
+    r, s = operator_pair(rho, sigma, cfg)
     ker_r = kernel(r, cfg)
     ker_s = kernel(s, cfg)
 
@@ -275,7 +275,7 @@ def primed_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdic
     """Relaxed order: sigma - rho <= (sigma+ - rho+) I.
 
     The slack is lambda_min((sigma+ - rho+) I - (sigma - rho)) / max(sigma+, rho+)."""
-    r, s = operator_pair(rho, sigma)
+    r, s = operator_pair(rho, sigma, cfg)
     r_top, s_top = float(r.eigenvalues[0]), float(s.eigenvalues[0])
     M = hermitian_part((s_top - r_top) * np.eye(r.dim) - (s.matrix - r.matrix))
     return _order_verdict(M, cfg, max(s_top, r_top))
@@ -302,7 +302,7 @@ def f_renormalized_leq(rho, sigma, f, cfg: ToleranceConfig = DEFAULT_CONFIG) -> 
 
     The slack is lambda_min(f(sigma) rho - f(rho) sigma) / max(f(sigma) rho+,
     f(rho) sigma+)."""
-    r, s = operator_pair(rho, sigma)
+    r, s = operator_pair(rho, sigma, cfg)
     f_s, f_r = _renorm_scalar(f, s), _renorm_scalar(f, r)
     unit = max(f_s * float(r.eigenvalues[0]), f_r * float(s.eigenvalues[0]))
     return _order_verdict(hermitian_part(f_s * r.matrix - f_r * s.matrix), cfg, unit)

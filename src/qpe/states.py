@@ -19,6 +19,7 @@ from .exceptions import BadParameter, DimensionMismatch, InvalidState
 from .linalg import (
     FAILS,
     HermitianOperator,
+    _refuse_raw_non_psd,
     as_operator,
     assert_hermitian,
     cholesky_factors,
@@ -261,20 +262,12 @@ def bottom_eigenspace_nonzero(rho, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Eig
     return Eigenspace(op.eigenvectors[:, start : last + 1].copy(), float(w[last]))
 
 
-def _refuse_raw_non_psd(*ops, cfg: ToleranceConfig) -> None:
-    """NegativeEigenvalue for an operand that arrived as a raw matrix and
-    fails support's PSD band; a state or effect was validated when built,
-    and is not solved again."""
-    for op in ops:
-        if type(op) is HermitianOperator:
-            op.support(cfg)
-
-
 def min_entropy(rho, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
     """-log of the top eigenvalue, in the configured base; NegativeEigenvalue
     for a raw operand that is not PSD."""
     rho = as_operator(rho)
-    _refuse_raw_non_psd(rho, cfg=cfg)
+    if type(rho) is HermitianOperator:
+        _refuse_raw_non_psd(rho, cfg)
     return -cfg.log(top_eigenvalue(rho))
 
 

@@ -20,6 +20,7 @@ from qpe.exceptions import (
     BadParameter,
     DimensionMismatch,
     InvalidState,
+    NegativeEigenvalue,
     NonFiniteInput,
     NotBelow,
     PreconditionViolated,
@@ -60,6 +61,10 @@ class TestClassicalUpdate:
     def test_zero_overlap_evidence(self):
         with pytest.raises(ZeroEvidence):
             classical_update([1.0, 0.0, 0.0], [0.0, 1.0, 1.0])
+
+    def test_rejects_evidence_of_another_length(self):
+        with pytest.raises(DimensionMismatch, match="^prior and evidence differ in length$"):
+            classical_update([0.5, 0.5], [1.0, 1.0, 1.0])
 
 
 class TestClassicalSolveEvidence:
@@ -154,7 +159,8 @@ class TestQuantumUpdates:
         (120 with numpy 2.4) with a least eigenvalue below zero, which the
         validating constructor refuses; the update returns each of them,
         bit for bit the posterior under the default cfg. A raw prior is
-        still checked."""
+        still checked: at the gate if its own spectrum fails the zero band,
+        and otherwise as the posterior it leads to."""
         zero = ToleranceConfig(psd_slack=0.0)
         rng = np.random.default_rng(3)
         refused = 0
@@ -168,10 +174,24 @@ class TestQuantumUpdates:
                 DensityMatrix(posterior, zero)
             except InvalidState:
                 refused += 1
-                with pytest.raises(InvalidState, match="not positive semidefinite"):
-                    fls_update(rho.matrix, effect, zero)
+                if rho.eigenvalues[-1] < 0.0:
+                    with pytest.raises(NegativeEigenvalue, match="^operator not PSD"):
+                        fls_update(rho.matrix, effect, zero)
+                else:
+                    with pytest.raises(InvalidState, match="not positive semidefinite"):
+                        fls_update(rho.matrix, effect, zero)
         # the refusals the update no longer makes
         assert refused > 0
+
+
+    def test_a_raw_operand_in_the_marginal_band_gets_a_checked_posterior(self):
+        """-5e-9 lies in the default band's marginal part, so the gate passes
+        it; the small tr(E rho) then magnifies it into diag(2, -1)."""
+        rho = DensityMatrix.from_diag([1e-8, 1 - 1e-8])
+        with pytest.raises(InvalidState, match=r"^not positive semidefinite \(lambda_min = -1"):
+            fls_update(rho, np.diag([1.0, -5e-9]))
+        with pytest.raises(InvalidState, match=r"^not positive semidefinite \(lambda_min = -1"):
+            sequential_update(np.diag([1.0, -5e-9]), Effect.from_diag([1e-8, 1.0]))
 
 
 class TestReconstructEffect:
@@ -255,6 +275,12 @@ class TestSequentialSolve:
             sigma = sequential_update(rho, E)
             G = sequential_solve_effect(rho, sigma)
             assert np.abs(G.matrix - E.matrix).max() < 1e-8
+
+    def test_disjoint_supports_leave_no_candidate(self):
+        # rho^1/2 sigma rho^1/2 vanishes, and so does every factor after it
+        with pytest.raises(ZeroProbability, match="^candidate effect vanished$"):
+            sequential_solve_effect(DensityMatrix.from_diag([1.0, 0.0]),
+                                    DensityMatrix.from_diag([0.0, 1.0]))
 
 
 class TestTransitivityDemo:

@@ -277,6 +277,26 @@ CHANNEL_PAIR_FUNCTIONS = {
 }
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: to_choi([np.eye(2)], 2, 3), DimensionMismatch,
+     "Kraus operator shape does not match dims"),
+    (lambda: Channel([]), NotCPTP, "empty Kraus family"),
+    (lambda: Channel([np.eye(2)], in_dim=3), DimensionMismatch,
+     "declared in_dim 3, operators say 2"),
+    (lambda: Channel([np.eye(2)], out_dim=3), DimensionMismatch,
+     "declared out_dim 3, operators say 2"),
+    (lambda: Channel.random(2, 2, 0), BadParameter, "kraus_rank must be at least 1"),
+    (lambda: channel_compose(Channel.identity(2), Channel.random(2, 3, 1, rng=0)),
+     DimensionMismatch, "inner dimensions do not match"),
+    (lambda: extended_output(Channel.identity(2), DensityMatrix.maximally_mixed(3), 2),
+     DimensionMismatch, "input dim 3 is not 2 x 2"),
+])
+def test_shape_refusals_keep_their_type_and_message(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error and str(info.value) == message
+
+
 @pytest.mark.parametrize("name", sorted(CHANNEL_PAIR_FUNCTIONS))
 def test_channels_of_two_shapes_raise_dimension_mismatch(rng, name):
     # 2 -> 3 and 3 -> 2 have Choi states of one dim, 6

@@ -509,6 +509,17 @@ class TestBipartite:
         assert_allclose(partial_trace(AB, (2, 3), 2), np.trace(B) * A, atol=1e-12)
         assert_allclose(partial_trace(AB, (2, 3), 1), np.trace(A) * B, atol=1e-12)
 
+    @pytest.mark.parametrize("dims, subsystem, error, message", [
+        ((2, 2, 1), 1, DimensionMismatch, "need two factor dimensions, got (2, 2, 1)"),
+        ((2, 3), 1, DimensionMismatch, "factor dims (2, 3) incompatible with matrix of size 4"),
+        ((0, 4), 1, DimensionMismatch, "factor dims (0, 4) incompatible with matrix of size 4"),
+        ((2, 2), 3, BadParameter, "subsystem must be 1 or 2, got 3"),
+    ])
+    def test_partial_trace_refuses_a_bad_factorization(self, dims, subsystem, error, message):
+        with pytest.raises(error) as info:
+            partial_trace(np.eye(4), dims, subsystem)
+        assert type(info.value) is error and str(info.value) == message
+
     def test_partial_transpose_involution(self, rng):
         A = random_hermitian(6, rng)
         for sub in (1, 2):

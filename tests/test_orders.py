@@ -7,7 +7,8 @@ from numpy.testing import assert_allclose
 from qpe import DensityMatrix
 from qpe.bayes import classical_solve_evidence
 from qpe.divergence import classical_max_divergence, order_divergence_gap
-from qpe.exceptions import BadParameter, DimensionMismatch, InvalidState, NonpositiveScalar
+from qpe.exceptions import (BadParameter, DimensionMismatch, InvalidState, NegativeEigenvalue,
+                            NonpositiveScalar)
 from qpe.linalg import is_psd, random_unitary
 from qpe.orders import (
     as_probability_vector,
@@ -50,6 +51,10 @@ class TestProbabilityVector:
     def test_rejects_bad_sum(self):
         with pytest.raises(InvalidState):
             as_probability_vector([0.5, 0.4])
+
+    def test_rejects_an_empty_vector(self):
+        with pytest.raises(InvalidState, match="^empty probability vector$"):
+            as_probability_vector([])
 
     def test_renormalizes_small_drift_with_warning(self):
         with pytest.warns(UserWarning):
@@ -153,12 +158,22 @@ class TestQpeOrderLaws:
         (np.eye(2) / 2, np.zeros((2, 2))),
         (np.zeros((2, 2)), np.zeros((2, 2))),
         (np.zeros((2, 2)), np.eye(2) / 2),
-        (-np.eye(2), np.eye(2) / 2),
     ])
     def test_an_operand_with_no_positive_top_eigenvalue_is_rejected(self, lower, upper):
         # the order rescales by each top eigenvalue: none to rescale by
         for call in (qpe_leq, order_divergence_gap):
             with pytest.raises(NonpositiveScalar):
+                call(lower, upper)
+
+    @pytest.mark.parametrize("lower,upper", [
+        (-np.eye(2), np.eye(2) / 2),
+        (np.eye(2) / 2, -np.eye(2)),
+    ])
+    def test_a_raw_operand_outside_the_psd_band_is_refused(self, lower, upper):
+        # the gate refuses it before any rescaling is read
+        for call in (qpe_leq, order_divergence_gap):
+            with pytest.raises(NegativeEigenvalue,
+                               match=r"^operator not PSD \(lambda_min = -1\.000e\+00\)$"):
                 call(lower, upper)
 
     def test_unitary_invariance(self, rng, make_ordered_pair):
@@ -325,13 +340,14 @@ class TestRenormalizedOrders:
             f_renormalized_leq(rho, rho, ("schatten", np.nan, 1))
 
     def test_raw_pair_without_a_positive_slack_unit_rejected(self):
-        # the tops are negative, so max(sigma+, rho+) and max(f(sigma) rho+,
-        # f(rho) sigma+) are too, and a slack over them would flip its sign
-        neg = -np.eye(2) / 2
-        with pytest.raises(NonpositiveScalar, match="slack unit -0.5 is not positive"):
-            primed_leq(neg, neg)
-        with pytest.raises(NonpositiveScalar, match="slack unit -0.25 is not positive"):
-            f_renormalized_leq(neg, neg, "op_norm")
+        # zero operands pass the PSD gate, but their tops and norms are zero,
+        # so max(sigma+, rho+) and f(rho) are too, and no slack has a unit
+        zero = np.zeros((2, 2))
+        with pytest.raises(NonpositiveScalar,
+                           match="^slack unit 0.0 is not positive: the pair's tops are not$"):
+            primed_leq(zero, zero)
+        with pytest.raises(NonpositiveScalar, match="^functional 'op_norm' returned 0.0$"):
+            f_renormalized_leq(zero, zero, "op_norm")
 
 
 def _near_pair():

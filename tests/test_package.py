@@ -70,6 +70,24 @@ def test_unknown_attribute_raises():
     assert not hasattr(qpe, "cli_main")
 
 
+def test_the_hook_refuses_an_unknown_name_and_loads_nothing():
+    # in a fresh process no lazy name has been read, so the hook still
+    # stands and is what refuses the name
+    probe = ("import sys, qpe\n"
+             "try:\n"
+             "    qpe.no_such_name\n"
+             "except AttributeError as exc:\n"
+             "    print(exc)\n"
+             "print('__getattr__' in vars(qpe), 'qpe.divergence' in sys.modules)\n")
+    src = str(Path(qpe.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.splitlines() == ["module 'qpe' has no attribute 'no_such_name'",
+                                        "True False"]
+
+
 def test_a_lazy_name_is_the_defining_modules_object():
     from qpe.divergence import max_divergence
     from qpe.domain import CERTIFIED_BELOW, way_below_witness

@@ -21,8 +21,9 @@ needs is orthogonal to the iteration's start vector or sits in a cluster
 of relative width down to 1e-12.
 
 Every function that takes two operators goes through linalg.operator_pair:
-on a raw array it gives the result it gives on fresh states, and on a pair
-of two dimensions it raises DimensionMismatch. The functions that take one
+on a raw array it gives the result it gives on fresh states, on a pair
+of two dimensions it raises DimensionMismatch, and on a raw operand
+outside the PSD band, in either slot, NegativeEigenvalue. The functions that take one
 operator, a channel's action included, also give a raw array the result of
 a fresh state. Two structural claims of the order hold on drawn pairs:
 mixing an ordered pair toward an anchor below it keeps it ordered, and the
@@ -58,6 +59,7 @@ from qpe import (
     DensityMatrix,
     DimensionMismatch,
     Effect,
+    NegativeEigenvalue,
     QpeError,
     choi_form_output,
     depolarize,
@@ -530,6 +532,23 @@ def test_operands_of_two_dims_raise_dimension_mismatch(name):
         for operands in (raw, _fresh(kinds, raw)):
             with pytest.raises(DimensionMismatch, match=f"^operand dimensions differ: {text}$"):
                 query(*operands)
+
+
+# a raw operand decisively below zero in one eigenvalue
+NOT_PSD = np.diag([0.75, 0.5, -0.25])
+
+
+@pytest.mark.parametrize("slot", [0, 1])
+@pytest.mark.parametrize("name", sorted(GATED))
+def test_a_raw_operand_outside_the_psd_band_raises_negative_eigenvalue(name, slot):
+    """The gate refuses it whatever the other operand, before the function
+    reads either: no answer, and no refusal of another kind."""
+    kinds, query = GATED[name]
+    operands = list(_fresh(kinds, (random_state(3, rng=0).matrix,) * 2))
+    operands[slot] = NOT_PSD
+    with pytest.raises(NegativeEigenvalue,
+                       match=r"^operator not PSD \(lambda_min = -2\.500e-01\)$"):
+        query(*operands)
 
 
 @st.composite

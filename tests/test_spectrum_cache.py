@@ -42,6 +42,7 @@ from qpe import (
     jamiolkowski_properties_check,
     lev_leq,
     max_divergence,
+    min_entropy,
     operator_norm,
     order_divergence_gap,
     povm_distinguishability_lower_bound,
@@ -52,6 +53,7 @@ from qpe import (
     random_state,
     reconstruct_effect,
     renyi_divergence,
+    renyi_entropy,
     schatten_norm,
     sequential_solve_effect,
     ToleranceConfig,
@@ -142,6 +144,14 @@ class TestEigensolveCounts:
         R, _ = ordered_raw_pair
         # below CHOLESKY_MIN_DIM validation reads the spectrum, unfactored
         assert count_kernel_calls(lambda: DensityMatrix(R)) == (1, 0)
+
+    @pytest.mark.parametrize("entropy", [lambda M: renyi_entropy(M, 2), min_entropy])
+    def test_an_entropy_of_a_raw_operand_solves_once(self, ordered_raw_pair, entropy):
+        R, _ = ordered_raw_pair
+        # the gate bands the eigenvalues the entropy then reads: no eigh
+        with spying(hermitian_eigvals, hermitian_eig) as (eigvals, eig):
+            entropy(R)
+        assert (eigvals.call_count, eig.call_count) == (1, 0)
 
     def test_order_on_built_states(self, ordered_raw_pair):
         rho, sigma = (DensityMatrix(M) for M in ordered_raw_pair)
@@ -460,11 +470,12 @@ class TestCachedRoutesMatchRawArrays:
         assert effect.eigenvalues[0] == 1.0
 
     def test_effect_from_raw_operands_keeps_its_bounds(self):
-        # I/2 is below the raw diag(0.75, -0.25) (the sandwich's top ratio is
-        # sigma+ / rho+), and the bounds check, on the sandwich spectrum over
-        # its norm, still refuses the effect that is not PSD
-        with pytest.raises(InvalidState, match=r"effect not PSD \(lambda_min = -3\.333e-01\)"):
-            reconstruct_effect(np.eye(2) / 2, np.diag([0.75, -0.25]))
+        # the raw upper operand's -5e-9 lies inside the PSD band, so the gate
+        # passes it; the pair is ordered, and the bounds check, on the
+        # sandwich spectrum over its norm, still refuses the effect, whose
+        # least eigenvalue rho's 1e-6 amplifies past the band
+        with pytest.raises(InvalidState, match=r"effect not PSD \(lambda_min = -3\.333e-03\)"):
+            reconstruct_effect(np.diag([0.5, 1e-6]), np.diag([0.75, -5e-9]))
 
     @pytest.mark.parametrize("alpha", [0.5, 2.0])
     def test_renyi_divergence(self, state_pair, alpha):
@@ -490,6 +501,15 @@ class TestCachedRoutesMatchRawArrays:
         for arr in (rho.eigenvalues, rho.eigenvectors):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+    def test_support_hands_out_a_read_only_view_of_the_cached_eigh(self):
+        # a write through it would move every later query that reads the eigh
+        rho = DensityMatrix.from_diag([0.5, 0.3, 0.2])
+        w, V = rho.support()
+        for arr in (w, V, rho._eigh[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 100.0
+        assert rho._eigh[0][0] == 0.5
 
 
 MEMO_PAIRS = ["ordered_raw_pair", "incomparable_raw_pair",

@@ -67,6 +67,10 @@ class TestDensityMatrixValidation:
         rho = DensityMatrix.pure([2.0, 0.0])
         assert_allclose(rho.matrix, np.diag([1.0, 0.0]))
 
+    def test_pure_refuses_the_zero_vector(self):
+        with pytest.raises(BadParameter, match="^cannot build a pure state from the zero vector$"):
+            DensityMatrix.pure([0.0, 0.0])
+
     def test_sqrt_squares_back(self, rng):
         rho = random_state(4, rng=rng)
         half = rho.power(0.5)
