@@ -1,7 +1,9 @@
 """Quantum channels, their Choi states, and the induced order.
 
 A channel is the state it maps the maximally entangled input to (its
-normalized Choi matrix), validated and solved once. The order on channels is
+normalized Choi matrix), checked once by the channel's own rules, not cfg's
+band: a Kraus family's is PSD by construction, and from_choi holds a
+matrix's positivity to COMPLETENESS_TOL. The order on channels is
 the order on those states; the Kraus family, kept from a Kraus input or
 recovered from the Choi eigenvectors on first use, serves the action and
 `oracle`, which decides the order independently through complete
@@ -15,11 +17,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
-from .exceptions import BadParameter, DimensionMismatch, InvalidState, NotCPTP
-from .linalg import (OrderVerdict, as_operator, assert_hermitian, check_mixing_weight,
-                     kernel_cutoff, lazy, partial_trace)
+from .exceptions import BadParameter, DimensionMismatch, NotCPTP
+from .linalg import (OrderVerdict, assert_hermitian, check_mixing_weight, kernel_cutoff, lazy,
+                     partial_trace, psd_operand)
 from .orders import qpe_leq
-from .states import DensityMatrix, rank_of, top_eigenvalue
+from .states import DensityMatrix, _unit_trace, rank_of, top_eigenvalue
 
 if TYPE_CHECKING:
     from .divergence import DivergenceValue
@@ -78,16 +80,9 @@ class Channel:
         _check_complete(ops, n)
         # seeds the lazy recovery below
         self.kraus = ops
-        self._hold(assert_hermitian(to_choi(ops, n, k)), n, k, cfg)
-
-    def _hold(self, J: np.ndarray, n: int, k: int, cfg: ToleranceConfig,
-              factor: bool = True):
-        """Store the dims, cfg and the Choi state of J, a matrix that
-        assert_hermitian returned: the state's other checks run here."""
-        try:
-            self.choi = DensityMatrix.__new__(DensityMatrix)._validate(J, cfg, factor)
-        except InvalidState as exc:
-            raise NotCPTP(f"Choi matrix is not a state: {exc}") from exc
+        # PSD by construction (Choi's theorem): only the Hermitian check, the
+        # one NaN guard (a NaN defect passes _check_complete), and the trace
+        self.choi = DensityMatrix._derived(_unit_trace(assert_hermitian(to_choi(ops, n, k))))
         self.in_dim, self.out_dim, self.cfg = n, k, cfg
 
     @classmethod
@@ -95,7 +90,8 @@ class Channel:
                   cfg: ToleranceConfig = DEFAULT_CONFIG) -> "Channel":
         """The channel whose normalized Choi matrix is `choi`. Positivity, the
         trace (taken before renormalizing) and the completeness of the Kraus
-        family that `kraus` recovers are held to COMPLETENESS_TOL, not cfg."""
+        family that `kraus` recovers are held to COMPLETENESS_TOL, not cfg;
+        cfg's rank_cutoff only sets which eigenvalues that family drops."""
         J = assert_hermitian(choi)
         n, k = in_dim, out_dim
         if J.shape != (n * k, n * k):
@@ -107,10 +103,12 @@ class Channel:
         if defect > COMPLETENESS_TOL:
             raise NotCPTP(f"Kraus completeness defect {defect:.3e}")
         channel = cls.__new__(cls)
-        channel._hold(J, n, k, cfg, factor=False)
+        channel.choi = DensityMatrix._derived(_unit_trace(J))
+        channel.in_dim, channel.out_dim, channel.cfg = n, k, cfg
         w = channel.choi.eigenvalues
         if w[-1] < -COMPLETENESS_TOL * max(w[0], 1.0):
-            raise NotCPTP(f"Choi matrix has eigenvalue {w[-1]:.3e}")
+            raise NotCPTP("Choi matrix is not a state: not positive semidefinite "
+                          f"(lambda_min = {w[-1]:.3e})")
         # the recovery drops the eigenvalues at or below rank_cutoff, which
         # moves its completeness sum by at most n times their weight; past
         # that bound, recover the family and measure it
@@ -171,7 +169,7 @@ class Channel:
         return _kraus_sandwich(self.kraus, X)
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        return DensityMatrix(self._apply_matrix(as_operator(rho).matrix), self.cfg)
+        return DensityMatrix(self._apply_matrix(psd_operand(rho, self.cfg).matrix), self.cfg)
 
     def __repr__(self):
         return (f"Channel(in_dim={self.in_dim}, out_dim={self.out_dim}, "
@@ -212,7 +210,7 @@ def channel_mix(phi: Channel, psi: Channel, t: float,
 def extended_output(channel: Channel, rho: DensityMatrix, m: int,
                     cfg: ToleranceConfig = DEFAULT_CONFIG) -> DensityMatrix:
     """Output of (id_m x channel) on a bipartite input state."""
-    rho = as_operator(rho)
+    rho = psd_operand(rho, cfg)
     if rho.dim != m * channel.in_dim:
         raise DimensionMismatch(f"input dim {rho.dim} is not "
                                 f"{m} x {channel.in_dim}")

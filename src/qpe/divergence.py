@@ -14,8 +14,8 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .exceptions import BadAlpha, QpeError
-from .linalg import (HermitianOperator, OrderVerdict, _refuse_raw_non_psd, _sandwiched_trace,
-                     as_operator, kernel_cutoff, operator_pair, remembered)
+from .linalg import (OrderVerdict, _sandwiched_trace, kernel_cutoff, operator_pair, psd_operand,
+                     remembered)
 from .orders import _probability_pair, classical_pe_leq, qpe_leq
 from .states import (DensityMatrix, Effect, attaining_direction, escape_direction, min_entropy,
                      sandwich)
@@ -39,10 +39,7 @@ def renyi_entropy(rho: DensityMatrix, alpha: float,
         raise BadAlpha(f"order must be positive, got {alpha}")
     if np.isinf(alpha):
         return min_entropy(rho, cfg)
-    rho = as_operator(rho)
-    if type(rho) is HermitianOperator:
-        _refuse_raw_non_psd(rho, cfg)
-    w = rho.eigenvalues
+    w = psd_operand(rho, cfg).eigenvalues
     w = w[w > kernel_cutoff(w, cfg)]
     if alpha == 1:
         return float(-(w * cfg.log(w)).sum())

@@ -15,7 +15,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .exceptions import NotAChain, NotConverged
 from .linalg import (CERTIFIED_BELOW, NOT_BELOW, UNKNOWN, as_operator, check_mixing_weight,
-                     operator_norm, remembered)
+                     operator_norm, psd_operand, remembered)
 from .orders import qpe_leq
 from .states import DensityMatrix, rank_of
 
@@ -24,7 +24,7 @@ def depolarize(rho: DensityMatrix, t: float,
                cfg: ToleranceConfig = DEFAULT_CONFIG) -> DensityMatrix:
     """Mix toward the maximally mixed state: (1 - t) rho + t I/n."""
     check_mixing_weight(t)
-    rho = as_operator(rho)
+    rho = psd_operand(rho, cfg)
     n = rho.dim
     out = (1.0 - t) * rho.matrix + (t / n) * np.eye(n)
     return DensityMatrix(out, cfg)

@@ -15,9 +15,9 @@ operator's cached spectrum, and solve a raw array's afresh. The package's
 one spectral power is HermitianOperator.power, its one rule for which
 eigenvalues count as zero kernel_cutoff (HermitianOperator.support keeps the
 rest), and operator_pair the one gate of every function that takes two
-operators; fidelity solves no eigenproblem of its own. Each operator
-remembers the pair queries asked of its recent partners (remembered). An
-operator reports its eigenvalues in descending order. Positivity checks
+operators (psd_operand of one); fidelity solves no eigenproblem of its own.
+Each operator remembers the pair queries asked of its recent partners
+(remembered). An operator reports its eigenvalues in descending order. Positivity checks
 return a tri-state verdict instead of a boolean so callers can surface
 numerically marginal cases; relation_of is the one holds/marginal/fails
 band, and extreme_eigenvector finds every fails witness that is an
@@ -174,12 +174,11 @@ def psd_verdict(w, H, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
 
     w is the spectrum of the Hermitian matrix H, and it must be in descending
     order: the band (relation_of) reads its two ends. H is only read to find
-    the witness of a fails verdict; a caller that raises on fails may pass
-    None.
+    the witness of a fails verdict.
     """
     lam_min = float(w[-1])
     relation = relation_of(lam_min, float(w[0]), cfg)
-    if relation == FAILS and H is not None:
+    if relation == FAILS:
         return OrderVerdict(FAILS, lam_min, witness=extreme_eigenvector(H, w, top=False))
     return OrderVerdict(relation, lam_min)
 
@@ -404,10 +403,9 @@ class HermitianOperator:
 
     def support(self, cfg: ToleranceConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, np.ndarray]:
         """(w, V) of the cached eigh above kernel_cutoff, a prefix of the descending
-        spectrum; NegativeEigenvalue when the spectrum fails psd_verdict's band."""
+        spectrum. It checks nothing: a state or effect was validated when built,
+        and a raw operand is banded by the gate of the function that reads it."""
         w, V = self._eigh
-        if (verdict := psd_verdict(w, None, cfg)).fails:
-            raise NegativeEigenvalue(f"operator not PSD (lambda_min = {verdict.slack:.3e})")
         rank = int(np.count_nonzero(w > kernel_cutoff(w, cfg)))
         return w[:rank], V[:, :rank]
 
@@ -431,10 +429,19 @@ def as_operator(x) -> HermitianOperator:
     return HermitianOperator(assert_hermitian(x))
 
 
-def _refuse_raw_non_psd(op: HermitianOperator, cfg: ToleranceConfig) -> None:
-    """NegativeEigenvalue for a raw operand whose eigenvalues fail the PSD band."""
-    if relation_of((w := op.eigenvalues)[-1], w[0], cfg) == FAILS:  # DensityMatrix's band
+def _refuse_raw_non_psd(w: np.ndarray, cfg: ToleranceConfig) -> None:
+    """NegativeEigenvalue when a raw operand's descending spectrum w fails the PSD band."""
+    if relation_of(w[-1], w[0], cfg) == FAILS:  # DensityMatrix's band
         raise NegativeEigenvalue(f"operator not PSD (lambda_min = {w[-1]:.3e})")
+
+
+def psd_operand(x, cfg: ToleranceConfig) -> HermitianOperator:
+    """x through as_operator and, if raw, against cfg's PSD band: operator_pair's
+    gate for a function that takes one operator and reads it as PSD."""
+    op = as_operator(x)
+    if type(op) is HermitianOperator:
+        _refuse_raw_non_psd(op.eigenvalues, cfg)
+    return op
 
 
 def operator_pair(a, b, cfg: ToleranceConfig) -> tuple[HermitianOperator, HermitianOperator]:
@@ -448,9 +455,9 @@ def operator_pair(a, b, cfg: ToleranceConfig) -> tuple[HermitianOperator, Hermit
     if len(a._matrix) != len(b._matrix):  # square: the length is the dim
         raise DimensionMismatch(f"operand dimensions differ: {a.dim} vs {b.dim}")
     if type(a) is HermitianOperator:
-        _refuse_raw_non_psd(a, cfg)
+        _refuse_raw_non_psd(a.eigenvalues, cfg)
     if type(b) is HermitianOperator:
-        _refuse_raw_non_psd(b, cfg)
+        _refuse_raw_non_psd(b.eigenvalues, cfg)
     return a, b
 
 
@@ -522,10 +529,12 @@ def is_psd(A, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
 
 
 def matrix_power(A, p, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """as_operator(A).power(p, cfg) for a PSD matrix or operator A, whose
-    support's check raises NegativeEigenvalue past the PSD band."""
+    """as_operator(A).power(p, cfg) for a PSD matrix or operator A; a raw A is
+    banded as psd_operand bands it, on the eigh the power reads, so it costs
+    one solve."""
     op = as_operator(A)
-    op.support(cfg)
+    if type(op) is HermitianOperator:
+        _refuse_raw_non_psd(op._eigh[0], cfg)
     return op.power(p, cfg)
 
 

@@ -26,8 +26,8 @@ from .channels import (Channel, _channel_pair, _kraus_sandwich, channel_compose,
 from .config import DEFAULT_CONFIG, LOG_BASES, ToleranceConfig
 from .exceptions import (BadParameter, DegenerateDraw, DimensionMismatch, NonFiniteInput,
                          PreconditionViolated, ZeroProbability)
-from .linalg import (FAILS, HOLDS, MARGINAL, OrderVerdict, as_operator, as_square_array,
-                     check_mixing_weight, is_psd, operator_pair, partial_trace, partial_transpose)
+from .linalg import (FAILS, HOLDS, MARGINAL, OrderVerdict, as_square_array, check_mixing_weight,
+                     is_psd, operator_pair, partial_trace, partial_transpose, psd_operand)
 from .orders import as_probability_vector, majorizes, qpe_leq
 from .states import (DensityMatrix, Effect, rank_of, subspace_intersects, top_eigenspace,
                      top_eigenvalue)
@@ -173,7 +173,7 @@ def channel_order_oracle(phi: Channel, psi: Channel,
 def choi_form_output(channel: Channel, rho) -> DensityMatrix:
     """Channel.apply's output from the Choi matrix J alone, n tr_1(J^T1 (rho x I)),
     with its dimension check and its output checked under the channel's cfg."""
-    rho = as_operator(rho)
+    rho = psd_operand(rho, channel.cfg)
     n, k = channel.in_dim, channel.out_dim
     if rho.dim != n:
         raise DimensionMismatch(f"input shape {rho.matrix.shape} does not match in_dim {n}")

@@ -19,7 +19,6 @@ from .exceptions import BadParameter, DimensionMismatch, InvalidState
 from .linalg import (
     FAILS,
     HermitianOperator,
-    _refuse_raw_non_psd,
     as_operator,
     assert_hermitian,
     cholesky_factors,
@@ -27,6 +26,7 @@ from .linalg import (
     hermitian_eig,
     hermitian_part,
     kernel_cutoff,
+    psd_operand,
     relation_of,
     remembered,
     vector_norm,
@@ -57,6 +57,19 @@ class Eigenspace:
         return self.basis.shape[1]
 
 
+def _unit_trace(H: np.ndarray) -> np.ndarray:
+    """H, a matrix that assert_hermitian returned, held to a state's trace
+    rule: renormalized with a warning past TRACE_WARN, InvalidState from
+    TRACE_REJECT on. DensityMatrix and a channel's Choi state apply it."""
+    tr = float(H.trace().real)
+    if abs(tr - 1.0) >= TRACE_REJECT:
+        raise InvalidState(f"trace {tr} is not 1 within {TRACE_REJECT}")
+    if abs(tr - 1.0) > TRACE_WARN:
+        warnings.warn(f"renormalizing state with trace off by {tr - 1.0:.2e}", stacklevel=3)
+        H = H / tr
+    return H
+
+
 class DensityMatrix(HermitianOperator):
     """Unit-trace PSD matrix with a cached spectrum.
 
@@ -66,43 +79,24 @@ class DensityMatrix(HermitianOperator):
 
     From CHOLESKY_MIN_DIM on, a matrix that factors is accepted without
     its spectrum: the factor bounds its least eigenvalue far inside that
-    edge (see _validate). Any other matrix, and every one at psd_slack = 0,
-    is decided on the spectrum, so the outcome and message are the same.
+    edge. Any other matrix, and every one at psd_slack = 0, is decided on
+    the spectrum, so the outcome and message are the same.
     """
 
     def __init__(self, matrix, cfg: ToleranceConfig = DEFAULT_CONFIG):
-        self._validate(assert_hermitian(matrix), cfg)
-
-    def _validate(self, H: np.ndarray, cfg: ToleranceConfig,
-                  factor: bool = True) -> DensityMatrix:
-        """The constructor's trace and PSD checks on H, a matrix that
-        assert_hermitian returned, which self then holds; returns self.
-        channels.Channel builds its Choi state on this, having checked the
-        matrix itself. factor=False skips the factorization, for a caller
-        that reads the spectrum next anyway."""
-        tr = float(H.trace().real)
-        if abs(tr - 1.0) >= TRACE_REJECT:
-            raise InvalidState(f"trace {tr} is not 1 within {TRACE_REJECT}")
-        if abs(tr - 1.0) > TRACE_WARN:
-            warnings.warn(
-                f"renormalizing state with trace off by {tr - 1.0:.2e}",
-                stacklevel=3,
-            )
-            H = H / tr
+        H = _unit_trace(assert_hermitian(matrix))
         super().__init__(H)
         # a factor puts lambda_min above -n^2 eps ||H||, and ||H|| is about 1
         # for a unit trace so nearly PSD: when that is a tenth of the fails
         # edge -10 psd_slack or less, the band would accept too, and the
         # spectrum is left to its first read
         n = len(H)
-        if (factor and n >= CHOLESKY_MIN_DIM and n * n * EPS <= cfg.psd_slack
-                and cholesky_factors(H)):
-            return self
+        if n >= CHOLESKY_MIN_DIM and n * n * EPS <= cfg.psd_slack and cholesky_factors(H):
+            return
         # the band on the spectrum's two ends, as psd_verdict reads it
         w = self.eigenvalues
         if relation_of(w[-1], w[0], cfg) == FAILS:
             raise InvalidState(f"not positive semidefinite (lambda_min = {w[-1]:.3e})")
-        return self
 
     @classmethod
     def maximally_mixed(cls, n: int, cfg: ToleranceConfig = DEFAULT_CONFIG):
@@ -265,10 +259,7 @@ def bottom_eigenspace_nonzero(rho, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Eig
 def min_entropy(rho, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
     """-log of the top eigenvalue, in the configured base; NegativeEigenvalue
     for a raw operand that is not PSD."""
-    rho = as_operator(rho)
-    if type(rho) is HermitianOperator:
-        _refuse_raw_non_psd(rho, cfg)
-    return -cfg.log(top_eigenvalue(rho))
+    return -cfg.log(top_eigenvalue(psd_operand(rho, cfg)))
 
 
 def subspace_intersects(a, b, cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:

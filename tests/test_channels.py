@@ -175,6 +175,47 @@ class TestChannelValidation:
             Channel.random(*dims, 1, rng)
 
 
+# Phi+ and Phi-, the Bell vectors (|00> +- |11>) / sqrt 2
+BELL_PLUS, BELL_MINUS = (np.array([1.0, 0.0, 0.0, s]) / np.sqrt(2.0) for s in (1.0, -1.0))
+
+
+def _choi_with_least_eigenvalue(lam):
+    """(1 - lam) |Phi+><Phi+| + lam |Phi-><Phi->: trace 1, input marginal I/2
+    exactly as both Bell states give, and spectrum (1 - lam, 0, 0, lam)."""
+    return (1.0 - lam) * np.outer(BELL_PLUS, BELL_PLUS) + lam * np.outer(BELL_MINUS, BELL_MINUS)
+
+
+class TestChoiStateUnderEveryBand:
+    """A channel's Choi state is checked by the channel's own rules, whatever
+    cfg's PSD band: a Kraus family's is PSD by construction, and from_choi
+    holds positivity to COMPLETENESS_TOL. cfg decides only the order and
+    the divergence asked of the channels."""
+
+    SLACKS = [0.0, 1e-12, 1e-9, 1e-3]
+
+    @pytest.mark.parametrize("psd_slack", SLACKS)
+    def test_kraus_families_build_recover_and_decide(self, psd_slack):
+        cfg = ToleranceConfig(psd_slack=psd_slack)
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            phi = Channel(Channel.random(2, 2, 1, rng).kraus, cfg=cfg)
+            rebuilt = Channel.from_choi(phi.choi.matrix, 2, 2, cfg)
+            assert len(rebuilt.kraus) == 1
+            assert channel_qpe_leq(phi, rebuilt, cfg).holds
+
+    @pytest.mark.parametrize("psd_slack", SLACKS)
+    def test_from_choi_holds_positivity_to_completeness_tol(self, psd_slack):
+        cfg = ToleranceConfig(psd_slack=psd_slack)
+        phi = Channel.from_choi(_choi_with_least_eigenvalue(-5e-9), 2, 2, cfg)
+        assert_allclose(phi.choi.eigenvalues[-1], -5e-9, rtol=1e-6)
+        assert len(phi.kraus) == 1
+        assert channel_qpe_leq(phi, Channel.identity(2, cfg), cfg).holds
+        with pytest.raises(NotCPTP) as info:
+            Channel.from_choi(_choi_with_least_eigenvalue(-2e-8), 2, 2, cfg)
+        assert str(info.value) == ("Choi matrix is not a state: not positive "
+                                   "semidefinite (lambda_min = -2.000e-08)")
+
+
 class TestRepresentationAgreement:
     def test_choi_round_trip(self, rng):
         phi = Channel.random(2, 3, 2, rng)

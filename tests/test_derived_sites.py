@@ -11,9 +11,10 @@ anywhere else fails this test. The updates build with _derived only when
 both operands are validated states or effects, and check a raw array's
 result as before.
 
-DensityMatrix._validate runs the state checks but the Hermitian one, on a
-matrix that assert_hermitian already returned; VALIDATE_ALLOWED pins its
-callers the same way.
+states._unit_trace is a state's trace rule alone, on a matrix that
+assert_hermitian already returned; a state built on it without the
+constructor's PSD check must have its positivity from elsewhere, so
+TRACE_ALLOWED pins its callers the same way.
 """
 from __future__ import annotations
 
@@ -35,21 +36,29 @@ ALLOWED = {
     ("oracle", "_random_full_rank"),
     # G G^dagger over its trace: the package's own draw
     ("states", "random_state"),
+    # a Kraus family's Choi matrix: PSD by construction (Choi's theorem),
+    # through assert_hermitian and the trace rule
+    ("channels", "Channel.__init__"),
+    # a Choi matrix through assert_hermitian and the trace rule, whose
+    # positivity from_choi holds to COMPLETENESS_TOL on the spectrum next
+    ("channels", "Channel.from_choi"),
 }
 
-VALIDATE_ALLOWED = {
-    # the constructor, on assert_hermitian(matrix)
+TRACE_ALLOWED = {
+    # the constructor, on assert_hermitian(matrix), before its PSD check
     ("states", "DensityMatrix.__init__"),
-    # the Choi state, on a matrix that Channel.__init__ or from_choi passed
-    # through assert_hermitian (from_choi reads its marginal before the
-    # state's trace check renormalizes it)
-    ("channels", "Channel._hold"),
+    # the two Choi states above
+    ("channels", "Channel.__init__"),
+    ("channels", "Channel.from_choi"),
+    # the import that binds the name in channels
+    ("channels", "<module>"),
 }
 
 
 class _Sites(ScopedVisitor):
     """Collects (module, qualified function name) for each reference to
-    the attribute name, _derived by default, called or not."""
+    the attribute name, _derived by default, called or not, and each use or
+    import of a plain name of that name."""
 
     def __init__(self, module: str, name: str = "_derived"):
         super().__init__(module)
@@ -60,13 +69,21 @@ class _Sites(ScopedVisitor):
             self.record()
         self.generic_visit(node)
 
+    def visit_Name(self, node):
+        if node.id == self.name:
+            self.record()
+
+    def visit_ImportFrom(self, node):
+        if any(alias.name == self.name for alias in node.names):
+            self.record()
+
 
 def test_derived_builds_only_at_allowed_sites():
     assert package_sites(_Sites) == Counter(ALLOWED)
 
 
-def test_state_checks_without_the_hermitian_one_only_at_allowed_sites():
-    assert package_sites(lambda module: _Sites(module, "_validate")) == Counter(VALIDATE_ALLOWED)
+def test_state_trace_rule_alone_only_at_allowed_sites():
+    assert package_sites(lambda module: _Sites(module, "_unit_trace")) == Counter(TRACE_ALLOWED)
 
 
 def test_guard_sees_calls_and_references():
@@ -82,3 +99,17 @@ def test_guard_sees_calls_and_references():
         "        return build\n"
     )
     assert sites(source, _Sites("m")) == [("m", "decode_state"), ("m", "A.f")]
+
+
+def test_guard_sees_plain_names_and_their_imports():
+    source = (
+        "from .states import _unit_trace as trace_rule\n"
+        "def f(H):\n"
+        "    return trace_rule(H)\n"
+        "def g(H):\n"
+        "    return _unit_trace(H)\n"
+        "class C:\n"
+        "    rule = staticmethod(_unit_trace)\n"
+    )
+    assert sites(source, _Sites("m", "_unit_trace")) == [
+        ("m", "<module>"), ("m", "g"), ("m", "C")]

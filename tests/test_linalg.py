@@ -367,7 +367,7 @@ class TestReadOffValuesMatchFullPasses:
                 for lam in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, -np.inf)):
                     spectra.append(np.array([top, 0.0, lam]))
         for w in spectra:
-            verdict = psd_verdict(w, None, cfg)
+            verdict = psd_verdict(w, np.diag(w), cfg)
             assert verdict.relation == _band_verdict(w, cfg), w
             assert np.float64(verdict.slack).tobytes() == np.float64(w[-1]).tobytes()
 

@@ -1,12 +1,11 @@
-"""Pins NegativeEigenvalue to linalg's two PSD checks of an operator.
+"""Pins NegativeEigenvalue to linalg's one PSD check of a raw operand.
 
 A raw operand (a Hermitian array, or a bare HermitianOperator) is refused
-past the PSD band by the pair gate's helper, linalg._refuse_raw_non_psd,
-which operator_pair and the single-operand entropies call;
-HermitianOperator.support refuses a spectrum past it for the powers,
-fidelity and a channel's Kraus family, which read its eigh. A state or
-effect was validated when built, so no other module checks an operand's
-sign again, and none raises NegativeEigenvalue.
+past the PSD band by linalg._refuse_raw_non_psd, which the gates
+operator_pair and psd_operand call on its eigvalsh, and matrix_power on
+the eigh its power reads. A state or effect was validated when built, so
+nothing checks its sign again (HermitianOperator.support is a plain
+read), and no other site raises NegativeEigenvalue.
 """
 from __future__ import annotations
 
@@ -16,10 +15,7 @@ from collections import Counter
 from ast_sites import ScopedVisitor, package_sites, sites
 
 NAME = "NegativeEigenvalue"
-ALLOWED = Counter({
-    ("linalg", "HermitianOperator.support"): 1,
-    ("linalg", "_refuse_raw_non_psd"): 1,
-})
+ALLOWED = Counter({("linalg", "_refuse_raw_non_psd"): 1})
 
 
 class _Sites(ScopedVisitor):

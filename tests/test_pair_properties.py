@@ -25,7 +25,9 @@ on a raw array it gives the result it gives on fresh states, on a pair
 of two dimensions it raises DimensionMismatch, and on a raw operand
 outside the PSD band, in either slot, NegativeEigenvalue. The functions that take one
 operator, a channel's action included, also give a raw array the result of
-a fresh state. Two structural claims of the order hold on drawn pairs:
+a fresh state, and those that read it as PSD refuse a raw operand outside
+the band through linalg.psd_operand, even where their map would take it
+onto a state. Two structural claims of the order hold on drawn pairs:
 mixing an ordered pair toward an anchor below it keeps it ordered, and the
 tensor product of two ordered pairs is ordered. So do two of the
 abstract's claims: the optimal approximation (a pure state is above rho
@@ -549,6 +551,30 @@ def test_a_raw_operand_outside_the_psd_band_raises_negative_eigenvalue(name, slo
     with pytest.raises(NegativeEigenvalue,
                        match=r"^operator not PSD \(lambda_min = -2\.500e-01\)$"):
         query(*operands)
+
+
+# a raw operand that a mixing or a channel maps onto a state:
+# depolarize(MAPPED_NOT_PSD, 0.9) would be diag(0.6, 0.4)
+MAPPED_NOT_PSD = np.diag([1.5, -0.5])
+# the single-operand functions that read their operand as PSD, each with
+# a map that would take MAPPED_NOT_PSD to a state
+ONE_OPERAND_GATED = {
+    "depolarize": lambda a: depolarize(a, 0.9),
+    "Channel.apply": lambda a: Channel.depolarizing(2, 0.9).apply(a),
+    "extended_output": lambda a: extended_output(Channel.depolarizing(2, 0.9), a, 1),
+    "choi_form_output": lambda a: choi_form_output(Channel.depolarizing(2, 0.9), a),
+    "min_entropy": min_entropy,
+    "renyi_entropy": lambda a: renyi_entropy(a, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_OPERAND_GATED))
+def test_a_one_operand_function_refuses_a_raw_operand_outside_the_psd_band(name):
+    """linalg.psd_operand, operator_pair's one-operand counterpart, refuses
+    it before the function maps it, so no state comes out of it."""
+    with pytest.raises(NegativeEigenvalue,
+                       match=r"^operator not PSD \(lambda_min = -5\.000e-01\)$"):
+        ONE_OPERAND_GATED[name](MAPPED_NOT_PSD)
 
 
 @st.composite

@@ -310,15 +310,17 @@ class TestMatrixPredicatesReadTheCache:
         rng = np.random.default_rng(3)
         phi1, phi2, mix_with = (Channel.random(2, 3, 2, rng) for _ in range(3))
         xi_pre, xi_post = Channel.random(2, 2, 2, rng), Channel.random(3, 2, 2, rng)
-        # four constructions, then from_choi plus the lazy Kraus recovery
+        # phi1's Choi spectrum, which its construction no longer solved, for
+        # cp_psd; then from_choi plus the lazy Kraus recovery. The four
+        # channels built from Kraus families inside solve nothing
         assert count_eigensolves(lambda: jamiolkowski_properties_check(
-            phi1, phi2, xi_pre, xi_post, mix_with)) == 6
+            phi1, phi2, xi_pre, xi_post, mix_with)) == 3
 
 
 class TestChannelOrderSolves:
     """channel_qpe_leq is one qpe_leq on the cached Choi states."""
 
-    @pytest.mark.parametrize("ordered,solves", [(True, 2), (False, 2)])
+    @pytest.mark.parametrize("ordered,solves", [(True, 3), (False, 4)])
     def test_one_order_decision_per_query(self, ordered, solves):
         rng = np.random.default_rng(5)
         phi = Channel.random(3, 2, 2, rng)
@@ -331,7 +333,9 @@ class TestChannelOrderSolves:
                 mock.patch.object(Channel, "_apply_matrix") as kraus_action:
             # ordered: the full-rank lower Choi state's eigh and the sandwich;
             # fails: the rank-2 lower state's eigh for its kernel, and the
-            # eigh of the upper state on that kernel, whose top vector is the witness
+            # eigh of the upper state on that kernel, whose top vector is the witness.
+            # Each Choi state built from a Kraus family (upper in both, lower
+            # when it fails) solves its eigvalsh here, not at construction
             assert count_eigensolves(lambda: channel_qpe_leq(lower, upper)) == solves
         assert order.call_count == 1
         assert kraus_action.call_count == 0
@@ -356,6 +360,18 @@ class TestChoiChannelSolves:
         with spying(hermitian_eigvals, hermitian_eig, cholesky_factors) as (eigvals, eig, chol):
             Channel.depolarizing(4, 0.3)
         assert (eigvals.call_count, eig.call_count, chol.call_count) == (1, 0, 0)
+
+    @pytest.mark.parametrize("n, k, rank", [(2, 2, 1), (4, 4, 3)])
+    def test_a_kraus_channel_is_built_without_a_solve(self, n, k, rank):
+        """A Kraus family's Choi matrix is PSD by construction (Choi's
+        theorem), so building the channel solves and factors nothing, at
+        Choi dim 4 and at 16, past CHOLESKY_MIN_DIM; the spectrum is left to
+        its first read."""
+        assert 4 < CHOLESKY_MIN_DIM <= 16
+        kraus = Channel.random(n, k, rank, np.random.default_rng(n)).kraus
+        built = []
+        assert count_kernel_calls(lambda: built.append(Channel(kraus, n, k))) == (0, 0)
+        assert "eigenvalues" not in vars(built[0].choi)
 
     def test_a_channel_checks_its_choi_matrix_hermitian_once(self):
         phi = Channel.random(3, 2, 2, np.random.default_rng(6))

@@ -273,6 +273,9 @@ class TestFactoredValidation:
 
     @pytest.mark.parametrize("n, k", [(3, 4), (4, 3), (4, 4)])
     def test_low_kraus_rank_choi_states_decide_as_the_band(self, n, k):
+        """Each Choi matrix is factored as a state; the channel built from
+        its Kraus family, PSD by construction, accepts it as the band does
+        and runs no factorization."""
         rng = np.random.default_rng(n * k)
         cases = []
         low = -(-n // k)  # the least Kraus rank an n -> k channel can have
@@ -281,7 +284,8 @@ class TestFactoredValidation:
             J = phi.choi.matrix
             cases.append((f"rank {rank}", lambda J=J: DensityMatrix(J), J))
             cases.append((f"rank {rank} kraus", lambda phi=phi: Channel(phi.kraus, n, k), J))
-        assert all(self._check(cases, DEFAULT_CONFIG))
+        paths = self._check(cases, DEFAULT_CONFIG)
+        assert all(paths[0::2]) and not any(paths[1::2])
 
     @pytest.mark.parametrize("n", [CHOLESKY_MIN_DIM, 64])
     def test_without_slack_the_band_decides_alone(self, n):
