@@ -17,13 +17,15 @@ from .config import DEFAULT_CONFIG, ToleranceConfig
 from .exceptions import (
     BadParameter,
     DimensionMismatch,
+    InvalidState,
     NonFiniteInput,
     NotBelow,
     SupportViolation,
     ZeroEvidence,
     ZeroProbability,
 )
-from .linalg import as_operator, hermitian_part, kernel_cutoff, matrix_power, operator_pair
+from .linalg import (FAILS, as_operator, hermitian_part, kernel_cutoff, matrix_power, operator_pair,
+                     relation_of)
 from .orders import _probability_pair, as_probability_vector, classical_pe_leq, qpe_leq
 from .states import DensityMatrix, Effect, sandwich, top_eigenspace
 
@@ -71,16 +73,32 @@ def classical_solve_evidence(x, y, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.
 
 def _conditioned(outer, inner, cfg: ToleranceConfig) -> DensityMatrix:
     """outer^1/2 inner outer^1/2 / tr(E rho), the state and effect either way
-    round. Checked if an operand came in raw: the gate passes one in the PSD
-    band's marginal part, whose negative eigenvalue a small tr(E rho) magnifies."""
+    round. The gate passes an operand in the PSD band's marginal part, whose
+    negative eigenvalue a small tr(E rho) magnifies, so the posterior is
+    checked: a raw operand's by the validating constructor under cfg; that of
+    two validated operands by the a-priori bound on its least eigenvalue,
+    min(lambda_min(inner), 0) outer+ / tr(E rho), at the band inner was
+    validated under, and then built unchecked, carrying that band. outer^1/2
+    maps outer's kernel to zero, so only inner's sign reaches the posterior."""
     sq = outer.power(0.5, cfg)
     out = sq.dot(inner.matrix).dot(sq)
     prob = float(out.trace().real)
     if prob <= cfg.rank_cutoff:
         raise ZeroProbability(f"tr(E rho) = {prob:.3e}")
-    if isinstance(outer, (DensityMatrix, Effect)) and isinstance(inner, (DensityMatrix, Effect)):
-        return DensityMatrix._derived(out / prob)
-    return DensityMatrix(out / prob, cfg)
+    validated = (DensityMatrix, Effect)
+    if not (isinstance(outer, validated) and isinstance(inner, validated)):
+        return DensityMatrix(out / prob, cfg)
+    band = inner._validated_under
+    least = inner.eigenvalues[-1]
+    if least < 0.0:  # else PSD as computed
+        # v* out v >= lambda_min(inner) |outer^1/2 v|^2, and |outer^1/2 v|^2 <= outer+
+        bound = float(least) * float(outer._eigh[0][0]) / prob
+        if relation_of(bound, bound, band) == FAILS:
+            raise InvalidState("posterior not certified positive semidefinite "
+                               f"(lambda_min >= {bound:.3e})")
+    posterior = DensityMatrix._derived(out / prob)
+    posterior._validated_under = band
+    return posterior
 
 
 def fls_update(rho: DensityMatrix, effect: Effect,

@@ -18,8 +18,8 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .exceptions import BadParameter, DimensionMismatch, NotCPTP
-from .linalg import (OrderVerdict, assert_hermitian, check_mixing_weight, kernel_cutoff, lazy,
-                     partial_trace, psd_operand)
+from .linalg import (OrderVerdict, assert_hermitian, check_mixing_weight, lazy, partial_trace,
+                     psd_operand, rank)
 from .orders import qpe_leq
 from .states import DensityMatrix, _unit_trace, rank_of, top_eigenvalue
 
@@ -112,7 +112,7 @@ class Channel:
         # the recovery drops the eigenvalues at or below rank_cutoff, which
         # moves its completeness sum by at most n times their weight; past
         # that bound, recover the family and measure it
-        dropped = n * float(np.abs(w[w <= kernel_cutoff(w, cfg)]).sum())
+        dropped = n * float(np.abs(w[rank(w, cfg):]).sum())
         if defect + dropped > COMPLETENESS_TOL:
             _check_complete(channel.kraus, n)
         return channel

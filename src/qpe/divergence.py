@@ -14,8 +14,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .exceptions import BadAlpha, QpeError
-from .linalg import (OrderVerdict, _sandwiched_trace, kernel_cutoff, operator_pair, psd_operand,
-                     remembered)
+from .linalg import OrderVerdict, _sandwiched_trace, operator_pair, psd_operand, rank, remembered
 from .orders import _probability_pair, classical_pe_leq, qpe_leq
 from .states import (DensityMatrix, Effect, attaining_direction, escape_direction, min_entropy,
                      sandwich)
@@ -40,7 +39,7 @@ def renyi_entropy(rho: DensityMatrix, alpha: float,
     if np.isinf(alpha):
         return min_entropy(rho, cfg)
     w = psd_operand(rho, cfg).eigenvalues
-    w = w[w > kernel_cutoff(w, cfg)]
+    w = w[:rank(w, cfg)].copy()  # contiguous, as the sums and powers read it
     if alpha == 1:
         return float(-(w * cfg.log(w)).sum())
     return float(cfg.log((w ** alpha).sum()) / (1.0 - alpha))

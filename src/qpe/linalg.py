@@ -11,17 +11,17 @@ a Hermitian matrix and solves its spectrum once, on first read, and the
 package's states and effects are HermitianOperators. The checks, norms,
 powers, fidelity and partial trace and transpose accept a complex ndarray or a
 HermitianOperator; the norms, is_psd, matrix_power and fidelity read an
-operator's cached spectrum, and solve a raw array's afresh. The package's
-one spectral power is HermitianOperator.power, its one rule for which
-eigenvalues count as zero kernel_cutoff (HermitianOperator.support keeps the
-rest), and operator_pair the one gate of every function that takes two
-operators (psd_operand of one); fidelity solves no eigenproblem of its own.
-Each operator remembers the pair queries asked of its recent partners
-(remembered). An operator reports its eigenvalues in descending order. Positivity checks
-return a tri-state verdict instead of a boolean so callers can surface
-numerically marginal cases; relation_of is the one holds/marginal/fails
-band, and extreme_eigenvector finds every fails witness that is an
-eigenvector at an eigenvalue already known.
+operator's cached spectrum, and solve a raw array's afresh. The package's one
+spectral power is HermitianOperator.power; rank, the count of eigenvalues
+above kernel_cutoff, is its one split of a spectrum into support (the prefix
+HermitianOperator.support keeps) and kernel; and operator_pair is the one gate
+of every function that takes two operators (psd_operand of one). fidelity
+solves no eigenproblem of its own. Each operator remembers the pair queries
+asked of its recent partners (remembered). An operator reports its
+eigenvalues in descending order. Positivity checks return a tri-state verdict
+instead of a boolean so callers can surface numerically marginal cases;
+relation_of is the one holds/marginal/fails band, and extreme_eigenvector
+finds every fails witness that is an eigenvector at an eigenvalue already known.
 
 The matrix products of the pair operations (the powers here, the sandwich
 and the updates) call ndarray.dot, not @: both run the same BLAS
@@ -284,15 +284,22 @@ def kernel_cutoff(w: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float
     return cfg.rank_cutoff * max(abs(float(w[0])), 1e-300)
 
 
+def rank(w: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG) -> int:
+    """The number of eigenvalues of the descending spectrum w above
+    kernel_cutoff(w): the support is the prefix w[:rank], the kernel the rest.
+    The package's one comparison of a spectrum with the cutoff."""
+    cutoff = kernel_cutoff(w, cfg)
+    return len(w) if w[-1] > cutoff else int(np.count_nonzero(w > cutoff))  # full rank: no count
+
+
 def _spectral_factor(w, p, cfg: ToleranceConfig) -> np.ndarray:
     """w^p for a descending PSD spectrum w, with the eigenvalues at or below
     kernel_cutoff(w) mapped to zero for every p (generalized inverses)."""
-    cutoff = kernel_cutoff(w, cfg)
-    if w[-1] > cutoff:  # full rank: no mask to apply
+    r = rank(w, cfg)
+    if r == len(w):  # full rank: nothing to zero
         return w ** p
-    live = w > cutoff
     out = np.zeros_like(w)
-    out[live] = w[live] ** p
+    out[:r] = w[:r].copy() ** p  # on the reversed view itself the power rounds otherwise
     return out
 
 
@@ -406,8 +413,8 @@ class HermitianOperator:
         spectrum. It checks nothing: a state or effect was validated when built,
         and a raw operand is banded by the gate of the function that reads it."""
         w, V = self._eigh
-        rank = int(np.count_nonzero(w > kernel_cutoff(w, cfg)))
-        return w[:rank], V[:, :rank]
+        r = rank(w, cfg)
+        return w[:r], V[:, :r]
 
     def power_times(self, p, x: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
         """power(p, cfg) @ x from the cached eigenbasis, without forming the power."""

@@ -27,6 +27,7 @@ from .linalg import (
     hermitian_part,
     kernel_cutoff,
     psd_operand,
+    rank,
     relation_of,
     remembered,
     vector_norm,
@@ -81,11 +82,19 @@ class DensityMatrix(HermitianOperator):
     its spectrum: the factor bounds its least eigenvalue far inside that
     edge. Any other matrix, and every one at psd_slack = 0, is decided on
     the spectrum, so the outcome and message are the same.
+
+    A state records the cfg whose band it was validated under
+    (_validated_under), which the Bayes updates hold its posteriors to. A
+    state the package derived carries the default cfg, or the band its
+    update checked it in.
     """
+
+    _validated_under = DEFAULT_CONFIG
 
     def __init__(self, matrix, cfg: ToleranceConfig = DEFAULT_CONFIG):
         H = _unit_trace(assert_hermitian(matrix))
         super().__init__(H)
+        self._validated_under = cfg
         # a factor puts lambda_min above -n^2 eps ||H||, and ||H|| is about 1
         # for a unit trace so nearly PSD: when that is a tenth of the fails
         # edge -10 psd_slack or less, the band would accept too, and the
@@ -117,7 +126,8 @@ class DensityMatrix(HermitianOperator):
 
 
 class Effect(HermitianOperator):
-    """Measurement effect: Hermitian with 0 <= E <= I (within slack)."""
+    """Measurement effect: Hermitian with 0 <= E <= I (within slack). Like a
+    state, it records the cfg its bounds were checked under (_validated_under)."""
 
     def __init__(self, matrix, cfg: ToleranceConfig = DEFAULT_CONFIG):
         super().__init__(assert_hermitian(matrix))
@@ -130,6 +140,7 @@ class Effect(HermitianOperator):
         # the spectrum of I - E is 1 - w: least 1 - w[0], top 1 - w[-1]
         if relation_of(1.0 - w[0], 1.0 - w[-1], cfg) == FAILS:
             raise InvalidState(f"effect exceeds identity (slack = {1.0 - w[0]:.3e})")
+        self._validated_under = cfg
         return self
 
     @classmethod
@@ -178,31 +189,24 @@ def attaining_direction(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np
     return u / vector_norm(u)
 
 
-def _cluster_cut(w_desc: np.ndarray, start: int, width: float) -> int:
-    """Index one past the cluster beginning at position start."""
-    stop = start + 1
-    while stop < w_desc.size and w_desc[stop - 1] - w_desc[stop] <= width:
-        stop += 1
-    return stop
-
-
 def top_eigenspace(rho, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Eigenspace:
     """Eigenspace of the top eigenvalue cluster."""
     op = as_operator(rho)
     w = op.eigenvalues
     width = cfg.cluster_width * max(abs(float(w[0])), 1e-300)
-    stop = _cluster_cut(w, 0, width)
+    stop = 1
+    while stop < w.size and w[stop - 1] - w[stop] <= width:
+        stop += 1
     return Eigenspace(op.eigenvectors[:, :stop].copy(), float(w[0]))
 
 
 def kernel(rho, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Eigenspace:
-    """Eigenspace of the eigenvalues at or below kernel_cutoff."""
+    """Eigenspace of the eigenvalues at or below kernel_cutoff: past linalg.rank."""
     op = as_operator(rho)
-    w = op.eigenvalues
-    mask = w <= kernel_cutoff(w, cfg)
-    if not mask.any():
+    r = rank(op.eigenvalues, cfg)
+    if r == op.dim:
         return Eigenspace(np.zeros((op.dim, 0), dtype=complex), 0.0)
-    return Eigenspace(op.eigenvectors[:, mask].copy(), 0.0)
+    return Eigenspace(op.eigenvectors[:, r:].copy(), 0.0)
 
 
 def heaviest_kernel_direction(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG,
@@ -213,10 +217,9 @@ def heaviest_kernel_direction(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG,
     u is the top eigenvector of sigma compressed to rho's kernel, found by
     the one eigh on that small block. Both are HermitianOperators.
     """
-    w = rho.eigenvalues
-    if w[-1] > kernel_cutoff(w, cfg):  # full rank
-        return None
     K = kernel(rho, cfg).basis
+    if not K.shape[1]:  # full rank
+        return None
     mass, Y = hermitian_eig(K.conj().T @ sigma.matrix @ K)
     return float(mass[-1]), K @ Y[:, -1]
 
@@ -236,24 +239,22 @@ def escape_direction(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.nd
 
 
 def rank_of(rho, cfg: ToleranceConfig = DEFAULT_CONFIG) -> int:
-    w = as_operator(rho).eigenvalues
-    return int(np.count_nonzero(w > kernel_cutoff(w, cfg)))
+    return rank(as_operator(rho).eigenvalues, cfg)
 
 
 def bottom_eigenspace_nonzero(rho, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Eigenspace:
-    """Eigenspace of the least nonzero eigenvalue cluster."""
+    """Eigenspace of the least nonzero eigenvalue cluster, which ends the
+    support prefix w[:rank], so it holds no kernel eigenvalue."""
     op = as_operator(rho)
     w = op.eigenvalues
-    in_kernel = w <= kernel_cutoff(w, cfg)
-    nz = np.flatnonzero(~in_kernel)
-    if nz.size == 0:
+    r = rank(w, cfg)
+    if not r:
         raise InvalidState("matrix has no nonzero eigenvalues")
-    last = nz[-1]
     width = cfg.cluster_width * max(abs(float(w[0])), 1e-300)
-    start = last
-    while start > 0 and w[start - 1] - w[start] <= width and not in_kernel[start - 1]:
+    start = r - 1
+    while start > 0 and w[start - 1] - w[start] <= width:
         start -= 1
-    return Eigenspace(op.eigenvectors[:, start : last + 1].copy(), float(w[last]))
+    return Eigenspace(op.eigenvectors[:, start:r].copy(), float(w[r - 1]))
 
 
 def min_entropy(rho, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:

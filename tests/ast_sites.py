@@ -1,6 +1,7 @@
-"""The walk the AST pin tests share: every module of src/qpe, and a visitor
-that records each finding under the qualified name of the function or class
-it sits in."""
+"""The walk the AST pin tests share: every module of src/qpe, and the
+visitors that record each finding under the qualified name of the function
+or class it sits in: AttributeSites and NameSites for uses of a name,
+RaiseSites for the raises of an exception."""
 from __future__ import annotations
 
 import ast
@@ -51,6 +52,32 @@ class AttributeSites(ScopedVisitor):
     def visit_ImportFrom(self, node):
         if any(alias.name in self.names for alias in node.names):
             self.record()
+
+
+class NameSites(AttributeSites):
+    """AttributeSites that also records each use of a plain name in names:
+    a call of it, a reference to it, or a binding of it."""
+
+    def visit_Name(self, node):
+        if node.id in self.names:
+            self.record()
+
+
+class RaiseSites(ScopedVisitor):
+    """Records each raise of the exception called name, called or not, by
+    name or as an attribute; a name given only as the cause (after from) is
+    not its raise."""
+
+    def __init__(self, module: str, name: str):
+        super().__init__(module)
+        self.name = name
+
+    def visit_Raise(self, node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if (isinstance(exc, ast.Name) and exc.id == self.name
+                or isinstance(exc, ast.Attribute) and exc.attr == self.name):
+            self.record()
+        self.generic_visit(node)
 
 
 def sites(source: str, visitor: ScopedVisitor) -> list[tuple[str, str]]:

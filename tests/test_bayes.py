@@ -193,6 +193,36 @@ class TestQuantumUpdates:
         with pytest.raises(InvalidState, match=r"^not positive semidefinite \(lambda_min = -1"):
             sequential_update(np.diag([1.0, -5e-9]), Effect.from_diag([1e-8, 1.0]))
 
+    def test_a_validated_operand_in_the_marginal_band_gets_a_checked_posterior(self):
+        """The same calls on validated operands: -5e-9 passes the default band
+        at construction, and the a-priori bound on the posterior's least
+        eigenvalue, lambda_min(inner) outer+ / tr(E rho), is -1, which fails
+        it. Built unchecked, each posterior would be about diag(2, -1)."""
+        message = r"^posterior not certified positive semidefinite \(lambda_min >= -1"
+        with pytest.raises(InvalidState, match=message):
+            fls_update(DensityMatrix.from_diag([1e-8, 1 - 1e-8]), Effect(np.diag([1.0, -5e-9])))
+        with pytest.warns(UserWarning, match="renormalizing"):
+            prior = DensityMatrix(np.diag([1.0, -5e-9]))
+        with pytest.raises(InvalidState, match=message):
+            sequential_update(prior, Effect.from_diag([1e-8, 1.0]))
+
+    def test_a_validated_posterior_is_banded_where_its_operands_were(self):
+        """The band is the inner operand's, not the update's cfg: under
+        psd_slack = 0, sequential_update conditions these 200 validated
+        rank-deficient priors, whose kernels carry rounding below zero, as it
+        does under the default cfg, bit for bit, and each posterior carries
+        the band its check used."""
+        zero = ToleranceConfig(psd_slack=0.0)
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            n = int(rng.integers(2, 6))
+            rho = random_state(n, rank=int(rng.integers(1, n)), rng=rng)
+            effect = random_agreeing_effect(rho, rng)
+            posterior = sequential_update(rho, effect, zero)
+            assert posterior.matrix.tobytes() == sequential_update(rho, effect).matrix.tobytes()
+            assert posterior._validated_under is rho._validated_under
+            assert fls_update(rho, effect, zero)._validated_under is effect._validated_under
+
 
 class TestReconstructEffect:
     def test_frozen_diagonal_reconstruction(self):

@@ -8,8 +8,9 @@ effects or drew it itself. Each site below is allowed for the reason in its
 comment; a site that takes outside numbers (a decoded document, a caller's
 matrix or eigenvalues) must use the validating constructor, and a new call
 anywhere else fails this test. The updates build with _derived only when
-both operands are validated states or effects, and check a raw array's
-result as before.
+both operands are validated states or effects and the a-priori bound on the
+posterior's least eigenvalue passes the inner operand's band; a raw array's
+posterior goes through the validating constructor.
 
 states._unit_trace is a state's trace rule alone, on a matrix that
 assert_hermitian already returned; a state built on it without the
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from ast_sites import ScopedVisitor, package_sites, sites
+from ast_sites import NameSites, package_sites, sites
 
 ALLOWED = {
     # outer^1/2 inner outer^1/2 / tr: a congruence of the PSD inner operand
@@ -55,35 +56,13 @@ TRACE_ALLOWED = {
 }
 
 
-class _Sites(ScopedVisitor):
-    """Collects (module, qualified function name) for each reference to
-    the attribute name, _derived by default, called or not, and each use or
-    import of a plain name of that name."""
-
-    def __init__(self, module: str, name: str = "_derived"):
-        super().__init__(module)
-        self.name = name
-
-    def visit_Attribute(self, node):
-        if node.attr == self.name:
-            self.record()
-        self.generic_visit(node)
-
-    def visit_Name(self, node):
-        if node.id == self.name:
-            self.record()
-
-    def visit_ImportFrom(self, node):
-        if any(alias.name == self.name for alias in node.names):
-            self.record()
-
-
 def test_derived_builds_only_at_allowed_sites():
-    assert package_sites(_Sites) == Counter(ALLOWED)
+    assert package_sites(lambda module: NameSites(module, {"_derived"})) == Counter(ALLOWED)
 
 
 def test_state_trace_rule_alone_only_at_allowed_sites():
-    assert package_sites(lambda module: _Sites(module, "_unit_trace")) == Counter(TRACE_ALLOWED)
+    found = package_sites(lambda module: NameSites(module, {"_unit_trace"}))
+    assert found == Counter(TRACE_ALLOWED)
 
 
 def test_guard_sees_calls_and_references():
@@ -98,7 +77,7 @@ def test_guard_sees_calls_and_references():
         "        build = type(self)._derived if x else None\n"
         "        return build\n"
     )
-    assert sites(source, _Sites("m")) == [("m", "decode_state"), ("m", "A.f")]
+    assert sites(source, NameSites("m", {"_derived"})) == [("m", "decode_state"), ("m", "A.f")]
 
 
 def test_guard_sees_plain_names_and_their_imports():
@@ -111,5 +90,5 @@ def test_guard_sees_plain_names_and_their_imports():
         "class C:\n"
         "    rule = staticmethod(_unit_trace)\n"
     )
-    assert sites(source, _Sites("m", "_unit_trace")) == [
+    assert sites(source, NameSites("m", {"_unit_trace"})) == [
         ("m", "<module>"), ("m", "g"), ("m", "C")]

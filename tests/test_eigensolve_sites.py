@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from ast_sites import AttributeSites as _Sites, package_sites, sites
+from ast_sites import AttributeSites as _Sites, NameSites, package_sites, sites
 
 EIGENSOLVERS = {"eigh", "eigvalsh", "eig", "eigvals"}
 KERNEL = {"hermitian_eigvals", "hermitian_eig"}
@@ -59,15 +59,7 @@ ALLOWED_GUFUNC_SITES = {
 }
 
 
-class _NamedSites(_Sites):
-    """_Sites that also sees a bare name: a call of it or a reference to it."""
-
-    def visit_Name(self, node):
-        if node.id in self.names:
-            self.record()
-
-
-class _KernelCalls(_NamedSites):
+class _KernelCalls(NameSites):
     """Each use of a kernel function. An import under its own name only
     binds it, and its uses are seen; an import that renames it is a use."""
 
@@ -80,7 +72,7 @@ class _KernelCalls(_NamedSites):
             self.record()
 
 
-class _GufuncSites(_NamedSites):
+class _GufuncSites(NameSites):
     """Each use of the gufunc module, an import of it or from it included."""
 
     def __init__(self, module: str):

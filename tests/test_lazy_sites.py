@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from ast_sites import ScopedVisitor, package_sites, sites
+from ast_sites import NameSites, package_sites, sites
 
 from qpe.channels import Channel
 from qpe.linalg import HermitianOperator, lazy
@@ -18,25 +18,8 @@ from qpe.linalg import HermitianOperator, lazy
 NAME = "cached_property"
 
 
-class _Sites(ScopedVisitor):
-    """Collects (module, qualified name) for each use of cached_property."""
-
-    def visit_Attribute(self, node):
-        if node.attr == NAME:
-            self.record()
-        self.generic_visit(node)
-
-    def visit_Name(self, node):
-        if node.id == NAME:
-            self.record()
-
-    def visit_ImportFrom(self, node):
-        if any(alias.name == NAME for alias in node.names):
-            self.record()
-
-
 def test_no_cached_property_in_the_package():
-    assert package_sites(_Sites) == Counter()
+    assert package_sites(lambda module: NameSites(module, {NAME})) == Counter()
 
 
 def test_guard_sees_imports_decorators_and_attributes():
@@ -51,7 +34,7 @@ def test_guard_sees_imports_decorators_and_attributes():
         "    def g(self):\n"
         "        return 2\n"
     )
-    assert sites(source, _Sites("m")) == [("m", "<module>"), ("m", "A.f"), ("m", "A.g")]
+    assert sites(source, NameSites("m", {NAME})) == [("m", "<module>"), ("m", "A.f"), ("m", "A.g")]
 
 
 def test_the_cached_attributes_are_lazy():

@@ -39,6 +39,7 @@ from qpe.linalg import (
     partial_transpose,
     psd_verdict,
     random_unitary,
+    rank,
     schatten_norm,
     spectral_power,
     tensor,
@@ -436,6 +437,32 @@ class TestDotMatchesMatmul:
                 for x in (M[:, 0], M[0], M[:, -1].copy()):
                     got, ref = vector_norm(x), np.linalg.norm(x)
                     assert np.float64(got).tobytes() == np.float64(ref).tobytes(), name
+
+
+class TestRank:
+    """rank counts a descending spectrum's eigenvalues above kernel_cutoff,
+    which scales rank_cutoff by the top eigenvalue: at or below it is kernel."""
+
+    @pytest.mark.parametrize("w,want", [
+        ([0.0, 0.0, 0.0], 0),  # all kernel
+        ([0.0, -1e-17, -2e-16], 0),  # all kernel, with negative rounding
+        ([0.5, 0.3, 0.2], 3),  # full rank
+        ([1.0, 2e-12], 2),  # full rank, just above the cutoff
+        ([0.6, 0.4, 1e-13, -1e-17, -2e-16], 2),  # a tail of negative rounding
+        ([1.0, 1e-12, 0.0], 1),  # at the cutoff is kernel
+    ])
+    def test_counts_the_eigenvalues_above_the_cutoff(self, w, want):
+        assert rank(np.array(w)) == want
+
+    def test_reads_cfg_and_the_reversed_view(self):
+        w = np.array([0.0, 1e-300, 1.0])[::-1]
+        assert rank(w) == 1 and rank(w, ToleranceConfig(rank_cutoff=0.0)) == 2
+
+    def test_support_is_the_prefix_it_counts(self, rng):
+        U = random_unitary(4, rng)
+        op = as_operator(hermitian_part((U * np.array([0.7, 0.3, 1e-14, -1e-17])) @ U.conj().T))
+        w, V = op.support()
+        assert len(w) == V.shape[1] == rank(op._eigh[0]) == 2
 
 
 class TestMatrixPower:

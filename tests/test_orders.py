@@ -267,6 +267,11 @@ class TestLeastEigenvalueOrder:
         assert v.fails and v.slack == -np.inf
         assert_allclose(np.abs(v.witness), [0.0, 1.0, 0.0], atol=1e-12)
 
+    def test_zero_operands_have_no_least_nonzero_eigenvalue(self):
+        # equal (full) kernels, and no support to read rho- or sigma- from
+        with pytest.raises(InvalidState, match="^matrix has no nonzero eigenvalues$"):
+            lev_leq(np.zeros((3, 3)), np.zeros((3, 3)))
+
     def test_kernel_shrink_always_fails(self):
         rho = DensityMatrix.from_diag([0.6, 0.4, 0.0])
         sigma = DensityMatrix.from_diag([0.4, 0.3, 0.3])

@@ -7,10 +7,9 @@ valid input and raise other errors, so no module but oracle raises it.
 """
 from __future__ import annotations
 
-import ast
 from collections import Counter
 
-from ast_sites import ScopedVisitor, package_sites, sites
+from ast_sites import RaiseSites, package_sites, sites
 
 NAME = "PreconditionViolated"
 ALLOWED = Counter({
@@ -20,20 +19,8 @@ ALLOWED = Counter({
 })
 
 
-class _Sites(ScopedVisitor):
-    """Collects (module, qualified name) for each raise of PreconditionViolated,
-    called or not, by name or as an attribute."""
-
-    def visit_Raise(self, node):
-        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-        if (isinstance(exc, ast.Name) and exc.id == NAME
-                or isinstance(exc, ast.Attribute) and exc.attr == NAME):
-            self.record()
-        self.generic_visit(node)
-
-
 def test_only_the_claim_checks_raise_precondition_violated():
-    assert package_sites(_Sites) == ALLOWED
+    assert package_sites(lambda module: RaiseSites(module, NAME)) == ALLOWED
 
 
 def test_guard_sees_every_form_of_the_raise():
@@ -48,4 +35,4 @@ def test_guard_sees_every_form_of_the_raise():
         "def k():\n"
         "    raise\n"
     )
-    assert sites(source, _Sites("m")) == [("m", "f"), ("m", "C.g")]
+    assert sites(source, RaiseSites("m", NAME)) == [("m", "f"), ("m", "C.g")]

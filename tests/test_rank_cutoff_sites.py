@@ -6,7 +6,7 @@ Which eigenvalues count as zero decides the support condition of the order,
 the generalized inverse, the infinite max-divergence, the Kraus family
 recovered from a Choi state, and the supports that fidelity and the
 sandwiched Renyi family sum over (HermitianOperator.support).
-linalg.kernel_cutoff is that rule; a product
+linalg.kernel_cutoff is that rule's scale; a product
 with rank_cutoff anywhere else would be a second copy of it, and a
 comparison against a bare rank_cutoff (directly, through a local name bound
 to it, or raised to a power) would be a second, absolute rule. The absolute
@@ -14,6 +14,14 @@ thresholds that remain are not supports: bayes._conditioned's floor on a
 Born probability and domain._way_below's floor on a squared distance. The
 config's own check that cluster_width is at least rank_cutoff is the third
 allowed comparison. The memo keys read rank_cutoff without comparing it.
+
+linalg.rank is the one comparison of a spectrum with kernel_cutoff: the
+support, the kernel, the full-rank tests and the least eigenvalue on the
+support all read its count. The other callers of kernel_cutoff compare a
+weight or a probability, not a spectrum: the weight of one operand on the
+other's support (linalg._sandwiched_trace, states.escape_direction) and
+the entries of a probability vector (orders.classical_pe_leq,
+bayes.classical_solve_evidence).
 
 A spectrum clamped at 0 and then kept where it is > 0 would be another
 rule, which keeps every rounding eigenvalue and, under a fractional power,
@@ -28,9 +36,23 @@ from __future__ import annotations
 import ast
 from collections import Counter
 
-from ast_sites import AttributeSites, ScopedVisitor, package_sites, sites
+from ast_sites import AttributeSites, NameSites, ScopedVisitor, package_sites, sites
 
 ALLOWED = {("linalg", "kernel_cutoff")}
+CUTOFF_CALLS = Counter({
+    # the spectral split
+    ("linalg", "rank"): 1,
+    # weights: each operand's on the other's support
+    ("linalg", "_sandwiched_trace"): 2,
+    ("states", "escape_direction"): 1,
+    # probability vectors: x's support, and y's weight off it
+    ("orders", "classical_pe_leq"): 2,
+    ("bayes", "classical_solve_evidence"): 1,
+    # the imports that bind the name for those three
+    ("states", "<module>"): 1,
+    ("orders", "<module>"): 1,
+    ("bayes", "<module>"): 1,
+})
 ALLOWED_COMPARISONS = {
     ("bayes", "_conditioned"),
     ("domain", "_way_below"),
@@ -144,6 +166,25 @@ def test_comparison_guard_sees_aliases_and_powers():
         "    return cutoff < 1.0, (cfg.rank_cutoff,)\n"
     )
     assert _sites(source, "m", _Comparisons) == [("m", "classical_max_divergence")] * 3 + [("m", "g")]
+
+
+def test_only_rank_compares_a_spectrum_with_kernel_cutoff():
+    assert package_sites(lambda module: NameSites(module, {"kernel_cutoff"})) == CUTOFF_CALLS
+
+
+def test_cutoff_call_guard_sees_calls_references_and_imports():
+    # the spectrum comparisons the kernel helpers once had, beside rank's own call
+    source = (
+        "from .linalg import kernel_cutoff, rank\n"
+        "def kernel(op, cfg):\n"
+        "    return op.eigenvectors[:, op.eigenvalues <= kernel_cutoff(op.eigenvalues, cfg)]\n"
+        "class C:\n"
+        "    def full(self, w):\n"
+        "        cut = linalg.kernel_cutoff\n"
+        "        return w[-1] > cut(w), rank(w) == len(w)\n"
+    )
+    assert sites(source, NameSites("m", {"kernel_cutoff"})) == [
+        ("m", "<module>"), ("m", "kernel"), ("m", "C.full")]
 
 
 def test_arrays_are_clamped_only_where_a_probability_is():

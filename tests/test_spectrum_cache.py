@@ -292,6 +292,17 @@ class TestMatrixPredicatesReadTheCache:
         assert count_eigensolves(call) == 1
         assert count_hermitian_checks(call) == 0
 
+    @pytest.mark.parametrize("ordered", [True, False])
+    def test_lev_order_reads_rho_and_sigma_minus_off_the_spectra(self, ordered_raw_pair, ordered):
+        R, S = ordered_raw_pair
+        rho, sigma = (DensityMatrix(M) for M in ((R, S) if ordered else (S, R)))
+        # the order matrix's eigvalsh, and the eigh of a fails witness below
+        # SHIFTED_SOLVE_MIN_DIM; no eigh of either state
+        with spying(hermitian_eigvals, hermitian_eig) as (eigvals, eig):
+            verdict = lev_leq(rho, sigma)
+        assert verdict.relation == ("holds" if ordered else "fails")
+        assert (eigvals.call_count, eig.call_count) == (1, 0 if ordered else 1)
+
     @pytest.mark.parametrize("predicate", [primed_leq, lev_leq])
     def test_no_hermitian_check_on_built_states(self, ordered_raw_pair, predicate):
         rho, sigma = (DensityMatrix(M) for M in ordered_raw_pair)
