@@ -29,8 +29,8 @@ from .exceptions import (BadParameter, DegenerateDraw, DimensionMismatch, NonFin
 from .linalg import (FAILS, HOLDS, MARGINAL, OrderVerdict, as_square_array, check_mixing_weight,
                      is_psd, operator_pair, partial_trace, partial_transpose, psd_operand)
 from .orders import as_probability_vector, majorizes, qpe_leq
-from .states import (DensityMatrix, Effect, rank_of, subspace_intersects, top_eigenspace,
-                     top_eigenvalue)
+from .states import (DensityMatrix, Effect, _principal_cosine, rank_of, subspace_intersects,
+                     top_eigenspace, top_eigenvalue)
 
 # noise floor of the oracles' own arithmetic: psd_probe's is -10 SLACK
 # max(1, ||A||), and diagonal_order_oracle bands its margin at -SLACK, -10 SLACK
@@ -468,7 +468,8 @@ def sequential_transitivity_demo(
         if replay > 1e-8:
             # reconstruction failed numerically; not a usable certificate
             continue
-        overlap = _top_overlap(cand, rho, cfg)
+        overlap = _principal_cosine(top_eigenspace(cand, cfg).basis,
+                                    top_eigenspace(rho, cfg).basis)
         best_overlap = min(best_overlap, overlap)
         if overlap < 0.5:
             return TransitivityReport(
@@ -516,10 +517,3 @@ def _draw_step_effect(state, rng, cfg):
         rank = int(rng.integers(2, state.dim))
         return random_agreeing_effect(state, rng, projector_rank=rank, cfg=cfg)
     return random_agreeing_effect(state, rng, cfg=cfg)
-
-
-def _top_overlap(effect, state, cfg) -> float:
-    A = top_eigenspace(effect, cfg).basis
-    B = top_eigenspace(state, cfg).basis
-    s = np.linalg.svd(A.conj().T @ B, compute_uv=False)
-    return float(s.max(initial=0.0))

@@ -43,6 +43,7 @@ from .linalg import (
 )
 from .states import (
     DensityMatrix,
+    Eigenspace,
     attaining_direction,
     bottom_eigenspace_nonzero,
     escape_direction,
@@ -238,8 +239,10 @@ def lev_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
     state's kernel on which the other weighs most.
     """
     r, s = operator_pair(rho, sigma, cfg)
-    ker_r = kernel(r, cfg)
-    ker_s = kernel(s, cfg)
+    if rank(r.eigenvalues, cfg) == rank(s.eigenvalues, cfg) == r.dim:  # by count: no eigh
+        ker_r = ker_s = Eigenspace(np.zeros((r.dim, 0), dtype=complex), 0.0)
+    else:
+        ker_r, ker_s = kernel(r, cfg), kernel(s, cfg)
 
     if ker_r.dim == ker_s.dim:
         if ker_r.dim == 0 or subspace_equal(ker_r.basis, ker_s.basis):

@@ -201,12 +201,9 @@ def top_eigenspace(rho, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Eigenspace:
 
 
 def kernel(rho, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Eigenspace:
-    """Eigenspace of the eigenvalues at or below kernel_cutoff: past linalg.rank."""
-    op = as_operator(rho)
-    r = rank(op.eigenvalues, cfg)
-    if r == op.dim:
-        return Eigenspace(np.zeros((op.dim, 0), dtype=complex), 0.0)
-    return Eigenspace(op.eigenvectors[:, r:].copy(), 0.0)
+    """The complement of support: the cached eigh's columns past linalg.rank of its eigenvalues."""
+    w, V = as_operator(rho)._eigh
+    return Eigenspace(V[:, rank(w, cfg):].copy(), 0.0)
 
 
 def heaviest_kernel_direction(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG,
@@ -244,10 +241,10 @@ def rank_of(rho, cfg: ToleranceConfig = DEFAULT_CONFIG) -> int:
 
 def bottom_eigenspace_nonzero(rho, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Eigenspace:
     """Eigenspace of the least nonzero eigenvalue cluster, which ends the
-    support prefix w[:rank], so it holds no kernel eigenvalue."""
+    support prefix of the eigh that kernel cuts, so it holds no kernel eigenvalue."""
     op = as_operator(rho)
     w = op.eigenvalues
-    r = rank(w, cfg)
+    r = rank(op._eigh[0], cfg)
     if not r:
         raise InvalidState("matrix has no nonzero eigenvalues")
     width = cfg.cluster_width * max(abs(float(w[0])), 1e-300)
@@ -280,8 +277,13 @@ def subspace_intersects(a, b, cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
         raise DimensionMismatch("subspace bases live in different spaces")
     if A.shape[1] == 0 or B.shape[1] == 0:
         return False
-    s = np.linalg.svd(A.conj().T @ B, compute_uv=False)
-    return bool(s.max(initial=0.0) >= 1.0 - max(cfg.cluster_width, 1e-12))
+    return _principal_cosine(A, B) >= 1.0 - max(cfg.cluster_width, 1e-12)
+
+
+def _principal_cosine(A: np.ndarray, B: np.ndarray) -> float:
+    """The cosine of the smallest principal angle between the spans of two
+    orthonormal bases: the largest singular value of their cross-Gram A* B."""
+    return float(np.linalg.svd(A.conj().T @ B, compute_uv=False).max(initial=0.0))
 
 
 def random_state(

@@ -6,11 +6,15 @@ from numpy.testing import assert_allclose
 
 from qpe import DensityMatrix
 from qpe.bayes import classical_solve_evidence
-from qpe.divergence import classical_max_divergence, order_divergence_gap
+from qpe.config import DEFAULT_CONFIG
+from qpe.divergence import (classical_max_divergence, max_divergence, order_divergence_gap,
+                            povm_distinguishability_lower_bound, renyi_divergence)
 from qpe.exceptions import (BadParameter, DimensionMismatch, InvalidState, NegativeEigenvalue,
                             NonpositiveScalar)
-from qpe.linalg import is_psd, random_unitary
+from qpe.linalg import is_psd, random_unitary, rank
+from qpe.oracle import qpe_order_oracle
 from qpe.orders import (
+    SANDWICH_ROUNDING,
     as_probability_vector,
     classical_pe_leq,
     eigenvalue_shadow,
@@ -239,6 +243,71 @@ class TestQpeStructuralConsequences:
             broken = qpe_leq(DensityMatrix(np.kron(a.matrix, tau.matrix)),
                              DensityMatrix(np.kron(b.matrix, tau.matrix)))
             assert broken.fails
+
+
+def _near_cutoff_states(seed: int, draws: int):
+    """rho = U diag(w) U* at dims 2-5, U Haar, whose least eigenvalue is
+    rank_cutoff rho+ (1 + u), u uniform in +-3e-4: eigvalsh and eigh know it
+    to about eps rho+, so one may count it as support and the other as
+    kernel."""
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        n = int(rng.integers(2, 6))
+        U = random_unitary(n, rng)
+        w = np.sort(rng.random(n) + 0.1)[::-1]
+        w[-1] = DEFAULT_CONFIG.rank_cutoff * w[0] * (1.0 + rng.uniform(-3e-4, 3e-4))
+        w /= w.sum()
+        yield DensityMatrix((U * w) @ U.conj().T)
+
+
+def _escaping_partner(rho):
+    """(rho + v v*) / 2 for v the first column of rho's eigh past its support."""
+    v = rho.eigenvectors[:, len(rho.support()[0])]
+    return DensityMatrix((rho.matrix + np.outer(v, v.conj())) / 2.0)
+
+
+class TestOneSupportSplit:
+    """rho's kernel is cut from the eigh that rho^-1/2 and its support read,
+    so a partner that escapes it escapes the support that the sandwich
+    inverts on, also where eigvalsh's spectrum counts one more support
+    eigenvalue than the eigh's."""
+
+    def test_a_partner_escaping_a_kernel_only_the_eigh_counts_fails(self):
+        edge = [rho for rho in _near_cutoff_states(5, 300)
+                if rank(rho.eigenvalues) > rank(rho._eigh[0])]
+        assert len(edge) >= 5
+        for rho in edge:
+            assert kernel(rho).dim == rho.dim - len(rho.support()[0])
+            sigma = _escaping_partner(rho)
+            verdict = qpe_leq(rho, sigma)
+            assert verdict.fails and verdict.slack == -np.inf
+            assert qpe_order_oracle(rho, sigma).relation == verdict.relation
+            assert max_divergence(sigma, rho).value == np.inf
+            assert renyi_divergence(sigma, rho, 1.0).value == np.inf
+            assert povm_distinguishability_lower_bound(sigma, rho) == np.inf
+
+    def test_no_pair_holds_with_a_positive_slack_or_has_a_negative_max_divergence(self, rng):
+        """For a unit v in sigma's top eigenspace, v* (sigma+ rho - rho+ sigma) v
+        <= 0, so qpe_leq's slack is never positive in exact arithmetic, and
+        tr sigma = tr rho = 1 puts D_inf(sigma || rho) at 0 or above. Both
+        hold to 1e-12 on ordinary states; rho^-1/2 amplifies the rounding by
+        rho's condition number kappa on its support, about 1 / rank_cutoff
+        for a near-cutoff state that keeps its least eigenvalue, so there the
+        bound is SANDWICH_ROUNDING kappa (ordered pairs read up to 7e-11)."""
+        ordinary = [random_state(int(rng.integers(2, 6)), rng=rng) for _ in range(20)]
+        ordinary += [random_state(4, rank=int(rng.integers(1, 4)), rng=rng) for _ in range(10)]
+        for rho in ordinary + list(_near_cutoff_states(5, 60)):
+            w = rho.support()[0]
+            tol = 1e-12 if rho in ordinary else max(1e-12, SANDWICH_ROUNDING * w[0] / w[-1])
+            v = rho.eigenvectors[:, 0]
+            partners = [DensityMatrix((rho.matrix + np.outer(v, v.conj())) / 2.0),
+                        random_state(rho.dim, rng=rng)]
+            if len(w) < rho.dim:
+                partners.append(_escaping_partner(rho))
+            for sigma in partners:
+                verdict = qpe_leq(rho, sigma)
+                assert not verdict.holds or verdict.slack <= tol
+                assert max_divergence(sigma, rho).value >= -tol
 
 
 class TestLeastEigenvalueOrder:

@@ -331,7 +331,7 @@ class TestMatrixPredicatesReadTheCache:
 class TestChannelOrderSolves:
     """channel_qpe_leq is one qpe_leq on the cached Choi states."""
 
-    @pytest.mark.parametrize("ordered,solves", [(True, 3), (False, 4)])
+    @pytest.mark.parametrize("ordered,solves", [(True, 3), (False, 3)])
     def test_one_order_decision_per_query(self, ordered, solves):
         rng = np.random.default_rng(5)
         phi = Channel.random(3, 2, 2, rng)
@@ -343,10 +343,11 @@ class TestChannelOrderSolves:
         with mock.patch("qpe.channels.qpe_leq", wraps=qpe_leq) as order, \
                 mock.patch.object(Channel, "_apply_matrix") as kraus_action:
             # ordered: the full-rank lower Choi state's eigh and the sandwich;
-            # fails: the rank-2 lower state's eigh for its kernel, and the
-            # eigh of the upper state on that kernel, whose top vector is the witness.
-            # Each Choi state built from a Kraus family (upper in both, lower
-            # when it fails) solves its eigvalsh here, not at construction
+            # fails: the rank-2 lower state's eigh, whose own eigenvalues
+            # count its kernel, so the lower state solves no eigvalsh, and
+            # the eigh of the upper state on that kernel, whose top vector is
+            # the witness. The upper Choi state, built from a Kraus family,
+            # solves its eigvalsh here, not at construction
             assert count_eigensolves(lambda: channel_qpe_leq(lower, upper)) == solves
         assert order.call_count == 1
         assert kraus_action.call_count == 0
