@@ -24,7 +24,7 @@ from .exceptions import (
     ZeroEvidence,
     ZeroProbability,
 )
-from .linalg import (FAILS, as_operator, hermitian_part, kernel_cutoff, matrix_power, operator_pair,
+from .linalg import (FAILS, HermitianOperator, hermitian_part, kernel_cutoff, operator_pair,
                      relation_of)
 from .orders import _probability_pair, as_probability_vector, classical_pe_leq, qpe_leq
 from .states import DensityMatrix, Effect, sandwich, top_eigenspace
@@ -73,22 +73,20 @@ def classical_solve_evidence(x, y, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.
 
 def _conditioned(outer, inner, cfg: ToleranceConfig) -> DensityMatrix:
     """outer^1/2 inner outer^1/2 / tr(E rho), the state and effect either way
-    round. The gate passes an operand in the PSD band's marginal part, whose
-    negative eigenvalue a small tr(E rho) magnifies, so the posterior is
-    checked: a raw operand's by the validating constructor under cfg; that of
-    two validated operands by the a-priori bound on its least eigenvalue,
-    min(lambda_min(inner), 0) outer+ / tr(E rho), at the band inner was
-    validated under, and then built unchecked, carrying that band. outer^1/2
-    maps outer's kernel to zero, so only inner's sign reaches the posterior."""
+    round, past operator_pair's gate, for built and raw operands alike. The
+    gate passes an operand in the PSD band's marginal part, whose negative
+    eigenvalue a small tr(E rho) magnifies, so the posterior is checked by the
+    a-priori bound on its least eigenvalue, min(lambda_min(inner), 0) outer+ /
+    tr(E rho), at the band inner was admitted under: a state's or effect's
+    _validated_under, or, for a raw operand, cfg, whose band the gate just
+    applied. It is then built unchecked, carrying that band. outer^1/2 maps
+    outer's kernel to zero, so only inner's sign reaches the posterior."""
     sq = outer.power(0.5, cfg)
     out = sq.dot(inner.matrix).dot(sq)
     prob = float(out.trace().real)
     if prob <= cfg.rank_cutoff:
         raise ZeroProbability(f"tr(E rho) = {prob:.3e}")
-    validated = (DensityMatrix, Effect)
-    if not (isinstance(outer, validated) and isinstance(inner, validated)):
-        return DensityMatrix(out / prob, cfg)
-    band = inner._validated_under
+    band = getattr(inner, "_validated_under", cfg)  # a raw operand's is the gate's
     least = inner.eigenvalues[-1]
     if least < 0.0:  # else PSD as computed
         # v* out v >= lambda_min(inner) |outer^1/2 v|^2, and |outer^1/2 v|^2 <= outer+
@@ -177,17 +175,22 @@ def sequential_solve_effect(rho: DensityMatrix, sigma: DensityMatrix,
     Solves X rho X proportional to sigma for PSD X via
     X = rho^-1/2 (rho^1/2 sigma rho^1/2)^1/2 rho^-1/2 and returns X^2
     rescaled to unit norm. For full-rank rho this is the only effect (up to
-    scale, which the update ignores) that can map rho onto sigma.
+    scale, which the update ignores) that can map rho onto sigma. Only rho
+    and sigma are checked, at the gate: the middle factor and X X* are PSD
+    by construction, and the norm puts the candidate's top eigenvalue at
+    exactly 1, so the effect is built unchecked and records cfg.
     """
     rho, sigma = operator_pair(rho, sigma, cfg)
     half = rho.power(0.5, cfg)
-    mid = matrix_power(half @ sigma.matrix @ half, 0.5, cfg)
+    mid = HermitianOperator(hermitian_part(half.dot(sigma.matrix).dot(half))).power(0.5, cfg)
     inv_half = rho.power(-0.5, cfg)
     X = inv_half @ mid @ inv_half
     G = hermitian_part(X @ X.conj().T)
-    candidate = as_operator(G)
+    candidate = HermitianOperator(G)
     norm = candidate.norm
     if norm <= 0:
         raise ZeroProbability("candidate effect vanished")
     # G's spectrum over its norm is the effect's, as in reconstruct_effect
-    return Effect._derived(G / norm, candidate.eigenvalues / norm)._check_bounds(cfg)
+    effect = Effect._derived(G / norm, candidate.eigenvalues / norm)
+    effect._validated_under = cfg
+    return effect

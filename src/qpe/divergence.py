@@ -135,8 +135,10 @@ def order_divergence_gap(rho: DensityMatrix, sigma: DensityMatrix,
     slack is the least eigenvalue of rho/rho+ - sigma/sigma+, never
     positive, so the gap is nonnegative and at most log(1 + psd_slack) when
     the verdict holds. The value is not clamped: an ordered pair's gap on
-    the sandwich route can read slightly negative (the property tests allow
-    -1e-12).
+    the sandwich route can read slightly negative, down to about
+    -SANDWICH_ROUNDING * kappa, kappa being rho's condition number on its
+    support, as rho^-1/2 amplifies rounding by kappa. The -1e-12 that the
+    property tests allow holds only on well-conditioned priors.
     """
     verdict = qpe_leq(rho, sigma, cfg)
     return float(cfg.log(1.0 - verdict.slack)), verdict

@@ -14,7 +14,10 @@ exactly when it is 0: for a unit v in sigma's top eigenspace,
 v* (sigma+ rho - rho+ sigma) v = sigma+ (v* rho v - rho+) <= 0, and
 lambda_max(S) >= sigma+ / rho+ through rho^1/2 v. So an ordered pair shares
 a top eigenvector, and a holds slack is rounding that carries no
-information (2,000 holding pairs at dims 2-5 read from -2.3e-14 to 1.2e-14).
+information: 2,000 well-conditioned holding pairs at dims 2-5 read from
+-2.3e-14 to 1.2e-14. rho^-1/2 amplifies it by kappa, rho's condition
+number on its support, so an ill-conditioned prior's holds slack reaches
+about SANDWICH_ROUNDING * kappa.
 """
 from __future__ import annotations
 

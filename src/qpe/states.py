@@ -127,7 +127,8 @@ class DensityMatrix(HermitianOperator):
 
 class Effect(HermitianOperator):
     """Measurement effect: Hermitian with 0 <= E <= I (within slack). Like a
-    state, it records the cfg its bounds were checked under (_validated_under)."""
+    state, it records the cfg its bounds were checked under (_validated_under),
+    or, if derived unchecked, the cfg of the call that derived it."""
 
     def __init__(self, matrix, cfg: ToleranceConfig = DEFAULT_CONFIG):
         super().__init__(assert_hermitian(matrix))

@@ -24,6 +24,7 @@ from qpe.exceptions import (
     NonFiniteInput,
     NotBelow,
     PreconditionViolated,
+    QpeError,
     SupportViolation,
     ZeroEvidence,
     ZeroProbability,
@@ -159,8 +160,8 @@ class TestQuantumUpdates:
         (120 with numpy 2.4) with a least eigenvalue below zero, which the
         validating constructor refuses; the update returns each of them,
         bit for bit the posterior under the default cfg. A raw prior is
-        still checked: at the gate if its own spectrum fails the zero band,
-        and otherwise as the posterior it leads to."""
+        checked at the gate: refused if its own spectrum fails the zero
+        band, and otherwise answered with the validated prior's posterior."""
         zero = ToleranceConfig(psd_slack=0.0)
         rng = np.random.default_rng(3)
         refused = 0
@@ -178,19 +179,21 @@ class TestQuantumUpdates:
                     with pytest.raises(NegativeEigenvalue, match="^operator not PSD"):
                         fls_update(rho.matrix, effect, zero)
                 else:
-                    with pytest.raises(InvalidState, match="not positive semidefinite"):
-                        fls_update(rho.matrix, effect, zero)
+                    raw = fls_update(rho.matrix, effect, zero).matrix
+                    assert raw.tobytes() == posterior.tobytes()
         # the refusals the update no longer makes
         assert refused > 0
 
 
     def test_a_raw_operand_in_the_marginal_band_gets_a_checked_posterior(self):
         """-5e-9 lies in the default band's marginal part, so the gate passes
-        it; the small tr(E rho) then magnifies it into diag(2, -1)."""
+        it; the small tr(E rho) then magnifies it, and the posterior's
+        a-priori bound, the one a validated operand's gets, is -1."""
         rho = DensityMatrix.from_diag([1e-8, 1 - 1e-8])
-        with pytest.raises(InvalidState, match=r"^not positive semidefinite \(lambda_min = -1"):
+        message = r"^posterior not certified positive semidefinite \(lambda_min >= -1"
+        with pytest.raises(InvalidState, match=message):
             fls_update(rho, np.diag([1.0, -5e-9]))
-        with pytest.raises(InvalidState, match=r"^not positive semidefinite \(lambda_min = -1"):
+        with pytest.raises(InvalidState, match=message):
             sequential_update(np.diag([1.0, -5e-9]), Effect.from_diag([1e-8, 1.0]))
 
     def test_a_validated_operand_in_the_marginal_band_gets_a_checked_posterior(self):
@@ -297,6 +300,66 @@ class TestMeasurementMonotonicity:
             measurement_monotone_check(rho, sigma, low)
 
 
+def _parity_operands(k, rng):
+    """The k-th draw's prior and effect matrices, dims 2-5. Priors cycle
+    through full rank, rank-deficient, a marginal negative least eigenvalue
+    in -8e-9..-1e-9, and a tiny positive one; one effect in three is given a
+    marginal negative eigenvalue. Traces stay 1 to rounding."""
+    n = int(rng.integers(2, 6))
+    kind = k % 4
+    r = n if kind == 0 else int(rng.integers(1, n))
+    rho = random_state(n, rank=r, rng=rng)
+    w, V = np.linalg.eigh(rho.matrix)
+    if kind >= 2:
+        low = -rng.uniform(1e-9, 8e-9, n - r) if kind == 2 else 10.0 ** rng.uniform(-14, -9, n - r)
+        w[:n - r] = low
+        w[-1] -= low.sum()
+    effect = random_agreeing_effect(rho, rng)
+    we, U = np.linalg.eigh(effect.matrix)
+    if k % 3 == 0:
+        we[0] = -rng.uniform(1e-9, 8e-9)
+    return (V * w) @ V.conj().T, (U * we) @ U.conj().T
+
+
+def _update_outcome(rule, rho, effect, cfg):
+    """The exception's type and message, or the posterior's bytes and band."""
+    try:
+        posterior = rule(rho, effect, cfg)
+    except QpeError as exc:
+        return type(exc), str(exc)
+    return posterior.matrix.tobytes(), posterior._validated_under
+
+
+class TestOneUpdateRule:
+    def test_raw_and_built_operands_get_one_outcome(self):
+        """Past the gate an operand is an operand: each rule, called with a
+        raw prior, a raw effect or both, answers as it does on the operands
+        built under the same cfg, with the same refusal or the same
+        posterior, bit for bit, carrying the same band. Under psd_slack = 0
+        the constructors refuse some operands (a negative least eigenvalue,
+        an effect's top rounded above 1); the gate refuses a raw prior of
+        the first kind too, and there is no built call to match."""
+        cfgs = (ToleranceConfig(), ToleranceConfig(rank_cutoff=1e-6, cluster_width=1e-6),
+                ToleranceConfig(psd_slack=0.0))
+        rng = np.random.default_rng(7)
+        draws = [_parity_operands(k, rng) for k in range(200)]
+        compared = [0] * len(cfgs)
+        for M, E in draws:
+            for i, cfg in enumerate(cfgs):
+                try:
+                    prior, effect = DensityMatrix(M, cfg), Effect(E, cfg)
+                except InvalidState:
+                    assert cfg.psd_slack == 0.0
+                    continue
+                R, F = prior.matrix, effect.matrix
+                for rule in (fls_update, sequential_update):
+                    built = _update_outcome(rule, prior, effect, cfg)
+                    for raw in ((R, effect), (prior, F), (R, F)):
+                        assert _update_outcome(rule, *raw, cfg) == built
+                compared[i] += 1
+        assert compared[:2] == [200, 200] and compared[2] > 0
+
+
 class TestSequentialSolve:
     def test_recovers_the_unique_effect(self, rng):
         for _ in range(20):
@@ -311,6 +374,21 @@ class TestSequentialSolve:
         with pytest.raises(ZeroProbability, match="^candidate effect vanished$"):
             sequential_solve_effect(DensityMatrix.from_diag([1.0, 0.0]),
                                     DensityMatrix.from_diag([0.0, 1.0]))
+
+    def test_intermediates_are_not_checked_again(self):
+        """The middle factor and X X* are PSD by construction, so the call's
+        band applies to rho and sigma alone: under psd_slack = 0, these 300
+        rank-deficient priors, whose kernels carry rounding below zero, get
+        the default cfg's effect, bit for bit, which records the call's cfg."""
+        zero = ToleranceConfig(psd_slack=0.0)
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            n = int(rng.integers(2, 6))
+            rho = random_state(n, rank=int(rng.integers(1, n)), rng=rng)
+            sigma = sequential_update(rho, random_agreeing_effect(rho, rng))
+            effect = sequential_solve_effect(rho, sigma, zero)
+            assert effect.matrix.tobytes() == sequential_solve_effect(rho, sigma).matrix.tobytes()
+            assert effect._validated_under is zero
 
 
 class TestTransitivityDemo:

@@ -308,6 +308,7 @@ class TestOneSupportSplit:
                 verdict = qpe_leq(rho, sigma)
                 assert not verdict.holds or verdict.slack <= tol
                 assert max_divergence(sigma, rho).value >= -tol
+                assert order_divergence_gap(rho, sigma)[0] >= np.log(1.0 - tol)
 
 
 class TestLeastEigenvalueOrder:

@@ -105,8 +105,10 @@ from qpe.linalg import (
 from qpe.states import sandwich
 
 INVARIANCE_TOL = 1e-9
-# the gap is a difference of two logs of O(1) numbers: it sits at 0 to rounding
-# on an ordered pair (as low as -3.7e-14 over 20,000 sampled pairs)
+# on an ordered pair the gap sits at 0 to rounding that rho^-1/2 amplifies by
+# kappa, rho's condition number on its support: its floor is about
+# -SANDWICH_ROUNDING * kappa. These well-conditioned draws read as low as
+# -3.7e-14 over 20,000 sampled pairs; -1e-12 holds only for such priors
 GAP_FLOOR = -1e-12
 # the verdict band is 1e-9 wide; a holds verdict means a gap below this
 GAP_TOL = 1e-8

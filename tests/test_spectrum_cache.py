@@ -56,6 +56,7 @@ from qpe import (
     renyi_entropy,
     schatten_norm,
     sequential_solve_effect,
+    sequential_update,
     ToleranceConfig,
     way_below_witness,
 )
@@ -185,10 +186,23 @@ class TestEigensolveCounts:
         def call():
             return sequential_solve_effect(rho, sigma)
 
-        # matrix_power's eigh of the middle factor, then the candidate's
-        # eigvalsh for its norm, whose spectrum over the norm is the effect's
+        # the eigh of the middle factor for its root, then the candidate's
+        # eigvalsh for its norm, whose spectrum over the norm is the effect's;
+        # both are PSD by construction, so neither is checked
         assert count_eigensolves(call) == 2
-        assert count_hermitian_checks(call) == 2
+        assert count_hermitian_checks(call) == 0
+
+    @pytest.mark.parametrize("update", [fls_update, sequential_update])
+    def test_an_update_of_raw_operands(self, ordered_raw_pair, update):
+        R, _ = ordered_raw_pair
+        E = random_agreeing_effect(DensityMatrix(R), np.random.default_rng(16)).matrix.copy()
+        # the gate checks and bands each operand, one eigvalsh each, and the
+        # outer operand's eigh forms its root; the posterior is checked on
+        # the bound those spectra give, and not solved
+        with spying(hermitian_eigvals, hermitian_eig) as (eigvals, eig):
+            update(R, E)
+        assert (eigvals.call_count, eig.call_count) == (2, 1)
+        assert count_hermitian_checks(lambda: update(R, E)) == 2
 
     @pytest.mark.parametrize("pair", ["ordered_raw_pair", "rank_deficient_raw_pair"])
     def test_fidelity_reads_the_cached_eigh(self, request, pair):
