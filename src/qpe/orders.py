@@ -46,7 +46,6 @@ from .linalg import (
 )
 from .states import (
     DensityMatrix,
-    Eigenspace,
     attaining_direction,
     bottom_eigenspace_nonzero,
     escape_direction,
@@ -67,8 +66,6 @@ __all__ = [
     "majorizes",
 ]
 
-# largest entrywise projector gap at which two subspaces still coincide
-SUBSPACE_ATOL = 1e-8
 # absolute shortfall a prefix sum may have in majorizes
 MAJORIZATION_ATOL = 1e-12
 # rho^-1/2 amplifies the rounding in sigma by up to rho's condition number
@@ -237,31 +234,34 @@ def lev_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
     whose slack is lambda_min(rho- sigma - sigma- rho) / max(rho- sigma+,
     sigma- rho+), or a strictly larger kernel on sigma that absorbs part of
     rho's bottom eigenspace. The second route is structural, so its slack is 0.
-    Kernels that do not nest that way fail structurally, with slack -inf
-    as for qpe_leq's support condition: the witness is a unit vector of one
-    state's kernel on which the other weighs most.
+    Both need rho's kernel in sigma's: kernels nest by qpe_leq's support
+    rule, states.escape_direction, and a pair whose sigma escapes rho's
+    support fails with slack -inf and the escape direction as its witness.
+    Given nesting, the kernels are equal iff the eigh ranks are. A larger
+    kernel on sigma that misses rho's bottom eigenspace fails with slack
+    -inf too: the witness is the unit vector of sigma's kernel on which rho
+    weighs most.
     """
     r, s = operator_pair(rho, sigma, cfg)
-    if rank(r.eigenvalues, cfg) == rank(s.eigenvalues, cfg) == r.dim:  # by count: no eigh
-        ker_r = ker_s = Eigenspace(np.zeros((r.dim, 0), dtype=complex), 0.0)
-    else:
-        ker_r, ker_s = kernel(r, cfg), kernel(s, cfg)
-
-    if ker_r.dim == ker_s.dim:
-        if ker_r.dim == 0 or subspace_equal(ker_r.basis, ker_s.basis):
-            support = r.dim - ker_r.dim  # the rank of rho and of sigma: rho- and sigma- end it
-            if not support:
-                raise InvalidState("matrix has no nonzero eigenvalues")
-            r_min, s_min = float(r.eigenvalues[support - 1]), float(s.eigenvalues[support - 1])
-            unit = max(r_min * float(s.eigenvalues[0]), s_min * float(r.eigenvalues[0]))
-            return _order_verdict(hermitian_part(r_min * s.matrix - s_min * r.matrix), cfg, unit)
-        return _kernel_mismatch(r, s, cfg)
-    if ker_s.dim < ker_r.dim or not (ker_r.dim == 0 or _contained_in(ker_r.basis, ker_s.basis)):
-        return _kernel_mismatch(r, s, cfg)
-    if subspace_intersects(bottom_eigenspace_nonzero(r, cfg), ker_s, cfg):
-        return OrderVerdict(HOLDS, 0.0)
-    # sigma's kernel grew past rho's, but not into rho's bottom eigenspace
-    return _kernel_mismatch(s, r, cfg)
+    support = r.dim  # the rank of rho and of sigma: rho- and sigma- end it
+    if not rank(r.eigenvalues, cfg) == rank(s.eigenvalues, cfg) == support:  # by count: no eigh
+        escape = escape_direction(r, s, cfg)
+        if escape is not None:
+            return OrderVerdict(FAILS, -np.inf, witness=escape)
+        support, s_rank = rank(r._eigh[0], cfg), rank(s._eigh[0], cfg)
+        # no escape bounds sigma's rank by rho's (Courant-Fischer) but for rounding
+        if s_rank > support:
+            return _kernel_mismatch(r, s, cfg)
+        if s_rank < support:
+            if subspace_intersects(bottom_eigenspace_nonzero(r, cfg), kernel(s, cfg), cfg):
+                return OrderVerdict(HOLDS, 0.0)
+            # sigma's kernel grew past rho's, but not into rho's bottom eigenspace
+            return _kernel_mismatch(s, r, cfg)
+    if not support:
+        raise InvalidState("matrix has no nonzero eigenvalues")
+    r_min, s_min = float(r.eigenvalues[support - 1]), float(s.eigenvalues[support - 1])
+    unit = max(r_min * float(s.eigenvalues[0]), s_min * float(r.eigenvalues[0]))
+    return _order_verdict(hermitian_part(r_min * s.matrix - s_min * r.matrix), cfg, unit)
 
 
 def _kernel_mismatch(a: HermitianOperator, b: HermitianOperator,
@@ -270,19 +270,6 @@ def _kernel_mismatch(a: HermitianOperator, b: HermitianOperator,
     (nonempty) kernel on which b weighs most."""
     witness = heaviest_kernel_direction(a, b, cfg)[1]
     return OrderVerdict(FAILS, -np.inf, witness=witness)
-
-
-def subspace_equal(A: np.ndarray, B: np.ndarray) -> bool:
-    """Whether two bases of one number of columns span one subspace."""
-    PA = A @ A.conj().T
-    PB = B @ B.conj().T
-    return bool(np.abs(PA - PB).max(initial=0.0) <= SUBSPACE_ATOL)
-
-
-def _contained_in(A: np.ndarray, B: np.ndarray) -> bool:
-    """Whether span(A) is a subspace of span(B)."""
-    PB = B @ B.conj().T
-    return bool(np.abs(PB @ A - A).max(initial=0.0) <= SUBSPACE_ATOL)
 
 
 def primed_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:

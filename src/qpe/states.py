@@ -266,7 +266,7 @@ def subspace_intersects(a, b, cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
 
     True iff the smallest principal angle is numerically zero, i.e. the
     largest singular value of the basis cross-Gram matrix reaches
-    1 - cluster_width.
+    1 - max(cluster_width, 1e-12).
     """
     A = a.basis if isinstance(a, Eigenspace) else np.asarray(a, dtype=complex)
     B = b.basis if isinstance(b, Eigenspace) else np.asarray(b, dtype=complex)

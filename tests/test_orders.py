@@ -26,6 +26,7 @@ from qpe.orders import (
 )
 from qpe.states import (
     bottom_eigenspace_nonzero,
+    escape_direction,
     kernel,
     random_state,
     subspace_intersects,
@@ -41,6 +42,10 @@ POSTERIOR_NOT_ABOVE = np.array([1 / 11, 6 / 11, 4 / 11])
 MARGINAL_UPPER = np.array([0.5, 0.3 + 1.5e-9, 0.2 - 1.5e-9])
 
 PRIMED_NOT_QPE = (np.array([0.5, 0.3, 0.2]), np.array([0.6, 0.1, 0.3]))
+
+# angles (rad) by which sigma's one-dimensional kernel is tilted off rho's,
+# from equal kernels past the escape cutoff
+KERNEL_TILTS = (0.0, 1e-12, 1e-10, 1e-9, 1e-8, 3e-8, 1e-7, 3e-7, 1e-6, 3e-6, 1e-5, 1e-4, 1e-3)
 
 
 class TestProbabilityVector:
@@ -347,6 +352,28 @@ class TestLeastEigenvalueOrder:
         sigma = DensityMatrix.from_diag([0.4, 0.3, 0.3])
         assert lev_leq(rho, sigma).fails
 
+    def test_kernels_nest_by_the_escape_rule(self):
+        """lev_leq asks qpe_leq's support question: a pair fails structurally
+        exactly when sigma escapes rho's support, with the escape direction
+        as the witness. From 3e-8 rad up a tilt moves sigma's kernel by more
+        than rounding, yet until sigma's weight on rho's kernel passes the
+        cutoff, sigma lives on rho's support and the kernels nest."""
+        rng = np.random.default_rng(7)
+        for draw in range(40):
+            d = 3 + draw % 4
+            U = random_unitary(d, rng)
+            p, q = (np.append(rng.dirichlet(np.ones(d - 1)), 0.0) for _ in range(2))
+            rho = DensityMatrix((U * p) @ U.conj().T)
+            for theta in KERNEL_TILTS:
+                V = U.copy()  # U turned by theta in the plane of its first and last columns
+                V[:, 0] = np.cos(theta) * U[:, 0] - np.sin(theta) * U[:, -1]
+                V[:, -1] = np.sin(theta) * U[:, 0] + np.cos(theta) * U[:, -1]
+                sigma = DensityMatrix((V * q) @ V.conj().T)
+                lev, qpe = lev_leq(rho, sigma), qpe_leq(rho, sigma)
+                assert (lev.slack == -np.inf) == (qpe.slack == -np.inf), (draw, theta)
+                if lev.slack == -np.inf:
+                    assert lev.witness.tobytes() == escape_direction(rho, sigma).tobytes()
+
     @pytest.mark.parametrize("lower,upper,kernel_of,axis", [
         # sigma's kernel grew, but not into rho's bottom eigenspace
         ([0.5, 0.3, 0.2], [5 / 8, 0.0, 3 / 8], "upper", 1),
@@ -527,17 +554,25 @@ ZERO_ATOL = 1e-14
 def _scale_audit_pairs(d, rng):
     """Raw pairs at dim d: one pulled toward rho's top eigenvector (lev,
     primed and op_norm hold, schatten 2 fails), a random one (every order
-    fails), and a rank d - 1 pair that shares its kernel (lev decides it on
-    its order matrix, with a nonempty kernel)."""
+    fails), a rank d - 1 pair that shares its kernel (lev decides it on
+    its order matrix, with a nonempty kernel), and lev's structural routes:
+    sigma's kernel grown to take in rho's bottom eigenvector (holds with
+    slack 0), a full-rank sigma escaping rho's kernel (-inf), and the
+    reverse, where sigma's kernel misses rho's bottom eigenspace (-inf)."""
     R = random_state(d, rng=rng).matrix
     v = np.linalg.eigh(R)[1][:, -1]
     pulled = 0.7 * R + 0.3 * np.outer(v, v.conj())
     pairs = {"pulled": (R, pulled), "random": (R, random_state(d, rng=rng).matrix)}
     D = random_state(d, d - 1, rng=rng).matrix
-    U = np.linalg.eigh(D)[1]
+    U = np.linalg.eigh(D)[1]  # ascending: D's kernel, then its bottom eigenvector
     P = U[:, 1:] @ U[:, 1:].conj().T  # onto D's support
     X = P @ random_state(d, rng=rng).matrix @ P
     pairs["shared kernel"] = (D, X / X.trace().real)
+    Q = U[:, 2:] @ U[:, 2:].conj().T  # onto D's support less its bottom eigenvector
+    Y = Q @ random_state(d, rng=rng).matrix @ Q
+    pairs["grown"] = (D, Y / Y.trace().real)
+    full = random_state(d, rng=rng).matrix
+    pairs["escaping"], pairs["escaping back"] = (D, full), (full, D)
     return pairs
 
 

@@ -10,10 +10,9 @@ of one shape calls channels._channel_pair.
 A comparison of one attribute (dim, shape, in_dim or out_dim), or of the
 lengths of two matrices, read off two different objects anywhere else would
 be another copy of that rule. The comparisons that remain are not operand
-checks: lev_leq compares the dimensions of two kernels, which is part of the
-relation it decides, subspace_intersects checks that two subspace bases
-live in one space, and jamiolkowski_properties_check that a channel to be
-composed before another is square on its input space.
+checks: subspace_intersects checks that two subspace bases live in one
+space, and jamiolkowski_properties_check that a channel to be composed
+before another is square on its input space.
 """
 from __future__ import annotations
 
@@ -27,7 +26,6 @@ ALLOWED = {
     ("channels", "_channel_pair"),
     ("linalg", "operator_pair"),
     ("oracle", "jamiolkowski_properties_check"),
-    ("orders", "lev_leq"),
     ("states", "subspace_intersects"),
 }
 

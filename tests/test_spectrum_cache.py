@@ -317,6 +317,27 @@ class TestMatrixPredicatesReadTheCache:
         assert verdict.relation == ("holds" if ordered else "fails")
         assert (eigvals.call_count, eig.call_count) == (1, 0 if ordered else 1)
 
+    @pytest.mark.parametrize("lower,upper,relation,solves", [
+        # equal kernels: both states' eighs, escape's block eigh, the order
+        # matrix's eigvalsh and its fails witness's eigh
+        ([0.5, 0.3, 0.2, 0.0], [0.45, 0.35, 0.2, 0.0], "fails", (1, 4)),
+        # grown kernel: both states' eighs and escape's block eigh; the
+        # bottom eigenspace and sigma's kernel are slices of those eighs
+        ([0.5, 0.3, 0.2, 0.0], [0.6, 0.4, 0.0, 0.0], "holds", (0, 3)),
+        # escaping: rho's eigh and escape's block eigh, whose top eigenvector
+        # is the witness; sigma's eigh is not needed
+        ([0.5, 0.3, 0.2, 0.0], [0.4, 0.3, 0.2, 0.1], "fails", (0, 2)),
+        # full rank by the cached counts: as the order matrix route above
+        ([0.4, 0.3, 0.2, 0.1], [0.35, 0.3, 0.2, 0.15], "fails", (1, 1)),
+    ])
+    def test_lev_structural_routes(self, lower, upper, relation, solves):
+        U = random_unitary(4, np.random.default_rng(3))
+        rho, sigma = (DensityMatrix((U * np.array(d)) @ U.conj().T) for d in (lower, upper))
+        with spying(hermitian_eigvals, hermitian_eig) as (eigvals, eig):
+            verdict = lev_leq(rho, sigma)
+        assert verdict.relation == relation
+        assert (eigvals.call_count, eig.call_count) == solves
+
     @pytest.mark.parametrize("predicate", [primed_leq, lev_leq])
     def test_no_hermitian_check_on_built_states(self, ordered_raw_pair, predicate):
         rho, sigma = (DensityMatrix(M) for M in ordered_raw_pair)
