@@ -17,15 +17,13 @@ from .config import DEFAULT_CONFIG, ToleranceConfig
 from .exceptions import (
     BadParameter,
     DimensionMismatch,
-    InvalidState,
     NonFiniteInput,
     NotBelow,
     SupportViolation,
     ZeroEvidence,
     ZeroProbability,
 )
-from .linalg import (FAILS, HermitianOperator, hermitian_part, kernel_cutoff, operator_pair,
-                     relation_of)
+from .linalg import HermitianOperator, hermitian_part, kernel_cutoff, operator_pair
 from .orders import _probability_pair, as_probability_vector, classical_pe_leq, qpe_leq
 from .states import DensityMatrix, Effect, sandwich, top_eigenspace
 
@@ -75,28 +73,18 @@ def _conditioned(outer, inner, cfg: ToleranceConfig) -> DensityMatrix:
     """outer^1/2 inner outer^1/2 / tr(E rho), the state and effect either way
     round, past operator_pair's gate, for built and raw operands alike. The
     gate passes an operand in the PSD band's marginal part, whose negative
-    eigenvalue a small tr(E rho) magnifies, so the posterior is checked by the
-    a-priori bound on its least eigenvalue, min(lambda_min(inner), 0) outer+ /
-    tr(E rho), at the band inner was admitted under: a state's or effect's
-    _validated_under, or, for a raw operand, cfg, whose band the gate just
-    applied. It is then built unchecked, carrying that band. outer^1/2 maps
+    eigenvalue a small tr(E rho) magnifies, so the posterior is derived under
+    the a-priori bound min(lambda_min(inner), 0) outer+ / tr(E rho) on its
+    least eigenvalue, in the band inner was admitted under. outer^1/2 maps
     outer's kernel to zero, so only inner's sign reaches the posterior."""
     sq = outer.power(0.5, cfg)
     out = sq.dot(inner.matrix).dot(sq)
     prob = float(out.trace().real)
     if prob <= cfg.rank_cutoff:
         raise ZeroProbability(f"tr(E rho) = {prob:.3e}")
-    band = getattr(inner, "_validated_under", cfg)  # a raw operand's is the gate's
-    least = inner.eigenvalues[-1]
-    if least < 0.0:  # else PSD as computed
-        # v* out v >= lambda_min(inner) |outer^1/2 v|^2, and |outer^1/2 v|^2 <= outer+
-        bound = float(least) * float(outer._eigh[0][0]) / prob
-        if relation_of(bound, bound, band) == FAILS:
-            raise InvalidState("posterior not certified positive semidefinite "
-                               f"(lambda_min >= {bound:.3e})")
-    posterior = DensityMatrix._derived(out / prob)
-    posterior._validated_under = band
-    return posterior
+    # v* out v >= lambda_min(inner) |outer^1/2 v|^2, and |outer^1/2 v|^2 <= outer+
+    least = min(float(inner.eigenvalues[-1]), 0.0) * float(outer._eigh[0][0]) / prob
+    return DensityMatrix._derived(out / prob, inner._validated_under, least)
 
 
 def fls_update(rho: DensityMatrix, effect: Effect,
@@ -121,7 +109,9 @@ def reconstruct_effect(rho: DensityMatrix, sigma: DensityMatrix,
     operator norm; the rescaling absorbs rho+ and sigma+, so this is the
     sandwich rho^-1/2 sigma rho^-1/2 over its norm, and its spectrum is the
     sandwich's over the same norm. Requires rho below sigma in the
-    positive-evidence order.
+    positive-evidence order. Its least eigenvalue is banded where sigma was
+    admitted: rho^-1/2 magnifies a raw sigma's marginal negative part, and
+    rounding in rho's kernel leaves a validated pair's a few eps below 0.
     """
     rho, sigma = operator_pair(rho, sigma, cfg)
     verdict = qpe_leq(rho, sigma, cfg)
@@ -130,9 +120,9 @@ def reconstruct_effect(rho: DensityMatrix, sigma: DensityMatrix,
                        f"slack {verdict.slack:.3e})")
     middle = sandwich(rho, sigma, cfg)
     norm = middle.norm
-    # the fold settles the sign of the zero entries the division can flip; the
-    # bounds are checked on the known spectrum, as a raw operand in the band can break them
-    return Effect._derived(middle.matrix / norm, middle.eigenvalues / norm)._check_bounds(cfg)
+    w = middle.eigenvalues / norm  # its top is 1, so only the least is banded
+    # the fold settles the sign of the zero entries the division can flip
+    return Effect._derived(middle.matrix / norm, sigma._validated_under, w[-1], w)
 
 
 def random_agreeing_effect(
@@ -147,8 +137,11 @@ def random_agreeing_effect(
 
     Places eigenvalue 1 on a random direction of the state's top eigenspace.
     With projector_rank set, returns a rank-projector containing that
-    direction instead of a full-spectrum effect.
+    direction instead of a full-spectrum effect. Either spectrum lies in
+    {1} and [low, high] by construction, so the effect is derived under cfg.
     """
+    if not 0.0 <= low <= high <= 1.0:
+        raise BadParameter(f"need 0 <= low <= high <= 1, got low={low}, high={high}")
     top = top_eigenspace(rho, cfg)
     coeff = rng.standard_normal(top.dim) + 1j * rng.standard_normal(top.dim)
     v = top.basis @ coeff
@@ -162,10 +155,10 @@ def random_agreeing_effect(
         if not 1 <= projector_rank <= n:
             raise BadParameter(f"projector rank {projector_rank} out of range")
         cols = np.concatenate([v[:, None], rest[:, : projector_rank - 1]], axis=1)
-        return Effect(cols @ cols.conj().T, cfg)
-    evs = rng.uniform(low, high, n - 1)
-    E = np.outer(v, v.conj()) + (rest * evs) @ rest.conj().T
-    return Effect(E, cfg)
+        E = cols @ cols.conj().T
+    else:
+        E = np.outer(v, v.conj()) + (rest * rng.uniform(low, high, n - 1)) @ rest.conj().T
+    return Effect._derived(E, cfg)
 
 
 def sequential_solve_effect(rho: DensityMatrix, sigma: DensityMatrix,
@@ -191,6 +184,4 @@ def sequential_solve_effect(rho: DensityMatrix, sigma: DensityMatrix,
     if norm <= 0:
         raise ZeroProbability("candidate effect vanished")
     # G's spectrum over its norm is the effect's, as in reconstruct_effect
-    effect = Effect._derived(G / norm, candidate.eigenvalues / norm)
-    effect._validated_under = cfg
-    return effect
+    return Effect._derived(G / norm, cfg, w=candidate.eigenvalues / norm)

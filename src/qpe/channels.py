@@ -82,7 +82,8 @@ class Channel:
         self.kraus = ops
         # PSD by construction (Choi's theorem): only the Hermitian check, the
         # one NaN guard (a NaN defect passes _check_complete), and the trace
-        self.choi = DensityMatrix._derived(_unit_trace(assert_hermitian(to_choi(ops, n, k))))
+        J = _unit_trace(assert_hermitian(to_choi(ops, n, k)))
+        self.choi = DensityMatrix._derived(J, DEFAULT_CONFIG)
         self.in_dim, self.out_dim, self.cfg = n, k, cfg
 
     @classmethod
@@ -103,7 +104,7 @@ class Channel:
         if defect > COMPLETENESS_TOL:
             raise NotCPTP(f"Kraus completeness defect {defect:.3e}")
         channel = cls.__new__(cls)
-        channel.choi = DensityMatrix._derived(_unit_trace(J))
+        channel.choi = DensityMatrix._derived(_unit_trace(J), DEFAULT_CONFIG)
         channel.in_dim, channel.out_dim, channel.cfg = n, k, cfg
         w = channel.choi.eigenvalues
         if w[-1] < -COMPLETENESS_TOL * max(w[0], 1.0):

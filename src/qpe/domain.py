@@ -17,17 +17,19 @@ from .exceptions import NotAChain, NotConverged
 from .linalg import (CERTIFIED_BELOW, NOT_BELOW, UNKNOWN, as_operator, check_mixing_weight,
                      operator_norm, psd_operand, remembered)
 from .orders import qpe_leq
-from .states import DensityMatrix, rank_of
+from .states import DensityMatrix, _unit_trace, rank_of
 
 
 def depolarize(rho: DensityMatrix, t: float,
                cfg: ToleranceConfig = DEFAULT_CONFIG) -> DensityMatrix:
-    """Mix toward the maximally mixed state: (1 - t) rho + t I/n."""
+    """Mix toward the maximally mixed state: (1 - t) rho + t I/n, a raw rho held to
+    a state's trace rule first. It is derived in rho's band, which it lies in by
+    construction: its lambda_min is at least (1 - t) lambda_min(rho)."""
     check_mixing_weight(t)
     rho = psd_operand(rho, cfg)
     n = rho.dim
-    out = (1.0 - t) * rho.matrix + (t / n) * np.eye(n)
-    return DensityMatrix(out, cfg)
+    M = rho.matrix if isinstance(rho, DensityMatrix) else _unit_trace(rho.matrix)
+    return DensityMatrix._derived((1.0 - t) * M + (t / n) * np.eye(n), rho._validated_under)
 
 
 @dataclass(frozen=True)

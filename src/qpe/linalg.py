@@ -45,6 +45,7 @@ from .config import DEFAULT_CONFIG, ToleranceConfig
 from .exceptions import (
     BadParameter,
     DimensionMismatch,
+    InvalidState,
     NegativeEigenvalue,
     NonFiniteInput,
     NonHermitianInput,
@@ -361,11 +362,18 @@ class HermitianOperator:
         self._partners: dict[int, tuple[weakref.ref, dict]] = {}
 
     @classmethod
-    def _derived(cls, A: np.ndarray, w: np.ndarray | None = None):
-        """This type on hermitian_part(A), unchecked, a known spectrum w seeded:
-        only for what is PSD (and of unit trace, for a state) as computed."""
+    def _derived(cls, A: np.ndarray, band: ToleranceConfig, least: float = 0.0,
+                 w: np.ndarray | None = None):
+        """This type on hermitian_part(A), the one constructor of what the package
+        computes: band, the cfg its operands were admitted under, is recorded as
+        _validated_under, and InvalidState raised only when least, a lower bound on
+        its least eigenvalue that the caller holds, fails band. w is seeded if known."""
+        if least < 0.0 and relation_of(least, least, band) == FAILS:  # 0 holds in any band
+            raise InvalidState(f"{cls._derived_as} not certified positive semidefinite "
+                               f"(lambda_min >= {least:.3e})")
         op = cls.__new__(cls)
         HermitianOperator.__init__(op, hermitian_part(A))
+        op._validated_under = band
         if w is not None:
             w.setflags(write=False)
             op.eigenvalues = w
@@ -441,24 +449,25 @@ def as_operator(x) -> HermitianOperator:
     return HermitianOperator(assert_hermitian(x))
 
 
-def _refuse_raw_non_psd(w: np.ndarray, cfg: ToleranceConfig) -> None:
-    """NegativeEigenvalue when a raw operand's descending spectrum w fails the PSD band."""
+def _admit_raw(op: HermitianOperator, w: np.ndarray, cfg: ToleranceConfig) -> None:
+    """NegativeEigenvalue if w, raw op's spectrum, fails cfg's PSD band; else op is stamped cfg."""
     if relation_of(w[-1], w[0], cfg) == FAILS:  # DensityMatrix's band
         raise NegativeEigenvalue(f"operator not PSD (lambda_min = {w[-1]:.3e})")
+    op._validated_under = cfg
 
 
 def psd_operand(x, cfg: ToleranceConfig) -> HermitianOperator:
-    """x through as_operator and, if raw, against cfg's PSD band: operator_pair's
+    """x through as_operator and, if raw, admitted under cfg (_admit_raw): operator_pair's
     gate for a function that takes one operator and reads it as PSD."""
     op = as_operator(x)
     if type(op) is HermitianOperator:
-        _refuse_raw_non_psd(op.eigenvalues, cfg)
+        _admit_raw(op, op.eigenvalues, cfg)
     return op
 
 
 def operator_pair(a, b, cfg: ToleranceConfig) -> tuple[HermitianOperator, HermitianOperator]:
     """Both operands through as_operator, checked to be of one dimension and, if raw,
-    against cfg's PSD band: the gate of every function that takes two operators."""
+    admitted under cfg (_admit_raw): the gate of every function that takes two operators."""
     # as_operator inlined, so a pair of operators costs two isinstance checks
     if not isinstance(a, HermitianOperator):
         a = as_operator(a)
@@ -467,9 +476,9 @@ def operator_pair(a, b, cfg: ToleranceConfig) -> tuple[HermitianOperator, Hermit
     if len(a._matrix) != len(b._matrix):  # square: the length is the dim
         raise DimensionMismatch(f"operand dimensions differ: {a.dim} vs {b.dim}")
     if type(a) is HermitianOperator:
-        _refuse_raw_non_psd(a.eigenvalues, cfg)
+        _admit_raw(a, a.eigenvalues, cfg)
     if type(b) is HermitianOperator:
-        _refuse_raw_non_psd(b.eigenvalues, cfg)
+        _admit_raw(b, b.eigenvalues, cfg)
     return a, b
 
 
@@ -546,7 +555,7 @@ def matrix_power(A, p, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
     one solve."""
     op = as_operator(A)
     if type(op) is HermitianOperator:
-        _refuse_raw_non_psd(op._eigh[0], cfg)
+        _admit_raw(op, op._eigh[0], cfg)
     return op.power(p, cfg)
 
 

@@ -507,7 +507,7 @@ def sequential_transitivity_demo(
 def _random_full_rank(dim, rng):
     G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     raw = G @ G.conj().T + 0.05 * np.eye(dim)
-    return DensityMatrix._derived(raw / raw.trace().real)
+    return DensityMatrix._derived(raw / raw.trace().real, DEFAULT_CONFIG)
 
 
 def _draw_step_effect(state, rng, cfg):

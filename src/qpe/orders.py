@@ -244,11 +244,13 @@ def lev_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
     """
     r, s = operator_pair(rho, sigma, cfg)
     support = r.dim  # the rank of rho and of sigma: rho- and sigma- end it
-    if not rank(r.eigenvalues, cfg) == rank(s.eigenvalues, cfg) == support:  # by count: no eigh
+    wr, ws = r.eigenvalues, s.eigenvalues  # the spectra whose ranks set support
+    if not rank(wr, cfg) == rank(ws, cfg) == support:  # by count: no eigh
         escape = escape_direction(r, s, cfg)
         if escape is not None:
             return OrderVerdict(FAILS, -np.inf, witness=escape)
-        support, s_rank = rank(r._eigh[0], cfg), rank(s._eigh[0], cfg)
+        wr, ws = r._eigh[0], s._eigh[0]
+        support, s_rank = rank(wr, cfg), rank(ws, cfg)
         # no escape bounds sigma's rank by rho's (Courant-Fischer) but for rounding
         if s_rank > support:
             return _kernel_mismatch(r, s, cfg)
@@ -259,8 +261,8 @@ def lev_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
             return _kernel_mismatch(s, r, cfg)
     if not support:
         raise InvalidState("matrix has no nonzero eigenvalues")
-    r_min, s_min = float(r.eigenvalues[support - 1]), float(s.eigenvalues[support - 1])
-    unit = max(r_min * float(s.eigenvalues[0]), s_min * float(r.eigenvalues[0]))
+    r_min, s_min = float(wr[support - 1]), float(ws[support - 1])
+    unit = max(r_min * float(ws[0]), s_min * float(wr[0]))
     return _order_verdict(hermitian_part(r_min * s.matrix - s_min * r.matrix), cfg, unit)
 
 

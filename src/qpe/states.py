@@ -1,11 +1,11 @@
 """States, effects and their spectral structure.
 
-DensityMatrix and Effect are linalg.HermitianOperators: the constructors
-validate outside input, and _derived builds what the package computes from
-them unchecked. A state from CHOLESKY_MIN_DIM on is validated by a
-factorization, and its spectrum is left to its first read. Eigenspace
-extraction clusters eigenvalues that sit within cluster_width of each other
-so near-degenerate spectra count as degenerate.
+DensityMatrix and Effect are linalg.HermitianOperators: the constructors validate
+outside input, and HermitianOperator._derived builds what the package computes
+from admitted operands, in their band. A state from CHOLESKY_MIN_DIM on is
+validated by a factorization, and its spectrum is left to its first read.
+Eigenspace extraction clusters eigenvalues that sit within cluster_width of
+each other so near-degenerate spectra count as degenerate.
 """
 from __future__ import annotations
 
@@ -84,12 +84,10 @@ class DensityMatrix(HermitianOperator):
     the spectrum, so the outcome and message are the same.
 
     A state records the cfg whose band it was validated under
-    (_validated_under), which the Bayes updates hold its posteriors to. A
-    state the package derived carries the default cfg, or the band its
-    update checked it in.
+    (_validated_under), or, if derived, its operands' band.
     """
 
-    _validated_under = DEFAULT_CONFIG
+    _derived_as = "posterior"  # the one derived state a bound can refuse
 
     def __init__(self, matrix, cfg: ToleranceConfig = DEFAULT_CONFIG):
         H = _unit_trace(assert_hermitian(matrix))
@@ -128,21 +126,18 @@ class DensityMatrix(HermitianOperator):
 class Effect(HermitianOperator):
     """Measurement effect: Hermitian with 0 <= E <= I (within slack). Like a
     state, it records the cfg its bounds were checked under (_validated_under),
-    or, if derived unchecked, the cfg of the call that derived it."""
+    or, if derived, its operands' band."""
+    _derived_as = "effect"
 
     def __init__(self, matrix, cfg: ToleranceConfig = DEFAULT_CONFIG):
         super().__init__(assert_hermitian(matrix))
-        self._check_bounds(cfg)
-
-    def _check_bounds(self, cfg: ToleranceConfig) -> Effect:
+        self._validated_under = cfg
         w = self.eigenvalues
         if relation_of(w[-1], w[0], cfg) == FAILS:
             raise InvalidState(f"effect not PSD (lambda_min = {w[-1]:.3e})")
         # the spectrum of I - E is 1 - w: least 1 - w[0], top 1 - w[-1]
         if relation_of(1.0 - w[0], 1.0 - w[-1], cfg) == FAILS:
             raise InvalidState(f"effect exceeds identity (slack = {1.0 - w[0]:.3e})")
-        self._validated_under = cfg
-        return self
 
     @classmethod
     def identity(cls, n: int):
@@ -300,4 +295,4 @@ def random_state(
         raise BadParameter(f"need 1 <= rank <= dim, got rank={rank}, dim={dim}")
     G = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     raw = G @ G.conj().T
-    return DensityMatrix._derived(raw / raw.trace().real)
+    return DensityMatrix._derived(raw / raw.trace().real, DEFAULT_CONFIG)

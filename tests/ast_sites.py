@@ -1,7 +1,8 @@
 """The walk the AST pin tests share: every module of src/qpe, and the
 visitors that record each finding under the qualified name of the function
 or class it sits in: AttributeSites and NameSites for uses of a name,
-RaiseSites for the raises of an exception."""
+RaiseSites for the raises of an exception, and CallSites for the direct calls
+of a class."""
 from __future__ import annotations
 
 import ast
@@ -76,6 +77,23 @@ class RaiseSites(ScopedVisitor):
         exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
         if (isinstance(exc, ast.Name) and exc.id == self.name
                 or isinstance(exc, ast.Attribute) and exc.attr == self.name):
+            self.record()
+        self.generic_visit(node)
+
+
+class CallSites(ScopedVisitor):
+    """Records each direct call of a class named in names (DensityMatrix(...)),
+    and each cls(...) in a method of such a class: the calls that run its
+    constructor. A call of an attribute (DensityMatrix._derived) is not one."""
+
+    def __init__(self, module: str, names):
+        super().__init__(module)
+        self.names = names
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Name) and (
+                node.func.id in self.names
+                or node.func.id == "cls" and self.scope[:1] and self.scope[0] in self.names):
             self.record()
         self.generic_visit(node)
 

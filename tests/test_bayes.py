@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -245,6 +246,31 @@ class TestReconstructEffect:
         with pytest.raises(NotBelow):
             reconstruct_effect(a, b)
 
+    def test_an_ordered_rank_deficient_pair_is_banded_where_sigma_was_admitted(self):
+        """153 rank-deficient priors, dims 2-5 in turn, each with an agreeing
+        update of itself, all answered under the default cfg. Under
+        psd_slack = 0 the effect's least eigenvalue, which rounding in rho's
+        kernel leaves a few eps below zero, is banded where sigma was admitted,
+        so no effect is refused for it; banded at the call's cfg, 67 were.
+        59 pairs are not below: their holds slack rounds below zero too."""
+        zero = ToleranceConfig(psd_slack=0.0)
+        rng = np.random.default_rng(5)
+        outcomes = Counter()
+        for draw in range(153):
+            n = 2 + draw % 4
+            rho = random_state(n, rank=int(rng.integers(1, n)), rng=rng)
+            sigma = fls_update(rho, random_agreeing_effect(rho, rng))
+            effect = reconstruct_effect(rho, sigma)
+            try:
+                strict = reconstruct_effect(rho, sigma, zero)
+            except QpeError as exc:
+                outcomes[type(exc).__name__] += 1
+                continue
+            outcomes["answered"] += 1
+            assert strict.matrix.tobytes() == effect.matrix.tobytes()
+            assert strict._validated_under is sigma._validated_under
+        assert outcomes == {"answered": 94, "NotBelow": 59}
+
 
 class TestAgreeingEffects:
     def test_shares_a_top_eigenvector(self, rng):
@@ -263,6 +289,14 @@ class TestAgreeingEffects:
         rho = random_state(3, rng=rng)
         with pytest.raises(BadParameter):
             random_agreeing_effect(rho, rng, projector_rank=5)
+
+    @pytest.mark.parametrize("low, high", [(-0.1, 0.5), (0.5, 1.1), (0.6, 0.4), (np.nan, 0.5)])
+    def test_the_spectrum_range_is_validated(self, rng, low, high):
+        # the effect is derived with no check of its spectrum, so a range outside
+        # [0, 1] is refused up front
+        rho = random_state(3, rng=rng)
+        with pytest.raises(BadParameter, match=r"^need 0 <= low <= high <= 1"):
+            random_agreeing_effect(rho, rng, low=low, high=high)
 
 
 class TestMeasurementMonotonicity:
@@ -420,7 +454,7 @@ class TestTransitivityDemo:
                                            r.intermediate, r.final, r.candidate)])
 
         derived = report()
-        checked = classmethod(lambda cls, A, w=None: cls(A))
+        checked = classmethod(lambda cls, A, band, least=0.0, w=None: cls(A))
         with mock.patch.object(HermitianOperator, "_derived", checked):
             assert report() == derived
         assert derived[:2] == (True, self.FIRST_FOUND[dim, seed])

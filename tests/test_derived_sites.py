@@ -1,16 +1,16 @@
-"""Pins the functions in src/qpe that may build a state or effect unchecked.
+"""Pins the functions in src/qpe that may build a state or effect with
+HermitianOperator._derived.
 
-HermitianOperator._derived folds its matrix to exactly Hermitian and runs
-no check: no Hermitian tolerance, no trace, no positivity. So it may build
-only a result that is PSD (and of unit trace, for a state) by
-construction, because the package computed it from validated states and
-effects or drew it itself. Each site below is allowed for the reason in its
-comment; a site that takes outside numbers (a decoded document, a caller's
-matrix or eigenvalues) must use the validating constructor, and a new call
-anywhere else fails this test. The updates build with _derived only when
-both operands are validated states or effects and the a-priori bound on the
-posterior's least eigenvalue passes the inner operand's band; a raw array's
-posterior goes through the validating constructor.
+_derived is the one constructor of what the package computes from operands
+a gate or a constructor admitted. It folds its matrix to exactly Hermitian,
+records the band the operands were admitted under, and checks one number:
+a lower bound on the result's least eigenvalue that the caller already
+holds, against that band. It checks no Hermitian tolerance and no trace. So
+it may build only a result whose trace (for a state) and positivity follow
+from how it was computed, for the reason in each site's comment; a site that
+takes outside numbers (a decoded document, a caller's matrix or eigenvalues)
+must use the validating constructor (tests/test_validating_sites.py pins
+those), and a new call anywhere else fails this test.
 
 states._unit_trace is a state's trace rule alone, on a matrix that
 assert_hermitian already returned; a state built on it without the
@@ -24,15 +24,23 @@ from collections import Counter
 from ast_sites import NameSites, package_sites, sites
 
 ALLOWED = {
-    # outer^1/2 inner outer^1/2 / tr: a congruence of the PSD inner operand
-    # by a PSD root, of unit trace by the division (both updates)
+    # outer^1/2 inner outer^1/2 / tr: of unit trace by the division, with
+    # least eigenvalue at least min(lambda_min(inner), 0) outer+ / tr, banded
+    # where inner was admitted (both updates)
     ("bayes", "_conditioned"),
     # the sandwich rho^-1/2 sigma rho^-1/2 over its norm, seeded with the
-    # sandwich's spectrum over that norm; its bounds are still checked there
+    # sandwich's spectrum over that norm, whose least eigenvalue is banded
+    # where sigma was admitted; the top is 1
     ("bayes", "reconstruct_effect"),
-    # the candidate X X^dagger over its norm, seeded with the checked
-    # candidate's spectrum over that norm; its bounds are still checked there
+    # the candidate X X^dagger over its norm: PSD by construction, seeded
+    # with the candidate's spectrum over that norm, whose top is 1
     ("bayes", "sequential_solve_effect"),
+    # v v^dagger plus a spectrum drawn in [low, high], or a projector: the
+    # spectrum lies in {1} and [low, high] by construction
+    ("bayes", "random_agreeing_effect"),
+    # (1 - t) rho + t I/n: of unit trace, with least eigenvalue at least
+    # (1 - t) lambda_min(rho), so in rho's band by construction
+    ("domain", "depolarize"),
     # G G^dagger + 0.05 I over its trace: the transitivity demo's own draw
     ("oracle", "_random_full_rank"),
     # G G^dagger over its trace: the package's own draw
@@ -51,8 +59,11 @@ TRACE_ALLOWED = {
     # the two Choi states above
     ("channels", "Channel.__init__"),
     ("channels", "Channel.from_choi"),
-    # the import that binds the name in channels
+    # a raw rho, which psd_operand banded, before depolarize mixes it
+    ("domain", "depolarize"),
+    # the imports that bind the name in channels and domain
     ("channels", "<module>"),
+    ("domain", "<module>"),
 }
 
 

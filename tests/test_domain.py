@@ -14,7 +14,8 @@ from qpe.domain import (
     directed_supremum,
     way_below_witness,
 )
-from qpe.exceptions import BadParameter, NotAChain, NotConverged, PreconditionViolated
+from qpe.exceptions import (BadParameter, InvalidState, NotAChain, NotConverged,
+                            PreconditionViolated)
 from qpe.oracle import mixing_monotone_check
 from qpe.orders import qpe_leq
 from qpe.states import random_state
@@ -49,6 +50,29 @@ class TestDepolarize:
         rho = random_state(2, rng=rng)
         with pytest.raises(BadParameter):
             depolarize(rho, 1.5)
+
+    def test_a_raw_state_is_held_to_the_trace_rule_before_the_mix(self):
+        R = random_state(3, rng=4).matrix
+        with pytest.warns(UserWarning, match="renormalizing state with trace off by 5.00e-09"):
+            raw = depolarize(R * (1.0 + 5e-9), 0.95)
+        with pytest.warns(UserWarning, match="renormalizing"):
+            built = depolarize(DensityMatrix(R * (1.0 + 5e-9)), 0.95)
+        assert raw.matrix.tobytes() == built.matrix.tobytes()
+        # refused as DensityMatrix refuses it, though the mix's trace is off by 5e-7
+        with pytest.raises(InvalidState, match=r"^trace 1\.00001\d* is not 1 within 1e-06$"):
+            depolarize(R * (1.0 + 1e-5), 0.95)
+
+    def test_the_mix_is_derived_in_the_band_rho_was_admitted_under(self):
+        # the least eigenvalue of the mix is at least (1 - t) lambda_min(rho):
+        # a kernel that rounds below zero is not refused under psd_slack = 0
+        zero = ToleranceConfig(psd_slack=0.0)
+        rng = np.random.default_rng(2)
+        rho = next(r for r in (random_state(4, rank=2, rng=rng) for _ in range(100))
+                   if r.eigenvalues[-1] < 0.0)
+        for t in (0.0, 1e-12):
+            mixed = depolarize(rho, t, zero)
+            assert mixed._validated_under is rho._validated_under
+        assert np.array_equal(depolarize(rho, 0.0, zero).matrix, rho.matrix)
 
 
 class TestWayBelowWitness:

@@ -1,11 +1,12 @@
 """Pins NegativeEigenvalue to linalg's one PSD check of a raw operand.
 
 A raw operand (a Hermitian array, or a bare HermitianOperator) is refused
-past the PSD band by linalg._refuse_raw_non_psd, which the gates
-operator_pair and psd_operand call on its eigvalsh, and matrix_power on
-the eigh its power reads. A state or effect was validated when built, so
-nothing checks its sign again (HermitianOperator.support is a plain
-read), and no other site raises NegativeEigenvalue.
+past the PSD band, and otherwise stamped with the call's cfg, by
+linalg._admit_raw, which the gates operator_pair and psd_operand call on its
+eigvalsh, and matrix_power on the eigh its power reads. A state or effect
+was validated when built, so nothing checks its sign again
+(HermitianOperator.support is a plain read), and no other site raises
+NegativeEigenvalue.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from collections import Counter
 from ast_sites import RaiseSites, package_sites, sites
 
 NAME = "NegativeEigenvalue"
-ALLOWED = Counter({("linalg", "_refuse_raw_non_psd"): 1})
+ALLOWED = Counter({("linalg", "_admit_raw"): 1})
 
 
 def test_only_linalg_psd_checks_raise_negative_eigenvalue():

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qpe import DensityMatrix
+from qpe import DensityMatrix, ToleranceConfig
 from qpe.bayes import classical_solve_evidence
 from qpe.config import DEFAULT_CONFIG
 from qpe.divergence import (classical_max_divergence, max_divergence, order_divergence_gap,
@@ -374,6 +376,29 @@ class TestLeastEigenvalueOrder:
                 if lev.slack == -np.inf:
                     assert lev.witness.tobytes() == escape_direction(rho, sigma).tobytes()
 
+    def test_both_ends_of_the_support_are_read_off_the_spectra_that_set_it(self):
+        """6,000 built pairs with exactly equal or nested kernels, dims 2-5 in
+        turn, under rank_cutoff = cluster_width = 0, where a kernel eigenvalue
+        is a rounding zero of either sign and the eigvalsh and the eigh can
+        split one. rho-, sigma- and both tops are read off the spectra whose
+        ranks set the support, so no slack unit is a negative rounding zero:
+        read off the eigvalsh at the eigh's rank, 96 raised NonpositiveScalar."""
+        cfg = ToleranceConfig(rank_cutoff=0.0, cluster_width=0.0)
+        rng = np.random.default_rng(1)
+        relations = Counter()
+        for draw in range(6000):
+            n = 2 + draw % 4
+            r = int(rng.integers(1, n))  # rho's rank: a kernel of n - r
+            s = int(rng.integers(1, r + 1))  # sigma's: an equal or a larger kernel
+            U = random_unitary(n, rng)
+            p, q = rng.uniform(0.1, 1.0, r), rng.uniform(0.1, 1.0, s)
+            # sigma on rho's support, turned within it, or on a part of it
+            W = U[:, :r] @ random_unitary(r, rng) if s == r and rng.integers(2) else U[:, :s]
+            rho, sigma = (DensityMatrix((V * (d / d.sum())) @ V.conj().T)
+                          for V, d in ((U[:, :r], p), (W, q)))
+            relations[lev_leq(rho, sigma, cfg).relation] += 1
+        assert set(relations) == {"holds", "fails"}
+
     @pytest.mark.parametrize("lower,upper,kernel_of,axis", [
         # sigma's kernel grew, but not into rho's bottom eigenspace
         ([0.5, 0.3, 0.2], [5 / 8, 0.0, 3 / 8], "upper", 1),
@@ -580,7 +605,7 @@ def _lifted(X, c, m):
     """c X (x) I/m, with its spectrum, known in closed form, seeded: the
     predicates then solve only their order matrix, also at n = 1000."""
     w = np.repeat(np.linalg.eigvalsh(X)[::-1] * (c / m), m)
-    return DensityMatrix._derived(np.kron(c * X, np.eye(m) / m), w)
+    return DensityMatrix._derived(np.kron(c * X, np.eye(m) / m), DEFAULT_CONFIG, w=w)
 
 
 @pytest.mark.parametrize("d, m, scales", [(3, 1, (1e-8, 1e-6, 1e-3, 7.0, 1e3)),

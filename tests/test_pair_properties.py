@@ -35,10 +35,11 @@ exactly when it is a top eigenvector of rho), and the Bayes update, which
 moves a full-rank rho by a max-divergence of -log tr(rho E) for an effect
 E of norm 1.
 
-A state or effect the package computes from validated ones is built by
-HermitianOperator._derived, unchecked: at every such site its matrix is
-the validating constructor's on the same arithmetic, bit for bit, and its
-spectrum, solved when first read, that constructor's. A channel's output
+A state or effect the package computes from admitted ones is built by
+HermitianOperator._derived, which checks at most a bound on its least
+eigenvalue: at every such site its matrix is the validating constructor's
+on the same arithmetic, bit for bit, and its spectrum, solved when first
+read, that constructor's. A channel's output
 stays on the validating constructor, which renormalizes the trace a nearly
 complete Kraus family leaves off.
 """
@@ -669,8 +670,8 @@ def _derived_builds():
     builds = []
     derived = HermitianOperator._derived.__func__
 
-    def spy(cls, A, w=None):
-        built = derived(cls, A, w)
+    def spy(cls, A, band, least=0.0, w=None):
+        built = derived(cls, A, band, least, w)
         builds.append((cls, A, w, built))
         return built
 
@@ -683,7 +684,8 @@ def _derived_builds():
 def test_a_derived_build_is_the_validating_build_of_its_arithmetic(pair, seed):
     """Full-rank, rank-deficient and near-boundary operands, through every
     site that builds with _derived: the updates, reconstruct_effect,
-    sequential_solve_effect and the random draws."""
+    sequential_solve_effect, depolarize, the agreeing effects and the random
+    draws."""
     rho, sigma = (DensityMatrix(M) for M in pair)
     rng = np.random.default_rng(seed)
     effect = random_agreeing_effect(rho, rng)
@@ -693,6 +695,9 @@ def test_a_derived_build_is_the_validating_build_of_its_arithmetic(pair, seed):
         lambda: sequential_update(rho, effect),
         lambda: reconstruct_effect(rho, sigma),
         lambda: sequential_solve_effect(rho, sigma),
+        lambda: depolarize(rho, 0.3),
+        lambda: random_agreeing_effect(rho, rng),
+        lambda: random_agreeing_effect(rho, rng, projector_rank=int(rng.integers(1, n + 1))),
         lambda: random_state(n, rank=int(rng.integers(1, n + 1)), rng=rng),
         lambda: sequential_transitivity_demo(budget=1, seed=seed, dim=n),
     ]

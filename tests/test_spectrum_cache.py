@@ -204,6 +204,19 @@ class TestEigensolveCounts:
         assert (eigvals.call_count, eig.call_count) == (2, 1)
         assert count_hermitian_checks(lambda: update(R, E)) == 2
 
+    @pytest.mark.parametrize("derive", [
+        lambda rho: depolarize(rho, 0.3),
+        lambda rho: random_agreeing_effect(rho, np.random.default_rng(17)),
+        lambda rho: random_agreeing_effect(rho, np.random.default_rng(17), projector_rank=2),
+    ], ids=["depolarize", "random_agreeing_effect", "projector"])
+    def test_a_state_or_effect_derived_from_a_warm_prior(self, ordered_raw_pair, derive):
+        rho = DensityMatrix(ordered_raw_pair[0])
+        rho.eigenvectors
+        # the result lies in its band by construction, so it is derived: not
+        # checked Hermitian, and its spectrum is left to its first read
+        assert count_eigensolves(lambda: derive(rho)) == 0
+        assert count_hermitian_checks(lambda: derive(rho)) == 0
+
     @pytest.mark.parametrize("pair", ["ordered_raw_pair", "rank_deficient_raw_pair"])
     def test_fidelity_reads_the_cached_eigh(self, request, pair):
         rho, sigma = (DensityMatrix(M) for M in request.getfixturevalue(pair))
@@ -534,10 +547,11 @@ class TestCachedRoutesMatchRawArrays:
 
     def test_effect_from_raw_operands_keeps_its_bounds(self):
         # the raw upper operand's -5e-9 lies inside the PSD band, so the gate
-        # passes it; the pair is ordered, and the bounds check, on the
-        # sandwich spectrum over its norm, still refuses the effect, whose
-        # least eigenvalue rho's 1e-6 amplifies past the band
-        with pytest.raises(InvalidState, match=r"effect not PSD \(lambda_min = -3\.333e-03\)"):
+        # passes it and stamps it with that band; the pair is ordered, and the
+        # effect, banded there on the sandwich spectrum over its norm, is still
+        # refused, as rho's 1e-6 amplifies its least eigenvalue past the band
+        message = r"^effect not certified positive semidefinite \(lambda_min >= -3\.333e-03\)$"
+        with pytest.raises(InvalidState, match=message):
             reconstruct_effect(np.diag([0.5, 1e-6]), np.diag([0.75, -5e-9]))
 
     @pytest.mark.parametrize("alpha", [0.5, 2.0])
