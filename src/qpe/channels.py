@@ -29,10 +29,6 @@ if TYPE_CHECKING:
 COMPLETENESS_TOL = 1e-8
 
 
-def _vec(M: np.ndarray) -> np.ndarray:
-    return np.asarray(M).reshape(-1)
-
-
 def _kraus_sandwich(ops, X: np.ndarray) -> np.ndarray:
     out = np.zeros((ops[0].shape[0],) * 2, dtype=complex)
     for K in ops:
@@ -45,7 +41,7 @@ def to_choi(kraus, in_dim: int, out_dim: int) -> np.ndarray:
     n, k = in_dim, out_dim
     J = np.zeros((n * k, n * k), dtype=complex)
     for K in kraus:
-        w = _vec(np.asarray(K, dtype=complex).T)
+        w = np.asarray(K, dtype=complex).T.reshape(-1)
         if w.size != n * k:
             raise DimensionMismatch("Kraus operator shape does not match dims")
         J += np.outer(w, w.conj())
@@ -110,9 +106,9 @@ class Channel:
         if w[-1] < -COMPLETENESS_TOL * max(w[0], 1.0):
             raise NotCPTP("Choi matrix is not a state: not positive semidefinite "
                           f"(lambda_min = {w[-1]:.3e})")
-        # the recovery drops the eigenvalues at or below rank_cutoff, which
-        # moves its completeness sum by at most n times their weight; past
-        # that bound, recover the family and measure it
+        # the recovery drops the eigenvalues at or below rank_cutoff, moving its
+        # completeness sum by at most n times their weight, here on the eigvalsh
+        # (an eigh's other split moves that by ~n 1e-17); past it, measure the family
         dropped = n * float(np.abs(w[rank(w, cfg):]).sum())
         if defect + dropped > COMPLETENESS_TOL:
             _check_complete(channel.kraus, n)
@@ -222,8 +218,9 @@ def extended_output(channel: Channel, rho: DensityMatrix, m: int,
 
 def maximally_entangled(n: int, cfg: ToleranceConfig = DEFAULT_CONFIG) -> DensityMatrix:
     """The rank-one state on n x n with vector sum_i |ii> / sqrt(n)."""
-    v = _vec(np.eye(n)) / np.sqrt(n)
-    return DensityMatrix.pure(v, cfg)
+    v = np.asarray(np.eye(n).reshape(-1) / np.sqrt(n), dtype=complex)
+    v = v / np.linalg.norm(v)  # as DensityMatrix.pure normalizes it, so bit for bit
+    return DensityMatrix._derived(np.outer(v, v.conj()), cfg)
 
 
 def channel_qpe_leq(phi: Channel, psi: Channel,
@@ -268,12 +265,12 @@ def entanglement_fidelity(channel: Channel,
 
     Equals the top eigenvalue of the Choi state. For square channels the
     attaining input is returned: the top Choi eigenvector with its factors
-    swapped and conjugated, as a pure bipartite state.
+    swapped and conjugated, as a pure bipartite state built as maximally_entangled's.
     """
     value = float(top_eigenvalue(channel.choi))
     n, k = channel.in_dim, channel.out_dim
     if n != k:
         return value, None
-    v = channel.choi.eigenvectors[:, 0]
-    w = np.conj(v).reshape(n, n).T.reshape(-1)
-    return value, DensityMatrix.pure(w, cfg)
+    w = np.conj(channel.choi.eigenvectors[:, 0]).reshape(n, n).T.reshape(-1)
+    w = w / np.linalg.norm(w)
+    return value, DensityMatrix._derived(np.outer(w, w.conj()), cfg)

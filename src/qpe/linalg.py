@@ -14,10 +14,10 @@ HermitianOperator; the norms, is_psd, matrix_power and fidelity read an
 operator's cached spectrum, and solve a raw array's afresh. The package's one
 spectral power is HermitianOperator.power; rank, the count of eigenvalues
 above kernel_cutoff, is its one split of a spectrum into support (the prefix
-HermitianOperator.support keeps) and kernel. A cut of eigenvectors (support,
-power, states.kernel) counts on the eigh it slices, and a question that
-slices none (states.rank_of, renyi_entropy) on the cached eigvalsh: the two
-may split an eigenvalue within rounding of the cutoff differently.
+HermitianOperator.support keeps) and kernel. Every kernel question counts on
+the eigh that support, power and states.kernel cut (states.rank_of); the
+eigvalsh, which may split an eigenvalue within rounding of the cutoff
+otherwise, answers only what cuts nothing: tops, bands, renyi_entropy's sum.
 operator_pair is the one gate of every function that takes two operators
 (psd_operand of one). fidelity solves no eigenproblem of its own. Each
 operator remembers the pair queries asked of its recent partners
@@ -347,9 +347,9 @@ class HermitianOperator:
     (or _derived seeds them); the eigenvectors from one eigh on first use,
     from which power, power_times and support are formed afresh on each call.
     The eigh has its own eigenvalues (_eigh[0]), equal to eigvalsh's to the
-    last bits; every cut of the eigenvectors counts its support there, and
-    orders.qpe_leq reads rho's there, so a prior whose validation solved
-    nothing is decided on that one decomposition.
+    last bits; every count of the support (states.rank_of, the cuts of the
+    eigenvectors, orders.qpe_leq's) reads them, so a prior whose validation
+    solved nothing is decided on that one decomposition.
 
     Each operator also remembers what was computed against its recent
     partners, up to PARTNER_MEMO_SIZE of them with the oldest dropped first

@@ -51,6 +51,7 @@ from .states import (
     escape_direction,
     heaviest_kernel_direction,
     kernel,
+    rank_of,
     sandwich,
     subspace_intersects,
 )
@@ -240,12 +241,13 @@ def lev_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
     Given nesting, the kernels are equal iff the eigh ranks are. A larger
     kernel on sigma that misses rho's bottom eigenspace fails with slack
     -inf too: the witness is the unit vector of sigma's kernel on which rho
-    weighs most.
+    weighs most. rho- and sigma- are read off the eigvalsh spectra only when
+    both count full rank there and states.rank_of(rho) agrees; else off the eighs.
     """
     r, s = operator_pair(rho, sigma, cfg)
     support = r.dim  # the rank of rho and of sigma: rho- and sigma- end it
-    wr, ws = r.eigenvalues, s.eigenvalues  # the spectra whose ranks set support
-    if not rank(wr, cfg) == rank(ws, cfg) == support:  # by count: no eigh
+    wr, ws = r.eigenvalues, s.eigenvalues
+    if not rank(wr, cfg) == rank(ws, cfg) == rank_of(r, cfg) == support:
         escape = escape_direction(r, s, cfg)
         if escape is not None:
             return OrderVerdict(FAILS, -np.inf, witness=escape)

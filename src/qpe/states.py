@@ -186,14 +186,14 @@ def attaining_direction(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np
 
 
 def top_eigenspace(rho, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Eigenspace:
-    """Eigenspace of the top eigenvalue cluster."""
+    """Eigenspace of the top cluster of the cached eigh, with top_eigenvalue as its eigenvalue."""
     op = as_operator(rho)
-    w = op.eigenvalues
+    w, V = op._eigh
     width = cfg.cluster_width * max(abs(float(w[0])), 1e-300)
     stop = 1
     while stop < w.size and w[stop - 1] - w[stop] <= width:
         stop += 1
-    return Eigenspace(op.eigenvectors[:, :stop].copy(), float(w[0]))
+    return Eigenspace(V[:, :stop].copy(), top_eigenvalue(op))
 
 
 def kernel(rho, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Eigenspace:
@@ -232,7 +232,8 @@ def escape_direction(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.nd
 
 
 def rank_of(rho, cfg: ToleranceConfig = DEFAULT_CONFIG) -> int:
-    return rank(as_operator(rho).eigenvalues, cfg)
+    """linalg.rank of the cached eigh that kernel, support and power cut."""
+    return rank(as_operator(rho)._eigh[0], cfg)
 
 
 def bottom_eigenspace_nonzero(rho, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Eigenspace:

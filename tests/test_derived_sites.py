@@ -51,6 +51,9 @@ ALLOWED = {
     # a Choi matrix through assert_hermitian and the trace rule, whose
     # positivity from_choi holds to COMPLETENESS_TOL on the spectrum next
     ("channels", "Channel.from_choi"),
+    # the projector onto a vector over its norm: a pure state by construction
+    ("channels", "maximally_entangled"),
+    ("channels", "entanglement_fidelity"),
 }
 
 TRACE_ALLOWED = {

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import inspect
 import warnings
 from types import SimpleNamespace
 from unittest import mock
@@ -319,6 +321,36 @@ class TestCholeskyKernel:
 
     def test_numpy_ships_the_lapack_gufunc(self):
         assert "D->D" in _umath_linalg.cholesky_lo.types
+
+
+def _gufunc_calls() -> dict[str, str]:
+    """{gufunc name: signature} for each _umath_linalg.<name>(..., signature=...)
+    call in linalg's source."""
+    calls = {}
+    for node in ast.walk(ast.parse(inspect.getsource(linalg))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "_umath_linalg"):
+            calls[node.func.attr] = next(k.value.value for k in node.keywords if k.arg == "signature")
+    return calls
+
+
+def test_private_lapack_gufuncs_answer_as_numpy():
+    """linalg calls three of numpy's private LAPACK gufuncs by name, with a
+    complex signature; numpy does not promise to keep either. On a fixed
+    complex 3 x 3 matrix, each as linalg calls it gives numpy.linalg's
+    public answer bit for bit, so a numpy that renames, drops or changes
+    one fails here."""
+    M = np.array([[4.0, 1.0 - 1.0j, 0.5j], [1.0 + 1.0j, 3.0, 0.25], [-0.5j, 0.25, 2.0]])
+    public = {"eigvalsh_lo": (np.linalg.eigvalsh(M),), "eigh_lo": tuple(np.linalg.eigh(M)),
+              "cholesky_lo": (np.linalg.cholesky(M),)}
+    calls = _gufunc_calls()
+    assert calls == {"eigvalsh_lo": "D->d", "eigh_lo": "D->dD", "cholesky_lo": "D->D"}
+    for name, signature in calls.items():
+        got = getattr(_umath_linalg, name)(M, signature=signature)
+        got = got if isinstance(got, tuple) else (got,)
+        assert len(got) == len(public[name]), name
+        for g, ref in zip(got, public[name]):
+            assert g.dtype == ref.dtype and g.tobytes() == ref.tobytes(), name
 
 
 def _descending_spectra(rng):

@@ -11,6 +11,7 @@ from qpe.bayes import classical_solve_evidence
 from qpe.config import DEFAULT_CONFIG
 from qpe.divergence import (classical_max_divergence, max_divergence, order_divergence_gap,
                             povm_distinguishability_lower_bound, renyi_divergence)
+from qpe.domain import way_below_witness
 from qpe.exceptions import (BadParameter, DimensionMismatch, InvalidState, NegativeEigenvalue,
                             NonpositiveScalar)
 from qpe.linalg import is_psd, random_unitary, rank
@@ -31,6 +32,7 @@ from qpe.states import (
     escape_direction,
     kernel,
     random_state,
+    rank_of,
     subspace_intersects,
     top_eigenspace,
 )
@@ -398,6 +400,37 @@ class TestLeastEigenvalueOrder:
                           for V, d in ((U[:, :r], p), (W, q)))
             relations[lev_leq(rho, sigma, cfg).relation] += 1
         assert set(relations) == {"holds", "fails"}
+
+    def test_one_rank_decides_every_kernel_question(self):
+        """2,000 built pairs with exactly equal or nested kernels, dims 2-5 in
+        turn, under rank_cutoff = cluster_width = 0, where the eigvalsh and
+        the eigh split a rounding zero differently in about one rho of ten.
+        rank_of counts the support that kernel cuts, way_below_witness's
+        kernel obstruction asks rank_of, and lev_leq fails with slack -inf
+        wherever qpe_leq's escape test fires: counted on the eigvalsh, lev_leq
+        took its full-rank shortcut past 12 of those escapes."""
+        cfg = ToleranceConfig(rank_cutoff=0.0, cluster_width=0.0)
+        rng = np.random.default_rng(1)
+        seen = Counter()
+        for draw in range(2000):
+            n = 2 + draw % 4
+            r = int(rng.integers(1, n))  # rho's rank: a kernel of n - r
+            s = int(rng.integers(1, r + 1))  # sigma's: an equal or a larger kernel
+            U = random_unitary(n, rng)
+            p, q = rng.uniform(0.1, 1.0, r), rng.uniform(0.1, 1.0, s)
+            W = U[:, :r] @ random_unitary(r, rng) if s == r and rng.integers(2) else U[:, :s]
+            rho, sigma = (DensityMatrix((V * (d / d.sum())) @ V.conj().T)
+                          for V, d in ((U[:, :r], p), (W, q)))
+            support = rank_of(rho, cfg)
+            assert support == n - kernel(rho, cfg).dim, draw
+            obstructed = way_below_witness(rho, sigma, cfg).rule == "kernel-obstruction"
+            assert obstructed == (support < n), draw
+            escapes = qpe_leq(rho, sigma, cfg).slack == -np.inf
+            if escapes:
+                assert lev_leq(rho, sigma, cfg).slack == -np.inf, draw
+            seen["escape" if escapes else "full rank" if support == n else "nested"] += 1
+        # the population has all three cases
+        assert min(seen.values()) > 10 and len(seen) == 3, seen
 
     @pytest.mark.parametrize("lower,upper,kernel_of,axis", [
         # sigma's kernel grew, but not into rho's bottom eigenspace

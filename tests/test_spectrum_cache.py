@@ -60,6 +60,7 @@ from qpe import (
     ToleranceConfig,
     way_below_witness,
 )
+from qpe.channels import entanglement_fidelity, maximally_entangled
 from qpe.config import DEFAULT_CONFIG
 from qpe.domain import CERTIFIED_BELOW, NOT_BELOW, UNKNOWN, depolarize
 from qpe.linalg import (
@@ -232,10 +233,10 @@ class TestEigensolveCounts:
         order_divergence_gap(rho, sigma)
         assert count_eigensolves(lambda: order_divergence_gap(rho, sigma)) == 0
 
-    def test_kernel_obstruction_reads_the_cached_spectrum(self, rank_deficient_raw_pair):
+    def test_kernel_obstruction_counts_on_rho_s_eigh(self, rank_deficient_raw_pair):
         rho, sigma = (DensityMatrix(M) for M in rank_deficient_raw_pair)
-        # cold: rho's eigenvectors were never asked for
-        assert count_eigensolves(lambda: way_below_witness(rho, sigma)) == 0
+        # cold: rho's eigh, which states.rank_of counts, as kernel cuts it
+        assert count_eigensolves(lambda: way_below_witness(rho, sigma)) == 1
         assert way_below_witness(rho, sigma).rule == "kernel-obstruction"
 
     @pytest.mark.parametrize("ordered", [True, False])
@@ -323,12 +324,13 @@ class TestMatrixPredicatesReadTheCache:
     def test_lev_order_reads_rho_and_sigma_minus_off_the_spectra(self, ordered_raw_pair, ordered):
         R, S = ordered_raw_pair
         rho, sigma = (DensityMatrix(M) for M in ((R, S) if ordered else (S, R)))
-        # the order matrix's eigvalsh, and the eigh of a fails witness below
-        # SHIFTED_SOLVE_MIN_DIM; no eigh of either state
+        # the order matrix's eigvalsh, rho's eigh, whose rank confirms the
+        # cached counts, and the eigh of a fails witness below
+        # SHIFTED_SOLVE_MIN_DIM; no eigh of sigma
         with spying(hermitian_eigvals, hermitian_eig) as (eigvals, eig):
             verdict = lev_leq(rho, sigma)
         assert verdict.relation == ("holds" if ordered else "fails")
-        assert (eigvals.call_count, eig.call_count) == (1, 0 if ordered else 1)
+        assert (eigvals.call_count, eig.call_count) == (1, 1 if ordered else 2)
 
     @pytest.mark.parametrize("lower,upper,relation,solves", [
         # equal kernels: both states' eighs, escape's block eigh, the order
@@ -340,8 +342,9 @@ class TestMatrixPredicatesReadTheCache:
         # escaping: rho's eigh and escape's block eigh, whose top eigenvector
         # is the witness; sigma's eigh is not needed
         ([0.5, 0.3, 0.2, 0.0], [0.4, 0.3, 0.2, 0.1], "fails", (0, 2)),
-        # full rank by the cached counts: as the order matrix route above
-        ([0.4, 0.3, 0.2, 0.1], [0.35, 0.3, 0.2, 0.15], "fails", (1, 1)),
+        # full rank by the cached counts and rho's eigh: that eigh, then the
+        # order matrix's eigvalsh and its fails witness's eigh
+        ([0.4, 0.3, 0.2, 0.1], [0.35, 0.3, 0.2, 0.15], "fails", (1, 2)),
     ])
     def test_lev_structural_routes(self, lower, upper, relation, solves):
         U = random_unitary(4, np.random.default_rng(3))
@@ -370,10 +373,11 @@ class TestMatrixPredicatesReadTheCache:
         phi1, phi2, mix_with = (Channel.random(2, 3, 2, rng) for _ in range(3))
         xi_pre, xi_post = Channel.random(2, 2, 2, rng), Channel.random(3, 2, 2, rng)
         # phi1's Choi spectrum, which its construction no longer solved, for
-        # cp_psd; then from_choi plus the lazy Kraus recovery. The four
-        # channels built from Kraus families inside solve nothing
+        # cp_psd, and its eigh, whose rank the Kraus count is matched with;
+        # then from_choi plus the lazy Kraus recovery. The four channels
+        # built from Kraus families inside solve nothing
         assert count_eigensolves(lambda: jamiolkowski_properties_check(
-            phi1, phi2, xi_pre, xi_post, mix_with)) == 3
+            phi1, phi2, xi_pre, xi_post, mix_with)) == 4
 
 
 class TestChannelOrderSolves:
@@ -441,9 +445,21 @@ class TestChoiChannelSolves:
     def test_repr_reads_the_choi_spectrum(self):
         J = Channel.random(3, 2, 2, np.random.default_rng(6)).choi.matrix
         phi = Channel.from_choi(J, 3, 2)
-        assert count_eigensolves(lambda: repr(phi)) == 0
+        # the Choi eigh, whose rank is the Kraus count, which then reads it
+        assert count_eigensolves(lambda: repr(phi)) == 1
         assert repr(phi) == "Channel(in_dim=3, out_dim=2, choi_rank=2)"
         assert len(phi.kraus) == 2
+
+    def test_pure_states_are_derived(self):
+        """maximally_entangled and entanglement_fidelity's attaining input are
+        projectors onto unit vectors, so they are derived: neither solves the
+        pure state's spectrum or checks it Hermitian."""
+        assert (count_eigensolves(lambda: maximally_entangled(3)),
+                count_hermitian_checks(lambda: maximally_entangled(3))) == (0, 0)
+        phi = Channel.random(2, 2, 2, np.random.default_rng(6))
+        phi.choi.eigenvectors  # warm: only the Choi state's top eigenvalue is left
+        assert (count_eigensolves(lambda: entanglement_fidelity(phi)),
+                count_hermitian_checks(lambda: entanglement_fidelity(phi))) == (1, 0)
 
     def test_completeness_past_the_dropped_weight_bound_recovers_kraus_early(self):
         # three Choi eigenvalues -2e-9: 2 * 6e-9 is past COMPLETENESS_TOL, so
