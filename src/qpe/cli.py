@@ -3,8 +3,8 @@
 Exit codes are uniform across subcommands: 0 for a holding relation or a
 successful computation, 1 for a failing relation, 2 for invalid input,
 3 for marginal, unknown, or not-found outcomes, and 4 for an internal error
-(an exception that is not a QpeError). The positivity tolerance is --tol,
-1e-9 by default.
+(an exception that is not a QpeError, or an output that cannot be written).
+The positivity tolerance is --tol, 1e-9 by default.
 
 The handlers import bayes, divergence, domain and oracle themselves, so a
 command loads only the modules it runs.
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -381,28 +382,37 @@ def run(argv=None) -> int:
     try:
         cfg = _config(args)
         code, payload, lines = args.handler(args, cfg)
-        if args.format == "json":
-            text = json.dumps(payload, indent=2)
-        else:
-            text = "\n".join(lines)
+        print(json.dumps(payload, indent=2) if args.format == "json" else "\n".join(lines))
     except NotBelow as exc:
-        print(f"not below: {exc}", file=sys.stderr)
-        return 1
+        return _report(1, f"not below: {exc}")
     except DegenerateDraw as exc:
-        print(f"degenerate draw: {exc}", file=sys.stderr)
-        return 3
+        return _report(3, f"degenerate draw: {exc}")
     except QpeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return _report(2, f"error: {exc}")
+    except Exception as exc:  # a crash, or an output that cannot be written
+        return _report(4, f"internal error: {type(exc).__name__}: {exc}")
+    return code
+
+
+def _report(code: int, message: str) -> int:
+    """code once message is on stderr; 4 if stderr does not take it."""
+    try:
+        print(message, file=sys.stderr)
+    except OSError:
         return 4
-    print(text)
     return code
 
 
 def main() -> None:
-    sys.exit(run())
+    """The qpe command: run, flush stdout and stderr, then os._exit, skipping the
+    interpreter's teardown and atexit; argparse's exits raise SystemExit as before."""
+    code = run()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError as exc:
+        code = _report(4, f"internal error: {type(exc).__name__}: {exc}")
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -237,18 +237,18 @@ def rank_of(rho, cfg: ToleranceConfig = DEFAULT_CONFIG) -> int:
 
 
 def bottom_eigenspace_nonzero(rho, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Eigenspace:
-    """Eigenspace of the least nonzero eigenvalue cluster, which ends the
-    support prefix of the eigh that kernel cuts, so it holds no kernel eigenvalue."""
+    """Eigenspace of the least nonzero eigenvalue cluster of the cached eigh,
+    which ends the support prefix that kernel cuts; its eigenvalue is the eigvalsh's."""
     op = as_operator(rho)
-    w = op.eigenvalues
-    r = rank(op._eigh[0], cfg)
+    w, V = op._eigh
+    r = rank(w, cfg)
     if not r:
         raise InvalidState("matrix has no nonzero eigenvalues")
     width = cfg.cluster_width * max(abs(float(w[0])), 1e-300)
     start = r - 1
     while start > 0 and w[start - 1] - w[start] <= width:
         start -= 1
-    return Eigenspace(op.eigenvectors[:, start:r].copy(), float(w[r - 1]))
+    return Eigenspace(V[:, start:r].copy(), float(op.eigenvalues[r - 1]))
 
 
 def min_entropy(rho, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:

@@ -108,30 +108,32 @@ def commands() -> list[list[str]]:
     return [argv + ["--format", fmt] for argv in out for fmt in ("text", "json")]
 
 
-def transcript() -> list[dict]:
-    """Each of commands() run once in-process from tests/fixtures: its argv,
-    exit code, stdout and stderr lines, and the category and message of each
-    warning it raised."""
+def record(argv: list[str]) -> dict:
+    """argv run once in-process through qpe.cli.run: its argv, exit code,
+    stdout and stderr lines, and the category and message of each warning
+    it raised."""
     from qpe.cli import run
 
-    records = []
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(list(argv))
+    return {
+        "argv": argv, "exit": code,
+        "stdout": out.getvalue().splitlines(), "stderr": err.getvalue().splitlines(),
+        "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
+    }
+
+
+def transcript() -> list[dict]:
+    """The record of each of commands(), run from tests/fixtures."""
     cwd = os.getcwd()
     try:
         os.chdir(FIXTURES)
-        for argv in commands():
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                    warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                code = run(list(argv))
-            records.append({
-                "argv": argv, "exit": code,
-                "stdout": out.getvalue().splitlines(), "stderr": err.getvalue().splitlines(),
-                "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
-            })
+        return [record(argv) for argv in commands()]
     finally:
         os.chdir(cwd)
-    return records
 
 
 def fingerprint() -> dict:

@@ -340,6 +340,29 @@ class TestSpectralStructure:
         with pytest.raises(InvalidState):
             bottom_eigenspace_nonzero(np.zeros((2, 2)))
 
+    def test_bottom_nonzero_clusters_on_the_eigh_it_slices(self):
+        # at zero width a cluster is the run of equal eigh values ending at
+        # the least nonzero one; half the draws have an exactly degenerate
+        # support spectrum, which the eigvalsh and the eigh round apart
+        zero = ToleranceConfig(rank_cutoff=0.0, cluster_width=0.0)
+        rng = np.random.default_rng(2)
+        for i in range(4000):
+            n = 2 + i % 5
+            k = int(rng.integers(1, n + 1))
+            if i % 2:
+                rho = random_state(n, rank=k, rng=rng)
+            else:
+                w = np.zeros(n)
+                w[:k] = 1.0
+                w[:k - int(rng.integers(1, k + 1))] = 2.0
+                rho = DensityMatrix(_rotated(w / w.sum(), rng))
+            values, vectors = rho._eigh
+            r = rank_of(rho, zero)
+            bottom = bottom_eigenspace_nonzero(rho, zero)
+            assert bottom.dim == np.count_nonzero(values[:r] == values[r - 1]), i
+            assert np.array_equal(bottom.basis, vectors[:, r - bottom.dim:r]), i
+            assert bottom.eigenvalue == rho.eigenvalues[r - 1]
+
     def test_min_entropy(self):
         rho = DensityMatrix.from_diag([0.5, 0.25, 0.25])
         assert_allclose(min_entropy(rho), np.log(2.0), atol=1e-12)
