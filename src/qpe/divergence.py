@@ -54,8 +54,7 @@ def max_divergence(sigma: DensityMatrix, rho: DensityMatrix,
     channel_max_divergence and renyi_divergence at alpha = inf share it.
     """
     try:
-        return remembered(rho, sigma, ("max_divergence", cfg.rank_cutoff, cfg.log_base),
-                          _max_divergence, cfg)
+        return remembered(rho, sigma, cfg._max_divergence_key, _max_divergence, cfg)
     except QpeError:
         operator_pair(sigma, rho, cfg)  # a refused pair's refusal in this order: sigma's first
         raise

@@ -60,7 +60,7 @@ def way_below_witness(rho: DensityMatrix, sigma: DensityMatrix,
     The witness is remembered on rho for sigma (linalg.remembered), so a
     pair asked again gets the same object back.
     """
-    return remembered(rho, sigma, ("way_below", cfg.psd_slack, cfg.rank_cutoff), _way_below, cfg)
+    return remembered(rho, sigma, cfg._way_below_key, _way_below, cfg)
 
 
 def _way_below(rho: DensityMatrix, sigma: DensityMatrix,

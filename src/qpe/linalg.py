@@ -494,14 +494,15 @@ def remembered(a, b, key, compute, cfg: ToleranceConfig):
     Up to PARTNER_MEMO_SIZE partners are remembered; a new one past that
     drops the oldest-inserted. A partner is held by weakref and matched by
     identity, so an equal-valued copy does not read this pair's entries and
-    a chain of comparisons does not keep old states alive. key is a tuple:
-    a tag naming the query, then the cfg fields compute reads; compute must
-    not return None. The entries, by tag, each on rho for sigma:
+    a chain of comparisons does not keep old states alive. key is
+    cfg._<tag>_key, the str cfg built for the tag from the fields
+    config.MEMO_READS names for it, so a hit builds and hashes no key;
+    compute must not return None. The entries, by tag, each on rho for sigma:
 
-        qpe_leq          psd_slack, rank_cutoff    orders._qpe_verdict
-        sandwich         rank_cutoff               states._sandwich
-        max_divergence   rank_cutoff, log_base     divergence._max_divergence
-        way_below        psd_slack, rank_cutoff    domain._way_below
+        qpe_leq          orders._qpe_verdict
+        sandwich         states._sandwich
+        max_divergence   divergence._max_divergence
+        way_below        domain._way_below
 
     All but the sandwich nest: qpe_leq and max_divergence ask for the
     sandwich and way_below for the verdict of the same pair, and those

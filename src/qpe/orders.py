@@ -188,7 +188,7 @@ def qpe_leq(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> OrderVerdict:
     The verdict is remembered on rho for sigma (linalg.remembered), so it is
     shared between calls and its witness is read-only.
     """
-    return remembered(rho, sigma, ("qpe_leq", cfg.psd_slack, cfg.rank_cutoff), _qpe_verdict, cfg)
+    return remembered(rho, sigma, cfg._qpe_leq_key, _qpe_verdict, cfg)
 
 
 def _qpe_verdict(r: HermitianOperator, s: HermitianOperator,

@@ -158,7 +158,7 @@ def sandwich(rho, sigma, cfg: ToleranceConfig = DEFAULT_CONFIG) -> HermitianOper
     Reconstruction, the order, the max-divergence and its attaining direction
     all read it. It is remembered on rho for sigma (linalg.remembered).
     """
-    return remembered(rho, sigma, ("sandwich", cfg.rank_cutoff), _sandwich, cfg)
+    return remembered(rho, sigma, cfg._sandwich_key, _sandwich, cfg)
 
 
 def _sandwich(rho: HermitianOperator, sigma: HermitianOperator,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+import math
 import warnings
 from types import SimpleNamespace
 from unittest import mock
@@ -76,13 +77,36 @@ class TestToleranceConfig:
         with pytest.raises(BadParameter, match="finite"):
             ToleranceConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["psd_slack", "cluster_width", "rank_cutoff"])
+    @pytest.mark.parametrize("value", ["1e-9", None, 1e-9 + 0j, True, False,
+                                       np.array([1e-9]), np.array(1e-9), np.bool_(True)],
+                             ids=repr)
+    def test_rejects_tolerances_that_are_not_real_numbers(self, field, value):
+        with pytest.raises(BadParameter, match=f"^{field} must be a real number"):
+            ToleranceConfig(**{field: value})
+
+    def test_rejects_an_int_too_large_for_a_float(self):
+        with pytest.raises(BadParameter, match="finite"):
+            ToleranceConfig(psd_slack=10 ** 400)
+
+    @pytest.mark.parametrize("value", [0, -0.0, np.float64(1e-9), np.float32(0.5), np.int64(1)])
+    def test_stores_each_tolerance_as_a_float(self, value):
+        cfg = ToleranceConfig(psd_slack=value, cluster_width=value, rank_cutoff=value)
+        for stored in (cfg.psd_slack, cfg.cluster_width, cfg.rank_cutoff):
+            assert type(stored) is float and stored == value
+            assert math.copysign(1.0, stored) == 1.0
+
     def test_rejects_cluster_below_rank_cutoff(self):
         with pytest.raises(BadParameter):
             ToleranceConfig(cluster_width=1e-13, rank_cutoff=1e-12)
 
-    def test_rejects_unknown_log_base(self):
+    @pytest.mark.parametrize("value", ["ten", None, np.array(["two"])], ids=repr)
+    def test_rejects_unknown_log_base(self, value):
         with pytest.raises(BadParameter):
-            ToleranceConfig(log_base="ten")
+            ToleranceConfig(log_base=value)
+
+    def test_stores_the_log_base_as_a_str(self):
+        assert type(ToleranceConfig(log_base=np.str_("two")).log_base) is str
 
     def test_log_scalar_edge_cases(self, cfg):
         assert cfg.log(0.0) == -np.inf

@@ -2,23 +2,26 @@
 
 linalg.remembered(a, b, key, compute, cfg) reads and fills the one table per
 operator that holds four kinds of pair result, and it is the whole of each
-query that uses it. Each call site's key must be a tuple literal whose first
-element is a string tag no other site uses, followed only by
-cfg.<field> for real ToleranceConfig fields: a reused tag would hand one
-query another query's result type, and anything but a cfg field could not
-be checked against what the computation reads (tests/test_spectrum_cache.py
-checks that). Each site's compute argument must name a function defined at
-the top level of its module, not a lambda or a def nested in the caller:
-either would build a closure on every call, hits included.
+query that uses it. Each call site's key must be cfg._<tag>_key, the key
+ToleranceConfig builds for a tag of config.MEMO_READS, and each tag must
+have exactly one call site: a key built anywhere else could leave out a
+field the computation reads, and a reused tag would hand one query another
+query's result type. MEMO_READS must name only real ToleranceConfig fields
+and must equal what tests/test_spectrum_cache.py checks each entry reads.
+Each site's compute argument must name a function defined at the top level
+of its module, not a lambda or a def nested in the caller: either would
+build a closure on every call, hits included.
 """
 from __future__ import annotations
 
 import ast
 import dataclasses
+import re
 from collections import Counter
 
 from ast_sites import modules
-from qpe.config import ToleranceConfig
+from qpe.config import MEMO_READS, ToleranceConfig
+from test_spectrum_cache import READS
 
 FIELDS = {f.name for f in dataclasses.fields(ToleranceConfig)}
 
@@ -63,32 +66,37 @@ def _calls(source: str, module: str) -> list[tuple[str, ast.expr, ast.expr, bool
     return found
 
 
-def _problems(found) -> list[str]:
-    """What is wrong with the calls found, as messages; empty when all is well."""
-    problems, tags = [], Counter()
+def _problems(found, table) -> list[str]:
+    """What is wrong with the calls found against a table of tags and the
+    fields each reads, as messages; empty when all is well."""
+    problems, tags = [], Counter(dict.fromkeys(table, 0))
+    for tag, reads in table.items():
+        problems += [f"tag {tag} reads {name}, not a ToleranceConfig field"
+                     for name in reads if name not in FIELDS]
     for module, key, compute, top_level in found:
         if not top_level:
             text = ast.unparse(compute) if compute is not None else "missing"
             problems.append(f"{module}: compute {text} is not a module-level function")
-        if not (isinstance(key, ast.Tuple) and key.elts
-                and isinstance(key.elts[0], ast.Constant) and isinstance(key.elts[0].value, str)):
-            problems.append(f"{module}: key is not a tuple literal led by a string tag")
+        match = (re.fullmatch(r"_(\w+)_key", key.attr)
+                 if isinstance(key, ast.Attribute) and isinstance(key.value, ast.Name)
+                 and key.value.id == "cfg" else None)
+        if match is None or match[1] not in table:
+            text = ast.unparse(key) if key is not None else "missing"
+            problems.append(f"{module}: key {text} is not cfg._<tag>_key for a tag of MEMO_READS")
             continue
-        tag = key.elts[0].value
-        tags[tag] += 1
-        for elt in key.elts[1:]:
-            if not (isinstance(elt, ast.Attribute) and isinstance(elt.value, ast.Name)
-                    and elt.value.id == "cfg" and elt.attr in FIELDS):
-                problems.append(f"{module}: {tag} key holds {ast.unparse(elt)}, "
-                                "not a ToleranceConfig field of cfg")
-    problems += [f"tag {tag} used at {n} call sites" for tag, n in tags.items() if n > 1]
+        tags[match[1]] += 1
+    problems += [f"tag {tag} used at {n} call sites" for tag, n in tags.items() if n != 1]
     return problems
 
 
-def test_memo_keys_are_tagged_tuples_of_cfg_fields():
+def test_memo_keys_are_the_configs_keys_one_site_per_tag():
     found = [site for module, source in modules() for site in _calls(source, module)]
     assert len(found) == 4
-    assert _problems(found) == []
+    assert _problems(found, MEMO_READS) == []
+
+
+def test_memo_reads_are_what_each_entry_reads():
+    assert {tag: set(reads) for tag, reads in MEMO_READS.items()} == READS
 
 
 def test_guard_sees_bad_keys():
@@ -96,30 +104,36 @@ def test_guard_sees_bad_keys():
         "def g(rho, sigma, cfg):\n"
         "    return rho\n"
         "def f(rho, sigma, cfg, key):\n"
-        "    remembered(rho, sigma, ('a', cfg.psd_slack), g, cfg)\n"
-        "    remembered(rho, sigma, ('a', cfg.rank_cutoff), g, cfg)\n"
+        "    remembered(rho, sigma, cfg._a_key, g, cfg)\n"
+        "    remembered(rho, sigma, cfg._a_key, g, cfg)\n"
         "    remembered(rho, sigma, key, g, cfg)\n"
-        "    remembered(rho, sigma, ('b', cfg.slack), g, cfg)\n"
-        "    remembered(rho, sigma, ('c', tol), g, cfg)\n"
-        "    remembered(rho, sigma, compute=g, key=(cfg.log_base,), cfg=cfg)\n"
-        "    remembered(rho, sigma, ('d', cfg.log_base), lambda a, b, c: g(a, b, c), cfg)\n"
+        "    remembered(rho, sigma, ('b', cfg.psd_slack), g, cfg)\n"
+        "    remembered(rho, sigma, other._b_key, g, cfg)\n"
+        "    remembered(rho, sigma, cfg._z_key, g, cfg)\n"
+        "    remembered(rho, sigma, compute=g, cfg=cfg)\n"
+        "    remembered(rho, sigma, cfg._b_key, lambda a, b, c: g(a, b, c), cfg)\n"
         "    def h(a, b, c):\n"
         "        return g(a, b, c)\n"
-        "    remembered(rho, sigma, ('e', cfg.log_base), h, cfg)\n"
-        "    remembered(rho, sigma, ('f', cfg.log_base), undefined, cfg)\n"
+        "    remembered(rho, sigma, cfg._b_key, h, cfg)\n"
+        "    remembered(rho, sigma, cfg._b_key, undefined, cfg)\n"
         "def shadow(rho, sigma, cfg):\n"
         "    def g(a, b, c):\n"
         "        return a\n"
-        "    remembered(rho, sigma, ('g', cfg.log_base), g, cfg)\n"
+        "    remembered(rho, sigma, cfg._b_key, g, cfg)\n"
     )
-    assert _problems(_calls(source, "m")) == [
-        "m: key is not a tuple literal led by a string tag",
-        "m: b key holds cfg.slack, not a ToleranceConfig field of cfg",
-        "m: c key holds tol, not a ToleranceConfig field of cfg",
-        "m: key is not a tuple literal led by a string tag",
+    table = {"a": ("psd_slack",), "b": ("rank_cutoff", "slack"), "c": ("log_base",)}
+    assert _problems(_calls(source, "m"), table) == [
+        "tag b reads slack, not a ToleranceConfig field",
+        "m: key key is not cfg._<tag>_key for a tag of MEMO_READS",
+        "m: key ('b', cfg.psd_slack) is not cfg._<tag>_key for a tag of MEMO_READS",
+        "m: key other._b_key is not cfg._<tag>_key for a tag of MEMO_READS",
+        "m: key cfg._z_key is not cfg._<tag>_key for a tag of MEMO_READS",
+        "m: key missing is not cfg._<tag>_key for a tag of MEMO_READS",
         "m: compute lambda a, b, c: g(a, b, c) is not a module-level function",
         "m: compute h is not a module-level function",
         "m: compute undefined is not a module-level function",
         "m: compute g is not a module-level function",
         "tag a used at 2 call sites",
+        "tag b used at 4 call sites",
+        "tag c used at 0 call sites",
     ]

@@ -7,7 +7,8 @@ states.CHOLESKY_MIN_DIM on is validated.
 The partner-memo tests check that a remembered order verdict, sandwich,
 divergence, way-below witness or reconstructed effect is the cold result
 bit for bit, also when the pair is asked again under a ToleranceConfig
-with one field moved.
+with one field moved, by as little as one ulp, and that equal tolerances
+share one entry.
 The differential tests recompute every quantity that reads a state's cached
 spectrum (sandwich, generalized powers, kernel) from the raw matrices
 through matrix_power, which solves a raw array afresh on each call, and
@@ -892,8 +893,7 @@ class TestMemoHits:
             assert ask(lower, upper) is first
             assert compute.call_count == 1
 
-    @pytest.mark.parametrize("query", [q for q in sorted(HIT_QUERIES)
-                                       if not q.startswith("channel")])
+    @pytest.mark.parametrize("query", sorted(HIT_QUERIES))
     def test_a_hit_calls_no_gate(self, query):
         ask = HIT_QUERIES[query][0]
         lower, upper = self._fresh_pair(query)
@@ -907,10 +907,12 @@ class TestMemoHits:
         rng = np.random.default_rng(23)
         rho, other = random_state(3, rng=rng), random_state(3, rng=rng)
         sentinel, cfg = object(), DEFAULT_CONFIG
-        # every entry's key as its query asks remembered for it (see READS)
-        keys = [("qpe_leq", cfg.psd_slack, cfg.rank_cutoff), ("sandwich", cfg.rank_cutoff),
-                ("max_divergence", cfg.rank_cutoff, cfg.log_base),
-                ("way_below", cfg.psd_slack, cfg.rank_cutoff)]
+        # every entry's key as its query asks remembered for it: the keys a
+        # warm slot holds once the four queries have run
+        keys = [getattr(cfg, f"_{entry}_key") for entry in READS]
+        for query in REMEMBERED.values():
+            query(rho, other, cfg)
+        assert set(keys) == set(rho._partners[id(other)][1])
         for raw, text in ((random_state(3, rng=rng).matrix.copy(), None),
                           (random_state(2, rng=rng).matrix.copy(), "3 vs 2")):
             # a slot under the raw operand's id whose partner is not that operand
@@ -1026,3 +1028,61 @@ class TestMemoKeys:
         # the moved field changes the entry on some pair exactly when the
         # entry reads it, so the assertion above can fail for a short key
         assert bool(moved) == (field in READS[entry]), moved
+
+
+def _keys(cfg):
+    """The memo key cfg holds for each remembered entry."""
+    return {entry: getattr(cfg, f"_{entry}_key") for entry in READS}
+
+
+class TestMemoKeyIdentity:
+    """A ToleranceConfig builds each entry's key from the values of the
+    fields the entry reads: equal values share one key and so one entry, a
+    value moved by one ulp gets another key and its own entry, and every way
+    of making a config builds or carries the keys of its own fields."""
+
+    def test_equal_tolerances_share_one_key_and_one_entry(self):
+        rng = np.random.default_rng(25)
+        sigma = random_state(3, rng=rng)
+        rho = depolarize(sigma, 0.4)
+        cfgs = [ToleranceConfig(psd_slack=zero) for zero in (0, 0.0, -0.0, np.float64(0.0))]
+        assert len({cfg._qpe_leq_key for cfg in cfgs}) == 1
+        orders = importlib.import_module("qpe.orders")
+        with mock.patch.object(orders, "_qpe_verdict", wraps=orders._qpe_verdict) as compute:
+            first = qpe_leq(rho, sigma, cfgs[0])
+            assert all(qpe_leq(rho, sigma, cfg) is first for cfg in cfgs)
+        assert compute.call_count == 1
+
+    @pytest.mark.parametrize("field", ["psd_slack", "cluster_width", "rank_cutoff"])
+    def test_a_field_moved_one_ulp_gets_its_own_key(self, key_pairs, field):
+        value = getattr(DEFAULT_CONFIG, field)
+        moved = dataclasses.replace(DEFAULT_CONFIG, **{field: np.nextafter(value, np.inf)})
+        assert getattr(moved, field) != value
+        for entry, key in _keys(moved).items():
+            assert (key != _keys(DEFAULT_CONFIG)[entry]) == (field in READS[entry]), entry
+        R, S = key_pairs["mixture_with_bottom"]
+        rho, sigma = DensityMatrix(R), DensityMatrix(S)
+        for entry, query in REMEMBERED.items():
+            warm = query(rho, sigma, DEFAULT_CONFIG)
+            result = query(rho, sigma, moved)
+            assert (result is warm) == (field not in READS[entry]), entry
+            assert _bits(result) == _bits(query(DensityMatrix(R), DensityMatrix(S), moved)), entry
+
+    def test_copies_carry_the_keys_of_their_own_fields(self):
+        rng = np.random.default_rng(26)
+        sigma = random_state(3, rng=rng)
+        rho = depolarize(sigma, 0.4)
+        cfg = ToleranceConfig(psd_slack=1e-7, rank_cutoff=1e-11, log_base="two")
+        replaced = dataclasses.replace(cfg, psd_slack=1e-6)
+        assert _keys(replaced) == _keys(ToleranceConfig(psd_slack=1e-6, rank_cutoff=1e-11,
+                                                        log_base="two"))
+        assert _keys(replaced)["qpe_leq"] != _keys(cfg)["qpe_leq"]
+        first = qpe_leq(rho, sigma, cfg)
+        for twin in (copy.copy(cfg), copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
+            assert twin == cfg and _keys(twin) == _keys(cfg)
+            assert qpe_leq(rho, sigma, twin) is first
+
+    def test_the_keys_are_no_fields(self):
+        assert [f.name for f in dataclasses.fields(ToleranceConfig)] == [
+            "psd_slack", "cluster_width", "rank_cutoff", "log_base"]
+        assert "_key" not in repr(DEFAULT_CONFIG)
